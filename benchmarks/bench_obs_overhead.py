@@ -78,20 +78,17 @@ def _guard_cost_ns() -> float:
 def _guarded_sites(counters: dict) -> int:
     """Guarded emissions one sweep of SPEC executes, from its counters.
 
-    Kernels emit once per invocation, the serial fallbacks once per
-    cell batch, the executor a handful of spans/counter merges per
-    ``run_cells`` plus one ``cache.put`` span per chunk.  Doubled for
-    headroom — the bound should survive instrumentation growth.
+    Kernels emit once per invocation, the executor a handful of
+    spans/counter merges per ``run_cells`` plus one ``cache.put`` span
+    per chunk.  Doubled for headroom — the bound should survive
+    instrumentation growth.
     """
     kernels = sum(
         counters.get(f"{prefix}.invocations", 0)
         for prefix in ("ring", "limit", "gaps", "walk", "general")
     )
-    serial = counters.get("ring.serial_cells", 0) + counters.get(
-        "general.serial_cells", 0
-    )
     chunks = counters.get("executor.chunks", 0)
-    return 2 * (kernels + serial + 2 * chunks + 10)
+    return 2 * (kernels + 2 * chunks + 10)
 
 
 def test_obs_overhead(benchmark, tmp_path):

@@ -111,11 +111,11 @@ def _kernel_table(manifest: dict) -> Table | None:
     table = Table(
         columns=[
             "kernel", "invocations", "lanes", "rounds", "lane_rounds",
-            "Mlr/s", "covered", "truncated", "serial_cells",
+            "Mlr/s", "covered", "truncated",
         ],
         caption="per-kernel counters (Mlr/s: million lane-rounds per "
         "second against total compute wall)",
-        formats=[None, "d", "d", "d", "d", ".2f", "d", "d", "d"],
+        formats=[None, "d", "d", "d", "d", ".2f", "d", "d"],
     )
     rows = 0
     for prefix, rounds_name, lane_rounds_name in _KERNELS:
@@ -140,7 +140,6 @@ def _kernel_table(manifest: dict) -> Table | None:
             ),
             covered,
             truncated,
-            get("serial_cells"),
         )
         rows += 1
     return table if rows else None

@@ -354,6 +354,16 @@ class BatchGeneralKernel:
                 for v, c in occupied.items():
                     d = deg[v]
                     p = ptr[v]
+                    if c == 1:
+                        # Lone agents dominate sparse lanes: skip the
+                        # divmod and the port loop.
+                        u = nbr[row[v] + p]
+                        if u in arrivals:
+                            arrivals[u] += 1
+                        else:
+                            arrivals[u] = 1
+                        ptr[v] = p + 1 if p + 1 < d else 0
+                        continue
                     start = row[v]
                     if c < d:
                         whole, part, used = 0, c, c

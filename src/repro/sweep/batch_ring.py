@@ -1,10 +1,9 @@
 """Vectorized batch ring kernel: many rotor-router lanes per numpy op.
 
 Sweeps spend their time stepping thousands of *independent* ring
-configurations, so instead of vectorizing one configuration (the
-:class:`repro.core.ring_dense.DenseRingRotorRouter` design) this kernel
-stacks ``B`` of them into ``(B, n)`` arrays and advances all lanes with
-one fixed sequence of numpy operations per round.
+configurations, so instead of vectorizing one configuration this
+kernel stacks ``B`` of them into ``(B, n)`` arrays and advances all
+lanes with one fixed sequence of numpy operations per round.
 
 The ring's degree-2 structure makes the round-robin rule branch-free.
 Storing the pointer as a bit ``p`` (1 = clockwise, 0 = anticlockwise)

@@ -76,12 +76,24 @@ class RotorCell:
     repetitions = 1
 
     def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError(f"ring requires at least 3 nodes, got {self.n}")
         if not self.agents:
             raise ValueError("at least one agent is required")
+        if min(self.agents) < 0 or max(self.agents) >= self.n:
+            raise ValueError(
+                f"agent positions must lie in [0, {self.n}), got "
+                f"{min(self.agents)}..{max(self.agents)}"
+            )
         if len(self.directions) != self.n:
             raise ValueError(
                 f"expected {self.n} pointer directions, "
                 f"got {len(self.directions)}"
+            )
+        if not set(self.directions) <= {1, -1}:
+            bad = next(d for d in self.directions if d not in (1, -1))
+            raise ValueError(
+                f"pointer directions must be +1 or -1, got {bad!r}"
             )
         if not self.metrics:
             raise ValueError("at least one metric is required")

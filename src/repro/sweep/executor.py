@@ -10,9 +10,11 @@ results in three stages:
 2. **batch planning** — cache misses are grouped by model, ring size,
    round budget and metric set, then chunked; a rotor chunk becomes
    one :class:`repro.sweep.batch_ring.BatchRingKernel` invocation
-   stepping all of the chunk's lanes with shared vectorized rounds,
-   a walk chunk one :class:`repro.sweep.batch_walk.BatchRingWalks`
-   invocation whose lanes are the cells' seeded repetitions (walk
+   stepping all of the chunk's lanes with shared vectorized rounds
+   (a sparse cover-only chunk, ``Σ k < n``, runs the CSR kernel over
+   the ring graph instead), a walk chunk one
+   :class:`repro.sweep.batch_walk.BatchRingWalks` invocation whose
+   lanes are the cells' seeded repetitions (walk
    chunks are additionally capped by total walker count, since the
    block buffers scale with ``Σ k·repetitions``), and a general-graph
    chunk one :class:`repro.sweep.batch_general.BatchGeneralKernel`
@@ -52,6 +54,7 @@ name.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import sys
@@ -64,6 +67,10 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from repro import obs
+from repro.core.pointers import ring_pointers_to_ports
+from repro.graphs.base import GraphCSR
+from repro.graphs.ring import ring_graph
+from repro.sweep.batch_general import batch_general_covers
 from repro.sweep.batch_ring import (
     DEFAULT_COMPACT_RATIO,
     BatchLimitCycles,
@@ -105,20 +112,29 @@ DEFAULT_MAX_RETRIES = 2
 #: ``retry_backoff * 2**(a - 1)`` before redispatching.
 DEFAULT_RETRY_BACKOFF = 0.1
 
-def _prefer_serial_covers(n: int, configs: Sequence) -> bool:
-    """Whether a cover-only rotor chunk should skip the batch kernel.
 
-    A kernel round sweeps the full ``(B, n)`` configuration matrix; a
-    serial dict-engine round touches only the occupied nodes, O(k).
-    Their per-round work ratio is therefore ``Σ k_i`` (all lanes'
-    agents) against ``B·n``, and with the two engines' measured
-    per-element constants the crossover lands almost exactly at
-    ``Σ k_i ≈ n`` for n in 256..1024 (sparse-agent grids — few lanes
-    or small k at large n — favor the serial engine; dense grids the
-    kernel).  Both paths are pinned bit-identical by the equivalence
-    suites; this chooses scheduling, never semantics.
+def _prefer_csr_covers(n: int, configs: Sequence) -> bool:
+    """Whether a cover-only rotor chunk runs on the sparse CSR kernel.
+
+    A dense ring-kernel round sweeps the full ``(B, n)`` configuration
+    matrix until the chunk's slowest lane covers; a CSR-kernel round
+    touches only the occupied ``(lane, node)`` pairs, at most
+    ``Σ k_i``.  Measured on ring cover chunks at n in 256..1024, the
+    CSR kernel takes 0.31x the dense kernel's time below ``Σ k_i = n``
+    and 1.6–2.3x above on chunks of equal k; chunks that mix
+    single-agent lanes into a k ladder favor it further (0.10x below
+    n, 0.27x in ``[n, 2n)``).  Both kernels are pinned bit-identical
+    by the equivalence suites: this chooses scheduling, never
+    semantics.
     """
     return sum(config.k for config in configs) < n
+
+
+@functools.lru_cache(maxsize=32)
+def _ring_csr(n: int) -> GraphCSR:
+    """The n-ring's CSR packing, built once per size per process."""
+    return ring_graph(n).to_csr()
+
 
 ProgressFn = Callable[[int, int], None]
 
@@ -304,9 +320,9 @@ def _dispatch_chunk(payload: dict) -> list[tuple[str, dict]]:
 def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
     """Rotor cells: one deterministic lane each, batch ring kernel.
 
-    Sparse cover-only chunks take the serial dict-engine path instead
-    — identical results, better constants when agents are sparse (see
-    :func:`_prefer_serial_covers`).
+    Sparse cover-only chunks run on the CSR kernel over the cached ring
+    graph instead — identical results, per-round cost bounded by the
+    agents rather than ``B·n`` (see :func:`_prefer_csr_covers`).
     """
     n = payload["n"]
     max_rounds = payload["max_rounds"]
@@ -322,8 +338,8 @@ def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
         pointers = shm.resolve(lanes["pointers"])
         counts = shm.resolve(lanes["counts"])
     else:
-        if list(metrics) == ["cover"] and _prefer_serial_covers(n, configs):
-            return _compute_rotor_covers_serial(n, max_rounds, configs)
+        if list(metrics) == ["cover"] and _prefer_csr_covers(n, configs):
+            return _compute_rotor_covers_csr(n, max_rounds, configs)
         built = [config.build() for config in configs]
         pointers, counts = lanes_from_configs(
             n, [(directions, agents) for agents, directions in built]
@@ -431,28 +447,35 @@ def _compute_walk_chunk(payload: dict) -> list[tuple[str, dict]]:
     return out
 
 
-def _compute_rotor_covers_serial(
+def _compute_rotor_covers_csr(
     n: int, max_rounds: int, configs: list
 ) -> list[tuple[str, dict]]:
-    """Few-lane cover chunk on the O(k)-per-round serial ring engine.
+    """Sparse ring cover chunk on the CSR kernel over ``ring_graph(n)``.
 
-    Mirrors the kernel's ``strict=False`` semantics: a cell that does
-    not cover within its budget records ``cover=None`` instead of
-    failing the chunk.
+    Ring directions map onto the canonical ports (port 0 = clockwise),
+    so every lane is exactly the general engine's instance of the cell.
     """
-    from repro.core.ring import RingRotorRouter
-
-    obs.count("ring.serial_cells", len(configs))
-    out: list[tuple[str, dict]] = []
+    csr = _ring_csr(n)
+    lanes = []
     for config in configs:
         agents, directions = config.build()
-        engine = RingRotorRouter(n, directions, agents, track_counts=False)
-        try:
-            cover = int(engine.run_until_covered(max_rounds))
-        except RuntimeError:
-            cover = None
-        out.append((config.config_hash, {"cover": cover}))
-    return out
+        lanes.append(
+            (csr, ring_pointers_to_ports(directions), agents, max_rounds)
+        )
+    return _csr_covers(configs, lanes)
+
+
+def _csr_covers(cells: list, lanes: list) -> list[tuple[str, dict]]:
+    """``(config_hash, metrics)`` of one CSR-kernel run, lane per cell.
+
+    Mirrors the ring kernel's ``strict=False`` semantics: a cell that
+    does not cover within its budget records ``cover=None``.
+    """
+    covers = batch_general_covers(lanes, strict=False)
+    return [
+        (cell.config_hash, {"cover": int(c) if c >= 0 else None})
+        for cell, c in zip(cells, covers)
+    ]
 
 
 def _compute_gaps_chunk(payload: dict) -> list[tuple[str, dict]]:
@@ -480,14 +503,6 @@ def _compute_gaps_chunk(payload: dict) -> list[tuple[str, dict]]:
     return out
 
 
-#: Serial-engine escape hatch for general chunks: below this many total
-#: graph nodes across the chunk's lanes, kernel setup (stacking CSRs,
-#: slab tables) costs more than it saves and the chunk runs on the
-#: reference engine instead.  Identity-neutral, like the sparse-ring
-#: crossover above: both paths are pinned bit-identical.
-GENERAL_SERIAL_NODES = 256
-
-
 def _compute_general_chunk(payload: dict) -> list[tuple[str, dict]]:
     """General-graph rotor cells: batched CSR kernel per chunk.
 
@@ -495,8 +510,7 @@ def _compute_general_chunk(payload: dict) -> list[tuple[str, dict]]:
     (``payload["graphs"]``); every cell of the chunk becomes one lane
     of a single :class:`repro.sweep.batch_general.BatchGeneralKernel`
     invocation, so all seeds, k-values — and families — advance with
-    shared vectorized rounds.  Tiny chunks take the reference-engine
-    path instead (see :data:`GENERAL_SERIAL_NODES`).
+    shared vectorized rounds, whatever the chunk's size.
     """
     graphs = {
         digest: shm.resolve_csr(entry)
@@ -507,50 +521,13 @@ def _compute_general_chunk(payload: dict) -> list[tuple[str, dict]]:
     cells = [
         cell_from_dict(data, graphs=graphs) for data in payload["configs"]
     ]
-    if sum(cell.n for cell in cells) <= GENERAL_SERIAL_NODES:
-        return _compute_general_serial(cells)
-    from repro.sweep.batch_general import batch_general_covers
-
-    covers = batch_general_covers(
+    return _csr_covers(
+        cells,
         [
             (cell.csr(), cell.ports, cell.agents, cell.max_rounds)
             for cell in cells
         ],
-        strict=False,
     )
-    return [
-        (cell.config_hash, {"cover": int(c) if c >= 0 else None})
-        for cell, c in zip(cells, covers)
-    ]
-
-
-def _compute_general_serial(cells: list) -> list[tuple[str, dict]]:
-    """Small general chunks on the reference engine, one cell at a time.
-
-    Mirrors the kernel's ``strict=False`` semantics: a cell that does
-    not cover within its budget records ``cover=None``.
-    """
-    from repro.core.engine import MultiAgentRotorRouter
-    from repro.graphs.base import PortLabeledGraph
-
-    obs.count("general.serial_cells", len(cells))
-    out: list[tuple[str, dict]] = []
-    graph = None
-    graph_ports = None
-    for cell in cells:
-        if graph is None or cell.graph_ports is not graph_ports:
-            # Cells were serialized from validated graphs.
-            graph = PortLabeledGraph(cell.graph_ports, validate=False)
-            graph_ports = cell.graph_ports
-        engine = MultiAgentRotorRouter(
-            graph, list(cell.ports), list(cell.agents)
-        )
-        try:
-            cover = engine.run_until_covered(cell.max_rounds)
-        except RuntimeError:
-            cover = None
-        out.append((cell.config_hash, {"cover": cover}))
-    return out
 
 
 def _plan_chunks(
@@ -696,11 +673,12 @@ def _pack_shm_payloads(payloads: list[dict]) -> "shm.SlabArena | None":
 
     Rotor chunks get their lane slabs (``(B, n)`` pointers/counts)
     prebuilt here and replaced by descriptors under ``payload["lanes"]``
-    — unless the chunk would take the serial-covers path, which wants
-    per-cell configs, not slabs.  General chunks get their digest-keyed
-    graph tables packed once *per distinct graph across all chunks*
-    (the same descriptor triple is shared), so a graph that spans chunk
-    boundaries ships a single copy.  Walk and gap payloads are already
+    — unless the chunk is a sparse cover chunk bound for the CSR
+    kernel, which builds its lanes from the per-cell configs.  General
+    chunks get their digest-keyed graph tables packed once *per
+    distinct graph across all chunks* (the same descriptor triple is
+    shared), so a graph that spans chunk boundaries ships a single
+    copy.  Walk and gap payloads are already
     descriptor-sized (seeds and positions) and pass through untouched.
 
     Returns the sealed arena (caller owns the unlink), or None when
@@ -721,10 +699,10 @@ def _pack_shm_payloads(payloads: list[dict]) -> "shm.SlabArena | None":
             payload["graphs"] = packed
         elif model != "walk":
             configs = [cell_from_dict(data) for data in payload["configs"]]
-            if list(payload["metrics"]) == ["cover"] and _prefer_serial_covers(
+            if list(payload["metrics"]) == ["cover"] and _prefer_csr_covers(
                 payload["n"], configs
             ):
-                continue  # the worker re-derives the serial decision
+                continue  # the worker re-derives the CSR decision
             built = [config.build() for config in configs]
             pointers, counts = lanes_from_configs(
                 payload["n"],

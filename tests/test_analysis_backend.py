@@ -19,6 +19,8 @@ from repro.analysis.cover_time import (
 from repro.core import placement as placement_mod
 from repro.core.pointers import random_ports
 from repro.graphs import clique, grid_2d, ring_graph
+from repro.sweep.cells import RotorCell
+from repro.sweep.executor import _compute_rotor_chunk, _prefer_csr_covers
 from repro.sweep.spec import PLACEMENTS, POINTERS
 from repro.util.rng import derive_seed, make_rng
 
@@ -36,6 +38,26 @@ def _random_rotor_instance(rng):
     agents = PLACEMENTS[placement_name](n, k, seed)
     directions = POINTERS[pointer_name](n, agents, seed)
     return n, agents, directions
+
+
+def _cover_cell(n, agents, max_rounds):
+    return RotorCell(
+        n=n,
+        agents=tuple(agents),
+        directions=tuple(POINTERS["negative"](n, agents, 0)),
+        metrics=("cover",),
+        max_rounds=max_rounds,
+    )
+
+
+def _cover_payload(n, max_rounds, cells):
+    return {
+        "model": "rotor",
+        "n": n,
+        "max_rounds": max_rounds,
+        "metrics": ["cover"],
+        "configs": [cell.to_dict() for cell in cells],
+    }
 
 
 class TestBackendEquivalenceGrid:
@@ -109,43 +131,46 @@ class TestBackendEquivalenceGrid:
             assert b.value.ci_high == r.value.ci_high
 
     def test_cover_kernel_selection_is_identity_neutral(self):
-        # The executor routes sparse cover chunks (Σk < n) to the
-        # serial dict engine and dense ones to the batch kernel; both
-        # paths must return identical metrics for identical cells.
-        from repro.sweep.executor import (
-            _compute_rotor_chunk,
-            _compute_rotor_covers_serial,
-            _prefer_serial_covers,
-        )
-        from repro.sweep.cells import RotorCell
-
+        # The executor routes sparse cover chunks (Σk < n) to the CSR
+        # kernel over the ring graph and dense ones to the batch ring
+        # kernel; both must reproduce the serial cover times exactly.
         n = 64
-        cells = []
-        for k in (2, 4, 8, 16, 32, 64):  # Σk = 126 >= n: kernel path
-            agents = placement_mod.equally_spaced(n, k)
-            cells.append(
-                RotorCell(
-                    n=n,
-                    agents=tuple(agents),
-                    directions=tuple(POINTERS["negative"](n, agents, 0)),
-                    metrics=("cover",),
-                    max_rounds=8 * n * n + 64,
+        max_rounds = 8 * n * n + 64
+        cells = [
+            _cover_cell(n, placement_mod.equally_spaced(n, k), max_rounds)
+            for k in (2, 4, 8, 16, 32, 64)
+        ]
+        sparse, dense = cells[:2], cells  # Σk = 6 and 126
+        assert _prefer_csr_covers(n, sparse)
+        assert not _prefer_csr_covers(n, dense)
+        for chunk in (sparse, dense):
+            out = _compute_rotor_chunk(_cover_payload(n, max_rounds, chunk))
+            expected = [
+                ring_rotor_cover_time(
+                    n, list(cell.agents), list(cell.directions)
                 )
-            )
-        assert not _prefer_serial_covers(n, cells)
-        assert _prefer_serial_covers(n, cells[:2])  # Σk = 6 < n: serial
-        payload = {
-            "model": "rotor",
-            "n": n,
-            "max_rounds": 8 * n * n + 64,
-            "metrics": ["cover"],
-            "configs": [cell.to_dict() for cell in cells],
-        }
-        kernel_out = _compute_rotor_chunk(payload)
-        serial_out = _compute_rotor_covers_serial(
-            n, 8 * n * n + 64, cells
-        )
-        assert kernel_out == serial_out
+                for cell in chunk
+            ]
+            assert out == [
+                (cell.config_hash, {"cover": cover})
+                for cell, cover in zip(chunk, expected)
+            ]
+
+    def test_truncated_sparse_chunk_reports_none(self):
+        n = 64
+        placements = ([0], [0, 32])
+        covers = [
+            ring_rotor_cover_time(n, agents, POINTERS["negative"](n, agents, 0))
+            for agents in placements
+        ]
+        budget = max(covers) - 1  # the lone agent truncates, the pair covers
+        cells = [_cover_cell(n, agents, budget) for agents in placements]
+        assert _prefer_csr_covers(n, cells)
+        out = _compute_rotor_chunk(_cover_payload(n, budget, cells))
+        assert out == [
+            (cells[0].config_hash, {"cover": None}),
+            (cells[1].config_hash, {"cover": covers[1]}),
+        ]
 
     def test_matches_legacy_serial_functions(self):
         # The reference backend is not a reimplementation: spot-check
@@ -300,3 +325,22 @@ class TestPlanLifecycle:
             plan.walk_cover(16, [0], repetitions=0)
         with pytest.raises(RuntimeError, match="not executed"):
             plan.stats
+
+    @pytest.mark.parametrize("backend", ["batch", "reference"])
+    @pytest.mark.parametrize(
+        "n, agents, directions, message",
+        [
+            (16, [0], [1] * 15 + [0], r"\+1 or -1, got 0"),
+            (16, [20], [1] * 16, r"\[0, 16\)"),
+            (2, [0], [1, 1], "at least 3 nodes"),
+        ],
+        ids=["direction", "agent-off-ring", "tiny-ring"],
+    )
+    def test_rotor_cover_rejects_malformed_cell(
+        self, backend, n, agents, directions, message
+    ):
+        # Rejected at the request, before any kernel runs.
+        plan = MeasurementPlan(backend=backend)
+        with pytest.raises(ValueError, match=message):
+            plan.rotor_cover(n, agents, directions)
+        assert plan.num_cells == 0

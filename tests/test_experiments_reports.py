@@ -198,9 +198,8 @@ class TestBackendsAgree:
         assert batch.render() == reference.render()
 
     def test_speedup_graphs_quick_grid_identical_across_backends(self):
-        # The quick grid's node total crosses the serial escape hatch,
-        # so this pins the CSR-batched kernel (mixed families in one
-        # chunk) against the reference engine at report granularity.
+        # Pins the CSR-batched kernel (mixed families in one chunk)
+        # against the reference engine at report granularity.
         from repro.experiments.speedup_graphs import run_speedup_graphs
 
         batch = run_speedup_graphs(quick=True)

@@ -375,13 +375,10 @@ class TestGeneralChunkPlanning:
 
     def test_general_chunk_results_match_reference_engine(self):
         from repro.core.engine import MultiAgentRotorRouter
-        from repro.graphs import lollipop, torus_2d
+        from repro.graphs import lollipop, star, torus_2d
 
-        graphs = [torus_2d(5, 5), lollipop(5, 4)]
-        # Enough total nodes to cross the serial escape hatch and
-        # exercise the batched kernel through compute_chunk.
+        graphs = [torus_2d(5, 5), lollipop(5, 4), star(5)]
         cells = _general_cells(graphs, ks=(1, 2, 9), seeds=(0, 1, 2))
-        assert sum(cell.n for cell in cells) > 256
         (payload,) = _plan_chunks(cells, chunk_lanes=64)
         results = dict(compute_chunk(payload))
         assert len(results) == len(cells)
@@ -395,25 +392,6 @@ class TestGeneralChunkPlanning:
             )
             expected = engine.run_until_covered(cell.max_rounds)
             assert results[cell.config_hash] == {"cover": expected}
-
-    def test_small_general_chunks_take_serial_path(self):
-        from repro.graphs import star
-        from repro.sweep.executor import GENERAL_SERIAL_NODES
-
-        cells = _general_cells([star(5)], ks=(1, 2), seeds=(0,))
-        assert sum(cell.n for cell in cells) <= GENERAL_SERIAL_NODES
-        (payload,) = _plan_chunks(cells, chunk_lanes=64)
-        results = dict(compute_chunk(payload))
-        # Identity-neutral: the escape hatch computes the same covers.
-        from repro.analysis.cover_time import rotor_cover_time_general
-
-        graph = star(5)
-        for cell in cells:
-            assert results[cell.config_hash]["cover"] == (
-                rotor_cover_time_general(
-                    graph, list(cell.agents), list(cell.ports)
-                )
-            )
 
 
 class TestCache:

@@ -290,7 +290,7 @@ class TestAccounting:
             FAULTS_ENV, json.dumps({"poison_cells": [""]})
         )
         plan = MeasurementPlan(backend="batch")
-        plan.rotor_cover(8, [0, 4], [0] * 8)
+        plan.rotor_cover(8, [0, 4], [1] * 8)
         with pytest.raises(RuntimeError, match="quarantined"):
             with execution_policy(
                 ExecutionPolicy(max_retries=0, retry_backoff=0.0)

@@ -317,8 +317,8 @@ class TestParallelEquivalence:
 
     def test_jobs2_rotor_lanes_ride_shared_memory(self, tmp_path):
         # Stabilization chunks always take the batch kernel, so their
-        # lane slabs are guaranteed to ship through the arena (cover
-        # chunks may elect the serial path and skip packing).
+        # lane slabs are guaranteed to ship through the arena (sparse
+        # cover chunks run the CSR kernel and skip packing).
         spec = _mixed_spec(
             metrics=("stabilization",), models=("rotor",), repetitions=1
         )
