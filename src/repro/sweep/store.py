@@ -61,6 +61,7 @@ import bisect
 import json
 import os
 import sqlite3
+import time
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence
 
@@ -468,7 +469,18 @@ class SqliteStore:
         path = self.shard_path(shard)
         conn = sqlite3.connect(path, timeout=30.0)
         conn.isolation_level = None  # explicit BEGIN/COMMIT below
-        conn.execute("PRAGMA journal_mode=WAL")
+        # Switching a new shard to WAL needs exclusive access, and SQLite
+        # reports a concurrent switch as locked without waiting on the
+        # busy timeout: retry within that timeout.
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute("PRAGMA busy_timeout=30000")
         version = conn.execute("PRAGMA user_version").fetchone()[0]
