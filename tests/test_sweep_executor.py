@@ -393,6 +393,24 @@ class TestGeneralChunkPlanning:
             expected = engine.run_until_covered(cell.max_rounds)
             assert results[cell.config_hash] == {"cover": expected}
 
+    def test_small_general_chunks_take_serial_path(self):
+        from repro.analysis.cover_time import rotor_cover_time_general
+        from repro.graphs import star
+
+        # A chunk of a few tiny cells runs through the batched kernel
+        # like any other and must match the serial reference covers.
+        cells = _general_cells([star(5)], ks=(1, 2), seeds=(0,))
+        (payload,) = _plan_chunks(cells, chunk_lanes=64)
+        results = dict(compute_chunk(payload))
+        assert len(results) == len(cells)
+        graph = star(5)
+        for cell in cells:
+            assert results[cell.config_hash]["cover"] == (
+                rotor_cover_time_general(
+                    graph, list(cell.agents), list(cell.ports)
+                )
+            )
+
 
 class TestCache:
     def test_second_run_is_all_hits(self, tmp_path):
