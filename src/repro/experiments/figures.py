@@ -51,26 +51,28 @@ def run_figure1(
         "starts exhibit both Figure 1 shapes",
         formats=["d", None, "d", "d", "d", ".2f"],
     )
-    for k in ks:
-        cases = {
-            "spaced": placement.equally_spaced(n, k),
-            "random": placement.random_nodes(n, k, seed=k, distinct=True),
-        }
-        for name, agents in cases.items():
-            census = border_type_census(
-                n,
-                agents,
-                pointers.ring_negative(n, agents),
-                burn_in=burn_in_factor * n,
-                observation_rounds=observation_factor * n,
-            )
-            vertex = census.get(BorderType.VERTEX, 0)
-            edge = census.get(BorderType.EDGE, 0)
-            transient = census.get(BorderType.TRANSIENT, 0)
-            total = max(vertex + edge + transient, 1)
-            table.add_row(
-                k, name, vertex, edge, transient, 100.0 * transient / total
-            )
+    cases = [
+        (k, name, agents)
+        for k in ks
+        for name, agents in (
+            ("spaced", placement.equally_spaced(n, k)),
+            ("random", placement.random_nodes(n, k, seed=k, distinct=True)),
+        )
+    ]
+    censuses = border_type_census(
+        n,
+        [(agents, pointers.ring_negative(n, agents)) for _, _, agents in cases],
+        burn_in=burn_in_factor * n,
+        observation_rounds=observation_factor * n,
+    )
+    for (k, name, _), census in zip(cases, censuses):
+        vertex = census.get(BorderType.VERTEX, 0)
+        edge = census.get(BorderType.EDGE, 0)
+        transient = census.get(BorderType.TRANSIENT, 0)
+        total = max(vertex + edge + transient, 1)
+        table.add_row(
+            k, name, vertex, edge, transient, 100.0 * transient / total
+        )
     report.add_table(table)
     return report
 

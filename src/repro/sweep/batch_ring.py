@@ -423,6 +423,21 @@ class BatchRingKernel:
     # ------------------------------------------------------------------
     # state inspection
     # ------------------------------------------------------------------
+    def round_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(B, n)`` views of counts, pointer bits and exits.
+
+        Returns the agent counts, the pointer bits (1 = clockwise) and
+        the clockwise exits ``fwd(v)`` of the round just stepped: an
+        agent that arrived at ``v`` alone travelled clockwise iff
+        ``fwd(v - 1) == 1``.  The exits are meaningful after the first
+        step only.  The views alias the kernel's buffers, so they go
+        stale at the next step.
+        """
+        views = (self._counts.view(), self._ptr.view(), self._fwd.view())
+        for view in views:
+            view.flags.writeable = False
+        return views
+
     def counts_lane(self, lane: int) -> np.ndarray:
         """Agent counts of one lane as int64 (copy)."""
         return self._counts[lane].astype(np.int64)

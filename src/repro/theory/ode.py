@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 def domain_rhs(
@@ -110,6 +109,10 @@ def integrate_domains(
     logarithmically so the sqrt-growth fit is well conditioned.  See
     :func:`domain_rhs` for the boundary-condition options.
     """
+    # Imported here, not at module load: scipy.integrate takes about
+    # half a second to import, and nothing else in the package needs it.
+    from scipy.integrate import solve_ivp
+
     nu0 = np.asarray(initial_sizes, dtype=float)
     if nu0.ndim != 1 or nu0.size < 1:
         raise ValueError("initial_sizes must be a non-empty 1-d array")

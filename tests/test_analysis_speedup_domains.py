@@ -95,8 +95,8 @@ class TestDomainTraces:
     def test_border_census_nonempty(self):
         n, k = 64, 4
         agents = placement.equally_spaced(n, k)
-        census = border_type_census(
-            n, agents, pointers.ring_negative(n, agents),
+        (census,) = border_type_census(
+            n, [(agents, pointers.ring_negative(n, agents))],
             burn_in=10 * n, observation_rounds=4 * n,
         )
         assert sum(census.values()) > 0

@@ -1,9 +1,12 @@
 """Tests for agent domains and lazy domains (paper §2.2)."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.domains_stats import border_type_census
 from repro.core import placement, pointers
 from repro.core.domains import (
     BorderType,
@@ -157,13 +160,15 @@ class TestVisitTypeTracker:
 
 class TestDomainSnapshot:
     def test_domains_partition_visited_nodes(self):
-        engine, tracker = settled_system(60, 4, rounds=600)
-        snap = domain_snapshot(engine, tracker)
-        all_nodes = []
-        for dom in snap.domains:
-            all_nodes.extend(dom.nodes(engine.n))
-        all_nodes.extend(snap.unvisited)
-        assert sorted(all_nodes) == list(range(engine.n))
+        # The k = 1 system is covered: its lone domain is the whole ring.
+        for n, k, rounds in ((60, 4, 600), (12, 1, 240)):
+            engine, tracker = settled_system(n, k, rounds=rounds)
+            snap = domain_snapshot(engine, tracker)
+            all_nodes = []
+            for dom in snap.domains:
+                all_nodes.extend(dom.nodes(engine.n))
+            all_nodes.extend(snap.unvisited)
+            assert sorted(all_nodes) == list(range(engine.n))
 
     def test_domain_count_matches_agents(self):
         engine, tracker = settled_system(60, 4, rounds=600)
@@ -171,10 +176,11 @@ class TestDomainSnapshot:
         assert len(snap.domains) == 4
 
     def test_anchor_inside_domain(self):
-        engine, tracker = settled_system(48, 3, rounds=400, seed=3)
-        snap = domain_snapshot(engine, tracker)
-        for dom in snap.domains:
-            assert dom.contains(engine.n, dom.anchor)
+        for n, k, rounds in ((48, 3, 400), (12, 1, 240)):
+            engine, tracker = settled_system(n, k, rounds=rounds, seed=3)
+            snap = domain_snapshot(engine, tracker)
+            for dom in snap.domains:
+                assert dom.contains(engine.n, dom.anchor)
 
     def test_lazy_subset_of_domain(self):
         engine, tracker = settled_system(60, 5, rounds=700, seed=1)
@@ -266,3 +272,91 @@ class TestBorders:
             tracker.advance()
         snap = domain_snapshot(e, tracker)
         assert snap.max_adjacent_lazy_difference() <= 10
+
+
+def serial_census(n, agents, directions, burn_in, observation_rounds,
+                  sample_every=1):
+    """The per-configuration census on the serial oracle."""
+    engine = RingRotorRouter(n, directions, agents, track_counts=False)
+    tracker = VisitTypeTracker(engine)
+    for _ in range(burn_in):
+        tracker.advance()
+    census = Counter()
+    for i in range(observation_rounds):
+        tracker.advance()
+        if i % sample_every == 0:
+            census.update(classify_borders(domain_snapshot(engine, tracker)))
+    return census
+
+
+def random_lane(rng, n):
+    """Random agents (at most 2 per node, some co-located) and pointers."""
+    k = int(rng.integers(1, min(9, 2 * n) + 1))
+    pairs = int(rng.integers(0, k // 2 + 1)) if rng.random() < 0.5 else 0
+    pairs = max(pairs, k - n)
+    nodes = [int(v) for v in rng.choice(n, size=k - pairs, replace=False)]
+    directions = [int(d) for d in rng.choice((-1, 1), size=n)]
+    return nodes + nodes[:pairs], directions
+
+
+class TestBatchedCensus:
+    """``border_type_census`` against the serial oracle, lane by lane."""
+
+    def test_matches_serial_oracle_on_random_lanes(self):
+        rng = make_rng(2013)
+        for _ in range(100):
+            n = int(rng.integers(3, 41))
+            lanes = [random_lane(rng, n) for _ in range(int(rng.integers(1, 5)))]
+            # Burn-in as short as 0 leaves some rings uncovered.
+            burn_in = int(rng.integers(0, 5 * n + 1))
+            rounds = int(rng.integers(1, 3 * n + 1))
+            every = int(rng.integers(1, 4))
+            expected = [
+                serial_census(n, agents, dirs, burn_in, rounds, every)
+                for agents, dirs in lanes
+            ]
+            assert border_type_census(
+                n, lanes, burn_in, rounds, every
+            ) == expected
+
+    def test_figure1_configurations(self):
+        n = 64
+        lanes = []
+        for k in (4, 8, 16):
+            for agents in (
+                placement.equally_spaced(n, k),
+                placement.random_nodes(n, k, seed=k, distinct=True),
+            ):
+                lanes.append((agents, pointers.ring_negative(n, agents)))
+        expected = [
+            serial_census(n, agents, dirs, 10 * n, 4 * n)
+            for agents, dirs in lanes
+        ]
+        assert border_type_census(n, lanes, 10 * n, 4 * n) == expected
+        assert all(sum(census.values()) > 0 for census in expected)
+
+    @pytest.mark.parametrize("burn_in", range(6))
+    def test_domain_error_parity(self, burn_in):
+        # Six agents on one node put three on each neighbour in round 1.
+        n = 10
+        stacked = ([0] * 6, [1] * n)
+        spread = ([2, 5, 8], pointers.ring_negative(n, [2, 5, 8]))
+        try:
+            expected = [
+                serial_census(n, agents, dirs, burn_in, 3)
+                for agents, dirs in (stacked, spread)
+            ]
+        except DomainError:
+            with pytest.raises(DomainError):
+                border_type_census(n, [stacked, spread], burn_in, 3)
+        else:
+            assert border_type_census(
+                n, [stacked, spread], burn_in, 3
+            ) == expected
+
+    def test_rejects_bad_schedule(self):
+        lanes = [([0, 4], [1] * 8)]
+        with pytest.raises(ValueError):
+            border_type_census(8, lanes, -1, 4)
+        with pytest.raises(ValueError):
+            border_type_census(8, lanes, 0, 4, sample_every=0)

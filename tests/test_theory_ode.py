@@ -1,5 +1,10 @@
 """Tests for the §2.3 continuous-time approximation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,3 +92,27 @@ class TestEquilibrium:
 
     def test_perturbed_is_not(self):
         assert equilibrium_check([7.0, 9.0, 7.0]) > 0.0
+
+
+class TestLazyScipy:
+    def test_cli_and_experiments_do_not_import_scipy(self):
+        # Only integrate_domains needs scipy; importing the CLI or any
+        # experiment module must not pay for scipy.integrate.
+        script = (
+            "import importlib, sys\n"
+            "import repro.cli\n"
+            "for module, _ in repro.cli.EXPERIMENTS.values():\n"
+            "    importlib.import_module(module)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
