@@ -84,7 +84,6 @@ def _run_supervised(payloads: list[dict], jobs: int) -> dict:
         report=report,
         max_retries=2,
         chunk_timeout=600.0 if jobs > 1 else None,
-        retry_backoff=0.1,
     )
     supervisor.run(payloads)
     assert report.clean, report.quarantined

@@ -44,6 +44,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.randomwalk.cover import CoverEstimate
 from repro.randomwalk.visits import GapStatistics
@@ -286,6 +288,17 @@ class MeasurementPlan:
         cell = GeneralRotorCell.from_graph(
             graph, agents, ports, max_rounds
         )
+        # Ports are checked here, once per request, not in the cell:
+        # scenario grids build hundreds of general cells per pass.
+        deg = cell.csr().deg
+        port_array = np.asarray(cell.ports, dtype=np.int64)
+        bad = np.flatnonzero((port_array < 0) | (port_array >= deg))
+        if bad.size:
+            v = int(bad[0])
+            raise ValueError(
+                f"pointer {cell.ports[v]} at node {v} out of range for "
+                f"degree {int(deg[v])}"
+            )
         return self._schedule(cell, _wrap_rotor_cover)
 
     # ------------------------------------------------------------------

@@ -71,35 +71,26 @@ def _cache_table(counters: dict) -> Table | None:
         return None
     table = Table(
         columns=[
-            "backend", "hits", "misses", "corrupt", "puts", "hit_%",
-            "batches", "batch_cells",
+            "hits", "misses", "corrupt", "puts", "hit_%", "batches",
+            "batch_cells",
         ],
-        caption="result cache (total row plus one row per backend seen; "
-        "batches/batch_cells count batched lookup_many probes)",
-        formats=[None, "d", "d", "d", "d", ".1f", "d", "d"],
+        caption="result cache (batches/batch_cells count batched "
+        "lookup_many probes)",
+        formats=["d", "d", "d", "d", ".1f", "d", "d"],
     )
-
-    def add_row(label: str, prefix: str, batched: bool) -> None:
-        hits = counters.get(f"{prefix}.hits", 0)
-        misses = counters.get(f"{prefix}.misses", 0)
-        corrupt = counters.get(f"{prefix}.corrupt", 0)
-        probes = hits + misses + corrupt
-        table.add_row(
-            label,
-            hits,
-            misses,
-            corrupt,
-            counters.get(f"{prefix}.puts", 0) if batched else None,
-            100.0 * hits / probes if probes else None,
-            counters.get("cache.batch_lookups", 0) if batched else None,
-            counters.get("cache.batch_size", 0) if batched else None,
-        )
-
-    add_row("total", "cache", batched=True)
-    for backend in ("json", "sqlite"):
-        prefix = f"cache.{backend}"
-        if any(key.startswith(f"{prefix}.") for key in counters):
-            add_row(backend, prefix, batched=False)
+    hits = counters.get("cache.hits", 0)
+    misses = counters.get("cache.misses", 0)
+    corrupt = counters.get("cache.corrupt", 0)
+    probes = hits + misses + corrupt
+    table.add_row(
+        hits,
+        misses,
+        corrupt,
+        counters.get("cache.puts", 0),
+        100.0 * hits / probes if probes else None,
+        counters.get("cache.batch_lookups", 0),
+        counters.get("cache.batch_size", 0),
+    )
     return table
 
 

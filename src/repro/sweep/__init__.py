@@ -71,7 +71,6 @@ from repro.sweep.cells import (
 from repro.sweep.executor import (
     ConfigResult,
     FailureReport,
-    ResultCache,
     SweepResult,
     run_cells,
     run_sweep,
@@ -110,7 +109,6 @@ __all__ = [
     "FaultPlan",
     "GeneralRotorCell",
     "LabeledGeneralRotorCell",
-    "ResultCache",
     "RotorCell",
     "SweepResult",
     "VerifyReport",

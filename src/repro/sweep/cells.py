@@ -54,6 +54,15 @@ def _hash_identity(identity: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _check_agents(agents: tuple[int, ...], n: int, where: str) -> None:
+    """Reject agent positions off the ``n`` nodes, in O(k)."""
+    if min(agents) < 0 or max(agents) >= n:
+        raise ValueError(
+            f"agent positions must lie in [0, {n}) on the {where}, got "
+            f"{min(agents)}..{max(agents)}"
+        )
+
+
 @dataclass(frozen=True)
 class RotorCell:
     """One explicit rotor-router instance on the ring.
@@ -80,11 +89,7 @@ class RotorCell:
             raise ValueError(f"ring requires at least 3 nodes, got {self.n}")
         if not self.agents:
             raise ValueError("at least one agent is required")
-        if min(self.agents) < 0 or max(self.agents) >= self.n:
-            raise ValueError(
-                f"agent positions must lie in [0, {self.n}), got "
-                f"{min(self.agents)}..{max(self.agents)}"
-            )
+        _check_agents(self.agents, self.n, "ring")
         if len(self.directions) != self.n:
             raise ValueError(
                 f"expected {self.n} pointer directions, "
@@ -160,8 +165,11 @@ class WalkCoverCell:
     record_samples = True
 
     def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError(f"ring requires at least 3 nodes, got {self.n}")
         if not self.agents:
             raise ValueError("at least one walker is required")
+        _check_agents(self.agents, self.n, "ring")
         if not self.seeds:
             raise ValueError("at least one repetition seed is required")
 
@@ -302,6 +310,7 @@ class GeneralRotorCell:
     def __post_init__(self) -> None:
         if not self.agents:
             raise ValueError("at least one agent is required")
+        _check_agents(self.agents, len(self.graph_ports), "graph")
         if len(self.ports) != len(self.graph_ports):
             raise ValueError(
                 f"expected {len(self.graph_ports)} pointer ports, "

@@ -1,10 +1,10 @@
-"""Parallel sweep executor over a pluggable, batched result store.
+"""Parallel sweep executor over the batched result store.
 
 ``run_sweep`` turns a :class:`repro.sweep.spec.ScenarioSpec` into
 results in three stages:
 
 1. **cache probe** — the whole deduplicated cell list is probed in one
-   :meth:`repro.sweep.store.CacheStore.lookup_many` call; hits are
+   :meth:`repro.sweep.store.SqliteStore.lookup_many` call; hits are
    served without any simulation, which is what makes repeated and
    resumed sweeps free;
 2. **batch planning** — cache misses are grouped by model, ring size,
@@ -24,7 +24,7 @@ results in three stages:
    ``multiprocessing`` pool under a supervising dispatcher
    (:class:`_Supervisor`), with per-chunk progress reporting; each
    chunk's results are written back in one batched
-   :meth:`~repro.sweep.store.CacheStore.put_many` call.
+   :meth:`~repro.sweep.store.SqliteStore.put_many` call.
 
 The execution stage is **fault-tolerant**: chunks are tracked
 individually with per-chunk deadlines (``chunk_timeout``), failed
@@ -37,19 +37,16 @@ finishes: ``run_cells`` returns a structured :class:`FailureReport`
 (quarantined cell hashes plus exception summaries) instead of
 propagating the first worker exception.  Probe-time ``corrupt``
 statuses self-heal — the bad rows are quarantined through
-:meth:`~repro.sweep.store.CacheStore.quarantine_many` and recomputed.
+:meth:`~repro.sweep.store.SqliteStore.quarantine_many` and recomputed.
 All of it is reproducible: :mod:`repro.sweep.faults` injects seeded,
 deterministic faults (worker crashes, poison cells, delays, store-row
 corruption) for tests, benchmarks and the CI chaos job, and none of
 the robustness knobs joins any cache identity.
 
-The store itself is pluggable (:mod:`repro.sweep.store`): a plain
-``cache_dir`` path selects the portable one-JSON-file-per-cell tree,
-a ``sqlite://<dir>`` spec the sharded SQLite store whose batched
-probes and transactional writes keep warm million-cell sweeps out of
-syscall territory.  Reports are bit-identical whichever backend served
-them.  :class:`ResultCache` remains as the JSON backend's historical
-name.
+The store (:mod:`repro.sweep.store`) is one SQLite file per cache
+directory (``cache_dir`` is the directory, or ``sqlite://<dir>``):
+batched probes and transactional writes keep warm sweeps out of
+syscall territory, and only the dispatching process ever writes it.
 """
 
 from __future__ import annotations
@@ -90,7 +87,7 @@ from repro.sweep.faults import (
 )
 from repro.sweep.cells import cell_from_dict
 from repro.sweep.spec import ScenarioSpec, SweepConfig
-from repro.sweep.store import CacheStore, JsonTreeStore, open_store
+from repro.sweep.store import SqliteStore, open_store
 from repro.util.stats import normal_ci, summarize
 from repro.util.tables import Table
 from repro.util.timing import Stopwatch
@@ -109,8 +106,8 @@ DEFAULT_WALK_CHUNK_WALKERS = 4096
 DEFAULT_MAX_RETRIES = 2
 
 #: Base of the exponential retry backoff, seconds: attempt ``a`` waits
-#: ``retry_backoff * 2**(a - 1)`` before redispatching.
-DEFAULT_RETRY_BACKOFF = 0.1
+#: ``RETRY_BACKOFF * 2**(a - 1)`` before redispatching.
+RETRY_BACKOFF = 0.1
 
 
 def _prefer_csr_covers(n: int, configs: Sequence) -> bool:
@@ -137,10 +134,6 @@ def _ring_csr(n: int) -> GraphCSR:
 
 
 ProgressFn = Callable[[int, int], None]
-
-#: The JSON tree store under its historical executor name: existing
-#: imports (and cache directories) keep working unchanged.
-ResultCache = JsonTreeStore
 
 
 @dataclass
@@ -788,7 +781,6 @@ class _Supervisor:
         report: FailureReport,
         max_retries: int,
         chunk_timeout: float | None,
-        retry_backoff: float,
         session=None,
     ) -> None:
         self.jobs = jobs
@@ -797,7 +789,6 @@ class _Supervisor:
         self.report = report
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
-        self.retry_backoff = retry_backoff
         self.session = session
         self.queue: deque[_ChunkTask] = deque()
         self.in_flight: list[_ChunkTask] = []
@@ -987,7 +978,7 @@ class _Supervisor:
             task.attempt += 1
             self._sync_attempt(task)
             self.report.retries += 1
-            backoff = self.retry_backoff * (2 ** (task.attempt - 1))
+            backoff = RETRY_BACKOFF * (2 ** (task.attempt - 1))
             task.retry_at = time.monotonic() + backoff
             self.queue.append(task)
             return
@@ -1152,7 +1143,6 @@ def run_cells(
     faults: FaultPlan | None = None,
     max_retries: int | None = None,
     chunk_timeout: float | None = None,
-    retry_backoff: float | None = None,
 ) -> tuple[dict[str, dict], set[str], FailureReport]:
     """Execute a flat cell list: cache probe, then batched chunks.
 
@@ -1169,15 +1159,14 @@ def run_cells(
     survive — quarantined hashes are absent from ``metrics_by_hash``
     and callers decide whether that is fatal.
 
-    ``cache_dir`` is a store spec: a plain directory path opens the
-    JSON tree backend, a ``sqlite://<dir>`` (or ``json://<dir>``)
-    prefix selects a backend explicitly (see
-    :mod:`repro.sweep.store`).  Results are bit-identical across
-    backends; only probe/commit latency differs.
+    ``cache_dir`` names the result store's directory (a plain path,
+    or ``sqlite://<dir>`` for the same store; see
+    :mod:`repro.sweep.store`); ``None`` disables caching.
 
     The robustness knobs resolve explicit argument > ambient
     :func:`repro.sweep.faults.execution_policy` > module default
-    (``max_retries=2``, no ``chunk_timeout``, ``retry_backoff=0.1``).
+    (``max_retries=2``, no ``chunk_timeout``); failed attempts back
+    off from :data:`RETRY_BACKOFF`.
     ``faults`` defaults to the :data:`repro.sweep.faults.FAULTS_ENV`
     hook, so chaos jobs can reach an unmodified CLI.  None of these —
     nor any injected fault — affects a computed result or any cache
@@ -1205,32 +1194,21 @@ def run_cells(
         )
     if chunk_timeout is None and policy is not None:
         chunk_timeout = policy.chunk_timeout
-    if retry_backoff is None:
-        retry_backoff = (
-            policy.retry_backoff
-            if policy is not None and policy.retry_backoff is not None
-            else DEFAULT_RETRY_BACKOFF
-        )
     if max_retries < 0:
         raise ValueError(f"max_retries must be non-negative, got {max_retries}")
     if chunk_timeout is not None and chunk_timeout <= 0:
         raise ValueError(
             f"chunk_timeout must be positive, got {chunk_timeout}"
         )
-    if retry_backoff < 0:
-        raise ValueError(
-            f"retry_backoff must be non-negative, got {retry_backoff}"
-        )
     if faults is None:
         faults = FaultPlan.from_env()
     if faults is not None and not faults.enabled:
         faults = None
-    cache: CacheStore | None = open_store(cache_dir) if cache_dir else None
+    cache = open_store(cache_dir) if cache_dir else None
     try:
         return _run_cells_with_store(
             cells, cache, jobs, progress, chunk_lanes, walk_chunk_walkers,
             compact_ratio, fuse_rounds, faults, max_retries, chunk_timeout,
-            retry_backoff,
         )
     finally:
         if cache is not None:
@@ -1239,7 +1217,7 @@ def run_cells(
 
 def _run_cells_with_store(
     cells: Sequence,
-    cache: CacheStore | None,
+    cache: SqliteStore | None,
     jobs: int,
     progress: ProgressFn | None,
     chunk_lanes: int,
@@ -1249,7 +1227,6 @@ def _run_cells_with_store(
     faults: FaultPlan | None,
     max_retries: int,
     chunk_timeout: float | None,
-    retry_backoff: float,
 ) -> tuple[dict[str, dict], set[str], FailureReport]:
     """The body of :func:`run_cells`, over an already opened store."""
     session = obs.current_session()
@@ -1268,9 +1245,8 @@ def _run_cells_with_store(
     misses: list = []
     with obs.span("cache.get", cells=total, enabled=cache is not None):
         if cache is not None:
-            # One batched probe for the whole plan: the SQLite backend
-            # answers it with a few indexed queries per shard, the JSON
-            # tree with its historical per-cell reads.
+            # One batched probe for the whole plan: a table scan or a
+            # few indexed queries.
             found, statuses = cache.lookup_many(unique)
             metrics_by_hash.update(found)
             cached_hashes.update(found)
@@ -1289,9 +1265,6 @@ def _run_cells_with_store(
             "cache.hits": hits,
             "cache.misses": probe_misses,
             "cache.corrupt": corrupt,
-            f"cache.{cache.backend}.hits": hits,
-            f"cache.{cache.backend}.misses": probe_misses,
-            f"cache.{cache.backend}.corrupt": corrupt,
         })
         if corrupt:
             # Self-healing: evict the corrupt rows now, so even a run
@@ -1338,7 +1311,7 @@ def _run_cells_with_store(
             for config_hash, metrics in pairs:
                 metrics_by_hash[config_hash] = metrics
             if cache is not None:
-                # One transaction per chunk instead of N file replaces.
+                # One transaction per chunk.
                 cache.put_many(
                     [(by_hash[h], metrics) for h, metrics in pairs]
                 )
@@ -1372,7 +1345,6 @@ def _run_cells_with_store(
                 report=report,
                 max_retries=max_retries,
                 chunk_timeout=chunk_timeout,
-                retry_backoff=retry_backoff,
                 session=session,
             )
             if jobs > 1:
@@ -1418,7 +1390,6 @@ def run_sweep(
     faults: FaultPlan | None = None,
     max_retries: int | None = None,
     chunk_timeout: float | None = None,
-    retry_backoff: float | None = None,
 ) -> SweepResult:
     """Execute a sweep: cache probe, then parallel batched simulation.
 
@@ -1438,7 +1409,7 @@ def run_sweep(
     batched.
 
     The robustness knobs (``faults``/``max_retries``/
-    ``chunk_timeout``/``retry_backoff``) pass straight through to
+    ``chunk_timeout``) pass straight through to
     :func:`run_cells`.  A quarantined cell becomes a
     ``failed=True`` :class:`ConfigResult` with empty metrics; the
     sweep itself still succeeds, with the details in
@@ -1472,7 +1443,6 @@ def run_sweep(
         faults=faults,
         max_retries=max_retries,
         chunk_timeout=chunk_timeout,
-        retry_backoff=retry_backoff,
     )
     results = []
     for config in configs:

@@ -21,8 +21,8 @@ every injected failure is deterministic in ``(chunk, attempt, cell
 hash)``, so a chaos run is as replayable as a clean one.
 
 :class:`ExecutionPolicy` rides in the same module: the retry/timeout
-knobs (``max_retries``, ``chunk_timeout``, ``retry_backoff``) that the
-CLI threads through ``run``/``sweep``/``all``.  Explicit executor
+knobs (``max_retries``, ``chunk_timeout``) that the CLI threads
+through ``run``/``sweep``/``all``.  Explicit executor
 arguments win; otherwise an ambient policy installed by
 :func:`execution_policy` applies (this is how the CLI reaches the
 experiment runners without widening eleven signatures); otherwise the
@@ -232,34 +232,18 @@ def apply_chunk_faults(
 
 
 def corrupt_rows_in_store(store, hashes: Sequence[str]) -> int:
-    """Tamper with committed rows, the way real corruption would.
+    """Tamper with committed rows, the way external corruption would.
 
-    JSON backend: the entry file is truncated mid-payload (the
-    half-written-file failure mode the tree historically suffered).
-    SQLite backend: the row's metrics text is replaced with non-JSON
-    bytes (external tampering; WAL rules out torn writes).  Either way
-    the next probe reports ``corrupt`` and the executor quarantines
-    and recomputes the cell.  Returns the number of rows tampered.
+    Each row's metrics text is replaced with non-JSON bytes (WAL rules
+    out torn writes, so tampering is the failure mode left).  The next
+    probe reports ``corrupt`` and the executor quarantines and
+    recomputes the cell.  Returns the number of rows tampered.
     """
-    tampered = 0
-    if store.backend == "json":
-        for config_hash in hashes:
-            path = store.path(config_hash)
-            try:
-                with open(path, "r+") as handle:
-                    handle.truncate(max(1, os.path.getsize(path) // 2))
-            except OSError:
-                continue
-            tampered += 1
-    else:
-        for config_hash in hashes:
-            conn = store._conn(store.shard_of(config_hash))
-            cursor = conn.execute(
-                "UPDATE cells SET metrics = ? WHERE hash = ?",
-                (f'{{"injected-corruption": {config_hash}', config_hash),
-            )
-            tampered += cursor.rowcount
-    return tampered
+    cursor = store._connection().executemany(
+        "UPDATE cells SET metrics = ? WHERE hash = ?",
+        [(f'{{"injected-corruption": {h}', h) for h in hashes],
+    )
+    return cursor.rowcount
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +260,6 @@ class ExecutionPolicy:
 
     max_retries: int | None = None
     chunk_timeout: float | None = None
-    retry_backoff: float | None = None
 
 
 #: Ambient policy stack installed by :func:`execution_policy`; the

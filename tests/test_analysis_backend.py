@@ -344,3 +344,42 @@ class TestPlanLifecycle:
         with pytest.raises(ValueError, match=message):
             plan.rotor_cover(n, agents, directions)
         assert plan.num_cells == 0
+
+    @pytest.mark.parametrize("backend", ["batch", "reference"])
+    @pytest.mark.parametrize(
+        "request_cell, message",
+        [
+            (
+                lambda plan: plan.walk_cover(8, [8], repetitions=2),
+                r"\[0, 8\) on the ring",
+            ),
+            (
+                lambda plan: plan.walk_cover(2, [0], repetitions=2),
+                "at least 3 nodes",
+            ),
+            (
+                lambda plan: plan.rotor_cover_general(
+                    ring_graph(8), [8], [0] * 8
+                ),
+                r"\[0, 8\) on the graph",
+            ),
+            (
+                lambda plan: plan.rotor_cover_general(
+                    ring_graph(8), [0], [5] * 8
+                ),
+                "pointer 5 at node 0 out of range for degree 2",
+            ),
+        ],
+        ids=[
+            "walk-agent-off-ring", "walk-tiny-ring",
+            "general-agent-off-graph", "general-port-off-degree",
+        ],
+    )
+    def test_walk_and_general_reject_malformed_cell(
+        self, backend, request_cell, message
+    ):
+        # Rejected at the request, before any kernel runs.
+        plan = MeasurementPlan(backend=backend)
+        with pytest.raises(ValueError, match=message):
+            request_cell(plan)
+        assert plan.num_cells == 0

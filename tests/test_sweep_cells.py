@@ -77,6 +77,10 @@ class TestWalkCells:
             WalkCoverCell(n=16, agents=(), seeds=(1,), max_rounds=10)
         with pytest.raises(ValueError):
             WalkCoverCell(n=16, agents=(0,), seeds=(), max_rounds=10)
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            WalkCoverCell(n=2, agents=(0,), seeds=(1,), max_rounds=10)
+        with pytest.raises(ValueError, match=r"\[0, 16\)"):
+            WalkCoverCell(n=16, agents=(0, 16), seeds=(1,), max_rounds=10)
 
     def test_gaps_cell_surface(self):
         cell = WalkGapsCell(
@@ -177,6 +181,13 @@ class TestGeneralRotorCell:
                 graph_ports=((1,), (0,)),
                 agents=(0,),
                 ports=(0,),
+                max_rounds=10,
+            )
+        with pytest.raises(ValueError, match=r"\[0, 2\) on the graph"):
+            GeneralRotorCell(
+                graph_ports=((1,), (0,)),
+                agents=(2,),
+                ports=(0, 0),
                 max_rounds=10,
             )
 

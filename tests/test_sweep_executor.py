@@ -1,20 +1,23 @@
 """Executor semantics: metrics, caching, parallelism, progress."""
 
+import hashlib
 import json
 import os
+import sqlite3
 
 import pytest
 
 from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.analysis.return_time import ring_rotor_return_time_exact
+from repro.cli import main
 from repro.randomwalk.ring_walk import RingRandomWalks
 from repro.sweep.executor import (
-    ResultCache,
     _plan_chunks,
     compute_chunk,
     run_sweep,
 )
 from repro.sweep.spec import InitFamily, ScenarioSpec, SweepConfig
+from repro.sweep.store import STORE_FILE
 
 
 def _cover_spec(**overrides):
@@ -30,6 +33,22 @@ def _cover_spec(**overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
+
+
+def _execute(cache_dir: str, sql: str, params: tuple) -> None:
+    """Run one statement against a cache's database, behind its back."""
+    conn = sqlite3.connect(os.path.join(cache_dir, STORE_FILE))
+    with conn:
+        conn.execute(sql, params)
+    conn.close()
+
+
+def _rows(cache_dir: str) -> dict[str, tuple[str, str]]:
+    """Every stored row: ``hash -> (config text, metrics text)``."""
+    conn = sqlite3.connect(os.path.join(cache_dir, STORE_FILE))
+    rows = conn.execute("SELECT hash, config, metrics FROM cells").fetchall()
+    conn.close()
+    return {row_hash: (config, metrics) for row_hash, config, metrics in rows}
 
 
 class TestMetrics:
@@ -434,123 +453,77 @@ class TestCache:
         assert grown.cache_hits == _cover_spec(ns=(16,)).num_configs
         assert grown.cache_misses == grown.cache_hits
 
-    def test_entries_are_inspectable_json(self, tmp_path):
+    def test_stored_config_text_redigests_to_its_key(self, tmp_path):
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
         run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        assert len(cache) == spec.num_configs
+        rows = _rows(cache_dir)
+        assert len(rows) == spec.num_configs
         config = spec.configs()[0]
-        with open(cache.path(config.config_hash)) as handle:
-            entry = json.load(handle)
-        assert entry["config"] == config.identity()
-        assert entry["metrics"]["cover"] > 0
+        config_text, metrics_text = rows[config.config_hash]
+        digest = hashlib.sha256(config_text.encode("utf-8")).hexdigest()
+        assert digest == config.config_hash
+        assert json.loads(config_text) == config.identity()
+        assert json.loads(metrics_text)["cover"] > 0
 
     def test_corrupt_entry_is_recomputed(self, tmp_path):
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
-        run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        victim = cache.path(spec.configs()[0].config_hash)
-        with open(victim, "w") as handle:
-            handle.write("not json{")
+        baseline = run_sweep(spec, cache_dir=cache_dir)
+        victim = spec.configs()[0]
+        _execute(
+            cache_dir,
+            "UPDATE cells SET metrics = 'not json{' WHERE hash = ?",
+            (victim.config_hash,),
+        )
         result = run_sweep(spec, cache_dir=cache_dir)
         assert result.cache_misses == 1
         assert result.cache_hits == spec.num_configs - 1
+        assert result.results[0].metrics == baseline.results[0].metrics
+        assert json.loads(_rows(cache_dir)[victim.config_hash][1]) == (
+            baseline.results[0].metrics
+        )
 
-    def test_mismatched_identity_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            lambda identity: dict(identity, n=999),
+            lambda identity: dict(identity, schema=1),
+        ],
+        ids=["foreign-identity", "stale-schema"],
+    )
+    def test_planted_row_is_verified_evicted_and_recomputed(
+        self, tmp_path, capsys, plant
+    ):
+        # Rows enter only through put_many and migrate, which derive or
+        # check the key; a row planted behind their back is caught by
+        # `repro cache verify`, evicted by --repair, then recomputed.
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
-        run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        victim = cache.path(spec.configs()[0].config_hash)
-        with open(victim) as handle:
-            entry = json.load(handle)
-        entry["config"]["n"] = 999  # hash collision simulation
-        with open(victim, "w") as handle:
-            json.dump(entry, handle)
+        baseline = run_sweep(spec, cache_dir=cache_dir)
+        victim = spec.configs()[0]
+        _execute(
+            cache_dir,
+            "UPDATE cells SET config = ?, metrics = ? WHERE hash = ?",
+            (
+                json.dumps(plant(victim.identity()), sort_keys=True),
+                '{"cover": -12345}',
+                victim.config_hash,
+            ),
+        )
+        assert main(["cache", "verify", cache_dir]) == 1
+        assert "corrupt=1 repaired=0" in capsys.readouterr().out
+        assert main(["cache", "verify", cache_dir, "--repair"]) == 0
+        assert "corrupt=1 repaired=1" in capsys.readouterr().out
         result = run_sweep(spec, cache_dir=cache_dir)
         assert result.cache_misses == 1
+        assert [c.metrics for c in result.results] == [
+            c.metrics for c in baseline.results
+        ]
 
     def test_no_cache_dir_means_no_files(self, tmp_path):
         run_sweep(_cover_spec(ns=(16,), ks=(2,)), cache_dir=None)
         assert list(tmp_path.iterdir()) == []
-
-    def test_truncated_json_is_a_miss_and_overwritten(self, tmp_path):
-        # A partial write (e.g. a killed process without the atomic
-        # rename) must count as a miss and be transparently recomputed.
-        spec = _cover_spec(ns=(16,), ks=(2,))
-        cache_dir = str(tmp_path / "cache")
-        baseline = run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        victim_config = spec.configs()[0]
-        victim = cache.path(victim_config.config_hash)
-        with open(victim) as handle:
-            intact = handle.read()
-        with open(victim, "w") as handle:
-            handle.write(intact[: len(intact) // 2])
-        assert cache.get(victim_config) is None
-        result = run_sweep(spec, cache_dir=cache_dir)
-        assert result.cache_misses == 1
-        with open(victim) as handle:
-            assert json.load(handle)["metrics"] == baseline.results[0].metrics
-
-    def test_entry_mismatching_filename_hash_is_a_miss(self, tmp_path):
-        # A valid entry sitting at another config's path (wrong filename
-        # hash) must not be served for that config.
-        spec = _cover_spec(ns=(16,), ks=(2, 3))
-        cache_dir = str(tmp_path / "cache")
-        run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        first, second = spec.configs()[:2]
-        with open(cache.path(second.config_hash)) as handle:
-            foreign = handle.read()
-        with open(cache.path(first.config_hash), "w") as handle:
-            handle.write(foreign)
-        assert cache.get(first) is None
-        result = run_sweep(spec, cache_dir=cache_dir)
-        assert result.cache_misses == 1
-
-    def test_leftover_tmp_file_is_ignored_and_recomputed(self, tmp_path):
-        # A stale .tmp.<pid> file (crashed writer) in the hash-prefix
-        # directory is not an entry: the cell is a miss, recomputed, and
-        # the real entry lands next to the leftover.
-        spec = _cover_spec(ns=(16,), ks=(2,))
-        cache_dir = str(tmp_path / "cache")
-        cache = ResultCache(cache_dir)
-        config = spec.configs()[0]
-        path = cache.path(config.config_hash)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        stale = f"{path}.tmp.99999"
-        with open(stale, "w") as handle:
-            handle.write('{"config": {}, "metr')
-        assert cache.get(config) is None
-        assert len(cache) == 0  # tmp files are not entries
-        result = run_sweep(spec, cache_dir=cache_dir)
-        assert result.cache_misses == spec.num_configs
-        with open(path) as handle:
-            assert json.load(handle)["config"] == config.identity()
-
-    def test_v1_schema_entries_are_never_served(self, tmp_path):
-        # Simulate a pre-bump cache: an entry whose config block carries
-        # schema 1 must be a miss even if planted at the current path.
-        spec = _cover_spec(ns=(16,), ks=(2,))
-        cache_dir = str(tmp_path / "cache")
-        cache = ResultCache(cache_dir)
-        config = spec.configs()[0]
-        stale_identity = dict(config.identity(), schema=1)
-        path = cache.path(config.config_hash)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(
-                {"config": stale_identity, "metrics": {"cover": -12345}},
-                handle,
-            )
-        assert cache.get(config) is None
-        result = run_sweep(spec, cache_dir=cache_dir)
-        assert result.cache_misses == spec.num_configs
-        for cell in result.results:
-            assert cell.metrics["cover"] != -12345
 
 
 class TestParallel:

@@ -5,9 +5,9 @@ The chaos acceptance suite for the fault-tolerant executor: seeded
 cell, chunk delay past its deadline, corrupted store row) must leave
 ``run_cells`` finishing with exactly the poison cell quarantined and
 every other metric bit-identical to a fault-free run — under both
-store backends and both ``jobs=1``/``jobs=2`` — plus interrupt
-safety, serial degradation, progress accounting and the
-``repro cache verify`` CLI.
+``jobs=1`` and ``jobs=2`` — plus interrupt safety, serial degradation,
+progress accounting and the ``repro cache verify`` CLI.  Failed
+attempts back off with no delay here (``RETRY_BACKOFF`` patched to 0).
 """
 
 import glob
@@ -34,7 +34,12 @@ from repro.sweep.faults import (
 from repro.sweep.spec import InitFamily, ScenarioSpec
 from repro.sweep.store import open_store, verify_store
 
-BACKENDS = ("json", "sqlite")
+
+@pytest.fixture(autouse=True)
+def _no_retry_backoff(monkeypatch):
+    import repro.sweep.executor as executor_module
+
+    monkeypatch.setattr(executor_module, "RETRY_BACKOFF", 0.0)
 
 
 def _spec(**overrides):
@@ -50,11 +55,6 @@ def _spec(**overrides):
     )
     base.update(overrides)
     return ScenarioSpec(**base)
-
-
-def _store_spec(backend: str, tmp_path) -> str:
-    directory = str(tmp_path / f"cache-{backend}")
-    return directory if backend == "json" else f"sqlite://{directory}"
 
 
 def _baseline(cells) -> dict:
@@ -111,9 +111,8 @@ class TestFaultPlan:
 class TestChaosSuite:
     """The acceptance scenario: crash + poison + delay + corrupt row."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("jobs", (1, 2))
-    def test_survives_and_heals(self, tmp_path, backend, jobs):
+    def test_survives_and_heals(self, tmp_path, jobs):
         cells = _spec().configs()
         assert len(cells) == 8
         baseline = _baseline(cells)
@@ -126,11 +125,11 @@ class TestChaosSuite:
             delay_chunks=((0, 0.05),),
             corrupt_rows=(tampered,),
         )
-        cache_dir = _store_spec(backend, tmp_path)
+        cache_dir = str(tmp_path / "cache")
 
         metrics, cached, report = run_cells(
             cells, jobs=jobs, cache_dir=cache_dir, faults=plan,
-            max_retries=1, chunk_timeout=120.0, retry_backoff=0.01,
+            max_retries=1, chunk_timeout=120.0,
         )
         # Only the poison cell is quarantined; everything else is
         # bit-identical to the fault-free run.
@@ -148,21 +147,20 @@ class TestChaosSuite:
 
         # The tampered row is caught by a full scan, and a fault-free
         # rerun recomputes exactly the quarantined + corrupt cells.
-        directory = cache_dir.removeprefix("sqlite://")
-        assert verify_store(directory).corrupt == 1
+        assert verify_store(cache_dir).corrupt == 1
         metrics2, cached2, report2 = run_cells(
             cells, jobs=jobs, cache_dir=cache_dir
         )
         assert report2.clean
         assert metrics2 == baseline
         assert len(cached2) == len(cells) - 2
-        assert verify_store(directory).ok
+        assert verify_store(cache_dir).ok
 
     def test_flaky_chunk_retries_transparently(self, tmp_path):
         cells = _spec().configs()
         plan = FaultPlan(flaky_chunks=((0, 2),))
         metrics, _, report = run_cells(
-            cells, faults=plan, max_retries=2, retry_backoff=0.0,
+            cells, faults=plan, max_retries=2,
         )
         assert metrics == _baseline(cells)
         assert report.retries == 2
@@ -173,7 +171,7 @@ class TestChaosSuite:
         plan = FaultPlan(delay_chunks=((0, 1.5),))
         metrics, _, report = run_cells(
             cells, jobs=2, faults=plan,
-            max_retries=2, chunk_timeout=0.25, retry_backoff=0.0,
+            max_retries=2, chunk_timeout=0.25,
         )
         assert metrics == _baseline(cells)
         assert report.timeouts >= 1
@@ -186,7 +184,7 @@ class TestChaosSuite:
         poison = cells[3].config_hash
         metrics, _, report = run_cells(
             cells, faults=FaultPlan(poison_cells=(poison,)),
-            max_retries=0, retry_backoff=0.0,
+            max_retries=0,
         )
         assert report.quarantined.keys() == {poison}
         assert set(metrics) == {
@@ -244,7 +242,7 @@ class TestAccounting:
             cells,
             progress=lambda done, total: calls.append((done, total)),
             faults=FaultPlan(poison_cells=(poison,)),
-            max_retries=0, retry_backoff=0.0,
+            max_retries=0,
         )
         assert report.failed == 1
         assert calls[-1] == (len(cells), len(cells))
@@ -259,7 +257,7 @@ class TestAccounting:
         run_cells(
             cells, progress=progress,
             faults=FaultPlan(poison_cells=(cells[0].config_hash,)),
-            max_retries=0, retry_backoff=0.0,
+            max_retries=0,
         )
         err = capsys.readouterr().err
         assert f"{len(cells)}/{len(cells)} configurations" in err
@@ -270,7 +268,7 @@ class TestAccounting:
         poison = spec.configs()[0].config_hash
         result = run_sweep(
             spec, faults=FaultPlan(poison_cells=(poison,)),
-            max_retries=0, retry_backoff=0.0,
+            max_retries=0,
         )
         assert result.failed == 1
         assert result.cache_hits == 0
@@ -293,19 +291,17 @@ class TestAccounting:
         plan.rotor_cover(8, [0, 4], [1] * 8)
         with pytest.raises(RuntimeError, match="quarantined"):
             with execution_policy(
-                ExecutionPolicy(max_retries=0, retry_backoff=0.0)
+                ExecutionPolicy(max_retries=0)
             ):
                 plan.execute()
 
 
 class TestInterruptSafety:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("jobs", (1, 2))
-    def test_interrupt_between_commits(self, tmp_path, backend, jobs):
+    def test_interrupt_between_commits(self, tmp_path, jobs):
         cells = _spec().configs()
         baseline = _baseline(cells)
-        cache_dir = _store_spec(backend, tmp_path)
-        directory = cache_dir.removeprefix("sqlite://")
+        cache_dir = str(tmp_path / "cache")
         segments_before = set(glob.glob("/dev/shm/repro-*"))
 
         class Interrupt(KeyboardInterrupt):
@@ -323,7 +319,7 @@ class TestInterruptSafety:
         # No shared-memory segment outlives the interrupted call.
         assert set(glob.glob("/dev/shm/repro-*")) <= segments_before
         # Committed chunks are fully readable, nothing is torn.
-        assert verify_store(directory).ok
+        assert verify_store(cache_dir).ok
         store = open_store(cache_dir)
         try:
             committed = store.count()
@@ -340,17 +336,15 @@ class TestInterruptSafety:
 
 
 class TestVerifyCli:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_verify_reports_and_repairs(self, tmp_path, backend, capsys):
+    def test_verify_reports_and_repairs(self, tmp_path, capsys):
         cells = _spec().configs()
-        cache_dir = _store_spec(backend, tmp_path)
-        directory = cache_dir.removeprefix("sqlite://")
-        run_cells(cells, cache_dir=cache_dir)
+        directory = str(tmp_path / "cache")
+        run_cells(cells, cache_dir=directory)
         assert main(["cache", "verify", directory]) == 0
         out = capsys.readouterr().out
-        assert f"backend={backend} checked={len(cells)} corrupt=0" in out
+        assert f"checked={len(cells)} corrupt=0" in out
 
-        store = open_store(cache_dir)
+        store = open_store(directory)
         try:
             corrupt_rows_in_store(store, [cells[0].config_hash])
         finally:
@@ -362,15 +356,18 @@ class TestVerifyCli:
         assert main(["cache", "verify", directory]) == 0
 
         # The quarantined row is recomputed (and overwritten) on rerun.
-        _, cached, report = run_cells(cells, cache_dir=cache_dir)
+        _, cached, report = run_cells(cells, cache_dir=directory)
         assert report.clean
         assert len(cached) == len(cells) - 1
 
     def test_verify_absent_directory_is_vacuously_clean(
         self, tmp_path, capsys
     ):
-        assert main(["cache", "verify", str(tmp_path / "nope")]) == 0
+        missing = tmp_path / "nope"
+        assert main(["cache", "verify", str(missing)]) == 0
         assert "checked=0 corrupt=0" in capsys.readouterr().out
+        assert main(["cache", "verify", str(missing), "--repair"]) == 0
+        assert not missing.exists()
 
 
 class TestSweepCliFaults:
@@ -425,7 +422,7 @@ class TestStatsRendering:
             run_cells(
                 cells,
                 faults=FaultPlan(poison_cells=(cells[0].config_hash,)),
-                max_retries=0, retry_backoff=0.0,
+                max_retries=0,
             )
         manifest = load_manifest(path)
         assert manifest["counters"]["executor.quarantined_cells"] == 1

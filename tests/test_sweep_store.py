@@ -1,4 +1,4 @@
-"""Result-store backends: protocol, equivalence, migration, tooling."""
+"""The result store: round trips, integrity, legacy layouts, tooling."""
 
 import json
 import multiprocessing
@@ -10,21 +10,17 @@ import pytest
 
 from repro.cli import main
 from repro.sweep.executor import run_sweep
+from repro.sweep.registry import scenario
 from repro.sweep.spec import InitFamily, ScenarioSpec, SweepConfig
 from repro.sweep.store import (
+    STORE_FILE,
     STORE_SCHEMA_VERSION,
-    JsonTreeStore,
     SqliteStore,
-    detect_backend,
-    format_store_spec,
     migrate_json_to_sqlite,
     open_store,
-    parse_store_spec,
     store_info,
     vacuum_store,
 )
-
-BACKENDS = {"json": JsonTreeStore, "sqlite": SqliteStore}
 
 
 def _config(seed: int, **overrides) -> SweepConfig:
@@ -56,48 +52,105 @@ def _cover_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**base)
 
 
-class TestSpecStrings:
-    def test_plain_path_is_json(self):
-        assert parse_store_spec("/some/dir") == ("json", "/some/dir")
+def _write_json_tree(directory, items) -> dict[str, str]:
+    """Write ``(cell, metrics)`` pairs in the legacy JSON-tree layout.
 
-    def test_prefixed_specs(self):
-        assert parse_store_spec("sqlite:///d/c") == ("sqlite", "/d/c")
-        assert parse_store_spec("json://rel/c") == ("json", "rel/c")
+    One ``<hash[:2]>/<hash>.json`` file per cell holding
+    ``{"config": identity, "metrics": metrics}`` — the one-file-per-cell
+    cache that ``repro cache migrate`` reads.  Returns each entry's
+    path by hash.
+    """
+    paths = {}
+    for cell, metrics in items:
+        config_hash = cell.config_hash
+        path = os.path.join(directory, config_hash[:2], f"{config_hash}.json")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as handle:
+            json.dump(
+                {"config": cell.identity(), "metrics": metrics},
+                handle,
+                sort_keys=True,
+            )
+        paths[config_hash] = path
+    return paths
+
+
+def _listing(directory) -> list[str]:
+    """Every path under ``directory``, relative and sorted."""
+    found = []
+    for root, dirs, files in os.walk(directory):
+        dirs.sort()
+        for name in sorted(dirs + files):
+            found.append(os.path.relpath(os.path.join(root, name), directory))
+    return found
+
+
+class TestSpecStrings:
+    def test_prefixed_specs(self, tmp_path):
+        directory = str(tmp_path / "absent")
+        assert open_store(f"sqlite://{directory}").directory == directory
+        assert open_store(directory).directory == directory
+        assert open_store("sqlite://rel/c").directory == "rel/c"
+        assert not os.path.exists(directory)  # opening creates nothing
+
+    def test_plain_path_and_sqlite_open_one_store(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        cell = _config(0)
+        plain = open_store(directory)
+        plain.put_many([(cell, {"cover": 1})])
+        plain.close()
+        prefixed = open_store(f"sqlite://{directory}")
+        assert prefixed.path == os.path.join(directory, STORE_FILE)
+        assert prefixed.lookup_many([cell])[0] == {
+            cell.config_hash: {"cover": 1}
+        }
+        prefixed.close()
+        # One database file (plus its transient WAL companions).
+        assert all(
+            name.startswith(STORE_FILE) for name in os.listdir(directory)
+        )
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            parse_store_spec("redis://host/db")
+        # json:// named the retired JSON tree; it is unknown now.
+        for spec in ("redis://host/db", "json://rel/c"):
+            with pytest.raises(ValueError, match="unknown store scheme"):
+                open_store(spec)
 
     def test_empty_directory_rejected(self):
         with pytest.raises(ValueError, match="names no directory"):
-            parse_store_spec("sqlite://")
-
-    def test_format_round_trips(self):
-        for backend in BACKENDS:
-            spec = format_store_spec(backend, "/d/c")
-            assert parse_store_spec(spec) == (backend, "/d/c")
-        with pytest.raises(ValueError, match="unknown store backend"):
-            format_store_spec("redis", "/d/c")
-
-    def test_open_store_dispatches(self, tmp_path):
-        json_store = open_store(str(tmp_path / "a"))
-        sqlite_store = open_store(f"sqlite://{tmp_path / 'b'}")
-        assert isinstance(json_store, JsonTreeStore)
-        assert isinstance(sqlite_store, SqliteStore)
-        sqlite_store.close()
-
-    def test_detect_backend(self, tmp_path):
-        assert detect_backend(str(tmp_path / "absent")) == "json"
-        store = SqliteStore(str(tmp_path / "db"))
-        store.put(_config(0), {"cover": 1})
-        store.close()
-        assert detect_backend(str(tmp_path / "db")) == "sqlite"
+            open_store("sqlite://")
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestLegacyLayouts:
+    """An older layout is refused before anything is written."""
+
+    def test_json_tree_refused_untouched(self, tmp_path, capsys):
+        directory = str(tmp_path / "tree")
+        _write_json_tree(directory, [(_config(0), {"cover": 1})])
+        before = _listing(directory)
+        with pytest.raises(ValueError, match="repro cache migrate"):
+            open_store(directory)
+        with pytest.raises(ValueError, match="repro cache migrate"):
+            run_sweep(_cover_spec(ns=(16,), ks=(2,)), cache_dir=directory)
+        assert main(["cache", "info", directory]) == 2
+        assert "repro cache migrate" in capsys.readouterr().err
+        assert _listing(directory) == before
+
+    def test_shard_files_refused_untouched(self, tmp_path, capsys):
+        directory = tmp_path / "shards"
+        directory.mkdir()
+        sqlite3.connect(str(directory / "shard-a.db")).close()
+        before = _listing(str(directory))
+        with pytest.raises(ValueError, match="delete the directory"):
+            open_store(f"sqlite://{directory}")
+        assert main(["cache", "verify", str(directory)]) == 2
+        assert "delete the directory" in capsys.readouterr().err
+        assert _listing(str(directory)) == before
+
+
 class TestRoundTrip:
-    def test_put_many_lookup_many(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_put_many_lookup_many(self, tmp_path):
+        store = SqliteStore(str(tmp_path))
         cells = [_config(seed) for seed in range(20)]
         store.put_many([(c, {"cover": c.seed * 3}) for c in cells])
         found, statuses = store.lookup_many(cells)
@@ -106,11 +159,10 @@ class TestRoundTrip:
         for cell in cells:
             assert found[cell.config_hash] == {"cover": cell.seed * 3}
         assert store.count() == 20
-        assert len(store) == 20
         store.close()
 
-    def test_missing_cells_report_miss(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_missing_cells_report_miss(self, tmp_path):
+        store = SqliteStore(str(tmp_path))
         present = [_config(seed) for seed in range(4)]
         absent = [_config(seed) for seed in range(100, 104)]
         store.put_many([(c, {"cover": 1}) for c in present])
@@ -120,70 +172,37 @@ class TestRoundTrip:
             assert statuses[cell.config_hash] == "miss"
         store.close()
 
-    def test_duplicate_probes_collapse(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_duplicate_probes_collapse(self, tmp_path):
+        store = SqliteStore(str(tmp_path))
         cell = _config(7)
-        store.put(cell, {"cover": 9})
+        store.put_many([(cell, {"cover": 9})])
         found, statuses = store.lookup_many([cell, cell, cell])
         assert found == {cell.config_hash: {"cover": 9}}
         assert statuses == {cell.config_hash: "hit"}
         store.close()
 
-    def test_put_replaces(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_put_replaces(self, tmp_path):
+        store = SqliteStore(str(tmp_path))
         cell = _config(1)
-        store.put(cell, {"cover": 1})
-        store.put(cell, {"cover": 2})
-        assert store.get(cell) == {"cover": 2}
+        store.put_many([(cell, {"cover": 1})])
+        store.put_many([(cell, {"cover": 2})])
+        assert store.lookup_many([cell])[0] == {cell.config_hash: {"cover": 2}}
         assert store.count() == 1
         store.close()
 
-    def test_close_is_idempotent(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_close_is_idempotent(self, tmp_path):
+        store = SqliteStore(str(tmp_path))
         store.close()
         store.close()
 
 
 class TestCorruptEntries:
-    def test_json_garbage_file_reports_corrupt(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 5})
-        with open(path, "w") as handle:
-            handle.write("{not json")
-        found, statuses = store.lookup_many([cell])
-        assert found == {}
-        assert statuses == {cell.config_hash: "corrupt"}
-
-    def test_json_identity_mismatch_reports_corrupt(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell, other = _config(0), _config(1)
-        path = store.put(cell, {"cover": 5})
-        # An entry filed under cell's hash but carrying other's
-        # identity: served to neither.
-        entry = {"config": other.identity(), "metrics": {"cover": 5}}
-        with open(path, "w") as handle:
-            json.dump(entry, handle)
-        assert store.lookup(cell) == (None, "corrupt")
-
-    def test_json_non_dict_metrics_reports_corrupt(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 5})
-        with open(path, "w") as handle:
-            json.dump({"config": cell.identity(), "metrics": [1, 2]}, handle)
-        assert store.lookup(cell) == (None, "corrupt")
-
     def _tamper(self, directory, config_hash, metrics_text):
         store = SqliteStore(directory)
-        shard = store.shard_of(config_hash)
-        conn = store._conn(shard)
-        conn.execute("BEGIN IMMEDIATE")
-        conn.execute(
+        store._connection().execute(
             "UPDATE cells SET metrics = ? WHERE hash = ?",
             (metrics_text, config_hash),
         )
-        conn.execute("COMMIT")
         store.close()
 
     def test_sqlite_unparseable_metrics_reports_corrupt(self, tmp_path):
@@ -219,10 +238,9 @@ class TestCorruptEntries:
     def test_sqlite_schema_mismatch_refuses(self, tmp_path):
         store = SqliteStore(str(tmp_path))
         cell = _config(0)
-        store.put(cell, {"cover": 1})
-        shard_path = store.shard_path(store.shard_of(cell.config_hash))
+        store.put_many([(cell, {"cover": 1})])
         store.close()
-        conn = sqlite3.connect(shard_path)
+        conn = sqlite3.connect(store.path)
         conn.execute(f"PRAGMA user_version = {STORE_SCHEMA_VERSION + 41}")
         conn.close()
         fresh = SqliteStore(str(tmp_path))
@@ -230,78 +248,41 @@ class TestCorruptEntries:
             fresh.lookup_many([cell])
 
 
-class TestStaleTmpSweep:
-    def test_dead_writer_tmp_swept_on_open(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 1})
-        # Pid 1 is init (not ours, alive) and 2**22+5 is far beyond
-        # pid_max defaults — a crashed writer's leftover.
-        dead = f"{path}.tmp.{2**22 + 5}"
-        with open(dead, "w") as handle:
-            handle.write("{partial")
-        reopened = JsonTreeStore(str(tmp_path))
-        assert reopened.swept_on_open == 1
-        assert not os.path.exists(dead)
-        assert reopened.get(cell) == {"cover": 1}
-
-    def test_live_writer_tmp_left_alone(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 1})
-        live = f"{path}.tmp.{os.getpid()}"
-        with open(live, "w") as handle:
-            handle.write("{in-flight")
-        reopened = JsonTreeStore(str(tmp_path))
-        assert reopened.swept_on_open == 0
-        assert os.path.exists(live)
-        assert reopened.count_tmp() == 1
-
-    def test_foreign_tmp_names_ignored(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 1})
-        foreign = f"{path}.tmp.editor-backup"
-        with open(foreign, "w") as handle:
-            handle.write("x")
-        reopened = JsonTreeStore(str(tmp_path))
-        assert reopened.swept_on_open == 0
-        assert os.path.exists(foreign)
-
-
 class TestMigration:
     def test_round_trip_identical_lookup(self, tmp_path):
         cells = [_config(seed) for seed in range(30)]
-        source = JsonTreeStore(str(tmp_path / "json"))
-        source.put_many([(c, {"cover": c.seed + 100}) for c in cells])
-        report = migrate_json_to_sqlite(
-            str(tmp_path / "json"), str(tmp_path / "db")
-        )
+        source = str(tmp_path / "json")
+        _write_json_tree(source, [(c, {"cover": c.seed + 100}) for c in cells])
+        before = _listing(source)
+        report = migrate_json_to_sqlite(source, str(tmp_path / "db"))
         assert report.migrated == 30
         assert report.corrupt == 0
         assert report.summary_line() == "migrated=30 corrupt=0"
         dest = SqliteStore(str(tmp_path / "db"))
-        json_view = source.lookup_many(cells)
-        sqlite_view = dest.lookup_many(cells)
-        assert sqlite_view == json_view
-        assert dest.count() == source.count() == 30
+        assert dest.lookup_many(cells) == (
+            {c.config_hash: {"cover": c.seed + 100} for c in cells},
+            {c.config_hash: "hit" for c in cells},
+        )
+        assert dest.count() == 30
         dest.close()
+        # The source is read, never written.
+        assert _listing(source) == before
 
     def test_corrupt_source_entry_skipped_and_counted(self, tmp_path):
         cells = [_config(seed) for seed in range(5)]
-        source = JsonTreeStore(str(tmp_path / "json"))
-        source.put_many([(c, {"cover": c.seed}) for c in cells])
+        source = str(tmp_path / "json")
+        paths = _write_json_tree(
+            source, [(c, {"cover": c.seed}) for c in cells]
+        )
         # Corrupt one entry in place: its stored identity no longer
         # digests to its filename hash.
         broken = cells[3]
-        with open(source.path(broken.config_hash), "w") as handle:
+        with open(paths[broken.config_hash], "w") as handle:
             json.dump(
                 {"config": cells[0].identity(), "metrics": {"cover": 0}},
                 handle,
             )
-        report = migrate_json_to_sqlite(
-            str(tmp_path / "json"), str(tmp_path / "db")
-        )
+        report = migrate_json_to_sqlite(source, str(tmp_path / "db"))
         assert report.migrated == 4
         assert report.corrupt == 1
         dest = SqliteStore(str(tmp_path / "db"))
@@ -315,20 +296,18 @@ class TestMigration:
         dest.close()
 
     def test_unreadable_source_file_counts_corrupt(self, tmp_path):
-        source = JsonTreeStore(str(tmp_path / "json"))
-        cell = _config(0)
-        path = source.put(cell, {"cover": 1})
+        source = str(tmp_path / "json")
+        paths = _write_json_tree(source, [(_config(0), {"cover": 1})])
+        [path] = paths.values()
         with open(path, "w") as handle:
             handle.write("{half a wri")
-        report = migrate_json_to_sqlite(
-            str(tmp_path / "json"), str(tmp_path / "db")
-        )
+        report = migrate_json_to_sqlite(source, str(tmp_path / "db"))
         assert report.migrated == 0
         assert report.corrupt == 1
 
 
 class TestBackendEquivalence:
-    """Randomized suite: both backends serve byte-identical answers."""
+    """Randomized put/probe trials against a dict of what was stored."""
 
     @pytest.mark.parametrize("trial", range(5))
     def test_randomized_probe_equivalence(self, trial, tmp_path):
@@ -346,19 +325,18 @@ class TestBackendEquivalence:
             c.config_hash: {"cover": rng.randrange(10_000), "n": c.n}
             for c in stored
         }
-        json_store = JsonTreeStore(str(tmp_path / "json"))
-        sqlite_store = SqliteStore(str(tmp_path / "sqlite"))
-        for store in (json_store, sqlite_store):
-            store.put_many([(c, payloads[c.config_hash]) for c in stored])
+        store = SqliteStore(str(tmp_path))
+        store.put_many([(c, payloads[c.config_hash]) for c in stored])
         probe = list(pool)
         rng.shuffle(probe)
-        json_view = json_store.lookup_many(probe)
-        sqlite_view = sqlite_store.lookup_many(probe)
-        assert sqlite_view == json_view
-        assert json_store.count() == sqlite_store.count()
-        hits = sum(1 for s in json_view[1].values() if s == "hit")
-        assert hits == len({c.config_hash for c in stored})
-        sqlite_store.close()
+        found, statuses = store.lookup_many(probe)
+        assert found == payloads
+        assert statuses == {
+            c.config_hash: "hit" if c.config_hash in payloads else "miss"
+            for c in probe
+        }
+        assert store.count() == len(payloads)
+        store.close()
 
 
 def _write_slice(args):
@@ -372,8 +350,8 @@ def _write_slice(args):
 
 class TestConcurrentWriters:
     def test_two_processes_one_store(self, tmp_path):
-        # 50 cells across 16 shards guarantee both writers hit the
-        # same shard files; WAL + busy timeout serialize them.
+        # Both writers share the one database file; WAL and the busy
+        # timeout serialize them.
         directory = str(tmp_path / "db")
         with multiprocessing.Pool(processes=2) as pool:
             written = pool.map(
@@ -401,18 +379,6 @@ class TestExecutorIntegration:
         assert second.cache_misses == 0
         assert second.cache_hits == spec.num_configs
 
-    def test_backends_render_identical_tables(self, tmp_path):
-        spec = _cover_spec()
-        json_result = run_sweep(spec, cache_dir=str(tmp_path / "json"))
-        sqlite_result = run_sweep(
-            spec, cache_dir=f"sqlite://{tmp_path / 'db'}", jobs=2
-        )
-        assert (
-            json_result.table().render() == sqlite_result.table().render()
-        )
-        for a, b in zip(json_result.results, sqlite_result.results):
-            assert a.metrics == b.metrics
-
     def test_warm_sqlite_rerun_serves_from_cache_alone(self, tmp_path):
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache = f"sqlite://{tmp_path / 'cache'}"
@@ -425,92 +391,67 @@ class TestExecutorIntegration:
 
 
 class TestTooling:
-    def test_store_info_both_backends(self, tmp_path):
-        cells = [_config(seed) for seed in range(8)]
-        json_dir = str(tmp_path / "json")
-        JsonTreeStore(json_dir).put_many([(c, {"cover": 1}) for c in cells])
-        db_dir = str(tmp_path / "db")
-        store = SqliteStore(db_dir)
-        store.put_many([(c, {"cover": 1}) for c in cells])
+    def test_store_info(self, tmp_path):
+        directory = str(tmp_path / "db")
+        store = SqliteStore(directory)
+        store.put_many([(_config(seed), {"cover": 1}) for seed in range(8)])
         store.close()
-        json_info = store_info(json_dir)
-        assert json_info["backend"] == "json"
-        assert json_info["entries"] == 8
-        assert json_info["tmp_files"] == 0
-        db_info = store_info(db_dir)
-        assert db_info["backend"] == "sqlite"
-        assert db_info["entries"] == 8
-        assert db_info["schema"] == STORE_SCHEMA_VERSION
-        assert db_info["shards"] >= 1
-        assert db_info["bytes"] > 0
+        info = store_info(directory)
+        assert info["entries"] == 8
+        assert info["schema"] == STORE_SCHEMA_VERSION
+        assert info["bytes"] > 0
 
-    def test_vacuum_both_backends(self, tmp_path):
-        cell = _config(0)
-        json_dir = str(tmp_path / "json")
-        store = JsonTreeStore(json_dir)
-        path = store.put(cell, {"cover": 1})
-        with open(f"{path}.tmp.{2**22 + 5}", "w") as handle:
-            handle.write("{dead")
-        assert vacuum_store(json_dir) == {"backend": "json", "swept_tmp": 1}
-        db_dir = str(tmp_path / "db")
-        db = SqliteStore(db_dir)
-        db.put(cell, {"cover": 1})
+    def test_vacuum(self, tmp_path):
+        directory = str(tmp_path / "db")
+        assert vacuum_store(directory) == {"vacuumed": 0}
+        db = SqliteStore(directory)
+        db.put_many([(_config(0), {"cover": 1})])
         db.close()
-        assert vacuum_store(db_dir) == {
-            "backend": "sqlite",
-            "vacuumed_shards": 1,
-        }
+        assert vacuum_store(directory) == {"vacuumed": 1}
 
 
 class TestCacheCli:
     def test_info_and_vacuum(self, tmp_path, capsys):
         directory = str(tmp_path / "cache")
-        JsonTreeStore(directory).put(_config(0), {"cover": 1})
+        store = SqliteStore(directory)
+        store.put_many([(_config(0), {"cover": 1})])
+        store.close()
         assert main(["cache", "info", directory]) == 0
         out = capsys.readouterr().out
-        assert "backend=json" in out
         assert "entries=1" in out
+        assert f"schema={STORE_SCHEMA_VERSION}" in out
         assert main(["cache", "vacuum", directory]) == 0
-        assert "swept_tmp=0" in capsys.readouterr().out
+        assert "vacuumed=1" in capsys.readouterr().out
 
     def test_migrate_then_sqlite_run_is_all_cached(self, tmp_path, capsys):
+        # A legacy tree holding the quick table1 grid, migrated, then
+        # served to the same sweep without computing anything.
         json_cache = str(tmp_path / "json")
         db_cache = str(tmp_path / "db")
-        args = ["sweep", "table1", "--quick", "--cache", json_cache]
-        assert main(args) == 0
-        assert "computed=6 cached=0" in capsys.readouterr().out
+        computed = run_sweep(scenario("table1", quick=True))
+        _write_json_tree(
+            json_cache, [(r.config, r.metrics) for r in computed.results]
+        )
         assert main(["cache", "migrate", json_cache, db_cache]) == 0
         assert "migrated=6 corrupt=0" in capsys.readouterr().out
-        again = [
-            "sweep", "table1", "--quick",
-            "--cache", db_cache, "--store", "sqlite",
-        ]
-        assert main(again) == 0
+        assert main(["sweep", "table1", "--quick", "--cache", db_cache]) == 0
         assert "computed=0 cached=6" in capsys.readouterr().out
-
-    def test_store_flag_renders_identically(self, tmp_path, capsys):
-        json_args = [
-            "sweep", "table1", "--quick",
-            "--cache", str(tmp_path / "a"), "--store", "json",
-        ]
-        sqlite_args = [
-            "sweep", "table1", "--quick",
-            "--cache", str(tmp_path / "b"), "--store", "sqlite",
-        ]
-        assert main(json_args) == 0
-        json_out = capsys.readouterr().out
-        assert main(sqlite_args) == 0
-        sqlite_out = capsys.readouterr().out
-        # Identical reports up to the elapsed/cache note line.
-        strip = lambda text: [  # noqa: E731
-            line for line in text.splitlines()
-            if not line.startswith("note: completed")
-        ]
-        assert strip(json_out) == strip(sqlite_out)
 
     def test_cache_info_on_missing_store_fails_cleanly(
         self, tmp_path, capsys
     ):
-        missing = str(tmp_path / "nope")
-        assert main(["cache", "info", missing]) == 0  # reads as empty json
+        missing = tmp_path / "nope"
+        assert main(["cache", "info", str(missing)]) == 0
         assert "entries=0" in capsys.readouterr().out
+        assert main(["cache", "vacuum", str(missing)]) == 0
+        assert "vacuumed=0" in capsys.readouterr().out
+        assert not missing.exists()
+
+    def test_migrate_missing_source_fails_cleanly(self, tmp_path, capsys):
+        source, dest = tmp_path / "typo-src", tmp_path / "dest"
+        assert main(["cache", "migrate", str(source), str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "typo-src" in captured.err
+        assert not source.exists() and not dest.exists()
