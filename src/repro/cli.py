@@ -572,6 +572,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"unknown sweep scenario {args.name!r}; known: "
                 + ", ".join(registry.scenario_names())
             )
+    if args.cache != "none" and getattr(args, "backend", "batch") == "batch":
+        # A bad spec or an older store layout exits 2 with one line
+        # before any cell is computed (opening creates nothing).
+        from repro.sweep.store import open_store
+
+        try:
+            open_store(args.cache).close()
+        except ValueError as exc:
+            print(f"{args.command} failed: {exc}", file=sys.stderr)
+            return 2
 
     def dispatch() -> int:
         cache_dir = None if args.cache == "none" else args.cache

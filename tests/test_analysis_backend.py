@@ -354,6 +354,10 @@ class TestPlanLifecycle:
                 r"\[0, 8\) on the ring",
             ),
             (
+                lambda plan: plan.walk_cover(8, [0, -1], repetitions=2),
+                r"\[0, 8\) on the ring, got -1\.\.0",
+            ),
+            (
                 lambda plan: plan.walk_cover(2, [0], repetitions=2),
                 "at least 3 nodes",
             ),
@@ -365,14 +369,27 @@ class TestPlanLifecycle:
             ),
             (
                 lambda plan: plan.rotor_cover_general(
+                    ring_graph(8), [-1], [0] * 8
+                ),
+                r"\[0, 8\) on the graph, got -1\.\.-1",
+            ),
+            (
+                lambda plan: plan.rotor_cover_general(
                     ring_graph(8), [0], [5] * 8
                 ),
                 "pointer 5 at node 0 out of range for degree 2",
             ),
+            (
+                lambda plan: plan.rotor_cover_general(
+                    ring_graph(8), [0], [0] * 7 + [-1]
+                ),
+                "pointer -1 at node 7 out of range for degree 2",
+            ),
         ],
         ids=[
-            "walk-agent-off-ring", "walk-tiny-ring",
-            "general-agent-off-graph", "general-port-off-degree",
+            "walk-agent-off-ring", "walk-agent-negative", "walk-tiny-ring",
+            "general-agent-off-graph", "general-agent-negative",
+            "general-port-off-degree", "general-port-negative",
         ],
     )
     def test_walk_and_general_reject_malformed_cell(

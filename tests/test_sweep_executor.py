@@ -17,7 +17,7 @@ from repro.sweep.executor import (
     run_sweep,
 )
 from repro.sweep.spec import InitFamily, ScenarioSpec, SweepConfig
-from repro.sweep.store import STORE_FILE
+from repro.sweep.store import STORE_FILE, open_store, verify_store
 
 
 def _cover_spec(**overrides):
@@ -453,7 +453,10 @@ class TestCache:
         assert grown.cache_hits == _cover_spec(ns=(16,)).num_configs
         assert grown.cache_misses == grown.cache_hits
 
-    def test_stored_config_text_redigests_to_its_key(self, tmp_path):
+    def test_entries_are_inspectable_json(self, tmp_path):
+        # Each row holds its identity and metrics as canonical JSON text,
+        # readable with any SQLite client; the config text re-digests to
+        # the row's key.
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
         run_sweep(spec, cache_dir=cache_dir)
@@ -483,6 +486,54 @@ class TestCache:
         assert json.loads(_rows(cache_dir)[victim.config_hash][1]) == (
             baseline.results[0].metrics
         )
+
+    def test_truncated_json_is_a_miss_and_overwritten(self, tmp_path):
+        # A metrics text cut short behind the store's back is reported
+        # corrupt, never served, and recomputed over on the next run.
+        spec = _cover_spec(ns=(16,), ks=(2,))
+        cache_dir = str(tmp_path / "cache")
+        baseline = run_sweep(spec, cache_dir=cache_dir)
+        victim = spec.configs()[0]
+        intact = _rows(cache_dir)[victim.config_hash][1]
+        _execute(
+            cache_dir,
+            "UPDATE cells SET metrics = ? WHERE hash = ?",
+            (intact[: len(intact) // 2], victim.config_hash),
+        )
+        store = open_store(cache_dir)
+        found, statuses = store.lookup_many([victim])
+        store.close()
+        assert found == {}
+        assert statuses == {victim.config_hash: "corrupt"}
+        result = run_sweep(spec, cache_dir=cache_dir)
+        assert result.cache_misses == 1
+        assert _rows(cache_dir)[victim.config_hash][1] == intact
+        assert [c.metrics for c in result.results] == [
+            c.metrics for c in baseline.results
+        ]
+
+    def test_v1_schema_entries_are_never_served(self, tmp_path):
+        # A row written under config schema 1 is keyed by the digest of
+        # its v1 identity, which no current cell's probe can reach: the
+        # stale payload is never served, and the row stays sound.
+        spec = _cover_spec(ns=(16,), ks=(2,))
+        cache_dir = str(tmp_path / "cache")
+        config = spec.configs()[0]
+        stale_text = json.dumps(
+            dict(config.identity(), schema=1),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        stale_hash = hashlib.sha256(stale_text.encode("utf-8")).hexdigest()
+        assert stale_hash != config.config_hash
+        store = open_store(cache_dir)
+        store._put_rows([(stale_hash, stale_text, '{"cover":-12345}')])
+        store.close()
+        result = run_sweep(spec, cache_dir=cache_dir)
+        assert result.cache_misses == spec.num_configs
+        for cell in result.results:
+            assert cell.metrics["cover"] != -12345
+        assert verify_store(cache_dir).ok
 
     @pytest.mark.parametrize(
         "plant",

@@ -166,6 +166,22 @@ class TestChaosSuite:
         assert report.retries == 2
         assert not report.quarantined and not report.chunk_failures
 
+    def test_retry_waits_double_from_the_backoff_constant(self, monkeypatch):
+        # Attempt a waits RETRY_BACKOFF * 2**(a - 1) before redispatch;
+        # the waits are recorded, not slept.
+        import repro.sweep.executor as executor_module
+
+        monkeypatch.setattr(executor_module, "RETRY_BACKOFF", 1000.0)
+        waits = []
+        monkeypatch.setattr(executor_module.time, "sleep", waits.append)
+        cells = _spec().configs()
+        metrics, _, report = run_cells(
+            cells, faults=FaultPlan(flaky_chunks=((0, 2),)), max_retries=2,
+        )
+        assert report.retries == 2
+        assert waits == pytest.approx([1000.0, 2000.0], abs=10.0)
+        assert metrics == _baseline(cells)
+
     def test_delay_past_deadline_times_out_and_recovers(self, tmp_path):
         cells = _spec().configs()
         plan = FaultPlan(delay_chunks=((0, 1.5),))

@@ -93,10 +93,12 @@ class TestSpecStrings:
         assert open_store("sqlite://rel/c").directory == "rel/c"
         assert not os.path.exists(directory)  # opening creates nothing
 
-    def test_plain_path_and_sqlite_open_one_store(self, tmp_path):
+    def test_open_store_dispatches(self, tmp_path):
+        # A plain path and sqlite:// open the one store, in one file.
         directory = str(tmp_path / "cache")
         cell = _config(0)
         plain = open_store(directory)
+        assert isinstance(plain, SqliteStore)
         plain.put_many([(cell, {"cover": 1})])
         plain.close()
         prefixed = open_store(f"sqlite://{directory}")
@@ -147,10 +149,52 @@ class TestLegacyLayouts:
         assert "delete the directory" in capsys.readouterr().err
         assert _listing(str(directory)) == before
 
+    @pytest.mark.parametrize("layout", ["tree", "shards"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda cache, _: ["sweep", "table1", "--quick", "--cache", cache],
+            lambda cache, _: ["run", "table1", "--quick", "--cache", cache],
+            lambda cache, _: ["cache", "info", cache],
+            lambda cache, _: ["cache", "verify", cache, "--repair"],
+            lambda cache, _: ["cache", "vacuum", cache],
+            lambda cache, source: ["cache", "migrate", source, cache],
+        ],
+        ids=["sweep", "run", "info", "verify", "vacuum", "migrate-into"],
+    )
+    def test_every_command_refuses_in_one_line(
+        self, tmp_path, capsys, layout, argv
+    ):
+        # Nothing is computed or written, wherever the store is opened.
+        directory = str(tmp_path / "legacy")
+        if layout == "tree":
+            _write_json_tree(directory, [(_config(0), {"cover": 1})])
+            hint = "repro cache migrate"
+        else:
+            os.makedirs(directory)
+            sqlite3.connect(os.path.join(directory, "shard-a.db")).close()
+            hint = "delete the directory"
+        source = str(tmp_path / "source")
+        _write_json_tree(source, [(_config(1), {"cover": 2})])
+        before = _listing(str(tmp_path))
+        assert main(argv(directory, source)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert hint in captured.err
+        assert _listing(str(tmp_path)) == before
 
+
+def _open(spelling: str, directory) -> SqliteStore:
+    """The store at ``directory``, named by a plain path or ``sqlite://``."""
+    prefix = "sqlite://" if spelling == "sqlite" else ""
+    return open_store(f"{prefix}{directory}")
+
+
+@pytest.mark.parametrize("spelling", ["plain", "sqlite"])
 class TestRoundTrip:
-    def test_put_many_lookup_many(self, tmp_path):
-        store = SqliteStore(str(tmp_path))
+    def test_put_many_lookup_many(self, spelling, tmp_path):
+        store = _open(spelling, tmp_path)
         cells = [_config(seed) for seed in range(20)]
         store.put_many([(c, {"cover": c.seed * 3}) for c in cells])
         found, statuses = store.lookup_many(cells)
@@ -161,8 +205,8 @@ class TestRoundTrip:
         assert store.count() == 20
         store.close()
 
-    def test_missing_cells_report_miss(self, tmp_path):
-        store = SqliteStore(str(tmp_path))
+    def test_missing_cells_report_miss(self, spelling, tmp_path):
+        store = _open(spelling, tmp_path)
         present = [_config(seed) for seed in range(4)]
         absent = [_config(seed) for seed in range(100, 104)]
         store.put_many([(c, {"cover": 1}) for c in present])
@@ -172,8 +216,8 @@ class TestRoundTrip:
             assert statuses[cell.config_hash] == "miss"
         store.close()
 
-    def test_duplicate_probes_collapse(self, tmp_path):
-        store = SqliteStore(str(tmp_path))
+    def test_duplicate_probes_collapse(self, spelling, tmp_path):
+        store = _open(spelling, tmp_path)
         cell = _config(7)
         store.put_many([(cell, {"cover": 9})])
         found, statuses = store.lookup_many([cell, cell, cell])
@@ -181,8 +225,8 @@ class TestRoundTrip:
         assert statuses == {cell.config_hash: "hit"}
         store.close()
 
-    def test_put_replaces(self, tmp_path):
-        store = SqliteStore(str(tmp_path))
+    def test_put_replaces(self, spelling, tmp_path):
+        store = _open(spelling, tmp_path)
         cell = _config(1)
         store.put_many([(cell, {"cover": 1})])
         store.put_many([(cell, {"cover": 2})])
@@ -190,8 +234,8 @@ class TestRoundTrip:
         assert store.count() == 1
         store.close()
 
-    def test_close_is_idempotent(self, tmp_path):
-        store = SqliteStore(str(tmp_path))
+    def test_close_is_idempotent(self, spelling, tmp_path):
+        store = _open(spelling, tmp_path)
         store.close()
         store.close()
 
