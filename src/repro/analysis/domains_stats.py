@@ -1,9 +1,9 @@
 """Domain-evolution statistics: Lemma 12, Figure 1, §2.3 growth.
 
-Runs a ring engine with the visit-type tracker and samples domain
-snapshots at intervals (the Figure 1 census runs its configurations
-as lanes of the batched ring kernel instead), producing the data
-series behind three reproduction targets:
+Steps single ring and path trajectories on flat per-node buffers and
+samples domain snapshots at intervals (the Figure 1 census runs its
+configurations as lanes of the batched ring kernel instead), producing
+the data series behind three reproduction targets:
 
 * **Lemma 12** — once every lazy domain is reasonably large, adjacent
   lazy-domain sizes converge (eventually differing by <= 10);
@@ -11,32 +11,37 @@ series behind three reproduction targets:
   vertex-type or edge-type (with rare one-step transients);
 * **§2.3** — from the all-on-one worst case, the covered region grows
   like sqrt(t) and domain sizes follow the ~1/i Lemma 13 profile.
+
+The reference engines (:class:`repro.core.ring.RingRotorRouter` with
+:class:`repro.core.domains.VisitTypeTracker` and
+:func:`repro.core.domains.domain_snapshot`, and
+:class:`repro.core.path.PathRotorRouter`) are the tests' oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.domains import (
     BorderType,
     DomainSnapshot,
-    VisitTypeTracker,
     border_counts,
-    domain_snapshot,
+    domain_snapshots,
 )
 from repro.core.ring import RingRotorRouter
 from repro.sweep.batch_ring import BatchRingKernel, lanes_from_configs
 
-#: Sampled rounds classified per :func:`border_counts` call in
-#: :func:`border_type_census`.  The block's doubled, flattened rows are
-#: the census's working set: at Figure 1's size, ``run_figure1`` peaks
-#: 3.8 MB above its starting RSS with 8-round blocks, 8.0 MB with 32
-#: and 13.5 MB with 64, at about the same speed.
-_CENSUS_BLOCK_ROUNDS = 8
+#: Sampled rounds handed to one array call: :func:`border_counts` in
+#: :func:`border_type_census`, :func:`domain_snapshots` in
+#: :func:`trace_domains`.  A block's doubled, flattened rows are the
+#: working set: at Figure 1's size, ``run_figure1`` peaks 3.8 MB above
+#: its starting RSS with 8-round blocks, 8.0 MB with 32 and 13.5 MB with
+#: 64, at about the same speed.
+_BLOCK_ROUNDS = 8
 
 
 @dataclass
@@ -74,6 +79,98 @@ class DomainTrace:
         return float(slope)
 
 
+class _Ring:
+    """One k-agent ring trajectory on flat per-node buffers.
+
+    ``ptr[v]`` is the neighbour node ``v``'s pointer leads to and
+    ``other[v]`` its other neighbour, so a move needs no wrap-around
+    and a flip is a swap.  ``counts`` maps occupied nodes to agent
+    counts, so a round costs O(k), as in :class:`RingRotorRouter`.
+    ``propagation[v]`` flags nodes whose most recent visit was a
+    PROPAGATION (the only visit kind a domain snapshot reads): a lone
+    arrival whose node's pointer, after the round, leads away from
+    where the agent came from.  Takes the arguments
+    :class:`RingRotorRouter` does.
+    """
+
+    def __init__(
+        self, n: int, directions: Sequence[int], agents: Iterable[int]
+    ) -> None:
+        # The reference engine validates the arguments and lays out the
+        # start; it is never stepped.
+        start = RingRotorRouter(n, directions, agents, track_counts=False)
+        self.n = n
+        self.ptr = [(v + d) % n for v, d in enumerate(start.ptr)]
+        self.other = [(v - d) % n for v, d in enumerate(start.ptr)]
+        self.counts = start.counts
+        self.visited = start.visited
+        self.unvisited = start.unvisited
+        self.propagation = bytearray(n)
+        self._came = [0] * n
+        self._clockwise = np.arange(1, n + 1) % n
+        self.round = 0
+
+    def run(self, rounds: int, stop_at_cover: bool = False) -> None:
+        """Step ``rounds`` rounds, or until covered with ``stop_at_cover``
+        (checked after each round, so at least one round runs)."""
+        ptr, other, came = self.ptr, self.other, self._came
+        visited, propagation = self.visited, self.propagation
+        counts, unvisited = self.counts, self.unvisited
+        stepped = 0
+        while stepped < rounds:
+            stepped += 1
+            arrivals: dict[int, int] = {}
+            for v, c in counts.items():
+                p = ptr[v]
+                came[p] = v
+                if c == 1:
+                    # One agent leaves along the pointer, which flips.
+                    if p in arrivals:
+                        arrivals[p] += 1
+                    else:
+                        arrivals[p] = 1
+                    ptr[v] = other[v]
+                    other[v] = p
+                    continue
+                via_pointer = (c + 1) >> 1
+                if p in arrivals:
+                    arrivals[p] += via_pointer
+                else:
+                    arrivals[p] = via_pointer
+                q = other[v]
+                came[q] = v
+                if q in arrivals:
+                    arrivals[q] += c - via_pointer
+                else:
+                    arrivals[q] = c - via_pointer
+                if c & 1:
+                    ptr[v] = q
+                    other[v] = p
+            for v, c in arrivals.items():
+                if not visited[v]:
+                    visited[v] = 1
+                    unvisited -= 1
+                propagation[v] = c == 1 and ptr[v] != came[v]
+            counts = arrivals
+            if stop_at_cover and not unvisited:
+                break
+        self.counts, self.unvisited = counts, unvisited
+        self.round += stepped
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The configuration as the rows :func:`domain_snapshots` takes."""
+        n = self.n
+        counts = np.zeros(n, dtype=np.int64)
+        counts[list(self.counts)] = list(self.counts.values())
+        clockwise = np.fromiter(self.ptr, np.int64, n) == self._clockwise
+        return (
+            counts,
+            clockwise,
+            np.frombuffer(self.visited, dtype=bool).copy(),
+            np.frombuffer(self.propagation, dtype=bool).copy(),
+        )
+
+
 def trace_domains(
     n: int,
     agents: Sequence[int],
@@ -86,21 +183,45 @@ def trace_domains(
 
     Samples are only taken once domains are well defined (<= 2 agents
     per node); earlier sample points are skipped silently, which only
-    matters for stacked initial placements.
+    matters for stacked initial placements.  The trajectory steps on
+    flat buffers in O(k) per round, and sampled rounds are turned into
+    snapshots :data:`_BLOCK_ROUNDS` at a time by
+    :func:`domain_snapshots`; the result equals stepping
+    :class:`RingRotorRouter` with a :class:`VisitTypeTracker` and
+    taking :func:`domain_snapshot` at every sample.
     """
     if total_rounds < 1 or sample_every < 1:
         raise ValueError("total_rounds and sample_every must be positive")
-    engine = RingRotorRouter(n, directions, agents, track_counts=False)
-    tracker = VisitTypeTracker(engine)
-    trace = DomainTrace(n=n, k=len(list(agents)))
-    for _ in range(total_rounds):
-        tracker.advance()
-        if engine.round % sample_every == 0:
-            if max(engine.counts.values(), default=0) <= 2:
-                trace.rounds.append(engine.round)
-                trace.snapshots.append(domain_snapshot(engine, tracker))
-        if stop_at_cover and engine.unvisited == 0:
+    agents = list(agents)
+    ring = _Ring(n, directions, agents)
+    trace = DomainTrace(n=n, k=len(agents))
+    rounds: list[int] = []
+    rows: list[tuple[np.ndarray, ...]] = []
+
+    def snapshot_block() -> None:
+        columns = (np.stack(column) for column in zip(*rows))
+        trace.snapshots.extend(domain_snapshots(*columns, rounds))
+        trace.rounds.extend(rounds)
+        rounds.clear()
+        rows.clear()
+
+    while ring.round < total_rounds:
+        ring.run(
+            min(
+                sample_every - ring.round % sample_every,
+                total_rounds - ring.round,
+            ),
+            stop_at_cover,
+        )
+        if ring.round % sample_every == 0 and max(ring.counts.values()) <= 2:
+            rounds.append(ring.round)
+            rows.append(ring.rows())
+            if len(rows) == _BLOCK_ROUNDS:
+                snapshot_block()
+        if stop_at_cover and not ring.unvisited:
             break
+    if rows:
+        snapshot_block()
     return trace
 
 
@@ -115,11 +236,11 @@ def lemma12_adjacent_difference(
     Lemma 12 predicts this settles to at most ~10 once domains are
     established (the paper proves <= 10 for k >= 6 and domains >= 20k).
     """
-    engine = RingRotorRouter(n, directions, agents, track_counts=False)
-    tracker = VisitTypeTracker(engine)
-    for _ in range(rounds):
-        tracker.advance()
-    snapshot = domain_snapshot(engine, tracker)
+    ring = _Ring(n, directions, agents)
+    ring.run(rounds)
+    (snapshot,) = domain_snapshots(
+        *(row[None] for row in ring.rows()), [ring.round]
+    )
     if snapshot.unvisited:
         raise RuntimeError(
             f"ring not covered after {rounds} rounds; increase the budget"
@@ -167,10 +288,10 @@ def border_type_census(
     lone = np.empty_like(visited)
     lone_forward = np.empty_like(visited)
     block_counts = np.empty(
-        (_CENSUS_BLOCK_ROUNDS, lanes, n), kernel.round_arrays()[0].dtype
+        (_BLOCK_ROUNDS, lanes, n), kernel.round_arrays()[0].dtype
     )
     block_pointers = np.empty_like(block_counts)
-    block_visited = np.empty((_CENSUS_BLOCK_ROUNDS, lanes, n), bool)
+    block_visited = np.empty((_BLOCK_ROUNDS, lanes, n), bool)
     block_propagation = np.empty_like(block_visited)
     totals = np.zeros((lanes, len(BorderType)), dtype=np.int64)
 
@@ -203,7 +324,7 @@ def border_type_census(
             block_visited[samples] = visited
             block_propagation[samples] = propagation
             samples += 1
-            if samples == _CENSUS_BLOCK_ROUNDS:
+            if samples == _BLOCK_ROUNDS:
                 classify(samples)
                 samples = 0
     if samples:
@@ -212,6 +333,83 @@ def border_type_census(
         Counter({kind: int(c) for kind, c in zip(BorderType, row) if c})
         for row in totals
     ]
+
+
+def _path_right_ends(
+    n: int, k: int, rounds_budget: int, stop_unvisited: int
+) -> list[int]:
+    """Domain right ends of the Theorem 1 path run, frontier first.
+
+    k agents start at the left endpoint of the n-node path with every
+    pointer toward it.  The run steps until at most ``stop_unvisited``
+    nodes are unvisited (or the budget is spent), then for ``4 n`` more
+    rounds records the maximum of each rank's position, ranks sorted
+    from the frontier inward: agents oscillate inside their domains,
+    so these maxima are the domain right ends.  The buffers are laid
+    out as in :class:`_Ring`; an endpoint's two neighbour slots both
+    hold its one neighbour, so every agent there leaves through it and
+    its pointer never changes, as in :class:`PathRotorRouter`.  No
+    visit kinds are kept: the profile needs none, and keeping them
+    would cost this loop about 40%.  Raises ``RuntimeError`` when the
+    frontier has not passed node k when the window starts.
+    """
+    ptr = [v - 1 for v in range(n)]
+    other = [v + 1 for v in range(n)]
+    ptr[0] = 1
+    other[n - 1] = n - 2
+    counts = {0: k}
+    visited = bytearray(n)
+    visited[0] = 1
+    unvisited = n - 1
+    rounds_left = rounds_budget
+    window = 0
+    right_ends = [0] * k
+    while True:
+        if not window:
+            if rounds_left == 0 or unvisited <= stop_unvisited:
+                if max(counts) <= k:
+                    raise RuntimeError("agents did not spread within the budget")
+                window = 4 * n
+            rounds_left -= 1
+        arrivals: dict[int, int] = {}
+        for v, c in counts.items():
+            p = ptr[v]
+            if c == 1:
+                if p in arrivals:
+                    arrivals[p] += 1
+                else:
+                    arrivals[p] = 1
+                ptr[v] = other[v]
+                other[v] = p
+                continue
+            via_pointer = (c + 1) >> 1
+            if p in arrivals:
+                arrivals[p] += via_pointer
+            else:
+                arrivals[p] = via_pointer
+            q = other[v]
+            if q in arrivals:
+                arrivals[q] += c - via_pointer
+            else:
+                arrivals[q] = c - via_pointer
+            if c & 1:
+                ptr[v] = q
+                other[v] = p
+        for v in arrivals:
+            if not visited[v]:
+                visited[v] = 1
+                unvisited -= 1
+        counts = arrivals
+        if window:
+            rank = 0
+            for v in sorted(counts, reverse=True):
+                for _ in range(counts[v]):
+                    if v > right_ends[rank]:
+                        right_ends[rank] = v
+                    rank += 1
+            window -= 1
+            if not window:
+                return right_ends
 
 
 def final_profile_vs_lemma13(
@@ -229,30 +427,25 @@ def final_profile_vs_lemma13(
     so domain i is the interval between agents i+1 and i and its size
     is the position difference.  §2.3 postulates measured ~ predicted
     ~ 1/(i H_k).
+
+    The run stops once at most ``max(2, n // 50)`` nodes are unvisited,
+    with the frontier agent on node ``n - 1 - max(2, n // 50)``, which
+    must lie beyond node k; a path too short for that, or a budget
+    below one round, raises ``ValueError`` before any step.
     """
-    from repro.core.path import PathRotorRouter
     from repro.theory.sequences import solve_profile
 
     if k <= 3:
         raise ValueError(f"Lemma 13 requires k > 3, got {k}")
-    engine = PathRotorRouter(n, [-1] * n, [0] * k, track_counts=False)
-    for _ in range(rounds_budget):
-        if engine.unvisited <= max(2, n // 50):
-            break
-        engine.step()
-    if sorted(engine.positions(), reverse=True)[0] <= k:
-        raise RuntimeError("agents did not spread within the budget")
-    # Agents oscillate inside their domains; the domain right endpoint
-    # of rank i is the maximum of the i-th largest position over a
-    # window of a few sweeps.
-    window = 4 * n
-    right_ends = [0] * k
-    for _ in range(window):
-        engine.step()
-        for i, position in enumerate(sorted(engine.positions(), reverse=True)):
-            if position > right_ends[i]:
-                right_ends[i] = position
-    boundaries = right_ends + [0]
+    if rounds_budget < 1:
+        raise ValueError(f"rounds_budget must be positive, got {rounds_budget}")
+    stop_unvisited = max(2, n // 50)
+    if n - 1 - stop_unvisited <= k:
+        raise ValueError(
+            f"the run on {n} nodes stops with its frontier on node "
+            f"{n - 1 - stop_unvisited}, which must lie beyond node k = {k}"
+        )
+    boundaries = _path_right_ends(n, k, rounds_budget, stop_unvisited) + [0]
     sizes = np.asarray(
         [boundaries[i] - boundaries[i + 1] for i in range(k)], dtype=float
     )

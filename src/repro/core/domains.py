@@ -21,6 +21,8 @@ This module provides:
   configuration (O(n));
 * :func:`classify_borders` — vertex-type vs edge-type borders between
   adjacent lazy domains (Figure 1);
+* :func:`domain_snapshots` — :func:`domain_snapshot` of many
+  configurations at once, one row each, in array operations;
 * :func:`border_counts` — the border census of many configurations at
   once, one row each, in array operations; equal to
   :func:`classify_borders` of :func:`domain_snapshot` row by row.
@@ -373,6 +375,177 @@ def classify_borders(snapshot: DomainSnapshot) -> list[BorderType]:
     return borders
 
 
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """Each row laid out twice end to end, all rows flattened."""
+    return np.concatenate((a, a), axis=1).ravel()
+
+
+@dataclass(frozen=True)
+class _Parts:
+    """The domain parts of many rows, flat, in row then anchor order.
+
+    A shared anchor contributes its anticlockwise part, then its
+    clockwise part, either possibly empty; any other anchor one part.
+    Starts are node indices.
+    """
+
+    rows: np.ndarray
+    anchor: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    lazy_start: np.ndarray
+    lazy_length: np.ndarray
+
+
+def _domain_parts(
+    counts: np.ndarray,
+    pointers: np.ndarray,
+    visited: np.ndarray,
+    propagation: np.ndarray,
+) -> _Parts:
+    """Arcs and lazy runs of every row's domains, in array operations.
+
+    Row ``r`` of the ``(R, n)`` inputs describes one ring configuration:
+    agent counts, pointer bits (1 = clockwise), visited nodes, and the
+    nodes whose most recent visit was a PROPAGATION.  Each part equals
+    the :class:`Domain` :func:`domain_snapshot` builds for it.
+
+    Each row is laid out twice end to end and all rows are flattened,
+    so that cyclic scans become 1-D accumulations over positions:
+
+    1. **Arcs.**  A visited free node ``v`` between consecutive agents
+       ``a`` and ``b`` has ``o(v) = a`` if its pointer is clockwise and
+       ``o(v) = b`` otherwise; with one occupied node, every visited
+       node maps to it.  An anchor's arc extends over the run of
+       neighbours mapping to it, found as the distance to the nearest
+       stop each way (``np.minimum``/``np.maximum.accumulate``), so
+       transient nodes mapping to an agent they are cut off from stay
+       outside every arc, as in the serial expansion.  A shared anchor
+       splits its arc as :func:`domain_snapshot` does, keeping an
+       empty half.
+    2. **Lazy runs.**  The first longest PROPAGATION run of each part
+       is its head run (clipped at the part's start) or the best run
+       ending inside the rest of the part, picked by
+       ``np.maximum.reduceat`` over a (length, -end) key.
+
+    Raises :class:`DomainError` when a row holds 3+ agents on a node.
+    """
+    rows, n = counts.shape
+    crowded = int(counts.max())
+    if crowded > 2:
+        raise DomainError(
+            f"{crowded} agents on one node: domains are undefined (Lemma 5)"
+        )
+    width = 2 * n
+    size = rows * width
+    pos = np.arange(size)
+
+    def next_at_or_after(mask: np.ndarray) -> np.ndarray:
+        marks = np.where(mask, pos, size)
+        return np.minimum.accumulate(marks[::-1])[::-1]
+
+    def last_at_or_before(mask: np.ndarray) -> np.ndarray:
+        return np.maximum.accumulate(np.where(mask, pos, -1))
+
+    occupied = counts > 0
+    clockwise = pointers.astype(bool)
+    one_site = (np.count_nonzero(occupied, axis=1) == 1)[:, None]
+    free = visited & ~occupied
+    # Stops of the clockwise expansion (nodes not mapping to the agent
+    # anticlockwise of them) and of the anticlockwise expansion.
+    stop_cw = _doubled(~(free & (clockwise | one_site)))
+    stop_acw = _doubled(~(free & (~clockwise | one_site)))
+
+    anchor_rows, anchors = np.nonzero(occupied)
+    at = anchor_rows * width + anchors
+    # The anchor's own images bound both scans to n - 1 steps.
+    right = next_at_or_after(stop_cw)[at + 1] - (at + 1)
+    left = (at + n - 1) - last_at_or_before(stop_acw)[at + n - 1]
+    shared = counts[anchor_rows, anchors] == 2
+    bit = clockwise[anchor_rows, anchors].astype(np.int64)
+    # Parts in anchor order, two slots per anchor: an anchor holding
+    # one agent fills the first with its whole arc (at most the ring);
+    # a shared anchor splits it, the anchor joining the anticlockwise
+    # part iff its pointer is clockwise, and keeps both halves, an
+    # empty one too, as domain_snapshot does.  Disjoint arcs make
+    # anchor order the cyclic order of the parts, all the borders
+    # depend on.
+    first_length = np.where(shared, left + bit, np.minimum(left + right + 1, n))
+    second_length = np.where(shared, right + 1 - bit, 0)
+    keep = np.stack((np.ones_like(shared), shared), axis=1).ravel()
+    part_rows = np.repeat(anchor_rows, 2)[keep]
+    part_anchor = np.repeat(anchors, 2)[keep]
+    part_start = (
+        np.stack((anchors - left, anchors + bit), axis=1).ravel()[keep] % n
+    )
+    part_length = np.stack((first_length, second_length), axis=1).ravel()[keep]
+    start = part_rows * width + part_start
+    end = start + part_length
+
+    prop = _doubled(propagation)
+    head_end = np.minimum(next_at_or_after(~prop)[start], end)
+    head_length = head_end - start
+    run_length = pos - last_at_or_before(~prop)
+    # Longest first: a larger key is a longer run, then an earlier end.
+    key = run_length * size + (size - 1 - pos)
+    best = np.maximum.reduceat(
+        key, np.stack((head_end, end), axis=1).ravel()
+    )[::2]
+    tail_length = np.where(head_end < end, best // size, 0)
+    tail_end = size - 1 - best % size
+    use_head = head_length >= tail_length
+    lazy_length = np.where(use_head, head_length, tail_length)
+    lazy_start = np.where(use_head, start, tail_end - tail_length + 1) % n
+    return _Parts(
+        part_rows, part_anchor, part_start, part_length, lazy_start,
+        lazy_length,
+    )
+
+
+def domain_snapshots(
+    counts: np.ndarray,
+    pointers: np.ndarray,
+    visited: np.ndarray,
+    propagation: np.ndarray,
+    rounds: Sequence[int],
+) -> list[DomainSnapshot]:
+    """:func:`domain_snapshot` of many configurations, in array ops.
+
+    Takes the ``(R, n)`` rows :func:`border_counts` takes, plus each
+    row's round, and returns one :class:`DomainSnapshot` per row, equal
+    to :func:`domain_snapshot` of that configuration with its visit
+    kinds; the tests compare the two row by row.  Raises
+    :class:`DomainError` when a row holds 3+ agents on a node.
+    """
+    rows, n = counts.shape
+    parts = _domain_parts(counts, pointers, visited, propagation)
+    # domain_snapshot sorts its parts by start, stably.
+    order = np.argsort(parts.rows * n + parts.start, kind="stable")
+    fields = np.stack(
+        (parts.anchor, parts.start, parts.length, parts.lazy_start,
+         parts.lazy_length),
+        axis=1,
+    )[order].tolist()
+    part_bounds = np.searchsorted(parts.rows[order], np.arange(rows + 1))
+    unvisited_rows, unvisited = np.nonzero(~visited)
+    unvisited_bounds = np.searchsorted(unvisited_rows, np.arange(rows + 1))
+    unvisited = unvisited.tolist()
+    return [
+        DomainSnapshot(
+            round=int(rounds[r]),
+            n=n,
+            domains=tuple(
+                Domain(*f)
+                for f in fields[part_bounds[r]:part_bounds[r + 1]]
+            ),
+            unvisited=tuple(
+                unvisited[unvisited_bounds[r]:unvisited_bounds[r + 1]]
+            ),
+        )
+        for r in range(rows)
+    ]
+
+
 def border_counts(
     counts: np.ndarray,
     pointers: np.ndarray,
@@ -389,107 +562,25 @@ def border_counts(
     :func:`domain_snapshot` of that configuration — exactly, including
     transient states; the tests compare the two row by row.
 
-    Each row is laid out twice end to end and all rows are flattened,
-    so that cyclic scans become 1-D accumulations over positions:
-
-    1. **Arcs.**  A visited free node ``v`` between consecutive agents
-       ``a`` and ``b`` has ``o(v) = a`` if its pointer is clockwise and
-       ``o(v) = b`` otherwise; with one occupied node, every visited
-       node maps to it.  An anchor's arc extends over the run of
-       neighbours mapping to it, found as the distance to the nearest
-       stop each way (``np.minimum``/``np.maximum.accumulate``), so
-       transient nodes mapping to an agent they are cut off from stay
-       outside every arc, as in the serial expansion.  A shared anchor
-       splits its arc as :func:`domain_snapshot` does.
-    2. **Lazy runs.**  The first longest PROPAGATION run of each part
-       is its head run (clipped at the part's start) or the best run
-       ending inside the rest of the part, picked by
-       ``np.maximum.reduceat`` over a (length, -end) key.
-    3. **Borders.**  Consecutive nonempty lazy runs of a row, cyclically,
-       are classified by their gap; a prefix sum of unvisited nodes
-       drops borders with the unvisited region.
-
-    Raises :class:`DomainError` when a row holds 3+ agents on a node.
+    The parts and their lazy runs come from :func:`_domain_parts`.
+    Consecutive nonempty lazy runs of a row, cyclically, are classified
+    by their gap; a prefix sum of unvisited nodes (over the doubled
+    rows) drops borders with the unvisited region.  Raises
+    :class:`DomainError` when a row holds 3+ agents on a node.
     """
     rows, n = counts.shape
-    crowded = int(counts.max())
-    if crowded > 2:
-        raise DomainError(
-            f"{crowded} agents on one node: domains are undefined (Lemma 5)"
-        )
-    width = 2 * n
-    size = rows * width
-    pos = np.arange(size)
-
-    def doubled(a: np.ndarray) -> np.ndarray:
-        return np.concatenate((a, a), axis=1).ravel()
-
-    def next_at_or_after(mask: np.ndarray) -> np.ndarray:
-        marks = np.where(mask, pos, size)
-        return np.minimum.accumulate(marks[::-1])[::-1]
-
-    def last_at_or_before(mask: np.ndarray) -> np.ndarray:
-        return np.maximum.accumulate(np.where(mask, pos, -1))
-
-    occupied = counts > 0
-    clockwise = pointers.astype(bool)
-    one_site = (np.count_nonzero(occupied, axis=1) == 1)[:, None]
-    free = visited & ~occupied
-    # Stops of the clockwise expansion (nodes not mapping to the agent
-    # anticlockwise of them) and of the anticlockwise expansion.
-    stop_cw = doubled(~(free & (clockwise | one_site)))
-    stop_acw = doubled(~(free & (~clockwise | one_site)))
-
-    anchor_rows, anchors = np.nonzero(occupied)
-    at = anchor_rows * width + anchors
-    # The anchor's own images bound both scans to n - 1 steps.
-    right = next_at_or_after(stop_cw)[at + 1] - (at + 1)
-    left = (at + n - 1) - last_at_or_before(stop_acw)[at + n - 1]
-    shared = counts[anchor_rows, anchors] == 2
-    bit = clockwise[anchor_rows, anchors].astype(np.int64)
-    # Parts in anchor order, two slots per anchor: an anchor holding
-    # one agent fills the first with its whole arc (at most the ring);
-    # a shared anchor splits it, the anchor joining the anticlockwise
-    # part iff its pointer is clockwise.  Disjoint arcs make anchor
-    # order the cyclic order of the parts, all the borders depend on.
-    first_length = np.where(shared, left + bit, np.minimum(left + right + 1, n))
-    second_length = np.where(shared, right + 1 - bit, 0)
-    part_rows = np.repeat(anchor_rows, 2)
-    part_start = np.stack((anchors - left, anchors + bit), axis=1).ravel() % n
-    part_length = np.stack((first_length, second_length), axis=1).ravel()
-    keep = part_length > 0
-    part_rows, part_start, part_length = (
-        part_rows[keep], part_start[keep], part_length[keep]
-    )
-    start = part_rows * width + part_start
-    end = start + part_length
-
-    prop = doubled(propagation)
-    head_end = np.minimum(next_at_or_after(~prop)[start], end)
-    head_length = head_end - start
-    run_length = pos - last_at_or_before(~prop)
-    # Longest first: a larger key is a longer run, then an earlier end.
-    key = run_length * size + (size - 1 - pos)
-    best = np.maximum.reduceat(
-        key, np.stack((head_end, end), axis=1).ravel()
-    )[::2]
-    tail_length = np.where(head_end < end, best // size, 0)
-    tail_end = size - 1 - best % size
-    use_head = head_length >= tail_length
-    lazy_length = np.where(use_head, head_length, tail_length)
-    lazy_start = np.where(use_head, start, tail_end - tail_length + 1)
-
-    lazy = lazy_length > 0
-    lazy_rows = part_rows[lazy]
-    lazy_first = (lazy_start[lazy] - lazy_rows * width) % n
-    lazy_last = (lazy_first + lazy_length[lazy] - 1) % n
+    parts = _domain_parts(counts, pointers, visited, propagation)
+    lazy = parts.lazy_length > 0
+    lazy_rows = parts.rows[lazy]
+    lazy_first = parts.lazy_start[lazy]
+    lazy_last = (lazy_first + parts.lazy_length[lazy] - 1) % n
     index = np.arange(lazy_rows.size)
     row_first = np.searchsorted(lazy_rows, lazy_rows)
     row_last = np.searchsorted(lazy_rows, lazy_rows, side="right") - 1
     following = np.where(index == row_last, row_first, index + 1)
     gap = (lazy_first[following] - lazy_last) % n - 1
-    unvisited = np.concatenate(([0], np.cumsum(doubled(~visited))))
-    after = lazy_rows * width + lazy_last + 1
+    unvisited = np.concatenate(([0], np.cumsum(_doubled(~visited))))
+    after = lazy_rows * 2 * n + lazy_last + 1
     hidden = unvisited[after + np.maximum(gap, 0)] - unvisited[after]
     border = (row_last > row_first) & (hidden == 0)
     # Column 0 vertex-type (gap 1), 1 edge-type (gap 0), 2 transient.

@@ -826,6 +826,7 @@ def _brent_periods(
             steps += fuse
             if stats is not None:
                 stats["epochs"] += 1
+                stats["lane_rounds"] += fuse * block.rows
             cur_fp = fp_buf[fuse - 1].copy()
             hits = (fp_buf == snap_fp) & alive
             if hits.any():
@@ -837,6 +838,8 @@ def _brent_periods(
                 live = np.ones(cand.size, dtype=bool)
                 for t in range(fuse):
                     sub.step_all()
+                    if stats is not None:
+                        stats["lane_rounds"] += sub.rows
                     rows_t = np.flatnonzero(hits[t, cand] & live)
                     if not rows_t.size:
                         continue
@@ -858,6 +861,7 @@ def _brent_periods(
             steps += 1
             if stats is not None:
                 stats["epochs"] += 1
+                stats["lane_rounds"] += block.rows
             cur_fp = fingerprint.of(block)
             hit = cur_fp == snap_fp
             hit &= alive
@@ -932,6 +936,8 @@ def _brent_preperiods(
     order = resolved[np.argsort(-periods[resolved], kind="stable")]
     hare = _LaneBlock(ptr0[order], cnt0[order])
     _advance_by_schedule(hare, periods[order])
+    if stats is not None:
+        stats["lane_rounds"] += int(periods[resolved].sum())
     block = _LaneBlock(
         np.concatenate([ptr0[order], hare.ptr]),
         np.concatenate([cnt0[order], hare.cnt]),
@@ -974,6 +980,8 @@ def _brent_preperiods(
             )
         block.step_all()
         rounds += 1
+        if stats is not None:
+            stats["lane_rounds"] += 2 * pairs
     return preperiods
 
 
@@ -1029,8 +1037,8 @@ def batch_limit_cycles(
         None
         if tel is None
         else {
-            "rounds": 0, "epochs": 0, "fp_hits": 0, "fp_confirmed": 0,
-            "compactions": 0,
+            "rounds": 0, "lane_rounds": 0, "epochs": 0, "fp_hits": 0,
+            "fp_confirmed": 0, "compactions": 0,
         }
     )
     periods = _brent_periods(
@@ -1047,6 +1055,7 @@ def batch_limit_cycles(
             "limit.invocations": 1,
             "limit.lanes": seed.num_lanes,
             "limit.rounds": stats["rounds"],
+            "limit.lane_rounds": stats["lane_rounds"],
             "limit.epochs": stats["epochs"],
             "limit.fp_hits": stats["fp_hits"],
             "limit.fp_confirmed": stats["fp_confirmed"],

@@ -115,6 +115,46 @@ class TestDomainTraces:
         with pytest.raises(ValueError):
             final_profile_vs_lemma13(100, 3, rounds_budget=100)
 
+    def test_profile_requires_a_positive_budget(self):
+        for budget in (-5, 0):
+            with pytest.raises(ValueError):
+                final_profile_vs_lemma13(100, 8, rounds_budget=budget)
+        # One round is a valid budget, too short for the agents to spread.
+        with pytest.raises(RuntimeError):
+            final_profile_vs_lemma13(100, 8, rounds_budget=1)
+
+    def test_profile_requires_the_frontier_to_pass_node_k(self):
+        # The run stops with at most max(2, n // 50) nodes unvisited, its
+        # frontier on node n - 3 here: past node k = 8 from n = 12 on.
+        for n in (5, 9, 11):
+            with pytest.raises(ValueError):
+                final_profile_vs_lemma13(n, 8, rounds_budget=n * n)
+        measured, _ = final_profile_vs_lemma13(12, 8, rounds_budget=144)
+        assert measured.sum() == pytest.approx(1.0)
+
     def test_trace_validation(self):
         with pytest.raises(ValueError):
             trace_domains(32, [0], pointers.ring_uniform(32), 0, 1)
+
+    def test_trace_counts_agents_of_a_one_shot_iterable(self):
+        trace = trace_domains(
+            32, iter([0, 0, 5]), pointers.ring_uniform(32), 100, 10
+        )
+        assert trace.k == 3
+        assert trace.rounds == list(range(10, 101, 10))
+
+    @pytest.mark.parametrize(
+        "n, agents, directions",
+        [
+            (2, [0], [1, 1]),          # ring too small
+            (8, [0], [1] * 7),         # pointer list too short
+            (8, [0], [1] * 7 + [0]),   # a pointer other than +-1
+            (8, [], [1] * 8),          # no agent
+            (8, [8], [1] * 8),         # an agent off the ring
+        ],
+    )
+    def test_malformed_rings_rejected(self, n, agents, directions):
+        with pytest.raises(ValueError):
+            trace_domains(n, agents, directions, 10, 1)
+        with pytest.raises(ValueError):
+            lemma12_adjacent_difference(n, agents, directions, 10)

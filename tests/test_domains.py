@@ -2,22 +2,32 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.domains_stats import border_type_census
+from repro.analysis.domains_stats import (
+    border_type_census,
+    final_profile_vs_lemma13,
+    lemma12_adjacent_difference,
+    trace_domains,
+)
 from repro.core import placement, pointers
 from repro.core.domains import (
     BorderType,
+    Domain,
     DomainError,
     VisitKind,
     VisitTypeTracker,
     classify_borders,
     domain_snapshot,
+    domain_snapshots,
     o_values,
 )
+from repro.core.path import PathRotorRouter
 from repro.core.ring import RingRotorRouter
+from repro.theory.sequences import solve_profile
 from repro.util.rng import make_rng
 
 
@@ -289,8 +299,14 @@ def serial_census(n, agents, directions, burn_in, observation_rounds,
     return census
 
 
-def random_lane(rng, n):
-    """Random agents (at most 2 per node, some co-located) and pointers."""
+def random_lane(rng, n, stacked=False):
+    """Random agents (at most 2 per node, some co-located) and pointers;
+    with ``stacked``, 1-9 agents all start on one node."""
+    if stacked:
+        k = int(rng.integers(1, 10))
+        return [int(rng.integers(0, n))] * k, [
+            int(d) for d in rng.choice((-1, 1), size=n)
+        ]
     k = int(rng.integers(1, min(9, 2 * n) + 1))
     pairs = int(rng.integers(0, k // 2 + 1)) if rng.random() < 0.5 else 0
     pairs = max(pairs, k - n)
@@ -299,8 +315,75 @@ def random_lane(rng, n):
     return nodes + nodes[:pairs], directions
 
 
+def serial_trace(n, agents, directions, total_rounds, sample_every,
+                 stop_at_cover):
+    """``trace_domains`` on the serial oracle: (rounds, snapshots)."""
+    engine = RingRotorRouter(n, directions, agents, track_counts=False)
+    tracker = VisitTypeTracker(engine)
+    rounds, snapshots = [], []
+    for _ in range(total_rounds):
+        tracker.advance()
+        if engine.round % sample_every == 0:
+            if max(engine.counts.values()) <= 2:
+                rounds.append(engine.round)
+                snapshots.append(domain_snapshot(engine, tracker))
+        if stop_at_cover and engine.unvisited == 0:
+            break
+    return rounds, snapshots
+
+
+def serial_profile(n, k, rounds_budget):
+    """``final_profile_vs_lemma13`` on the serial path oracle."""
+    engine = PathRotorRouter(n, [-1] * n, [0] * k, track_counts=False)
+    for _ in range(rounds_budget):
+        if engine.unvisited <= max(2, n // 50):
+            break
+        engine.step()
+    if sorted(engine.positions(), reverse=True)[0] <= k:
+        raise RuntimeError("agents did not spread within the budget")
+    window = 4 * n
+    right_ends = [0] * k
+    for _ in range(window):
+        engine.step()
+        for i, position in enumerate(sorted(engine.positions(), reverse=True)):
+            if position > right_ends[i]:
+                right_ends[i] = position
+    boundaries = right_ends + [0]
+    sizes = np.asarray(
+        [boundaries[i] - boundaries[i + 1] for i in range(k)], dtype=float
+    )
+    sizes = np.maximum(sizes, 1e-9)
+    predicted = np.asarray(solve_profile(k).a[1:k + 1], dtype=float)
+    return sizes / sizes.sum(), predicted / predicted.sum()
+
+
+def oracle_rows(engine, tracker):
+    """One configuration as the ``(1, n)`` rows ``domain_snapshots`` takes."""
+    n = engine.n
+    counts = np.zeros((1, n), dtype=np.int64)
+    for v, c in engine.counts.items():
+        counts[0, v] = c
+    clockwise = np.asarray([engine.ptr]) == 1
+    visited = np.asarray([list(engine.visited)], dtype=bool)
+    propagation = np.asarray(
+        [[kind == VisitKind.PROPAGATION for kind in tracker.kinds]]
+    )
+    return counts, clockwise, visited, propagation
+
+
+def outcome(fn, *args):
+    """A call's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, RuntimeError) as error:
+        return type(error)
+
+
 class TestBatchedCensus:
-    """``border_type_census`` against the serial oracle, lane by lane."""
+    """The array-native paths against the serial oracle, on one seeded
+    generator: ``border_type_census`` lane by lane, ``trace_domains``,
+    ``lemma12_adjacent_difference`` and ``final_profile_vs_lemma13``,
+    and ``domain_snapshots`` row by row."""
 
     def test_matches_serial_oracle_on_random_lanes(self):
         rng = make_rng(2013)
@@ -360,3 +443,96 @@ class TestBatchedCensus:
             border_type_census(8, lanes, -1, 4)
         with pytest.raises(ValueError):
             border_type_census(8, lanes, 0, 4, sample_every=0)
+
+    def test_trace_matches_serial_oracle(self):
+        rng = make_rng(2015)
+        for _ in range(150):
+            n = int(rng.integers(3, 49))
+            agents, dirs = random_lane(rng, n, stacked=rng.random() < 0.3)
+            args = (
+                n, agents, dirs, int(rng.integers(1, 6 * n + 1)),
+                int(rng.integers(1, 5)), bool(rng.integers(0, 2)),
+            )
+            trace = trace_domains(*args)
+            assert (trace.rounds, trace.snapshots) == serial_trace(*args)
+            assert trace.k == len(agents)
+
+    def test_snapshots_match_serial_oracle_row_by_row(self):
+        rng = make_rng(2016)
+        for _ in range(150):
+            n = int(rng.integers(3, 41))
+            agents, dirs = random_lane(rng, n, stacked=rng.random() < 0.3)
+            engine = RingRotorRouter(n, dirs, agents, track_counts=False)
+            tracker = VisitTypeTracker(engine)
+            tracker.run(int(rng.integers(0, 4 * n + 1)))
+            expected = outcome(domain_snapshot, engine, tracker)
+            got = outcome(
+                domain_snapshots, *oracle_rows(engine, tracker), [engine.round]
+            )
+            assert got == (
+                expected if isinstance(expected, type) else [expected]
+            )
+
+    def test_snapshots_keep_a_shared_anchors_empty_half(self):
+        # Three agents on node 36: two reach node 35, whose pointer
+        # leads anticlockwise, so its anticlockwise half is empty.
+        n = 38
+        engine = RingRotorRouter(n, [-1] * n, [36] * 3, track_counts=False)
+        tracker = VisitTypeTracker(engine)
+        tracker.advance()
+        expected = domain_snapshot(engine, tracker)
+        assert Domain(35, 35, 0, 35, 0) in expected.domains
+        assert domain_snapshots(
+            *oracle_rows(engine, tracker), [1]
+        ) == [expected]
+
+    def test_snapshots_of_a_lone_agent_on_a_covered_ring(self):
+        engine = RingRotorRouter(12, [1] * 12, [5], track_counts=False)
+        tracker = VisitTypeTracker(engine)
+        tracker.run(200)
+        expected = domain_snapshot(engine, tracker)
+        assert expected.sizes() == [12]
+        assert domain_snapshots(
+            *oracle_rows(engine, tracker), [engine.round]
+        ) == [expected]
+
+    def test_snapshots_domain_error_parity(self):
+        engine = RingRotorRouter(10, [1] * 10, [4] * 3, track_counts=False)
+        tracker = VisitTypeTracker(engine)
+        with pytest.raises(DomainError):
+            domain_snapshot(engine, tracker)
+        with pytest.raises(DomainError):
+            domain_snapshots(*oracle_rows(engine, tracker), [0])
+
+    def test_profile_matches_serial_oracle(self):
+        rng = make_rng(2017)
+        for _ in range(25):
+            n = int(rng.integers(20, 201))
+            k = int(rng.integers(4, 10))
+            # Log-uniform budgets: the shortest stop before the agents
+            # pass node k, the longest reach the near-cover stop.
+            budget = int(2.0 ** rng.uniform(0, np.log2(n * n)))
+            expected = outcome(serial_profile, n, k, budget)
+            got = outcome(final_profile_vs_lemma13, n, k, budget)
+            if isinstance(expected, type):
+                assert got is expected
+            else:
+                assert all(map(np.array_equal, got, expected))
+
+    def test_lemma12_matches_serial_oracle(self):
+        rng = make_rng(2018)
+        for _ in range(30):
+            n = int(rng.integers(3, 41))
+            agents, dirs = random_lane(rng, n, stacked=rng.random() < 0.3)
+            rounds = int(rng.integers(0, 6 * n + 1))
+            engine = RingRotorRouter(n, dirs, agents, track_counts=False)
+            tracker = VisitTypeTracker(engine)
+            tracker.run(rounds)
+            expected = outcome(domain_snapshot, engine, tracker)
+            got = outcome(lemma12_adjacent_difference, n, agents, dirs, rounds)
+            if isinstance(expected, type):
+                assert got is expected
+            elif expected.unvisited:
+                assert got is RuntimeError
+            else:
+                assert got == expected.max_adjacent_lazy_difference()

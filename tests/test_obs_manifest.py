@@ -184,6 +184,20 @@ class TestParallelMerge:
         assert counters["general.lanes"] == 4
         assert "ring.invocations" not in counters
 
+    def test_limit_kernel_counts_lane_rounds(self, tmp_path):
+        path = str(tmp_path / "limit.jsonl")
+        with trace_session(path):
+            run_sweep(_cover_spec(metrics=("stabilization",)), jobs=1)
+        manifest = load_manifest(path)
+        assert manifest["counters"]["limit.lane_rounds"] > 0
+        # kernel, invocations, lanes, rounds, lane_rounds, Mlr/s, ...
+        (row,) = [
+            line.split() for line in render_stats(manifest, path=path)
+            .splitlines() if line.split()[:1] == ["limit"]
+        ]
+        assert row[4] == str(manifest["counters"]["limit.lane_rounds"])
+        assert float(row[5]) >= 0
+
 
 class TestLeftoverShards:
     def test_foreign_shard_reported_not_merged(self, tmp_path):
