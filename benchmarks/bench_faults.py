@@ -17,8 +17,10 @@ detection latency that the serial path does not have.
 
 import os
 import time
+from unittest import mock
 
 from conftest import record_sweep_bench
+from repro.sweep import executor
 from repro.sweep.executor import (
     FailureReport,
     _plan_chunks,
@@ -50,7 +52,9 @@ def _payloads() -> list[dict]:
         ),
         metrics=("cover",),
     )
-    return _plan_chunks(spec.configs(), chunk_lanes=3, jobs=2)
+    # Three-lane chunks: many chunks, each still compute-dominated.
+    with mock.patch.object(executor, "CHUNK_LANES", 3):
+        return _plan_chunks(spec.configs(), jobs=2)
 
 
 def _run_baseline_serial(payloads: list[dict]) -> dict:

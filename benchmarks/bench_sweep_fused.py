@@ -20,8 +20,9 @@ machine noise drifts across both sides equally):
   against the per-round cadence (``fuse_rounds=1``) on a long-period
   stabilization shape, where deferred fingerprint comparison pays.
   The win is real but modest (~15%), and small shapes that resolve
-  inside one epoch regress — which is why the ring kernel's *default*
-  stays ``fuse_rounds=1`` and fusion is an opt-in scheduling hint.
+  inside one epoch regress — which is why the ring kernel's default
+  stays ``fuse_rounds=1``, the factor every sweep runs at; larger
+  factors are reached only by calling the kernel directly.
 
 ``BENCH_SWEEP_QUICK=1`` shrinks shapes and relaxes floors for CI
 smoke runners (noisy-neighbor machines); the full shapes carry the

@@ -9,7 +9,7 @@ loop, and a gap scan allocating full-batch temporaries for
 ``periods.max()`` rounds.  The rewrite moves all of that into numpy —
 uint64 word fingerprints (one wrapping matmul per round), byte-exact
 confirmation only on fingerprint hits, lane compaction, sorted-prefix
-schedules — and threads tunable chunk scheduling through the executor.
+schedules.
 
 This benchmark pins the delivered speedup on the stabilization
 scenario shape (n=512, 256 lanes, mixed initialization families) as
@@ -18,8 +18,10 @@ the sweep actually executes it:
 * **before** — the pre-PR pipeline (kept verbatim below) over the
   pre-PR executor chunking (fixed ``DEFAULT_CHUNK_LANES = 64``, the
   only option the executor had);
-* **after** — the array-native pipeline over the scenario's scheduling
-  hints (one 256-lane chunk, ``compact_ratio=1.0``).
+* **after** — the array-native pipeline over the whole batch in one
+  call with eager lane compaction (``compact_ratio=1.0``).  The
+  scenario itself has 5 cells per ring size, so the executor's
+  ``CHUNK_LANES = 64`` also gives it one chunk per size.
 
 The whole-batch legacy time is recorded too, isolating the pipeline
 win from the scheduling win.  The workload is the scenario's k-axis
@@ -214,8 +216,7 @@ def _run_pipeline(impl_cycles, impl_gaps, configs, **cycle_kwargs):
 
 
 def _run_new(configs):
-    # The scenario's post-PR scheduling: one full-width chunk
-    # (chunk_lanes hint 256) with eager lane compaction.
+    # One full-width chunk with eager lane compaction.
     return _run_pipeline(
         batch_limit_cycles, batch_return_gaps, configs, compact_ratio=1.0
     )

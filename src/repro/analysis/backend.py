@@ -130,9 +130,6 @@ class MeasurementPlan:
     cache_dir:
         On-disk result cache directory for the batch backend; ``None``
         disables caching.  The reference backend never caches.
-    chunk_lanes:
-        Lanes per kernel chunk (scheduling only, never affects
-        results); ``None`` uses the executor default.
     progress:
         Optional ``(done, total)`` callback for the batch backend.
     """
@@ -142,7 +139,6 @@ class MeasurementPlan:
         backend: str = "batch",
         jobs: int = 1,
         cache_dir: str | None = None,
-        chunk_lanes: int | None = None,
         progress: Callable[[int, int], None] | None = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -154,7 +150,6 @@ class MeasurementPlan:
         self.backend = backend
         self.jobs = jobs
         self.cache_dir = cache_dir
-        self.chunk_lanes = chunk_lanes
         self.progress = progress
         self._cells: dict[str, object] = {}
         self._results: dict[str, dict] | None = None
@@ -332,17 +327,13 @@ class MeasurementPlan:
                 }
                 cached: set[str] = set()
             else:
-                from repro.sweep.executor import (
-                    DEFAULT_CHUNK_LANES,
-                    run_cells,
-                )
+                from repro.sweep.executor import run_cells
 
                 self._results, cached, failure_report = run_cells(
                     cells,
                     jobs=self.jobs,
                     cache_dir=self.cache_dir,
                     progress=self.progress,
-                    chunk_lanes=self.chunk_lanes or DEFAULT_CHUNK_LANES,
                 )
                 failed = failure_report.failed
         obs.count_many({

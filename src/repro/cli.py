@@ -38,8 +38,8 @@ corrupt ones) and migrates a legacy one-file-per-cell JSON tree into
 one.
 Both commands end with a one-line ``computed=X cached=Y`` accounting
 — plus ``failed=Z`` when the fault-tolerant executor had to
-quarantine cells (``--max-retries``/``--chunk-timeout`` tune its
-supervision; see :mod:`repro.sweep.faults`).
+quarantine cells (``sweep --max-retries``/``--chunk-timeout`` tune
+its supervision; see :mod:`repro.sweep.executor`).
 
 ``--trace PATH`` (on ``run``/``all``/``sweep``) records a
 :mod:`repro.obs` manifest — executor spans, kernel counters, cache
@@ -196,21 +196,25 @@ def _cmd_sweep(
     cache_dir: str | None,
     quick: bool,
     csv_dir: str | None,
-    chunk_lanes: int | None = None,
-    fuse_rounds: int | None = None,
     max_retries: int | None = None,
     chunk_timeout: float | None = None,
 ) -> int:
     from repro.sweep import registry
     from repro.sweep.aggregate import summary_tables
-    from repro.sweep.executor import StderrProgress, run_sweep
+    from repro.sweep.executor import (
+        DEFAULT_MAX_RETRIES,
+        StderrProgress,
+        run_sweep,
+    )
 
     # Unknown names are rejected at the argparse layer in main().
     spec = registry.scenario(name, quick=quick)
     result = run_sweep(
         spec, jobs=jobs, cache_dir=cache_dir, progress=StderrProgress(),
-        chunk_lanes=chunk_lanes, fuse_rounds=fuse_rounds,
-        max_retries=max_retries, chunk_timeout=chunk_timeout,
+        max_retries=(
+            DEFAULT_MAX_RETRIES if max_retries is None else max_retries
+        ),
+        chunk_timeout=chunk_timeout,
     )
     report = Report(
         title=f"sweep '{name}'"
@@ -315,9 +319,9 @@ def _cmd_stats(path: str) -> int:
 def _positive_int_argument(what: str) -> Callable[[str], int]:
     """argparse type factory for positive integer options.
 
-    Validating at the argparse layer means a bad value (``--jobs -2``,
-    ``--chunk-lanes 0``) exits 2 with a one-line argparse message
-    instead of surfacing a traceback from deep inside ``run_sweep``.
+    Validating at the argparse layer means a bad value (``--jobs -2``)
+    exits 2 with a one-line argparse message instead of surfacing a
+    traceback from deep inside ``run_sweep``.
     """
 
     def parse(text: str) -> int:
@@ -375,8 +379,6 @@ def _positive_float_argument(what: str) -> Callable[[str], float]:
 
 
 _jobs_argument = _positive_int_argument("worker count")
-_chunk_lanes_argument = _positive_int_argument("lane count")
-_fuse_rounds_argument = _positive_int_argument("round count")
 _max_retries_argument = _nonnegative_int_argument("retry count")
 _chunk_timeout_argument = _positive_float_argument("second count")
 
@@ -420,20 +422,6 @@ def main(argv: list[str] | None = None) -> int:
             help="record a telemetry manifest at PATH (inspect with "
             "'stats'); results are unaffected",
         )
-        exp_parser.add_argument(
-            "--max-retries", type=_max_retries_argument, default=None,
-            metavar="N",
-            help="redispatches a failing chunk earns before "
-            "bisection/quarantine (default: 2); a robustness knob — "
-            "results and cache identities are unaffected",
-        )
-        exp_parser.add_argument(
-            "--chunk-timeout", type=_chunk_timeout_argument, default=None,
-            metavar="SECONDS",
-            help="per-chunk deadline with jobs>1; a hung chunk counts "
-            "as a failed attempt and restarts the worker pool "
-            "(default: no deadline)",
-        )
     sweep_parser = sub.add_parser(
         "sweep", help="run a registered sweep scenario (cached, parallel)",
         description="Run a registered sweep scenario through the batched "
@@ -449,19 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         "--cache", metavar="DIR", default=DEFAULT_SWEEP_CACHE,
         help=f"result store directory (default: {DEFAULT_SWEEP_CACHE}); "
         "'none' disables caching",
-    )
-    sweep_parser.add_argument(
-        "--chunk-lanes", type=_chunk_lanes_argument, default=None,
-        metavar="B",
-        help="lanes per kernel chunk (default: scenario hint, else 64); "
-        "a scheduling knob — results and cache entries are unaffected",
-    )
-    sweep_parser.add_argument(
-        "--fuse-rounds", type=_fuse_rounds_argument, default=None,
-        metavar="T",
-        help="rounds fused per kernel epoch (default: scenario hint, else "
-        "each kernel's tuned default); a scheduling knob — results are "
-        "bit-identical at every value",
     )
     sweep_parser.add_argument(
         "--max-retries", type=_max_retries_argument, default=None,
@@ -597,7 +572,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(
                 args.name, args.jobs, cache_dir, args.quick, args.csv,
-                args.chunk_lanes, args.fuse_rounds,
                 args.max_retries, args.chunk_timeout,
             )
         return _cmd_all(
@@ -608,23 +582,8 @@ def main(argv: list[str] | None = None) -> int:
             cache_dir=cache_dir,
         )
 
-    def dispatch_with_policy() -> int:
-        if args.max_retries is None and args.chunk_timeout is None:
-            return dispatch()
-        # run/all reach run_cells through the experiment runners, whose
-        # signatures stay untouched: the retry/timeout knobs travel as
-        # an ambient execution policy instead.  (sweep also passes them
-        # explicitly above; explicit arguments win, so both agree.)
-        from repro.sweep.faults import ExecutionPolicy, execution_policy
-
-        with execution_policy(ExecutionPolicy(
-            max_retries=args.max_retries,
-            chunk_timeout=args.chunk_timeout,
-        )):
-            return dispatch()
-
     if not args.trace:
-        return dispatch_with_policy()
+        return dispatch()
     from repro.obs import trace_session
 
     meta = {"command": args.command}
@@ -633,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     # The session wraps the whole command: the executor checkpoints at
     # every run_cells exit and the exit handler writes the final merge.
     with trace_session(args.trace, meta=meta) as session:
-        status = dispatch_with_policy()
+        status = dispatch()
     # Stdout stays bit-identical with and without --trace; the notice
     # goes to stderr like the progress line.
     print(f"wrote trace manifest {session.path}", file=sys.stderr)

@@ -23,12 +23,12 @@ cached, parallel parameter sweeps:
   path via :mod:`repro.analysis.backend`;
 - :mod:`repro.sweep.executor` — supervised multiprocessing execution
   with an on-disk result cache (``run_sweep`` for scenario grids,
-  ``run_cells`` for explicit cell lists): per-chunk deadlines, bounded
-  retry, poison-cell bisection/quarantine and serial degradation, all
-  summarized in a :class:`FailureReport`;
+  ``run_cells`` for explicit cell lists): per-chunk deadlines
+  (``chunk_timeout``), bounded retry (``max_retries``), poison-cell
+  bisection/quarantine and serial degradation, all summarized in a
+  :class:`FailureReport`;
 - :mod:`repro.sweep.faults` — deterministic, seeded fault injection
-  (:class:`FaultPlan`) plus the ambient retry/timeout
-  :class:`ExecutionPolicy` the CLI installs;
+  (:class:`FaultPlan`);
 - :mod:`repro.sweep.aggregate` — joins rotor and walk cells of one
   sweep into speed-up tables ``S(k) = C(n,1)/C(n,k)`` and
   rotor-vs-walk ratio tables;
@@ -75,11 +75,7 @@ from repro.sweep.executor import (
     run_cells,
     run_sweep,
 )
-from repro.sweep.faults import (
-    ExecutionPolicy,
-    FaultPlan,
-    execution_policy,
-)
+from repro.sweep.faults import FaultPlan
 from repro.sweep.store import VerifyReport, verify_store
 from repro.sweep.registry import scenario, scenario_names
 from repro.sweep.spec import (
@@ -104,7 +100,6 @@ __all__ = [
     "lanes_from_configs",
     "walk_lanes_from_cells",
     "ConfigResult",
-    "ExecutionPolicy",
     "FailureReport",
     "FaultPlan",
     "GeneralRotorCell",
@@ -115,7 +110,6 @@ __all__ = [
     "WalkCoverCell",
     "WalkGapsCell",
     "cell_from_dict",
-    "execution_policy",
     "run_cells",
     "run_sweep",
     "verify_store",

@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
+from repro.sweep.spec import METRICS
+
 #: Bump when any explicit cell's identity layout or measurement
 #: semantics change, so stale cache entries are never served.
 #: v2: general cells identify their graph by CSR digest instead of
@@ -52,6 +54,16 @@ CELL_SCHEMA_VERSION = 2
 def _hash_identity(identity: dict) -> str:
     text = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _check_ring(n: int) -> None:
+    if n < 3:
+        raise ValueError(f"ring requires at least 3 nodes, got {n}")
+
+
+def _check_budget(max_rounds: int) -> None:
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be positive, got {max_rounds}")
 
 
 def _check_agents(agents: tuple[int, ...], n: int, where: str) -> None:
@@ -85,8 +97,7 @@ class RotorCell:
     repetitions = 1
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"ring requires at least 3 nodes, got {self.n}")
+        _check_ring(self.n)
         if not self.agents:
             raise ValueError("at least one agent is required")
         _check_agents(self.agents, self.n, "ring")
@@ -102,6 +113,12 @@ class RotorCell:
             )
         if not self.metrics:
             raise ValueError("at least one metric is required")
+        for metric in self.metrics:
+            if metric not in METRICS:
+                raise ValueError(
+                    f"unknown metric {metric!r}; known: {METRICS}"
+                )
+        _check_budget(self.max_rounds)
 
     @property
     def k(self) -> int:
@@ -165,13 +182,13 @@ class WalkCoverCell:
     record_samples = True
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"ring requires at least 3 nodes, got {self.n}")
+        _check_ring(self.n)
         if not self.agents:
             raise ValueError("at least one walker is required")
         _check_agents(self.agents, self.n, "ring")
         if not self.seeds:
             raise ValueError("at least one repetition seed is required")
+        _check_budget(self.max_rounds)
 
     @property
     def k(self) -> int:
@@ -237,6 +254,7 @@ class WalkGapsCell:
     repetitions = 1
 
     def __post_init__(self) -> None:
+        _check_ring(self.n)
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if not 0 <= self.node < self.n:
@@ -316,6 +334,7 @@ class GeneralRotorCell:
                 f"expected {len(self.graph_ports)} pointer ports, "
                 f"got {len(self.ports)}"
             )
+        _check_budget(self.max_rounds)
 
     @classmethod
     def from_graph(

@@ -69,10 +69,8 @@ from repro.graphs.base import GraphCSR
 from repro.graphs.ring import ring_graph
 from repro.sweep.batch_general import batch_general_covers
 from repro.sweep.batch_ring import (
-    DEFAULT_COMPACT_RATIO,
     BatchLimitCycles,
     BatchRingKernel,
-    _check_compact_ratio,
     batch_limit_cycles,
     batch_return_gaps,
     lanes_from_configs,
@@ -81,7 +79,6 @@ from repro.sweep import shm
 from repro.sweep.batch_walk import BatchRingWalks, walk_lanes_from_cells
 from repro.sweep.faults import (
     FaultPlan,
-    active_policy,
     apply_chunk_faults,
     corrupt_rows_in_store,
 )
@@ -94,13 +91,13 @@ from repro.util.timing import Stopwatch
 
 #: Lanes per kernel invocation: large enough to amortize numpy
 #: dispatch, small enough to keep many chunks in flight per worker.
-DEFAULT_CHUNK_LANES = 64
+CHUNK_LANES = 64
 
 #: Walker cap per walk chunk: the walk kernel's block buffers are
 #: ``(block_size, Σ k·repetitions)`` int64 matrices, so chunks are
 #: additionally split once their total walker count crosses this
 #: (4096 walkers ≈ 32 MiB per 1024-round block buffer).
-DEFAULT_WALK_CHUNK_WALKERS = 4096
+WALK_CHUNK_WALKERS = 4096
 
 #: Redispatches a failing chunk earns before bisection/quarantine.
 DEFAULT_MAX_RETRIES = 2
@@ -320,8 +317,6 @@ def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
     n = payload["n"]
     max_rounds = payload["max_rounds"]
     metrics: Sequence[str] = payload["metrics"]
-    compact_ratio = payload.get("compact_ratio", DEFAULT_COMPACT_RATIO)
-    fuse_rounds = payload.get("fuse_rounds") or 1
     configs = [cell_from_dict(data) for data in payload["configs"]]
     lanes = payload.get("lanes")
     if lanes is not None:
@@ -340,14 +335,13 @@ def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
 
     out: list[dict] = [{} for _ in configs]
     if "cover" in metrics:
-        kernel = BatchRingKernel(n, pointers, counts, fuse_rounds=fuse_rounds)
+        kernel = BatchRingKernel(n, pointers, counts)
         covers = kernel.run_until_covered(max_rounds, strict=False)
         for b, cover in enumerate(covers):
             out[b]["cover"] = int(cover) if cover >= 0 else None
     if "stabilization" in metrics or "return" in metrics:
         cycles = batch_limit_cycles(
-            n, pointers, counts, max_rounds, strict=False,
-            fuse_rounds=fuse_rounds, compact_ratio=compact_ratio,
+            n, pointers, counts, max_rounds, strict=False
         )
         resolved = cycles.periods > 0
         if "stabilization" in metrics:
@@ -396,17 +390,13 @@ def _compute_walk_chunk(payload: dict) -> list[tuple[str, dict]]:
     """
     n = payload["n"]
     max_rounds = payload["max_rounds"]
-    fuse_rounds = payload.get("fuse_rounds")
     configs = [cell_from_dict(data) for data in payload["configs"]]
     lanes, slices = walk_lanes_from_cells(
         [(config.build_agents(), config.rep_seeds()) for config in configs]
     )
-    walks = (
-        BatchRingWalks(n, lanes, fuse_rounds=fuse_rounds)
-        if fuse_rounds
-        else BatchRingWalks(n, lanes)  # kernel default (tuned)
+    covers = BatchRingWalks(n, lanes).run_until_covered(
+        max_rounds, strict=False
     )
-    covers = walks.run_until_covered(max_rounds, strict=False)
     out: list[tuple[str, dict]] = []
     for config, (start, stop) in zip(configs, slices):
         samples = covers[start:stop]
@@ -523,24 +513,17 @@ def _compute_general_chunk(payload: dict) -> list[tuple[str, dict]]:
     )
 
 
-def _plan_chunks(
-    misses: list,
-    chunk_lanes: int,
-    walk_chunk_walkers: int = DEFAULT_WALK_CHUNK_WALKERS,
-    compact_ratio: float = DEFAULT_COMPACT_RATIO,
-    jobs: int = 1,
-    fuse_rounds: int | None = None,
-) -> list[dict]:
+def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
     """Group misses by (model, n, budget, metrics); slice into payloads.
 
     The metric tuple is part of the group key: a chunk's payload
     carries exactly one metric set, so heterogeneous miss lists can
     never compute (and cache) the wrong metrics for some of their
-    cells.  Walk chunks are additionally split by total walker count
-    (``Σ k·repetitions``), which bounds the walk kernel's block-buffer
-    memory regardless of how many repetitions a cell fans out into.
-    ``compact_ratio`` rides along in every rotor payload to tune the
-    limit-cycle pipeline's lane compaction.
+    cells.  Ring and walk chunks hold at most :data:`CHUNK_LANES`
+    cells; walk chunks are additionally split by total walker count
+    (``Σ k·repetitions``, at most :data:`WALK_CHUNK_WALKERS`), which
+    bounds the walk kernel's block-buffer memory regardless of how
+    many repetitions a cell fans out into.
 
     General-graph cells group together regardless of size or budget —
     the CSR kernel steps heterogeneous lanes natively, and the more
@@ -553,10 +536,9 @@ def _plan_chunks(
     ``2·jobs`` chunks balanced by occupied-pair load estimates
     (``min(k, n) · max_rounds`` per cell), not by lane count.
 
-    ``fuse_rounds`` rides along in every payload (like
-    ``compact_ratio``): ``None`` leaves each kernel on its own tuned
-    default, an explicit value pins the fusion factor — either way the
-    results are bit-identical, so it never joins the cache identity.
+    Every kernel runs at its own round-fusion and lane-compaction
+    defaults: chunking decides how cells share kernel invocations,
+    never what a cell computes.
     """
     groups: dict[tuple[str, int, int, tuple[str, ...]], list] = {}
     for config in misses:
@@ -574,16 +556,12 @@ def _plan_chunks(
         if model == "rotor-general":
             # Stable, so same-graph cells keep their miss order.
             members = sorted(members, key=lambda cell: cell.graph_digest)
-        for chunk in _slice_chunks(
-            model, members, chunk_lanes, walk_chunk_walkers, jobs
-        ):
+        for chunk in _slice_chunks(model, members, jobs):
             payload = {
                 "model": model,
                 "n": n,
                 "max_rounds": max_rounds,
                 "metrics": list(metrics),
-                "compact_ratio": compact_ratio,
-                "fuse_rounds": fuse_rounds,
                 "configs": [config.to_dict() for config in chunk],
                 # Chunk-ordered hashes ride along so the supervisor can
                 # quarantine (and fault plans can target) cells without
@@ -601,13 +579,7 @@ def _plan_chunks(
     return payloads
 
 
-def _slice_chunks(
-    model: str,
-    members: list,
-    chunk_lanes: int,
-    walk_chunk_walkers: int,
-    jobs: int = 1,
-) -> list[list]:
+def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
     """Split one group's members into kernel-sized chunks."""
     if model == "rotor-general":
         # Lane sharing is the whole point of the general kernel: only
@@ -640,8 +612,8 @@ def _slice_chunks(
         return chunks
     if model != "walk":
         return [
-            members[start:start + chunk_lanes]
-            for start in range(0, len(members), chunk_lanes)
+            members[start:start + CHUNK_LANES]
+            for start in range(0, len(members), CHUNK_LANES)
         ]
     chunks: list[list] = []
     current: list = []
@@ -649,8 +621,8 @@ def _slice_chunks(
     for config in members:
         weight = config.k * config.repetitions
         if current and (
-            len(current) >= chunk_lanes
-            or walkers + weight > walk_chunk_walkers
+            len(current) >= CHUNK_LANES
+            or walkers + weight > WALK_CHUNK_WALKERS
         ):
             chunks.append(current)
             current, walkers = [], 0
@@ -1136,12 +1108,8 @@ def run_cells(
     jobs: int = 1,
     cache_dir: str | None = None,
     progress: ProgressFn | None = None,
-    chunk_lanes: int = DEFAULT_CHUNK_LANES,
-    walk_chunk_walkers: int = DEFAULT_WALK_CHUNK_WALKERS,
-    compact_ratio: float = DEFAULT_COMPACT_RATIO,
-    fuse_rounds: int | None = None,
     faults: FaultPlan | None = None,
-    max_retries: int | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
     chunk_timeout: float | None = None,
 ) -> tuple[dict[str, dict], set[str], FailureReport]:
     """Execute a flat cell list: cache probe, then batched chunks.
@@ -1163,37 +1131,16 @@ def run_cells(
     or ``sqlite://<dir>`` for the same store; see
     :mod:`repro.sweep.store`); ``None`` disables caching.
 
-    The robustness knobs resolve explicit argument > ambient
-    :func:`repro.sweep.faults.execution_policy` > module default
-    (``max_retries=2``, no ``chunk_timeout``); failed attempts back
-    off from :data:`RETRY_BACKOFF`.
-    ``faults`` defaults to the :data:`repro.sweep.faults.FAULTS_ENV`
-    hook, so chaos jobs can reach an unmodified CLI.  None of these —
-    nor any injected fault — affects a computed result or any cache
-    identity.
+    ``max_retries`` bounds the redispatches of a failing chunk before
+    it is bisected, and ``chunk_timeout`` (seconds, ``None`` for no
+    deadline) bounds each pool attempt; failed attempts back off from
+    :data:`RETRY_BACKOFF`.  ``faults`` defaults to the
+    :data:`repro.sweep.faults.FAULTS_ENV` hook, so chaos jobs can
+    reach an unmodified CLI.  None of these — nor any injected fault —
+    affects a computed result or any cache identity.
     """
     if jobs < 0:
         raise ValueError(f"jobs must be non-negative, got {jobs}")
-    if chunk_lanes < 1:
-        raise ValueError(f"chunk_lanes must be positive, got {chunk_lanes}")
-    if walk_chunk_walkers < 1:
-        raise ValueError(
-            f"walk_chunk_walkers must be positive, got {walk_chunk_walkers}"
-        )
-    if fuse_rounds is not None and fuse_rounds < 1:
-        raise ValueError(
-            f"fuse_rounds must be at least 1, got {fuse_rounds}"
-        )
-    _check_compact_ratio(compact_ratio)
-    policy = active_policy()
-    if max_retries is None:
-        max_retries = (
-            policy.max_retries
-            if policy is not None and policy.max_retries is not None
-            else DEFAULT_MAX_RETRIES
-        )
-    if chunk_timeout is None and policy is not None:
-        chunk_timeout = policy.chunk_timeout
     if max_retries < 0:
         raise ValueError(f"max_retries must be non-negative, got {max_retries}")
     if chunk_timeout is not None and chunk_timeout <= 0:
@@ -1207,8 +1154,7 @@ def run_cells(
     cache = open_store(cache_dir) if cache_dir else None
     try:
         return _run_cells_with_store(
-            cells, cache, jobs, progress, chunk_lanes, walk_chunk_walkers,
-            compact_ratio, fuse_rounds, faults, max_retries, chunk_timeout,
+            cells, cache, jobs, progress, faults, max_retries, chunk_timeout,
         )
     finally:
         if cache is not None:
@@ -1220,10 +1166,6 @@ def _run_cells_with_store(
     cache: SqliteStore | None,
     jobs: int,
     progress: ProgressFn | None,
-    chunk_lanes: int,
-    walk_chunk_walkers: int,
-    compact_ratio: float,
-    fuse_rounds: int | None,
     faults: FaultPlan | None,
     max_retries: int,
     chunk_timeout: float | None,
@@ -1281,10 +1223,7 @@ def _run_cells_with_store(
 
     by_hash = {cell.config_hash: cell for cell in misses}
     with obs.span("plan", misses=len(misses)):
-        payloads = _plan_chunks(
-            misses, chunk_lanes, walk_chunk_walkers, compact_ratio, jobs,
-            fuse_rounds,
-        )
+        payloads = _plan_chunks(misses, jobs)
     if session is not None:
         for payload in payloads:
             payload["trace"] = session.next_chunk_trace()
@@ -1383,12 +1322,8 @@ def run_sweep(
     jobs: int = 1,
     cache_dir: str | None = None,
     progress: ProgressFn | None = None,
-    chunk_lanes: int | None = None,
-    walk_chunk_walkers: int | None = None,
-    compact_ratio: float | None = None,
-    fuse_rounds: int | None = None,
     faults: FaultPlan | None = None,
-    max_retries: int | None = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
     chunk_timeout: float | None = None,
 ) -> SweepResult:
     """Execute a sweep: cache probe, then parallel batched simulation.
@@ -1396,17 +1331,8 @@ def run_sweep(
     ``jobs <= 1`` runs chunks in-process; otherwise a multiprocessing
     pool of ``jobs`` workers consumes them.  ``progress`` (if given) is
     called with ``(done, total)`` configuration counts as results
-    arrive, cache hits included.
-
-    The scheduling knobs — ``chunk_lanes`` (lanes per kernel chunk),
-    ``walk_chunk_walkers`` (walker cap per walk chunk),
-    ``compact_ratio`` (the limit-cycle pipeline's lane-compaction
-    threshold) and ``fuse_rounds`` (the kernels' round-fusion factor;
-    ``None`` keeps each kernel's tuned default) — resolve explicit
-    argument > scenario hint > module default, so benchmarks and the
-    CLI can sweep them without editing scenarios.  None of them
-    affects any result or cache identity, only how the work is
-    batched.
+    arrive, cache hits included.  Chunking follows the executor
+    constants :data:`CHUNK_LANES` and :data:`WALK_CHUNK_WALKERS`.
 
     The robustness knobs (``faults``/``max_retries``/
     ``chunk_timeout``) pass straight through to
@@ -1415,20 +1341,6 @@ def run_sweep(
     sweep itself still succeeds, with the details in
     ``SweepResult.failure_report``.
     """
-    if chunk_lanes is None:
-        chunk_lanes = spec.chunk_lanes or DEFAULT_CHUNK_LANES
-    if walk_chunk_walkers is None:
-        walk_chunk_walkers = (
-            spec.walk_chunk_walkers or DEFAULT_WALK_CHUNK_WALKERS
-        )
-    if compact_ratio is None:
-        compact_ratio = (
-            spec.compact_ratio
-            if spec.compact_ratio is not None
-            else DEFAULT_COMPACT_RATIO
-        )
-    if fuse_rounds is None:
-        fuse_rounds = spec.fuse_rounds
     started = time.perf_counter()
     configs = spec.configs()  # spec expansion guarantees unique cells
     metrics_by_hash, cached_hashes, failure_report = run_cells(
@@ -1436,10 +1348,6 @@ def run_sweep(
         jobs=jobs,
         cache_dir=cache_dir,
         progress=progress,
-        chunk_lanes=chunk_lanes,
-        walk_chunk_walkers=walk_chunk_walkers,
-        compact_ratio=compact_ratio,
-        fuse_rounds=fuse_rounds,
         faults=faults,
         max_retries=max_retries,
         chunk_timeout=chunk_timeout,

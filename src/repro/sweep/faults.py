@@ -1,4 +1,4 @@
-"""Deterministic fault injection and execution policy for the executor.
+"""Deterministic fault injection for the executor.
 
 The rotor-router itself is the paper's robustness story: a
 deterministic process whose guarantees survive perturbation.  This
@@ -18,16 +18,10 @@ carries a fault stanza when a plan is active.  Nothing here ever joins
 a cell identity, cache key or result — faults change *when and where*
 computation fails, never what a successful computation produces — and
 every injected failure is deterministic in ``(chunk, attempt, cell
-hash)``, so a chaos run is as replayable as a clean one.
-
-:class:`ExecutionPolicy` rides in the same module: the retry/timeout
-knobs (``max_retries``, ``chunk_timeout``) that the CLI threads
-through ``run``/``sweep``/``all``.  Explicit executor
-arguments win; otherwise an ambient policy installed by
-:func:`execution_policy` applies (this is how the CLI reaches the
-experiment runners without widening eleven signatures); otherwise the
-executor defaults.  Like the scheduling hints on ``ScenarioSpec``,
-none of these knobs is part of any cache identity.
+hash)``, so a chaos run is as replayable as a clean one.  The
+supervisor's own retry/timeout knobs are plain ``max_retries`` and
+``chunk_timeout`` arguments of ``run_cells``/``run_sweep`` (and the
+``--max-retries``/``--chunk-timeout`` flags of ``repro sweep``).
 """
 
 from __future__ import annotations
@@ -35,9 +29,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 #: Environment hook carrying a JSON :meth:`FaultPlan.to_dict` payload;
 #: used by the CI chaos job to inject faults through the unmodified
@@ -244,46 +237,3 @@ def corrupt_rows_in_store(store, hashes: Sequence[str]) -> int:
         [(f'{{"injected-corruption": {h}', h) for h in hashes],
     )
     return cursor.rowcount
-
-
-# ----------------------------------------------------------------------
-# execution policy: the retry/timeout knobs, explicitly or ambiently
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """Retry/timeout configuration for the supervising dispatcher.
-
-    ``None`` fields defer to the executor defaults.  Scheduling-only:
-    no field ever joins a cache identity (rule I001's lock is
-    unchanged by any value here).
-    """
-
-    max_retries: int | None = None
-    chunk_timeout: float | None = None
-
-
-#: Ambient policy stack installed by :func:`execution_policy`; the
-#: executor consults the innermost entry for knobs not passed
-#: explicitly.
-_POLICY_STACK: list[ExecutionPolicy] = []
-
-
-def active_policy() -> ExecutionPolicy | None:
-    """The innermost ambient policy, or None."""
-    return _POLICY_STACK[-1] if _POLICY_STACK else None
-
-
-@contextmanager
-def execution_policy(policy: ExecutionPolicy) -> Iterator[ExecutionPolicy]:
-    """Install ``policy`` ambiently for the dynamic extent of the block.
-
-    This is how the CLI threads ``--max-retries``/``--chunk-timeout``
-    through ``run``/``all`` without widening every experiment runner's
-    signature: :func:`repro.sweep.executor.run_cells` resolves explicit
-    arguments first, then the ambient policy, then its defaults.
-    """
-    _POLICY_STACK.append(policy)
-    try:
-        yield policy
-    finally:
-        _POLICY_STACK.pop()

@@ -153,12 +153,6 @@ def _stabilization(quick: bool) -> ScenarioSpec:
         metrics=("stabilization", "return"),
         seeds=(0, 1),
         description="preperiod/period (Brent) and in-cycle visit gaps",
-        # Scheduling hints (identity-neutral): keep every ring size's
-        # lanes in one kernel so the limit-cycle pipeline's compaction
-        # works across the whole batch, and compact eagerly — lanes of
-        # one size resolve at very different times.
-        chunk_lanes=256,
-        compact_ratio=0.5,
     )
 
 

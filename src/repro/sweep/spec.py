@@ -274,19 +274,6 @@ class ScenarioSpec:
     #: Brent's stabilization search (preperiod is O(n²) on the ring).
     max_rounds_factor: int = 16
     description: str = field(default="", compare=False)
-    #: Scheduling hints for the executor — lanes per kernel chunk,
-    #: walker cap per walk chunk, and the limit-cycle pipeline's
-    #: lane-compaction threshold.  ``None`` defers to the executor
-    #: defaults; explicit ``run_sweep`` arguments override either.
-    #: Deliberately excluded from cell identities and hashes: they
-    #: change how the grid is batched, never what any cell computes.
-    chunk_lanes: int | None = field(default=None, compare=False)
-    walk_chunk_walkers: int | None = field(default=None, compare=False)
-    compact_ratio: float | None = field(default=None, compare=False)
-    #: Round-fusion factor hint for the batch kernels; ``None`` keeps
-    #: each kernel's tuned default.  Identity-neutral like the other
-    #: hints: every fusion factor computes bit-identical results.
-    fuse_rounds: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ns or any(n < 3 for n in self.ns):
@@ -324,24 +311,6 @@ class ScenarioSpec:
             raise ValueError("at least one seed is required")
         if self.max_rounds_factor < 1:
             raise ValueError("max_rounds_factor must be positive")
-        if self.chunk_lanes is not None and self.chunk_lanes < 1:
-            raise ValueError(
-                f"chunk_lanes hint must be positive, got {self.chunk_lanes}"
-            )
-        if self.walk_chunk_walkers is not None and self.walk_chunk_walkers < 1:
-            raise ValueError(
-                "walk_chunk_walkers hint must be positive, got "
-                f"{self.walk_chunk_walkers}"
-            )
-        if self.compact_ratio is not None:
-            # Shared validator: one definition of the legal range.
-            from repro.sweep.batch_ring import _check_compact_ratio
-
-            _check_compact_ratio(self.compact_ratio)
-        if self.fuse_rounds is not None and self.fuse_rounds < 1:
-            raise ValueError(
-                f"fuse_rounds hint must be positive, got {self.fuse_rounds}"
-            )
 
     def budget(self, n: int) -> int:
         return self.max_rounds_factor * n * n + 1024
@@ -453,12 +422,6 @@ class GeneralScenarioSpec:
     ks: tuple[int, ...]
     seeds: tuple[int, ...] = (0,)
     description: str = field(default="", compare=False)
-    #: Scheduling hints, mirroring :class:`ScenarioSpec` (the executor
-    #: reads them duck-typed); identity-neutral.
-    chunk_lanes: int | None = field(default=None, compare=False)
-    walk_chunk_walkers: int | None = field(default=None, compare=False)
-    compact_ratio: float | None = field(default=None, compare=False)
-    fuse_rounds: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.graphs:
@@ -469,10 +432,6 @@ class GeneralScenarioSpec:
             )
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.fuse_rounds is not None and self.fuse_rounds < 1:
-            raise ValueError(
-                f"fuse_rounds hint must be positive, got {self.fuse_rounds}"
-            )
 
     def budget(self, graph: Any) -> int:
         return 16 * graph.diameter() * graph.num_edges + 64

@@ -22,6 +22,22 @@ def small_general_engine() -> MultiAgentRotorRouter:
     return MultiAgentRotorRouter(ring_graph(12), [0] * 12, [0, 6])
 
 
+@pytest.fixture
+def chunk_lanes(monkeypatch):
+    """Setter for the executor's lanes-per-chunk constant in one test.
+
+    Small grids split into several kernel chunks only below the
+    default :data:`repro.sweep.executor.CHUNK_LANES`; the planner
+    reads the constant at call time.
+    """
+    from repro.sweep import executor
+
+    def set_lanes(lanes: int) -> None:
+        monkeypatch.setattr(executor, "CHUNK_LANES", lanes)
+
+    return set_lanes
+
+
 def random_ring_setup(
     rng: np.random.Generator, max_n: int = 40, max_k: int = 6
 ) -> tuple[int, list[int], list[int]]:

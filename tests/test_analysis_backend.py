@@ -277,9 +277,9 @@ class TestCachingAndStats:
         assert "computed=1" in line
         assert "cached=0" in line
 
-    def test_parallel_execution_matches(self):
+    def test_parallel_execution_matches(self, chunk_lanes):
         serial = MeasurementPlan(backend="batch", jobs=1)
-        parallel = MeasurementPlan(backend="batch", jobs=2, chunk_lanes=2)
+        parallel = MeasurementPlan(backend="batch", jobs=2)
         pairs = []
         for k in (1, 2, 3, 4):
             agents = placement_mod.equally_spaced(24, k)
@@ -291,6 +291,7 @@ class TestCachingAndStats:
                 )
             )
         serial.execute()
+        chunk_lanes(2)
         parallel.execute()
         for s, p in pairs:
             assert s.value == p.value
@@ -328,21 +329,26 @@ class TestPlanLifecycle:
 
     @pytest.mark.parametrize("backend", ["batch", "reference"])
     @pytest.mark.parametrize(
-        "n, agents, directions, message",
+        "n, agents, directions, max_rounds, message",
         [
-            (16, [0], [1] * 15 + [0], r"\+1 or -1, got 0"),
-            (16, [20], [1] * 16, r"\[0, 16\)"),
-            (2, [0], [1, 1], "at least 3 nodes"),
+            (16, [0], [1] * 15 + [0], None, r"\+1 or -1, got 0"),
+            (16, [20], [1] * 16, None, r"\[0, 16\)"),
+            (2, [0], [1, 1], None, "at least 3 nodes"),
+            (16, [0], [1] * 16, 0, "max_rounds must be positive, got 0"),
+            (16, [0], [1] * 16, -5, "max_rounds must be positive, got -5"),
         ],
-        ids=["direction", "agent-off-ring", "tiny-ring"],
+        ids=[
+            "direction", "agent-off-ring", "tiny-ring",
+            "zero-budget", "negative-budget",
+        ],
     )
     def test_rotor_cover_rejects_malformed_cell(
-        self, backend, n, agents, directions, message
+        self, backend, n, agents, directions, max_rounds, message
     ):
         # Rejected at the request, before any kernel runs.
         plan = MeasurementPlan(backend=backend)
         with pytest.raises(ValueError, match=message):
-            plan.rotor_cover(n, agents, directions)
+            plan.rotor_cover(n, agents, directions, max_rounds=max_rounds)
         assert plan.num_cells == 0
 
     @pytest.mark.parametrize("backend", ["batch", "reference"])
@@ -385,11 +391,28 @@ class TestPlanLifecycle:
                 ),
                 "pointer -1 at node 7 out of range for degree 2",
             ),
+            (
+                lambda plan: plan.walk_cover(
+                    8, [0], repetitions=2, max_rounds=0
+                ),
+                "max_rounds must be positive, got 0",
+            ),
+            (
+                lambda plan: plan.walk_gaps(2, 1, 0, observation_rounds=8),
+                "at least 3 nodes",
+            ),
+            (
+                lambda plan: plan.rotor_cover_general(
+                    ring_graph(8), [0], [0] * 8, max_rounds=-1
+                ),
+                "max_rounds must be positive, got -1",
+            ),
         ],
         ids=[
             "walk-agent-off-ring", "walk-agent-negative", "walk-tiny-ring",
             "general-agent-off-graph", "general-agent-negative",
             "general-port-off-degree", "general-port-negative",
+            "walk-zero-budget", "gaps-tiny-ring", "general-negative-budget",
         ],
     )
     def test_walk_and_general_reject_malformed_cell(

@@ -37,12 +37,7 @@ def _cover_spec(**overrides):
 def _traced_sweep(tmp_path, tag, jobs, cache_dir=None):
     path = str(tmp_path / f"{tag}.jsonl")
     with trace_session(path, meta={"tag": tag}):
-        result = run_sweep(
-            _cover_spec(),
-            jobs=jobs,
-            cache_dir=cache_dir,
-            chunk_lanes=3,
-        )
+        result = run_sweep(_cover_spec(), jobs=jobs, cache_dir=cache_dir)
     return path, result
 
 
@@ -83,7 +78,10 @@ class TestTraceSession:
 
 
 class TestParallelMerge:
-    def test_jobs2_counters_sum_to_serial_counters(self, tmp_path):
+    def test_jobs2_counters_sum_to_serial_counters(
+        self, tmp_path, chunk_lanes
+    ):
+        chunk_lanes(3)
         serial_path, serial_result = _traced_sweep(tmp_path, "serial", jobs=1)
         para_path, para_result = _traced_sweep(tmp_path, "para", jobs=2)
         assert [c.metrics for c in serial_result.results] == [
@@ -97,7 +95,10 @@ class TestParallelMerge:
         assert para["counters"]["executor.cells"] == 8
         assert para["counters"]["executor.cells_computed"] == 8
 
-    def test_jobs2_manifest_has_workers_and_chunk_spans(self, tmp_path):
+    def test_jobs2_manifest_has_workers_and_chunk_spans(
+        self, tmp_path, chunk_lanes
+    ):
+        chunk_lanes(3)
         path, _ = _traced_sweep(tmp_path, "workers", jobs=2)
         manifest = load_manifest(path)
         assert manifest["workers"]
@@ -121,17 +122,23 @@ class TestParallelMerge:
         )
         assert indices == list(range(total_chunks))
 
-    def test_counter_section_reproducible_across_runs(self, tmp_path):
+    def test_counter_section_reproducible_across_runs(
+        self, tmp_path, chunk_lanes
+    ):
+        chunk_lanes(3)
         first_path, _ = _traced_sweep(tmp_path, "rep1", jobs=2)
         second_path, _ = _traced_sweep(tmp_path, "rep2", jobs=2)
         first = load_manifest(first_path)
         second = load_manifest(second_path)
         assert first["counters"] == second["counters"]
 
-    def test_same_shard_set_merges_byte_identically(self, tmp_path):
+    def test_same_shard_set_merges_byte_identically(
+        self, tmp_path, chunk_lanes
+    ):
+        chunk_lanes(3)
         path = str(tmp_path / "reprod.jsonl")
         with trace_session(path) as session:
-            run_sweep(_cover_spec(), jobs=2, chunk_lanes=3)
+            run_sweep(_cover_spec(), jobs=2)
             kwargs = dict(
                 run_id=session.run_id,
                 main=session.telemetry,
@@ -149,7 +156,8 @@ class TestParallelMerge:
         assert first_bytes == second_bytes
         load_manifest(first)  # both merges validate
 
-    def test_cache_counters_track_hits_and_puts(self, tmp_path):
+    def test_cache_counters_track_hits_and_puts(self, tmp_path, chunk_lanes):
+        chunk_lanes(3)
         cache_dir = str(tmp_path / "cache")
         cold_path, _ = _traced_sweep(
             tmp_path, "cold", jobs=1, cache_dir=cache_dir
@@ -166,15 +174,18 @@ class TestParallelMerge:
         assert warm["cache.misses"] == 0
         assert "cache.puts" not in warm
 
-    def test_kernel_counters_present_for_ring_and_walk(self, tmp_path):
+    def test_kernel_counters_present_for_ring_and_walk(
+        self, tmp_path, chunk_lanes
+    ):
         path = str(tmp_path / "kernels.jsonl")
         spec = _cover_spec(
             models=("rotor", "walk"),
             repetitions=2,
             ns=(16,),
         )
+        chunk_lanes(4)
         with trace_session(path):
-            run_sweep(spec, jobs=1, chunk_lanes=4)
+            run_sweep(spec, jobs=1)
         counters = load_manifest(path)["counters"]
         assert counters["walk.invocations"] >= 1
         assert counters["walk.lane_rounds"] > 0

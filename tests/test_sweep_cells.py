@@ -57,6 +57,9 @@ class TestRotorCell:
             _rotor_cell(directions=(1, -1))
         with pytest.raises(ValueError):
             _rotor_cell(metrics=())
+        # Would otherwise compute nothing and cache ``{}`` as a result.
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            _rotor_cell(metrics=("bogus",))
 
 
 class TestWalkCells:

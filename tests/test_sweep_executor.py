@@ -5,15 +5,20 @@ import json
 import os
 import sqlite3
 
+import numpy as np
 import pytest
 
 from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.cli import main
 from repro.randomwalk.ring_walk import RingRandomWalks
+from repro.sweep import executor
+from repro.sweep.cells import RotorCell
 from repro.sweep.executor import (
     _plan_chunks,
+    _prefer_csr_covers,
     compute_chunk,
+    run_cells,
     run_sweep,
 )
 from repro.sweep.spec import InitFamily, ScenarioSpec, SweepConfig
@@ -140,9 +145,10 @@ class TestMetrics:
         assert "cover" in table.columns
         assert len(table.rows) == len(result.results)
 
-    def test_small_chunks_cover_all_cells(self):
+    def test_small_chunks_cover_all_cells(self, chunk_lanes):
         serial = run_sweep(_cover_spec())
-        chunked = run_sweep(_cover_spec(), chunk_lanes=2)
+        chunk_lanes(2)
+        chunked = run_sweep(_cover_spec())
         assert [c.metrics for c in serial.results] == [
             c.metrics for c in chunked.results
         ]
@@ -213,10 +219,11 @@ class TestWalkModel:
         assert metrics["cover_ci_low"] is None
         assert metrics["cover_truncated"] == 3
 
-    def test_walk_results_cache_and_parallelize(self, tmp_path):
+    def test_walk_results_cache_and_parallelize(self, tmp_path, chunk_lanes):
         spec = self._walk_spec(models=("rotor", "walk"))
         cache_dir = str(tmp_path / "cache")
-        first = run_sweep(spec, jobs=2, cache_dir=cache_dir, chunk_lanes=2)
+        chunk_lanes(2)
+        first = run_sweep(spec, jobs=2, cache_dir=cache_dir)
         assert first.cache_misses == spec.num_configs
         second = run_sweep(spec, cache_dir=cache_dir)
         assert second.cache_hits == spec.num_configs
@@ -224,11 +231,10 @@ class TestWalkModel:
             c.metrics for c in second.results
         ]
 
-    def test_walk_chunks_split_by_walker_budget(self):
+    def test_walk_chunks_split_by_walker_budget(self, monkeypatch):
         spec = self._walk_spec(ks=(2, 3, 4, 5))
-        payloads = _plan_chunks(
-            spec.configs(), chunk_lanes=64, walk_chunk_walkers=20
-        )
+        monkeypatch.setattr(executor, "WALK_CHUNK_WALKERS", 20)
+        payloads = _plan_chunks(spec.configs())
         assert len(payloads) > 1
         for payload in payloads:
             weight = sum(
@@ -242,7 +248,9 @@ class TestWalkModel:
 
 
 class TestSchedulingKnobs:
-    def test_walk_chunk_walkers_override_preserves_results(self):
+    def test_walk_chunk_walkers_override_preserves_results(
+        self, monkeypatch
+    ):
         spec = ScenarioSpec(
             name="walkers-test",
             ns=(16,),
@@ -253,52 +261,20 @@ class TestSchedulingKnobs:
             repetitions=3,
         )
         default = run_sweep(spec)
-        tiny = run_sweep(spec, walk_chunk_walkers=4)
+        monkeypatch.setattr(executor, "WALK_CHUNK_WALKERS", 4)
+        tiny = run_sweep(spec)
         assert [c.metrics for c in default.results] == [
             c.metrics for c in tiny.results
         ]
 
-    def test_compact_ratio_override_preserves_results(self):
-        spec = _cover_spec(
-            ns=(16,), metrics=("stabilization", "return")
-        )
-        default = run_sweep(spec)
-        for ratio in (0.0, 1.0):
-            tuned = run_sweep(spec, compact_ratio=ratio)
-            assert [c.metrics for c in default.results] == [
-                c.metrics for c in tuned.results
-            ]
-
-    def test_spec_hints_are_used_and_results_identical(self):
-        plain = _cover_spec(ns=(16,))
-        hinted = _cover_spec(
-            ns=(16,), chunk_lanes=2, walk_chunk_walkers=8,
-            compact_ratio=1.0,
-        )
-        assert [c.metrics for c in run_sweep(plain).results] == [
-            c.metrics for c in run_sweep(hinted).results
-        ]
-
-    def test_explicit_argument_beats_spec_hint(self):
-        # chunk_lanes=1 hint would make one chunk per cell; the
-        # explicit override must win.  Chunking is observable through
-        # the progress callback: one call up front plus one per chunk.
-        spec = _cover_spec(ns=(16,), chunk_lanes=1)
-        calls: list[tuple[int, int]] = []
-        run_sweep(spec, chunk_lanes=64, progress=lambda d, t: calls.append((d, t)))
-        assert len(calls) == 2  # initial report + the single 64-lane chunk
-        calls.clear()
-        run_sweep(spec, progress=lambda d, t: calls.append((d, t)))
-        assert len(calls) == 1 + spec.num_configs  # hint: one cell per chunk
-
     def test_invalid_values_rejected(self):
         spec = _cover_spec(ns=(16,))
-        with pytest.raises(ValueError):
-            run_sweep(spec, chunk_lanes=0)
-        with pytest.raises(ValueError):
-            run_sweep(spec, walk_chunk_walkers=0)
-        with pytest.raises(ValueError):
-            run_sweep(spec, compact_ratio=1.5)
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(spec, jobs=-1)
+        with pytest.raises(ValueError, match="max_retries"):
+            run_sweep(spec, max_retries=-1)
+        with pytest.raises(ValueError, match="chunk_timeout"):
+            run_sweep(spec, chunk_timeout=0)
 
 
 class TestChunkPlanning:
@@ -309,7 +285,7 @@ class TestChunkPlanning:
         # cells.
         cover = _cover_spec(ns=(16,), metrics=("cover",)).configs()
         stab = _cover_spec(ns=(16,), metrics=("stabilization",)).configs()
-        payloads = _plan_chunks(cover + stab, chunk_lanes=64)
+        payloads = _plan_chunks(cover + stab)
         assert len(payloads) == 2
         for payload in payloads:
             for config in payload["configs"]:
@@ -324,7 +300,7 @@ class TestChunkPlanning:
         ).configs()
         by_hash = {c.config_hash: c for c in cover + stab}
         results = {}
-        for payload in _plan_chunks(cover + stab, chunk_lanes=64):
+        for payload in _plan_chunks(cover + stab):
             results.update(dict(compute_chunk(payload)))
         for config_hash, metrics in results.items():
             config = by_hash[config_hash]
@@ -338,7 +314,7 @@ class TestChunkPlanning:
         walk = _cover_spec(
             ns=(16,), ks=(2,), models=("walk",), repetitions=2
         ).configs()
-        payloads = _plan_chunks(rotor + walk, chunk_lanes=64)
+        payloads = _plan_chunks(rotor + walk)
         assert sorted(p["model"] for p in payloads) == ["rotor", "walk"]
 
 
@@ -358,14 +334,17 @@ def _general_cells(graphs, ks=(1, 2), seeds=(0,)):
 
 
 class TestGeneralChunkPlanning:
-    def test_one_shared_chunk_with_digest_keyed_graph_table(self):
+    def test_one_shared_chunk_with_digest_keyed_graph_table(
+        self, chunk_lanes
+    ):
         from repro.graphs import hypercube, star, torus_2d
 
         graphs = [torus_2d(4, 4), star(6), hypercube(4)]
         cells = _general_cells(graphs, ks=(1, 2, 5), seeds=(0, 1))
-        payloads = _plan_chunks(cells, chunk_lanes=4)
+        chunk_lanes(4)
+        payloads = _plan_chunks(cells)
         # jobs=1: the whole general group shares one kernel invocation,
-        # regardless of chunk_lanes or differing budgets/graph sizes.
+        # regardless of CHUNK_LANES or differing budgets/graph sizes.
         assert len(payloads) == 1
         payload = payloads[0]
         assert payload["model"] == "rotor-general"
@@ -387,7 +366,7 @@ class TestGeneralChunkPlanning:
 
         cells = _general_cells([torus_2d(4, 4)], ks=(1, 2, 3, 4),
                                seeds=(0, 1, 2))
-        payloads = _plan_chunks(cells, chunk_lanes=2, jobs=3)
+        payloads = _plan_chunks(cells, jobs=3)
         assert len(payloads) > 1
         total = sum(len(p["configs"]) for p in payloads)
         assert total == len(cells)
@@ -398,7 +377,7 @@ class TestGeneralChunkPlanning:
 
         graphs = [torus_2d(5, 5), lollipop(5, 4), star(5)]
         cells = _general_cells(graphs, ks=(1, 2, 9), seeds=(0, 1, 2))
-        (payload,) = _plan_chunks(cells, chunk_lanes=64)
+        (payload,) = _plan_chunks(cells)
         results = dict(compute_chunk(payload))
         assert len(results) == len(cells)
         for cell in cells:
@@ -419,7 +398,7 @@ class TestGeneralChunkPlanning:
         # A chunk of a few tiny cells runs through the batched kernel
         # like any other and must match the serial reference covers.
         cells = _general_cells([star(5)], ks=(1, 2), seeds=(0,))
-        (payload,) = _plan_chunks(cells, chunk_lanes=64)
+        (payload,) = _plan_chunks(cells)
         results = dict(compute_chunk(payload))
         assert len(results) == len(cells)
         graph = star(5)
@@ -578,12 +557,11 @@ class TestCache:
 
 
 class TestParallel:
-    def test_two_jobs_match_serial(self, tmp_path):
+    def test_two_jobs_match_serial(self, tmp_path, chunk_lanes):
         spec = _cover_spec()
         serial = run_sweep(spec)
-        parallel = run_sweep(
-            spec, jobs=2, cache_dir=str(tmp_path / "cache"), chunk_lanes=3
-        )
+        chunk_lanes(3)
+        parallel = run_sweep(spec, jobs=2, cache_dir=str(tmp_path / "cache"))
         assert [c.metrics for c in serial.results] == [
             c.metrics for c in parallel.results
         ]
@@ -594,8 +572,6 @@ class TestParallel:
     def test_invalid_jobs(self):
         with pytest.raises(ValueError):
             run_sweep(_cover_spec(), jobs=-1)
-        with pytest.raises(ValueError):
-            run_sweep(_cover_spec(), chunk_lanes=0)
 
 
 class TestProgress:
@@ -609,3 +585,67 @@ class TestProgress:
     def test_elapsed_recorded(self):
         result = run_sweep(_cover_spec(ns=(16,), ks=(2,)))
         assert result.elapsed > 0
+
+
+class TestRingSymmetries:
+    """Rotating or reflecting a ring cell changes none of its metrics.
+
+    A check that needs no reference engine: each seeded random cell
+    runs through ``run_cells`` beside its rotation by r and its
+    reflection ``v -> -v`` with every pointer flipped.  Cover-only
+    triples take the CSR kernel below ``Σ k = n`` and the dense ring
+    kernel above it; limit-cycle triples take Brent's pipeline.
+    """
+
+    def test_rotation_and_reflection_preserve_metrics(self):
+        rng = np.random.default_rng(1613)
+        paths = set()
+        for _ in range(60):
+            n = int(rng.integers(3, 49))
+            k = int(rng.integers(1, 2 * n + 1))
+            agents = [int(a) for a in rng.integers(0, n, size=k)]
+            directions = [int(d) for d in rng.choice((1, -1), size=n)]
+            r = int(rng.integers(1, n))
+            metrics = (("cover",), ("stabilization", "return"))[
+                int(rng.integers(2))
+            ]
+            images = [
+                (agents, directions),
+                (
+                    [(a + r) % n for a in agents],
+                    [directions[(v - r) % n] for v in range(n)],
+                ),
+                (
+                    [-a % n for a in agents],
+                    [-directions[-v % n] for v in range(n)],
+                ),
+            ]
+            cells = [
+                RotorCell(
+                    n=n,
+                    agents=tuple(placed),
+                    directions=tuple(pointers),
+                    metrics=metrics,
+                    max_rounds=16 * n * n + 1024,
+                )
+                for placed, pointers in images
+            ]
+            results, _, report = run_cells(cells)
+            assert report.clean
+            original, rotated, reflected = (
+                results[cell.config_hash] for cell in cells
+            )
+            assert rotated == original, (n, agents, directions, r)
+            assert reflected == original, (n, agents, directions)
+            if metrics == ("cover",):
+                assert original["cover"] is not None
+                paths.add(
+                    "csr" if _prefer_csr_covers(n, cells) else "dense"
+                )
+            else:
+                assert original["period"] is not None
+                assert set(original) == {
+                    "preperiod", "period", "worst_gap", "best_gap",
+                }
+                paths.add("limit")
+        assert paths == {"csr", "dense", "limit"}

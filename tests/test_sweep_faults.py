@@ -25,11 +25,8 @@ from repro.sweep.executor import (
 )
 from repro.sweep.faults import (
     FAULTS_ENV,
-    ExecutionPolicy,
     FaultPlan,
-    active_policy,
     corrupt_rows_in_store,
-    execution_policy,
 )
 from repro.sweep.spec import InitFamily, ScenarioSpec
 from repro.sweep.store import open_store, verify_store
@@ -95,17 +92,6 @@ class TestFaultPlan:
     def test_corrupt_matches_by_prefix(self):
         plan = FaultPlan(corrupt_rows=("ab", "ff"))
         assert plan.corrupt_matches(["abc", "ba", "ffff"]) == ["abc", "ffff"]
-
-    def test_policy_stack(self):
-        assert active_policy() is None
-        with execution_policy(ExecutionPolicy(max_retries=0)) as outer:
-            assert active_policy() is outer
-            with execution_policy(
-                ExecutionPolicy(chunk_timeout=1.0)
-            ) as inner:
-                assert active_policy() is inner
-            assert active_policy() is outer
-        assert active_policy() is None
 
 
 class TestChaosSuite:
@@ -306,15 +292,12 @@ class TestAccounting:
         plan = MeasurementPlan(backend="batch")
         plan.rotor_cover(8, [0, 4], [1] * 8)
         with pytest.raises(RuntimeError, match="quarantined"):
-            with execution_policy(
-                ExecutionPolicy(max_retries=0)
-            ):
-                plan.execute()
+            plan.execute()
 
 
 class TestInterruptSafety:
     @pytest.mark.parametrize("jobs", (1, 2))
-    def test_interrupt_between_commits(self, tmp_path, jobs):
+    def test_interrupt_between_commits(self, tmp_path, jobs, chunk_lanes):
         cells = _spec().configs()
         baseline = _baseline(cells)
         cache_dir = str(tmp_path / "cache")
@@ -327,10 +310,10 @@ class TestInterruptSafety:
             if done >= 2:  # after the first committed chunk
                 raise Interrupt()
 
+        chunk_lanes(2)
         with pytest.raises(Interrupt):
             run_cells(
-                cells, jobs=jobs, cache_dir=cache_dir,
-                progress=interrupting, chunk_lanes=2,
+                cells, jobs=jobs, cache_dir=cache_dir, progress=interrupting,
             )
         # No shared-memory segment outlives the interrupted call.
         assert set(glob.glob("/dev/shm/repro-*")) <= segments_before

@@ -294,14 +294,15 @@ def _kernel_counters(manifest):
 
 
 class TestParallelEquivalence:
-    def test_jobs2_shared_memory_matches_serial(self, tmp_path):
+    def test_jobs2_shared_memory_matches_serial(self, tmp_path, chunk_lanes):
         spec = _mixed_spec()
+        chunk_lanes(3)
         serial_path = str(tmp_path / "serial.jsonl")
         with trace_session(serial_path):
-            serial = run_sweep(spec, jobs=1, chunk_lanes=3)
+            serial = run_sweep(spec, jobs=1)
         parallel_path = str(tmp_path / "parallel.jsonl")
         with trace_session(parallel_path):
-            parallel = run_sweep(spec, jobs=2, chunk_lanes=3)
+            parallel = run_sweep(spec, jobs=2)
 
         assert len(parallel.results) == len(serial.results)
         for ours, theirs in zip(parallel.results, serial.results):
@@ -315,73 +316,37 @@ class TestParallelEquivalence:
         parallel_counters = _kernel_counters(load_manifest(parallel_path))
         assert serial_counters == parallel_counters
 
-    def test_jobs2_rotor_lanes_ride_shared_memory(self, tmp_path):
+    def test_jobs2_rotor_lanes_ride_shared_memory(self, tmp_path, chunk_lanes):
         # Stabilization chunks always take the batch kernel, so their
         # lane slabs are guaranteed to ship through the arena (sparse
         # cover chunks run the CSR kernel and skip packing).
         spec = _mixed_spec(
             metrics=("stabilization",), models=("rotor",), repetitions=1
         )
+        chunk_lanes(3)
         path = str(tmp_path / "trace.jsonl")
         with trace_session(path):
-            parallel = run_sweep(spec, jobs=2, chunk_lanes=3)
-        serial = run_sweep(spec, jobs=1, chunk_lanes=3)
+            parallel = run_sweep(spec, jobs=2)
+        serial = run_sweep(spec, jobs=1)
         for ours, theirs in zip(parallel.results, serial.results):
             assert ours.metrics == theirs.metrics
         counters = load_manifest(path)["counters"]
         assert counters["executor.shm_segments"] == 1
         assert counters["executor.shm_bytes"] > 0
 
-    def test_jobs2_rerun_is_fully_cached(self, tmp_path):
+    def test_jobs2_rerun_is_fully_cached(self, tmp_path, chunk_lanes):
         spec = _mixed_spec()
         cache_dir = str(tmp_path / "cache")
-        first = run_sweep(spec, jobs=2, cache_dir=cache_dir, chunk_lanes=3)
+        chunk_lanes(3)
+        first = run_sweep(spec, jobs=2, cache_dir=cache_dir)
         assert first.cache_hits == 0
-        rerun = run_sweep(spec, jobs=2, cache_dir=cache_dir, chunk_lanes=3)
+        rerun = run_sweep(spec, jobs=2, cache_dir=cache_dir)
         assert rerun.cache_misses == 0
         assert rerun.cache_hits == len(
             {cell.config.config_hash for cell in first.results}
         )
         for ours, theirs in zip(rerun.results, first.results):
             assert ours.metrics == theirs.metrics
-
-    def test_fuse_rounds_knob_is_identity_neutral(self, tmp_path):
-        spec = _mixed_spec(ns=(16,))
-        cache_dir = str(tmp_path / "cache")
-        baseline = run_sweep(spec, jobs=1, cache_dir=cache_dir)
-        # A different fusion factor must revisit the same cache entries
-        # (identical hashes) and reproduce identical metrics.
-        refused = run_sweep(
-            spec, jobs=2, cache_dir=cache_dir, fuse_rounds=16
-        )
-        assert refused.cache_misses == 0
-        for ours, theirs in zip(refused.results, baseline.results):
-            assert ours.metrics == theirs.metrics
-
-
-class TestFuseRoundsHint:
-    def test_spec_hint_is_identity_neutral_and_validated(self):
-        plain = _mixed_spec()
-        hinted = _mixed_spec(fuse_rounds=8)
-        assert plain == hinted
-        assert hinted.fuse_rounds == 8
-        with pytest.raises(ValueError, match="fuse_rounds"):
-            _mixed_spec(fuse_rounds=0)
-
-    def test_general_spec_hint_validated(self):
-        from repro.graphs.families import star
-        from repro.sweep.spec import GeneralScenarioSpec
-
-        spec = GeneralScenarioSpec(
-            name="g", graphs=(("star5", star(5)),), ks=(1,), seeds=(0,),
-            fuse_rounds=4,
-        )
-        assert spec.fuse_rounds == 4
-        with pytest.raises(ValueError, match="fuse_rounds"):
-            GeneralScenarioSpec(
-                name="g", graphs=(("star5", star(5)),), ks=(1,), seeds=(0,),
-                fuse_rounds=-1,
-            )
 
 
 # ------------------------------------------------------ identity lint

@@ -198,18 +198,28 @@ class TestCliSweep:
             assert excinfo.value.code == 2
             assert "--chunk-lanes" in capsys.readouterr().err
 
-    def test_chunk_lanes_accepted(self, capsys):
-        assert main(
-            ["sweep", "table1", "--quick", "--chunk-lanes", "2",
-             "--cache", "none"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "sweep 'table1'" in out
-
-    def test_stabilization_scenario_carries_scheduling_hints(self):
-        spec = registry.scenario("stabilization")
-        assert spec.chunk_lanes == 256
-        assert spec.compact_ratio == 0.5
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "table1", "--quick", "--fuse-rounds", "2"],
+            ["run", "table1", "--quick", "--max-retries", "1"],
+            ["all", "--quick", "--chunk-timeout", "5"],
+        ],
+        ids=["sweep-fuse-rounds", "run-max-retries", "all-chunk-timeout"],
+    )
+    def test_deleted_flags_exit_2(self, argv, capsys):
+        # Knobs nothing set are gone: argparse refuses them up front.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--cache", "none"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (error,) = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert error.endswith(
+            f"unrecognized arguments: {' '.join(argv[-2:])}"
+        )
 
     def test_table1_full_cli_prints_both_models_and_ratios(
         self, tmp_path, capsys

@@ -199,20 +199,6 @@ class TestHashing:
         assert _spec().spec_hash != _spec(ks=(2,)).spec_hash
         assert _spec().spec_hash == _spec().spec_hash
 
-    def test_scheduling_hints_not_part_of_identity(self):
-        # chunk_lanes / walk_chunk_walkers / compact_ratio change how
-        # the grid is batched, never what a cell computes — so neither
-        # cell hashes nor the spec hash may move, and cached results
-        # stay shared across schedule settings.
-        plain = _spec()
-        hinted = _spec(
-            chunk_lanes=8, walk_chunk_walkers=128, compact_ratio=1.0
-        )
-        assert plain.spec_hash == hinted.spec_hash
-        assert [c.config_hash for c in plain.configs()] == [
-            c.config_hash for c in hinted.configs()
-        ]
-
     def test_scenario_name_not_part_of_identity(self):
         # Two scenarios sharing a cell share its cache entry.
         a = _spec(name="a").configs()[0]
@@ -243,16 +229,6 @@ class TestHashing:
 
 
 class TestValidation:
-    def test_invalid_scheduling_hints(self):
-        with pytest.raises(ValueError):
-            _spec(chunk_lanes=0)
-        with pytest.raises(ValueError):
-            _spec(walk_chunk_walkers=0)
-        with pytest.raises(ValueError):
-            _spec(compact_ratio=-0.5)
-        with pytest.raises(ValueError):
-            _spec(compact_ratio=2.0)
-
     def test_unknown_placement(self):
         with pytest.raises(ValueError):
             InitFamily("nope", "random")
