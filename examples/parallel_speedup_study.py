@@ -64,7 +64,7 @@ def main() -> None:
     side = max(8, int(math.isqrt(n)) // 2 * 2)
     torus = torus_2d(side, side)
 
-    plan = MeasurementPlan(backend="batch", jobs=1, cache_dir=None)
+    plan = MeasurementPlan(jobs=1, cache_dir=None)
     handles = {}
     for k in [1, *ks]:
         handles[("rr-worst", k)] = schedule_rotor_worst(plan, n, k)

@@ -14,8 +14,9 @@
 * :mod:`repro.analysis.backend` — the analysis→sweep bridge: a
   :class:`~repro.analysis.backend.MeasurementPlan` collects the
   per-cell measurement requests an experiment makes and executes them
-  through the batched sweep executor (``backend="batch"``) or the
-  original serial harnesses (``backend="reference"``), bit-identically.
+  through the batched sweep executor; ``backend="reference"`` runs the
+  original serial harnesses instead, as the tests' bit-identical
+  oracle.
 """
 
 from repro.analysis.backend import BackendStats, MeasurementPlan

@@ -29,13 +29,13 @@ through :mod:`repro.sweep.executor` instead, in three stages:
    from the per-repetition samples, gap statistics as
    :class:`repro.randomwalk.visits.GapStatistics`.
 
-**Backends.**  ``backend="batch"`` is the default described above.
-``backend="reference"`` evaluates every cell with the original serial
-functions instead — same requests, same values, no kernels, no cache —
-kept as the escape hatch and as the baseline the equivalence tests and
-``benchmarks/bench_experiments.py`` pin against: rotor results are
-bit-identical and walk repetitions seed-for-seed identical across
-backends.
+**Backends.**  Every experiment runs ``backend="batch"``, described
+above; no CLI flag or runner selects another.  ``backend="reference"``
+evaluates every cell with the original serial functions instead —
+same requests, same values, no kernels, no cache.  It is the oracle
+the equivalence tests and ``benchmarks/bench_experiments.py`` pin the
+batch backend against (rotor results bit-identical, walk repetitions
+seed-for-seed), and perfbench's ``grid_churn`` sample check.
 """
 
 from __future__ import annotations
@@ -123,8 +123,9 @@ class MeasurementPlan:
     Parameters
     ----------
     backend:
-        ``"batch"`` (sweep kernels through the executor, default) or
-        ``"reference"`` (the original serial functions, uncached).
+        ``"batch"`` (sweep kernels through the executor; what every
+        experiment runs) or ``"reference"`` (the original serial
+        functions, uncached; the test oracle).
     jobs:
         Worker processes for batch chunks (``<= 1``: in-process).
     cache_dir:

@@ -4,10 +4,9 @@ Usage (after ``pip install -e .``, which also installs the ``repro``
 console script)::
 
     python -m repro list                 # experiments + sweep scenarios
-    python -m repro run table1           # one experiment, batched backend
-    python -m repro run theorem1 --quick --backend batch   # CI smoke size
+    python -m repro run table1           # one experiment
+    python -m repro run theorem1 --quick --jobs 2   # CI smoke size
     python -m repro run theorem6 --csv out/   # also save CSVs
-    python -m repro run table1 --backend reference   # serial escape hatch
     python -m repro all --quick          # everything, scaled down
     python -m repro sweep table1 --jobs 4     # declarative cached sweep
     python -m repro sweep stabilization --quick --cache out/cache
@@ -22,11 +21,10 @@ console script)::
 experiment module's ``run_*`` defaults define its "full size".  The
 paper-reproduction grids (Table 1, the theorems, stabilization, the
 general-graph speed-up) measure through the batched
-:mod:`repro.analysis.backend` by default — ``--backend reference``
-selects the original serial loops (bit-identical results), ``--quick``
-a scaled-down grid, and ``--jobs``/``--cache`` thread straight to the
-sweep executor so experiment cells are parallelized and cached like
-sweep cells.  ``sweep`` executes a registered :mod:`repro.sweep`
+:mod:`repro.analysis.backend`: ``--quick`` selects a scaled-down grid,
+and ``--jobs``/``--cache`` thread straight to the sweep executor so
+experiment cells are parallelized and cached like sweep cells.
+``sweep`` executes a registered :mod:`repro.sweep`
 scenario through the batched kernel and the parallel executor; results
 land in the on-disk result store of :mod:`repro.sweep.store` — one
 SQLite file, ``cells.db``, in the ``--cache`` directory (default
@@ -59,6 +57,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import inspect
+import os
 import sys
 from typing import Callable
 
@@ -125,15 +124,15 @@ def _runners_of(module_name: str) -> list[Callable[..., Report]]:
     return [getattr(module, f"run_{short}")]
 
 
-def _takes_backend_options(runner: Callable[..., Report]) -> bool:
-    """Whether a runner accepts the measurement-backend options.
+def _takes_grid_options(runner: Callable[..., Report]) -> bool:
+    """Whether a runner accepts the measurement-grid options.
 
     Derived from the runner's own signature — the capability lives in
     exactly one place (the experiment module) instead of a parallel
     name registry here.  Runners without a grid (figures, continuous)
-    simply don't take ``backend=``.
+    simply don't take ``quick=``.
     """
-    return "backend" in inspect.signature(runner).parameters
+    return "quick" in inspect.signature(runner).parameters
 
 
 def _cmd_list() -> int:
@@ -154,7 +153,6 @@ def _cmd_list() -> int:
 def _cmd_run(
     name: str,
     csv_dir: str | None,
-    backend: str = "batch",
     quick: bool = False,
     jobs: int = 1,
     cache_dir: str | None = None,
@@ -164,17 +162,15 @@ def _cmd_run(
         return 2
     module_name, _ = EXPERIMENTS[name]
     runners = _runners_of(module_name)
-    if not any(map(_takes_backend_options, runners)) and (
-        backend != "batch" or quick or jobs != 1
-    ):
+    if not any(map(_takes_grid_options, runners)) and (quick or jobs != 1):
         print(
             f"note: {name!r} has no measurement grid; "
-            "--backend/--quick/--jobs/--cache are ignored",
+            "--quick/--jobs/--cache are ignored",
             file=sys.stderr,
         )
     reports = [
-        runner(backend=backend, quick=quick, jobs=jobs, cache_dir=cache_dir)
-        if _takes_backend_options(runner)
+        runner(quick=quick, jobs=jobs, cache_dir=cache_dir)
+        if _takes_grid_options(runner)
         else runner()
         for runner in runners
     ]
@@ -255,7 +251,6 @@ def _cmd_sweep(
 
 def _cmd_all(
     csv_dir: str | None,
-    backend: str = "batch",
     quick: bool = False,
     jobs: int = 1,
     cache_dir: str | None = None,
@@ -263,9 +258,7 @@ def _cmd_all(
     status = 0
     for name in EXPERIMENTS:
         print(f"######## {name} ########")
-        status = max(
-            status, _cmd_run(name, csv_dir, backend, quick, jobs, cache_dir)
-        )
+        status = max(status, _cmd_run(name, csv_dir, quick, jobs, cache_dir))
     return status
 
 
@@ -399,12 +392,6 @@ def main(argv: list[str] | None = None) -> int:
             "--csv", metavar="DIR", default=None, help="also save CSV tables"
         )
         exp_parser.add_argument(
-            "--backend", choices=("batch", "reference"), default="batch",
-            help="measurement backend for the reproduction grids: "
-            "'batch' (sweep kernels, cached, default) or 'reference' "
-            "(original serial loops; bit-identical results)",
-        )
-        exp_parser.add_argument(
             "--quick", action="store_true",
             help="scaled-down grids (CI smoke size)",
         )
@@ -414,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         exp_parser.add_argument(
             "--cache", metavar="DIR", default=DEFAULT_SWEEP_CACHE,
-            help="result store directory for the batch backend "
+            help="result store directory "
             f"(default: {DEFAULT_SWEEP_CACHE}); 'none' disables caching",
         )
         exp_parser.add_argument(
@@ -547,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"unknown sweep scenario {args.name!r}; known: "
                 + ", ".join(registry.scenario_names())
             )
-    if args.cache != "none" and getattr(args, "backend", "batch") == "batch":
+    if args.cache != "none":
         # A bad spec or an older store layout exits 2 with one line
         # before any cell is computed (opening creates nothing).
         from repro.sweep.store import open_store
@@ -557,6 +544,14 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"{args.command} failed: {exc}", file=sys.stderr)
             return 2
+    if args.csv:
+        # So does a --csv directory that cannot be created, instead of
+        # a traceback after every cell is computed and reported.
+        try:
+            os.makedirs(args.csv, exist_ok=True)
+        except OSError as exc:
+            print(f"{args.command} failed: {exc}", file=sys.stderr)
+            return 2
 
     def dispatch() -> int:
         cache_dir = None if args.cache == "none" else args.cache
@@ -564,7 +559,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_run(
                 args.name,
                 args.csv,
-                backend=args.backend,
                 quick=args.quick,
                 jobs=args.jobs,
                 cache_dir=cache_dir,
@@ -576,7 +570,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         return _cmd_all(
             args.csv,
-            backend=args.backend,
             quick=args.quick,
             jobs=args.jobs,
             cache_dir=cache_dir,

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.cover_time import rotor_cover_time_general
 from repro.analysis.speedup import (
     TABLE1_SHAPES,
     best_matching_shape,
@@ -94,24 +93,11 @@ def random_instance(
     return general_instance(graph, k, seed)
 
 
-def mean_cover_over_seeds(
-    graph: PortLabeledGraph, k: int, seeds: Sequence[int]
-) -> float:
-    """Mean cover time over random placements + pointer arrangements
-    (serial reference helper)."""
-    samples = []
-    for seed in seeds:
-        agents, ports = random_instance(graph, k, seed)
-        samples.append(rotor_cover_time_general(graph, agents, ports))
-    return summarize(samples).mean
-
-
 def run_speedup_graphs(
     ks: Sequence[int] = (2, 4, 8, 16, 32),
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
     scale: int = 1,
     families: dict[str, GraphFactory] | None = None,
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
@@ -120,7 +106,7 @@ def run_speedup_graphs(
         ks, seeds = (2, 4), (0, 1)
         if families is None:
             families = quick_families()
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Multi-agent rotor-router speed-up on general graphs "
         "(Yanovski et al. [27] experiment)",

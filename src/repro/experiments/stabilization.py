@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.core import placement, pointers
 from repro.experiments.harness import Report
 from repro.util.rng import derive_seed
@@ -50,29 +49,17 @@ def battery_instances(
     return cases
 
 
-def stabilization_battery(
-    n: int, k: int, seeds: Sequence[int]
-) -> dict[str, tuple[int, int]]:
-    """(preperiod, period) per initialization (serial reference)."""
-    results = {}
-    for name, (agents, directions) in battery_instances(n, k, seeds).items():
-        measured = ring_rotor_return_time_exact(n, agents, directions)
-        results[name] = (int(measured.preperiod), int(measured.period))
-    return results
-
-
 def run_stabilization(
     ns: Sequence[int] = (64, 128, 256),
     k: int = 4,
     seeds: Sequence[int] = (0, 1),
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
 ) -> Report:
     if quick:
         ns, seeds = (32, 64), (0,)
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Stabilization time of the k-agent rotor-router (extension)",
         claim=(

@@ -18,8 +18,6 @@ The grids are built declaratively against a
 function schedules every cell of one table and returns a closure that
 scatters the measured values into the rendered rows once the plan has
 executed, so one batched execution serves all tables of the report.
-The per-cell values are bit-identical to the historical serial loops
-(``backend="reference"`` runs exactly those loops).
 """
 
 from __future__ import annotations
@@ -28,10 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.cover_time import (
-    ring_rotor_cover_time,
-    ring_walk_cover_estimate,
-)
 from repro.core import placement, pointers
 from repro.experiments.harness import Report
 from repro.theory import bounds
@@ -53,42 +47,6 @@ class Table1Cell:
         return self.measured / self.predicted
 
 
-def rotor_worst_cover(n: int, k: int) -> int:
-    """Worst placement: all agents on node 0, pointers toward it."""
-    return ring_rotor_cover_time(
-        n, placement.all_on_one(k), pointers.ring_toward_node(n, 0)
-    )
-
-
-def rotor_best_cover(n: int, k: int) -> int:
-    """Best placement: equally spaced agents, adversarial (negative)
-    pointers — the placement of Theorem 3 with the Theorem 4 adversary."""
-    agents = placement.equally_spaced(n, k)
-    return ring_rotor_cover_time(n, agents, pointers.ring_negative(n, agents))
-
-
-def walk_worst_cover(n: int, k: int, repetitions: int, seed: int = 0) -> float:
-    """k walks from one node (expectation over repetitions)."""
-    estimate = ring_walk_cover_estimate(
-        n,
-        placement.all_on_one(k),
-        repetitions,
-        base_seed=derive_seed(seed, "t1-walk-worst", n, k),
-    )
-    return estimate.mean
-
-
-def walk_best_cover(n: int, k: int, repetitions: int, seed: int = 0) -> float:
-    """k walks equally spaced (expectation over repetitions)."""
-    estimate = ring_walk_cover_estimate(
-        n,
-        placement.equally_spaced(n, k),
-        repetitions,
-        base_seed=derive_seed(seed, "t1-walk-best", n, k),
-    )
-    return estimate.mean
-
-
 def plan_cover_table(
     plan: MeasurementPlan,
     n: int,
@@ -98,8 +56,8 @@ def plan_cover_table(
 ) -> Callable[[], Table]:
     """Schedule the four cover-time columns; returns the table builder.
 
-    The scheduled cells are exactly those of the serial helpers above:
-    same placements, same pointer arrays, same walk seed derivations.
+    Worst: all agents on node 0, pointers toward it.  Best: equally
+    spaced agents, adversarial (negative) pointers.
     """
     toward0 = pointers.ring_toward_node(n, 0)
     rows = []
@@ -257,7 +215,6 @@ def run_table1(
     repetitions: int = 10,
     return_n: int | None = None,
     seed: int = 0,
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
@@ -265,7 +222,7 @@ def run_table1(
     """Full Table 1 reproduction (one measurement plan for the report)."""
     if quick:
         n, ks, repetitions, return_n = 128, (2, 4, 8), 3, 64
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Table 1: multi-agent rotor-router vs k random walks on the ring",
         claim=(

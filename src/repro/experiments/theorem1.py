@@ -30,7 +30,6 @@ from repro.experiments.deployments import (
     undelayed_path_cover_time,
 )
 from repro.experiments.harness import Report
-from repro.experiments.table1 import rotor_worst_cover
 from repro.theory import bounds
 from repro.util.tables import Table
 
@@ -39,7 +38,6 @@ __all__ = [
     "run_n_sweep",
     "run_deployment_sandwich",
     "run_theorem1",
-    "rotor_worst_cover",
 ]
 
 
@@ -152,7 +150,6 @@ def run_theorem1(
     ns: Sequence[int] = (128, 256, 512, 1024),
     sweep_k: int = 8,
     deployment_cases: Sequence[tuple[int, int]] = ((300, 6), (500, 8)),
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
@@ -161,7 +158,7 @@ def run_theorem1(
         n, ks = 256, (2, 4, 8, 16)
         ns, sweep_k = (64, 128, 256), 4
         deployment_cases = ((120, 4),)
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 1: worst-case placement cover time Θ(n²/log k)",
         claim=(

@@ -7,9 +7,7 @@ measured cover time never exceeds the all-on-one cover time by more
 than a small constant factor.
 
 The battery is declared as named ``(agents, directions)`` instances
-and scheduled on one :class:`repro.analysis.backend.MeasurementPlan`;
-the serial :func:`initialization_battery` remains as the reference
-shape of the same grid.
+and scheduled on one :class:`repro.analysis.backend.MeasurementPlan`.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.core import placement, pointers
 from repro.experiments.harness import Report
 from repro.util.rng import derive_seed
@@ -30,8 +27,7 @@ def battery_instances(
     """Named ``(agents, directions)`` instances of the battery.
 
     Includes the structured adversarial cases and, per seed, random
-    placements combined with random pointer arrangements — the exact
-    instances the serial battery has always measured.
+    placements combined with random pointer arrangements.
     """
     one = placement.all_on_one(k)
     spaced = placement.equally_spaced(n, k)
@@ -54,30 +50,17 @@ def battery_instances(
     return instances
 
 
-def initialization_battery(
-    n: int, k: int, seeds: Sequence[int]
-) -> dict[str, int]:
-    """Cover times over the battery (serial reference helper)."""
-    return {
-        name: ring_rotor_cover_time(n, agents, directions)
-        for name, (agents, directions) in battery_instances(
-            n, k, seeds
-        ).items()
-    }
-
-
 def run_theorem2(
     n: int = 512,
     ks: Sequence[int] = (4, 8, 16, 32),
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
 ) -> Report:
     if quick:
         n, ks, seeds = 128, (4, 8), (0, 1)
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 2: any initialization covers in O(n²/log k)",
         claim=(

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.core import placement, pointers
 from repro.experiments.harness import Report
 from repro.theory import bounds
@@ -51,19 +50,10 @@ POINTER_FAMILIES: dict[str, PointerFactory] = {
 }
 
 
-def spaced_cover(
-    n: int, k: int, pointer_family: str = "negative", seed: int = 0
-) -> int:
-    """Cover time with equally spaced agents under a pointer family."""
-    agents = placement.equally_spaced(n, k)
-    factory = POINTER_FAMILIES[pointer_family]
-    return ring_rotor_cover_time(n, agents, factory(n, agents, seed))
-
-
 def _spaced_handle(
     plan: MeasurementPlan, n: int, k: int, pointer_family: str, seed: int = 0
 ):
-    """Schedule the cell :func:`spaced_cover` would measure."""
+    """Schedule equally spaced agents' cover under a pointer family."""
     agents = placement.equally_spaced(n, k)
     factory = POINTER_FAMILIES[pointer_family]
     return plan.rotor_cover(n, agents, factory(n, agents, seed))
@@ -73,14 +63,13 @@ def run_theorem3(
     n: int = 1024,
     ks: Sequence[int] = (2, 4, 8, 16, 32, 64),
     random_seeds: Sequence[int] = (0, 1, 2),
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
 ) -> Report:
     if quick:
         n, ks, random_seeds = 256, (2, 4, 8, 16), (0,)
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 3: equally spaced placement covers in O(n²/k²)",
         claim=(

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.analysis.remote import (
     count_remote_vertices,
     remote_vertices_far_from_agents,
@@ -48,23 +47,17 @@ def placements_battery(n: int, k: int, seeds: Sequence[int]) -> dict[str, list[i
     return battery
 
 
-def adversarial_cover(n: int, agents: Sequence[int]) -> int:
-    """Cover time under the Theorem 4 adversary (negative pointers)."""
-    return ring_rotor_cover_time(n, agents, pointers.ring_negative(n, agents))
-
-
 def run_theorem4(
     n: int = 1024,
     ks: Sequence[int] = (4, 8, 16),
     seeds: Sequence[int] = (0, 1, 2),
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
 ) -> Report:
     if quick:
         n, ks, seeds = 256, (4, 8), (0,)
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 4: pointers forcing Ω(n²/k²) for any placement",
         claim=(

@@ -19,7 +19,6 @@ import math
 from typing import Sequence
 
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.cover_time import ring_walk_cover_estimate
 from repro.core import placement, pointers
 from repro.experiments.harness import Report
 from repro.theory import bounds
@@ -27,32 +26,18 @@ from repro.util.rng import derive_seed
 from repro.util.tables import Table
 
 
-def spaced_walk_cover(
-    n: int, k: int, repetitions: int, seed: int = 0
-) -> tuple[float, float, float]:
-    """(mean, ci_low, ci_high) cover time of equally spaced k walks."""
-    estimate = ring_walk_cover_estimate(
-        n,
-        placement.equally_spaced(n, k),
-        repetitions,
-        base_seed=derive_seed(seed, "t5", n, k),
-    )
-    return estimate.mean, estimate.ci_low, estimate.ci_high
-
-
 def run_theorem5(
     n: int = 1024,
     ks: Sequence[int] = (2, 4, 8, 16, 32),
     repetitions: int = 20,
     seed: int = 0,
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
 ) -> Report:
     if quick:
         n, ks, repetitions = 256, (2, 4, 8), 5
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 5: equally spaced k random walks cover in "
         "Θ((n/k)² log² k)",

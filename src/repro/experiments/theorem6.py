@@ -21,10 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.return_time import (
-    RingReturnTime,
-    ring_rotor_return_time_exact,
-)
 from repro.core import placement, pointers
 from repro.experiments.harness import Report
 from repro.util.rng import derive_seed
@@ -52,30 +48,17 @@ def battery_instances(
     return instances
 
 
-def return_time_battery(
-    n: int, k: int, seeds: Sequence[int]
-) -> dict[str, RingReturnTime]:
-    """Exact return times over the battery (serial reference helper)."""
-    return {
-        name: ring_rotor_return_time_exact(n, agents, directions)
-        for name, (agents, directions) in battery_instances(
-            n, k, seeds
-        ).items()
-    }
-
-
 def run_theorem6(
     n: int = 256,
     ks: Sequence[int] = (2, 4, 8, 16),
     seeds: Sequence[int] = (0, 1, 2),
-    backend: str = "batch",
     jobs: int = 1,
     cache_dir: str | None = None,
     quick: bool = False,
 ) -> Report:
     if quick:
         n, ks, seeds = 128, (2, 4, 8), (0, 1)
-    plan = MeasurementPlan(backend=backend, jobs=jobs, cache_dir=cache_dir)
+    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 6: return time Θ(n/k) regardless of initialization",
         claim=(

@@ -6,7 +6,7 @@ two-dimensional grid (rotor-router cover Θ(|V|^{3/2}) vs random-walk
 Θ(|V| log² |V|)), hypercubes and cliques (linear random-walk speed-up),
 and stars.  The multi-agent speed-up experiments of Yanovski et al.
 [27], which the paper cites as the only prior multi-agent study, are
-reproduced on these families in ``benchmarks/bench_speedup_general_graphs.py``.
+reproduced on these families by :mod:`repro.experiments.speedup_graphs`.
 """
 
 from __future__ import annotations

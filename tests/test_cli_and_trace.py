@@ -43,6 +43,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "table1", "--backend", "gpu"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "theorem6"], ["all"], ["sweep", "table1"]],
+        ids=["run", "all", "sweep"],
+    )
+    def test_uncreatable_csv_dir_fails_before_computing(
+        self, argv, tmp_path, capsys
+    ):
+        (tmp_path / "file").write_text("")
+        cache, csv = str(tmp_path / "cache"), str(tmp_path / "file" / "sub")
+        assert main(argv + ["--quick", "--cache", cache, "--csv", csv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "cache").exists()
+
 
 class TestCliBackendAccounting:
     """`run` and `sweep` both end with a computed=X cached=Y line."""
@@ -51,10 +67,7 @@ class TestCliBackendAccounting:
         self, tmp_path, capsys
     ):
         cache = str(tmp_path / "cache")
-        args = [
-            "run", "stabilization", "--quick", "--backend", "batch",
-            "--cache", cache,
-        ]
+        args = ["run", "stabilization", "--quick", "--cache", cache]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert "computed=8 cached=0" in first
@@ -63,15 +76,6 @@ class TestCliBackendAccounting:
         assert "computed=0 cached=8" in second
         # Cached rerun renders the identical report.
         assert first.split("computed=")[0] == second.split("computed=")[0]
-
-    def test_run_reference_backend_matches_batch(self, capsys):
-        assert main(["run", "stabilization", "--quick", "--cache", "none"]) == 0
-        batch = capsys.readouterr().out
-        assert main(
-            ["run", "stabilization", "--quick", "--backend", "reference"]
-        ) == 0
-        reference = capsys.readouterr().out
-        assert batch.split("backend=")[0] == reference.split("backend=")[0]
 
     def test_sweep_second_invocation_reports_zero_computed(
         self, tmp_path, capsys

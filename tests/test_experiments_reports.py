@@ -4,8 +4,13 @@ Small parameters keep the suite fast; the assertions check structure
 plus the coarse paper-shape facts each experiment exists to show.
 """
 
+import functools
+import sys
+
 import pytest
 
+from repro.analysis.backend import MeasurementPlan
+from repro.core import placement
 from repro.experiments.continuous import (
     run_equilibrium_table,
     run_growth_comparison,
@@ -18,7 +23,7 @@ from repro.experiments.table1 import (
     run_table1,
 )
 from repro.experiments.theorem2 import run_theorem2
-from repro.experiments.theorem3 import run_theorem3, spaced_cover
+from repro.experiments.theorem3 import POINTER_FAMILIES, run_theorem3
 from repro.experiments.theorem4 import run_theorem4
 from repro.experiments.theorem5 import run_theorem5
 from repro.experiments.theorem6 import run_theorem6
@@ -134,9 +139,14 @@ class TestTheoremReports:
         assert max(normalized) / min(normalized) < 4.0
 
     def test_theorem3_pointer_families(self):
-        assert spaced_cover(64, 4, "positive") <= spaced_cover(
-            64, 4, "negative"
-        )
+        n, agents = 64, placement.equally_spaced(64, 4)
+        plan = MeasurementPlan()
+        positive, negative = [
+            plan.rotor_cover(n, agents, POINTER_FAMILIES[name](n, agents, 0))
+            for name in ("positive", "negative")
+        ]
+        plan.execute()
+        assert positive.value <= negative.value
 
     def test_theorem4_lower_bound_constant(self):
         report = run_theorem4(n=256, ks=(4,), seeds=(0,))
@@ -154,56 +164,72 @@ class TestTheoremReports:
         assert all(1.0 <= g <= 3.0 for g in gaps)
 
 
+@pytest.fixture
+def both_backends(monkeypatch):
+    """Reports of an experiment runner on the batch backend, then with
+    its module's plans on the reference backend."""
+
+    def run(runner, **kwargs):
+        batch = runner(**kwargs)
+        monkeypatch.setattr(
+            sys.modules[runner.__module__],
+            "MeasurementPlan",
+            functools.partial(MeasurementPlan, backend="reference"),
+        )
+        return batch, runner(**kwargs)
+
+    return run
+
+
 class TestBackendsAgree:
     """The batch backend renders the exact reports of the serial one."""
 
-    def test_table1_identical_across_backends(self):
-        batch = run_table1(n=64, ks=(2, 4), repetitions=2, return_n=48)
-        reference = run_table1(
-            n=64, ks=(2, 4), repetitions=2, return_n=48, backend="reference"
+    def test_table1_identical_across_backends(self, both_backends):
+        batch, reference = both_backends(
+            run_table1, n=64, ks=(2, 4), repetitions=2, return_n=48
         )
         assert batch.render() == reference.render()
         assert batch.stats.backend == "batch"
         assert reference.stats.backend == "reference"
 
-    def test_theorem6_identical_across_backends(self):
-        batch = run_theorem6(n=48, ks=(2, 4), seeds=(0,))
-        reference = run_theorem6(n=48, ks=(2, 4), seeds=(0,), backend="reference")
-        assert batch.render() == reference.render()
-
-    def test_theorem5_identical_across_backends(self):
-        batch = run_theorem5(n=64, ks=(2, 4), repetitions=3)
-        reference = run_theorem5(n=64, ks=(2, 4), repetitions=3,
-                                 backend="reference")
-        assert batch.render() == reference.render()
-
-    def test_stabilization_identical_across_backends(self):
-        from repro.experiments.stabilization import run_stabilization
-
-        batch = run_stabilization(ns=(32, 48), k=4, seeds=(0,))
-        reference = run_stabilization(
-            ns=(32, 48), k=4, seeds=(0,), backend="reference"
+    def test_theorem6_identical_across_backends(self, both_backends):
+        batch, reference = both_backends(
+            run_theorem6, n=48, ks=(2, 4), seeds=(0,)
         )
         assert batch.render() == reference.render()
 
-    def test_speedup_graphs_identical_across_backends(self):
+    def test_theorem5_identical_across_backends(self, both_backends):
+        batch, reference = both_backends(
+            run_theorem5, n=64, ks=(2, 4), repetitions=3
+        )
+        assert batch.render() == reference.render()
+
+    def test_stabilization_identical_across_backends(self, both_backends):
+        from repro.experiments.stabilization import run_stabilization
+
+        batch, reference = both_backends(
+            run_stabilization, ns=(32, 48), k=4, seeds=(0,)
+        )
+        assert batch.render() == reference.render()
+
+    def test_speedup_graphs_identical_across_backends(self, both_backends):
         from repro.experiments.speedup_graphs import run_speedup_graphs
         from repro.graphs import ring_graph
 
         families = {"ring": lambda: ring_graph(32)}
-        batch = run_speedup_graphs(ks=(2, 4), seeds=(0,), families=families)
-        reference = run_speedup_graphs(
-            ks=(2, 4), seeds=(0,), families=families, backend="reference"
+        batch, reference = both_backends(
+            run_speedup_graphs, ks=(2, 4), seeds=(0,), families=families
         )
         assert batch.render() == reference.render()
 
-    def test_speedup_graphs_quick_grid_identical_across_backends(self):
+    def test_speedup_graphs_quick_grid_identical_across_backends(
+        self, both_backends
+    ):
         # Pins the CSR-batched kernel (mixed families in one chunk)
         # against the reference engine at report granularity.
         from repro.experiments.speedup_graphs import run_speedup_graphs
 
-        batch = run_speedup_graphs(quick=True)
-        reference = run_speedup_graphs(quick=True, backend="reference")
+        batch, reference = both_backends(run_speedup_graphs, quick=True)
         assert batch.render() == reference.render()
         assert batch.stats.computed == reference.stats.computed
 

@@ -1,32 +1,40 @@
 """Tests for the stabilization-time extension experiment."""
 
+from repro.analysis.backend import MeasurementPlan
 from repro.experiments.stabilization import (
+    battery_instances,
     run_stabilization,
-    stabilization_battery,
 )
+
+
+def stabilization_battery(n, k, seeds):
+    """The exact limit cycle of each initialization of the battery."""
+    plan = MeasurementPlan()
+    handles = {
+        name: plan.rotor_return_exact(n, *cell)
+        for name, cell in battery_instances(n, k, seeds).items()
+    }
+    plan.execute()
+    return {name: handle.value for name, handle in handles.items()}
 
 
 class TestBattery:
     def test_friendly_init_already_stable(self):
         battery = stabilization_battery(64, 4, seeds=())
-        preperiod, period = battery["spaced/positive"]
-        assert preperiod == 0
+        result = battery["spaced/positive"]
+        assert result.preperiod == 0
         # The period is a whole number of patrol loops (2 * n/k each).
-        assert period % (2 * (64 // 4)) == 0
+        assert result.period % (2 * (64 // 4)) == 0
 
     def test_periods_are_patrol_multiples(self):
         n, k = 64, 4
-        for name, (_pre, period) in stabilization_battery(
-            n, k, seeds=(0,)
-        ).items():
-            assert period % (n // k) == 0, name
+        for name, result in stabilization_battery(n, k, seeds=(0,)).items():
+            assert result.period % (n // k) == 0, name
 
     def test_preperiod_below_quadratic(self):
         n, k = 96, 4
-        for name, (preperiod, _) in stabilization_battery(
-            n, k, seeds=(0, 1)
-        ).items():
-            assert preperiod <= n * n, name
+        for name, result in stabilization_battery(n, k, seeds=(0, 1)).items():
+            assert result.preperiod <= n * n, name
 
 
 class TestReport:

@@ -394,13 +394,13 @@ class TestCli:
         trace = str(tmp_path / "trace.jsonl")
         status, plain_out, _ = self._run(
             capsys,
-            "run", "theorem1", "--quick", "--backend", "batch",
+            "run", "theorem1", "--quick",
             "--cache", str(tmp_path / "cache-plain"),
         )
         assert status == 0
         status, traced_out, traced_err = self._run(
             capsys,
-            "run", "theorem1", "--quick", "--backend", "batch",
+            "run", "theorem1", "--quick",
             "--cache", str(tmp_path / "cache-traced"),
             "--trace", trace,
         )
@@ -417,7 +417,7 @@ class TestCli:
         trace = str(tmp_path / "trace.jsonl")
         status, _, _ = self._run(
             capsys,
-            "run", "theorem1", "--quick", "--backend", "batch",
+            "run", "theorem1", "--quick",
             "--cache", str(tmp_path / "cache"),
             "--trace", trace,
         )

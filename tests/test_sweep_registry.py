@@ -204,11 +204,15 @@ class TestCliSweep:
             ["sweep", "table1", "--quick", "--fuse-rounds", "2"],
             ["run", "table1", "--quick", "--max-retries", "1"],
             ["all", "--quick", "--chunk-timeout", "5"],
+            ["run", "stabilization", "--quick", "--backend", "reference"],
+            ["all", "--quick", "--backend", "batch"],
         ],
-        ids=["sweep-fuse-rounds", "run-max-retries", "all-chunk-timeout"],
+        ids=["sweep-fuse-rounds", "run-max-retries", "all-chunk-timeout",
+             "run-backend", "all-backend"],
     )
     def test_deleted_flags_exit_2(self, argv, capsys):
-        # Knobs nothing set are gone: argparse refuses them up front.
+        # Deleted flags (knobs nothing set, the backend switch) are
+        # gone: argparse refuses them up front.
         with pytest.raises(SystemExit) as excinfo:
             main(argv + ["--cache", "none"])
         assert excinfo.value.code == 2
