@@ -19,9 +19,15 @@ the sweep actually executes it:
   pre-PR executor chunking (fixed ``DEFAULT_CHUNK_LANES = 64``, the
   only option the executor had);
 * **after** — the array-native pipeline over the whole batch in one
-  call with eager lane compaction (``compact_ratio=1.0``).  The
-  scenario itself has 5 cells per ring size, so the executor's
-  ``CHUNK_LANES = 64`` also gives it one chunk per size.
+  call, at the compaction ratio every sweep runs
+  (``batch_ring.COMPACT_RATIO``).  The scenario itself has 5 cells per
+  ring size, so the executor's ``CHUNK_LANES = 64`` also gives it one
+  chunk per size.
+
+The legacy pipeline stepped a masked ``BatchRingKernel.step`` and
+keyed lanes by ``state_keys``; the production kernel has neither, so
+``_LegacyKernel`` below carries both (with the subset arithmetic they
+use) verbatim, and the baseline times the same code as before.
 
 The whole-batch legacy time is recorded too, isolating the pipeline
 win from the scheduling win.  The workload is the scenario's k-axis
@@ -68,8 +74,96 @@ MIN_SPEEDUP = 2.0 if QUICK else 5.0
 # ----------------------------------------------------------------------
 # pre-PR reference implementation (verbatim), the benchmark baseline
 # ----------------------------------------------------------------------
+class _LegacyKernel(BatchRingKernel):
+    """``BatchRingKernel`` plus the masked step and byte keys it had."""
+
+    def _step_arith_subset(self, active: np.ndarray) -> None:
+        """Advance only the ``active`` lanes (cost proportional to them).
+
+        Used by the masked schedules of the limit-cycle search and the
+        gap scan, where most lanes end up frozen: the frozen majority
+        is never touched, instead of being snapshotted and restored.
+        """
+        c = self._counts[active]
+        p = self._ptr[active]
+        fwd = (c + p) >> 1
+        bwd = c - fwd
+        nxt = np.empty_like(c)
+        nxt[:, 1:-1] = fwd[:, :-2] + bwd[:, 2:]
+        nxt[:, 0] = fwd[:, -1] + bwd[:, 1]
+        nxt[:, -1] = fwd[:, -2] + bwd[:, 0]
+        self._counts[active] = nxt
+        self._ptr[active] = (p ^ c) & 1
+        self.round += 1
+
+    def step(
+        self,
+        lane_mask: np.ndarray | None = None,
+        need_visits: bool = True,
+    ) -> np.ndarray | None:
+        """Advance one synchronous round in every (masked) lane.
+
+        ``lane_mask`` is an optional ``(B,)`` boolean array; lanes where
+        it is false keep their configuration unchanged (used to freeze
+        lanes whose per-lane schedule has ended).  Returns a ``(B, n)``
+        boolean array marking the nodes that received at least one
+        agent this round (all-false rows for frozen lanes) — or None
+        when the caller passes ``need_visits=False`` and the kernel
+        does not track cover, which keeps a masked step's cost
+        proportional to the active lanes (the limit-cycle search's
+        tail case).
+
+        ``round`` counts ``step`` calls; with masks, callers manage
+        per-lane time axes themselves.
+        """
+        want_visits = need_visits or (
+            self._track_cover and not self._all_covered
+        )
+        if lane_mask is None:
+            self._step_arith()
+            visits = self._counts != 0 if want_visits else None
+        else:
+            active = np.flatnonzero(lane_mask)
+            self._step_arith_subset(active)
+            if want_visits:
+                visits = np.zeros((self.num_lanes, self.n), dtype=bool)
+                visits[active] = self._counts[active] != 0
+            else:
+                visits = None
+        if self._track_cover and not self._all_covered:
+            newly = visits & (self._seen == 0)
+            np.bitwise_or(self._seen, self._counts, out=self._seen)
+            # New visits are sparse (a lane's frontier grows by at most
+            # two nodes per round), so update through indices.
+            cells = np.flatnonzero(newly)
+            if cells.size:
+                lanes = cells // self.n
+                self._unvisited -= np.bincount(
+                    lanes, minlength=self.num_lanes
+                )
+                self._record_covered(np.unique(lanes), self.round)
+        return visits
+
+    def state_keys(self, lanes: "list[int] | None" = None) -> dict[int, bytes]:
+        """Configuration keys (pointer bits + counts) by lane index.
+
+        Two lanes of same-dtype kernels share a key iff they are in the
+        same configuration; used by the batch Brent search, which
+        passes only the still-unresolved ``lanes`` so the search tail
+        scales with them rather than the whole batch.
+        """
+        if lanes is None:
+            lanes = range(self.num_lanes)
+        ptr_rows = self._ptr
+        count_rows = self._counts
+        return {
+            b: ptr_rows[b].tobytes() + count_rows[b].tobytes()
+            for b in lanes
+        }
+
+
 def _legacy_batch_limit_cycles(n, ptr, cnt, max_rounds, strict=True):
-    hare = BatchRingKernel(n, ptr, cnt, track_cover=False)
+    hare = _LegacyKernel(n, ptr, cnt, track_cover=False)
     num_lanes = hare.num_lanes
     saved = hare.state_keys()  # tortoise snapshots (initial configuration)
     power = np.ones(num_lanes, dtype=np.int64)
@@ -104,8 +198,8 @@ def _legacy_batch_limit_cycles(n, ptr, cnt, max_rounds, strict=True):
                 still.append(b)
         pending = still
 
-    tortoise = BatchRingKernel(n, ptr, cnt, track_cover=False)
-    hare = BatchRingKernel(n, ptr, cnt, track_cover=False)
+    tortoise = _LegacyKernel(n, ptr, cnt, track_cover=False)
+    hare = _LegacyKernel(n, ptr, cnt, track_cover=False)
     for t in range(int(periods.max())):
         hare.step(lane_mask=periods > t, need_visits=False)
     preperiods = np.zeros(num_lanes, dtype=np.int64)
@@ -139,7 +233,7 @@ def _legacy_batch_limit_cycles(n, ptr, cnt, max_rounds, strict=True):
 
 
 def _legacy_batch_return_gaps(n, ptr, cnt, cycles):
-    runner = BatchRingKernel(n, ptr, cnt, track_cover=False)
+    runner = _LegacyKernel(n, ptr, cnt, track_cover=False)
     num_lanes = runner.num_lanes
     preperiods, periods = cycles.preperiods, cycles.periods
     for t in range(int(preperiods.max())):
@@ -197,10 +291,10 @@ def _workload():
     return configs
 
 
-def _run_pipeline(impl_cycles, impl_gaps, configs, **cycle_kwargs):
+def _run_pipeline(impl_cycles, impl_gaps, configs):
     """One chunk through limit cycles + gaps; returns stacked results."""
     ptr, cnt = lanes_from_configs(N, configs)
-    cycles = impl_cycles(N, ptr, cnt, MAX_ROUNDS, strict=False, **cycle_kwargs)
+    cycles = impl_cycles(N, ptr, cnt, MAX_ROUNDS, strict=False)
     lanes = np.flatnonzero(cycles.periods > 0)
     worst = np.full(len(configs), np.nan)
     best = np.full(len(configs), np.nan)
@@ -216,10 +310,8 @@ def _run_pipeline(impl_cycles, impl_gaps, configs, **cycle_kwargs):
 
 
 def _run_new(configs):
-    # One full-width chunk with eager lane compaction.
-    return _run_pipeline(
-        batch_limit_cycles, batch_return_gaps, configs, compact_ratio=1.0
-    )
+    # One full-width chunk, exactly as a sweep runs it.
+    return _run_pipeline(batch_limit_cycles, batch_return_gaps, configs)
 
 
 def _run_legacy(configs, chunk_lanes):

@@ -23,7 +23,8 @@ cached, parallel parameter sweeps:
   path via :mod:`repro.analysis.backend`;
 - :mod:`repro.sweep.executor` — supervised multiprocessing execution
   with an on-disk result cache (``run_sweep`` for scenario grids,
-  ``run_cells`` for explicit cell lists): per-chunk deadlines
+  ``run_cells`` for explicit cell lists; a chunk is one picklable
+  payload at every ``jobs``): per-chunk deadlines
   (``chunk_timeout``), bounded retry (``max_retries``), poison-cell
   bisection/quarantine and serial degradation, all summarized in a
   :class:`FailureReport`;
@@ -43,7 +44,6 @@ from repro.sweep.aggregate import (
     summary_tables,
 )
 from repro.sweep.batch_ring import (
-    DEFAULT_COMPACT_RATIO,
     BatchLimitCycles,
     BatchRingKernel,
     batch_limit_cycles,
@@ -87,7 +87,6 @@ from repro.sweep.spec import (
 )
 
 __all__ = [
-    "DEFAULT_COMPACT_RATIO",
     "BatchGeneralKernel",
     "BatchLimitCycles",
     "BatchRingKernel",

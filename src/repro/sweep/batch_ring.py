@@ -40,7 +40,8 @@ Per-lane detection built on top of the kernel:
   round), "hare == snapshot" is a single ``(A,)`` comparison, and the
   rare fingerprint hits are confirmed byte-exactly before a lane is
   resolved, so the result is still the true minimal period; resolved
-  lanes are compacted out of the working arrays, making stepping *and*
+  lanes are compacted out of the working arrays (once the live
+  fraction drops to :data:`COMPACT_RATIO`), making stepping *and*
   bookkeeping scale with unresolved lanes;
 * **return times** — :func:`batch_return_gaps` sorts lanes by schedule
   length so the active set is always a contiguous array prefix, scans
@@ -48,19 +49,9 @@ Per-lane detection built on top of the kernel:
   records the worst per-node visit gap including the wrap-around gap,
   exactly as :func:`repro.core.limit.return_time_exact`.
 
-**Round fusion** (``fuse_rounds``): the bulk drivers and the Brent
-search amortize their per-round Python bookkeeping over epochs of up
-to ``fuse_rounds`` reconciliation windows.  Cover tracking already ran
-windowed; fusion widens the window to ``_WINDOW * fuse_rounds`` so the
-per-lane reconciliation, snapshotting and replay run once per epoch
-instead of once per 32 rounds.  The Brent phase-1 search buffers one
-fingerprint row per round and defers the hare-vs-snapshot comparison
-to the epoch boundary, replaying the epoch from its start snapshot for
-the rare candidate lanes to confirm hits byte-exactly at their first
-matching round.  Detection granularity never changes any reported
-number: cover rounds are pinned by exact replay, periods by exact
-in-epoch confirmation, so results are bit-identical for every
-``fuse_rounds`` (enforced by ``tests/test_sweep_fused.py``).
+Every driver runs one cadence: cover windows are
+``BatchRingKernel._WINDOW`` (32) rounds wide, and the Brent search
+compares fingerprints every round.  Neither is a parameter.
 
 Step-for-step equivalence with the reference engines is enforced by
 ``tests/test_sweep_batch_ring.py``.
@@ -80,10 +71,11 @@ _DTYPE_LIMITS = ((np.int8, 126), (np.int16, 32766), (np.int64, 2**62))
 #: Lane-compaction threshold of the limit-cycle pipeline: working
 #: arrays are rebuilt to hold only unresolved lanes once the live
 #: fraction drops to this ratio.  1.0 compacts after every resolution
-#: (cheapest rounds, most rebuilds), 0.0 never compacts; the default
-#: bounds dead-row overhead at 2x while keeping rebuilds logarithmic
-#: in the lane count.
-DEFAULT_COMPACT_RATIO = 0.5
+#: (cheapest rounds, most rebuilds), 0.0 never compacts; 0.5 bounds
+#: dead-row overhead at 2x while keeping rebuilds logarithmic in the
+#: lane count.  Results are identical at every ratio; both Brent
+#: phases read it at call time, so tests can patch it.
+COMPACT_RATIO = 0.5
 
 
 def _counts_dtype(max_agents: int) -> type:
@@ -110,12 +102,6 @@ class BatchRingKernel:
     track_cover:
         Maintain per-lane visited sets and ``cover_rounds``.  Turn off
         for limit-cycle searches, which only need the configuration.
-    fuse_rounds:
-        Fusion factor of the bulk drivers: reconciliation windows span
-        ``_WINDOW * fuse_rounds`` rounds, so per-lane cover bookkeeping
-        (reduction + snapshot + replay) runs once per that many rounds.
-        Results are bit-identical for every value (exact replay pins
-        cover rounds); 1 reproduces the pre-fusion cadence.
     """
 
     def __init__(
@@ -124,14 +110,9 @@ class BatchRingKernel:
         pointers: np.ndarray,
         counts: np.ndarray,
         track_cover: bool = True,
-        fuse_rounds: int = 1,
     ) -> None:
         if n < 3:
             raise ValueError(f"ring requires n >= 3, got {n}")
-        if fuse_rounds < 1:
-            raise ValueError(
-                f"fuse_rounds must be at least 1, got {fuse_rounds}"
-            )
         directions = np.asarray(pointers)
         initial = np.asarray(counts)
         if directions.ndim != 2 or directions.shape[1] != n:
@@ -155,7 +136,6 @@ class BatchRingKernel:
         self.num_lanes = directions.shape[0]
         self.num_agents = per_lane.astype(np.int64)
         self.round = 0
-        self.fuse_rounds = int(fuse_rounds)
         self._replays = 0
         self._epochs = 0
 
@@ -201,59 +181,20 @@ class BatchRingKernel:
         self._counts, self._next = nxt, self._counts
         self.round += 1
 
-    def _step_arith_subset(self, active: np.ndarray) -> None:
-        """Advance only the ``active`` lanes (cost proportional to them).
+    def step(self, need_visits: bool = True) -> np.ndarray | None:
+        """Advance every lane one synchronous round.
 
-        Used by the masked schedules of the limit-cycle search and the
-        gap scan, where most lanes end up frozen: the frozen majority
-        is never touched, instead of being snapshotted and restored.
-        """
-        c = self._counts[active]
-        p = self._ptr[active]
-        fwd = (c + p) >> 1
-        bwd = c - fwd
-        nxt = np.empty_like(c)
-        nxt[:, 1:-1] = fwd[:, :-2] + bwd[:, 2:]
-        nxt[:, 0] = fwd[:, -1] + bwd[:, 1]
-        nxt[:, -1] = fwd[:, -2] + bwd[:, 0]
-        self._counts[active] = nxt
-        self._ptr[active] = (p ^ c) & 1
-        self.round += 1
-
-    def step(
-        self,
-        lane_mask: np.ndarray | None = None,
-        need_visits: bool = True,
-    ) -> np.ndarray | None:
-        """Advance one synchronous round in every (masked) lane.
-
-        ``lane_mask`` is an optional ``(B,)`` boolean array; lanes where
-        it is false keep their configuration unchanged (used to freeze
-        lanes whose per-lane schedule has ended).  Returns a ``(B, n)``
-        boolean array marking the nodes that received at least one
-        agent this round (all-false rows for frozen lanes) — or None
-        when the caller passes ``need_visits=False`` and the kernel
-        does not track cover, which keeps a masked step's cost
-        proportional to the active lanes (the limit-cycle search's
-        tail case).
-
-        ``round`` counts ``step`` calls; with masks, callers manage
-        per-lane time axes themselves.
+        Returns a ``(B, n)`` boolean array marking the nodes that
+        received at least one agent this round — or None when the
+        caller passes ``need_visits=False`` and the kernel does not
+        track cover, which spares the comparison.  ``round`` counts
+        ``step`` calls.
         """
         want_visits = need_visits or (
             self._track_cover and not self._all_covered
         )
-        if lane_mask is None:
-            self._step_arith()
-            visits = self._counts != 0 if want_visits else None
-        else:
-            active = np.flatnonzero(lane_mask)
-            self._step_arith_subset(active)
-            if want_visits:
-                visits = np.zeros((self.num_lanes, self.n), dtype=bool)
-                visits[active] = self._counts[active] != 0
-            else:
-                visits = None
+        self._step_arith()
+        visits = self._counts != 0 if want_visits else None
         if self._track_cover and not self._all_covered:
             newly = visits & (self._seen == 0)
             np.bitwise_or(self._seen, self._counts, out=self._seen)
@@ -279,24 +220,22 @@ class BatchRingKernel:
 
     #: Rounds per reconciliation window of the bulk drivers: large
     #: enough to amortize the per-lane reduction, small enough that a
-    #: replay is negligible.  ``fuse_rounds`` multiplies this.
+    #: replay is negligible.
     _WINDOW = 32
 
     def _advance_windowed(self, rounds: int) -> None:
         """Advance ``rounds`` rounds with windowed exact cover tracking.
 
         Per round only ``seen |= counts`` runs (one element-wise op);
-        once per window (an *epoch* of ``_WINDOW * fuse_rounds``
-        rounds) the per-lane unvisited counts are reconciled, and lanes
-        that covered inside the window are replayed from the
-        window-start snapshot to recover the exact cover round.  The
-        replay is deterministic, touches only the few covered lanes,
-        and is bounded by the window length.
+        once per ``_WINDOW`` rounds the per-lane unvisited counts are
+        reconciled, and lanes that covered inside the window are
+        replayed from the window-start snapshot to recover the exact
+        cover round.  The replay is deterministic, touches only the few
+        covered lanes, and is bounded by the window length.
         """
-        epoch = self._WINDOW * self.fuse_rounds
         remaining = rounds
         while remaining > 0:
-            window = min(epoch, remaining)
+            window = min(self._WINDOW, remaining)
             if self._all_covered or not self._track_cover:
                 for _ in range(remaining):
                     self._step_arith()
@@ -330,20 +269,12 @@ class BatchRingKernel:
         base_round: int,
         window: int,
     ) -> None:
-        """Re-run ``lanes`` from the snapshot to stamp exact cover rounds.
-
-        Windows wider than ``_WINDOW`` (fused epochs) replay through
-        the windowed driver at the base cadence first — re-running the
-        covered lanes in 32-round windows costs one nested replay of
-        at most ``_WINDOW`` tracked steps per lane instead of tracking
-        every round of the epoch.
-        """
+        """Re-run ``lanes`` from the snapshot to stamp exact cover rounds."""
         self._replays += int(lanes.size)
         sub = object.__new__(BatchRingKernel)
         sub.n = self.n
         sub.num_lanes = len(lanes)
         sub.round = base_round
-        sub.fuse_rounds = 1
         sub._replays = 0
         sub._epochs = 0
         sub._counts = snap_counts[lanes]
@@ -356,33 +287,21 @@ class BatchRingKernel:
         sub._unvisited = sub.n - np.count_nonzero(sub._seen, axis=1)
         sub.cover_rounds = np.full(sub.num_lanes, -1, dtype=np.int64)
         sub._all_covered = False
-        if window > self._WINDOW:
-            end = base_round + window
-            while not sub._all_covered and sub.round < end:
-                sub._advance_windowed(min(self._WINDOW, end - sub.round))
-        else:
-            for _ in range(window):
-                sub.step()
-                if sub._all_covered:
-                    break
+        for _ in range(window):
+            sub.step()
+            if sub._all_covered:
+                break
         self.cover_rounds[lanes] = sub.cover_rounds
 
-    def step_rounds(self, rounds: int) -> None:
-        """Advance every lane ``rounds`` rounds in one fused dispatch.
+    def run(self, rounds: int) -> None:
+        """Advance every lane ``rounds`` rounds, ``cover_rounds`` exact.
 
-        The fused bulk entry point: cover detection is downgraded to an
-        epoch check at fusion boundaries (every ``_WINDOW *
-        fuse_rounds`` rounds) plus an exact replay of the final epoch
-        for just-covered lanes, so ``cover_rounds`` stays exact while
-        per-lane bookkeeping runs ``fuse_rounds`` times less often.
+        Cover is reconciled once per ``_WINDOW`` rounds, with an exact
+        replay for the lanes that covered inside a window.
         """
         if rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
         self._advance_windowed(rounds)
-
-    def run(self, rounds: int) -> None:
-        """Advance every lane ``rounds`` rounds (alias of step_rounds)."""
-        self.step_rounds(rounds)
 
     def run_until_covered(
         self, max_rounds: int, strict: bool = True
@@ -396,9 +315,8 @@ class BatchRingKernel:
         """
         if not self._track_cover:
             raise RuntimeError("kernel was created with track_cover=False")
-        epoch = self._WINDOW * self.fuse_rounds
         while not self._all_covered and self.round < max_rounds:
-            self._advance_windowed(min(epoch, max_rounds - self.round))
+            self._advance_windowed(min(self._WINDOW, max_rounds - self.round))
         if strict and not self._all_covered:
             uncovered = int((self.cover_rounds < 0).sum())
             raise RuntimeError(
@@ -454,23 +372,6 @@ class BatchRingKernel:
         if not self._track_cover:
             raise RuntimeError("kernel was created with track_cover=False")
         return int(self.n - np.count_nonzero(self._seen[lane]))
-
-    def state_keys(self, lanes: "list[int] | None" = None) -> dict[int, bytes]:
-        """Configuration keys (pointer bits + counts) by lane index.
-
-        Two lanes of same-dtype kernels share a key iff they are in the
-        same configuration; used by the batch Brent search, which
-        passes only the still-unresolved ``lanes`` so the search tail
-        scales with them rather than the whole batch.
-        """
-        if lanes is None:
-            lanes = range(self.num_lanes)
-        ptr_rows = self._ptr
-        count_rows = self._counts
-        return {
-            b: ptr_rows[b].tobytes() + count_rows[b].tobytes()
-            for b in lanes
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -582,12 +483,7 @@ class _Fingerprinter:
                     f"{self.w_cnt.shape}"
                 )
 
-    def of(
-        self,
-        block: "_LaneBlock",
-        out: np.ndarray | None = None,
-        work: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def of(self, block: "_LaneBlock") -> np.ndarray:
         """``(A,)`` uint64 fingerprints of the block's configuration rows.
 
         Default weights take the packed fast path: the per-node state
@@ -596,25 +492,14 @@ class _Fingerprinter:
         carries across packed elements and OR-ing the pointer bit is
         exact addition — then hashed with a single wrapping matmul.
         Injected weights keep the two-matmul form over pointer and
-        count words separately.  The fused Brent epochs pass ``out``
-        (fingerprint destination row) and ``work`` (a word-shaped
-        scratch buffer) to keep the per-round path allocation-free.
+        count words separately.
         """
         if self._w_packed is not None:
-            if work is None:
-                z = block.cnt_words << np.uint64(1)
-            else:
-                np.left_shift(block.cnt_words, np.uint64(1), out=work)
-                z = work
+            z = block.cnt_words << np.uint64(1)
             z |= block.ptr_words
-            if out is None:
-                return z @ self._w_packed
-            return np.matmul(z, self._w_packed, out=out)
+            return z @ self._w_packed
         fp = block.ptr_words @ self.w_ptr
         fp += block.cnt_words @ self.w_cnt
-        if out is not None:
-            out[...] = fp
-            return out
         return fp
 
 
@@ -741,13 +626,6 @@ class _LaneBlock:
         ).all(axis=1)
 
 
-def _check_compact_ratio(compact_ratio: float) -> None:
-    if not 0.0 <= compact_ratio <= 1.0:
-        raise ValueError(
-            f"compact_ratio must be within [0, 1], got {compact_ratio}"
-        )
-
-
 def _advance_by_schedule(block: _LaneBlock, schedule: np.ndarray) -> None:
     """Step row ``i`` of ``block`` exactly ``schedule[i]`` rounds.
 
@@ -770,9 +648,7 @@ def _brent_periods(
     max_rounds: int,
     strict: bool,
     fingerprint: _Fingerprinter,
-    compact_ratio: float,
     stats: dict | None = None,
-    fuse_rounds: int = 1,
 ) -> np.ndarray:
     """Phase 1 of Brent's search: per-lane minimal periods (or -1).
 
@@ -785,17 +661,7 @@ def _brent_periods(
     the spot (both configurations are present), so a collision just
     keeps the lane searching — exactly what exact keys would have
     done.  Resolved lanes are compacted out once the live fraction
-    drops to ``compact_ratio``.
-
-    With ``fuse_rounds > 1`` the search advances in epochs of up to
-    that many rounds per Python iteration: each epoch buffers one
-    fingerprint row per round, defers the hare-vs-snapshot comparison
-    to the epoch boundary (one broadcast equality over the buffer),
-    and confirms candidate lanes by replaying the epoch from its start
-    snapshot — the confirmation happens at exactly the first matching
-    round, so resolved periods are identical to the per-round path.
-    Epochs are clamped so snapshot refreshes still land on the
-    ``(power, lam)`` schedule boundaries.
+    drops to :data:`COMPACT_RATIO`.
     """
     num_lanes = ptr0.shape[0]
     periods = np.full(num_lanes, -1, dtype=np.int64)
@@ -809,73 +675,26 @@ def _brent_periods(
     snap_step = 0  # snapshots refresh when steps reaches snap_step+window
     window = 1
     while num_alive and steps < max_rounds:
-        # Clamp epochs so a snapshot refresh always falls on an epoch
-        # boundary (the schedule is data-independent, so the clamping
-        # sequence is identical for every lane and every fuse value).
-        fuse = min(fuse_rounds, snap_step + window - steps, max_rounds - steps)
         resolved_now = False
-        if fuse > 1:
-            epoch_ptr = block.ptr.copy()
-            epoch_cnt = block.cnt.copy()
-            fp_buf = np.empty((fuse, block.rows), dtype=np.uint64)
-            work = np.empty_like(block.cnt_words)
-            for t in range(fuse):
-                block.step_all()
-                fingerprint.of(block, out=fp_buf[t], work=work)
-            base = steps
-            steps += fuse
+        block.step_all()
+        steps += 1
+        if stats is not None:
+            stats["epochs"] += 1
+            stats["lane_rounds"] += block.rows
+        cur_fp = fingerprint.of(block)
+        hit = cur_fp == snap_fp
+        hit &= alive
+        if hit.any():
+            rows = np.flatnonzero(hit)
+            confirmed = rows[block.rows_equal(snapshot, rows)]
             if stats is not None:
-                stats["epochs"] += 1
-                stats["lane_rounds"] += fuse * block.rows
-            cur_fp = fp_buf[fuse - 1].copy()
-            hits = (fp_buf == snap_fp) & alive
-            if hits.any():
-                # Replay the epoch for just the candidate lanes to
-                # confirm byte-exactly at their first matching round.
-                cand = np.flatnonzero(hits.any(axis=0))
-                sub = _LaneBlock(epoch_ptr[cand], epoch_cnt[cand])
-                snap_sub = snapshot.take(cand)
-                live = np.ones(cand.size, dtype=bool)
-                for t in range(fuse):
-                    sub.step_all()
-                    if stats is not None:
-                        stats["lane_rounds"] += sub.rows
-                    rows_t = np.flatnonzero(hits[t, cand] & live)
-                    if not rows_t.size:
-                        continue
-                    confirmed = rows_t[sub.rows_equal(snap_sub, rows_t)]
-                    if stats is not None:
-                        stats["fp_hits"] += int(rows_t.size)
-                        stats["fp_confirmed"] += int(confirmed.size)
-                    if confirmed.size:
-                        lanes = cand[confirmed]
-                        periods[orig[lanes]] = (base + t + 1) - snap_step
-                        alive[lanes] = False
-                        live[confirmed] = False
-                        num_alive -= confirmed.size
-                        resolved_now = True
-                    if not live.any():
-                        break
-        else:
-            block.step_all()
-            steps += 1
-            if stats is not None:
-                stats["epochs"] += 1
-                stats["lane_rounds"] += block.rows
-            cur_fp = fingerprint.of(block)
-            hit = cur_fp == snap_fp
-            hit &= alive
-            if hit.any():
-                rows = np.flatnonzero(hit)
-                confirmed = rows[block.rows_equal(snapshot, rows)]
-                if stats is not None:
-                    stats["fp_hits"] += int(rows.size)
-                    stats["fp_confirmed"] += int(confirmed.size)
-                if confirmed.size:
-                    periods[orig[confirmed]] = steps - snap_step
-                    alive[confirmed] = False
-                    num_alive -= confirmed.size
-                    resolved_now = True
+                stats["fp_hits"] += int(rows.size)
+                stats["fp_confirmed"] += int(confirmed.size)
+            if confirmed.size:
+                periods[orig[confirmed]] = steps - snap_step
+                alive[confirmed] = False
+                num_alive -= confirmed.size
+                resolved_now = True
         if steps == snap_step + window and num_alive:
             # Window complete: every live lane refreshes its snapshot
             # to the current configuration (dead rows refresh too —
@@ -888,7 +707,7 @@ def _brent_periods(
         if (
             resolved_now
             and 0 < num_alive
-            and num_alive <= compact_ratio * alive.size
+            and num_alive <= COMPACT_RATIO * alive.size
         ):
             keep = np.flatnonzero(alive)
             block = block.take(keep)
@@ -914,7 +733,6 @@ def _brent_preperiods(
     periods: np.ndarray,
     max_rounds: int,
     fingerprint: _Fingerprinter,
-    compact_ratio: float,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Phase 2: preperiods via synchronized tortoise/hare walkers.
@@ -962,7 +780,7 @@ def _brent_preperiods(
                 preperiods[orig[confirmed]] = rounds
                 alive[confirmed] = False
                 num_alive -= confirmed.size
-                if num_alive and num_alive <= compact_ratio * alive.size:
+                if num_alive and num_alive <= COMPACT_RATIO * alive.size:
                     keep = np.flatnonzero(alive)
                     block = block.take(np.concatenate([keep, keep + pairs]))
                     orig = orig[keep]
@@ -992,8 +810,6 @@ def batch_limit_cycles(
     max_rounds: int,
     strict: bool = True,
     *,
-    fuse_rounds: int = 1,
-    compact_ratio: float = DEFAULT_COMPACT_RATIO,
     _fingerprint_weights: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BatchLimitCycles:
     """Brent's cycle search over every lane, array-native end to end.
@@ -1005,14 +821,10 @@ def batch_limit_cycles(
     match :func:`repro.core.limit.find_limit_cycle` exactly (both
     compute the true minimal period and preperiod).
 
-    ``fuse_rounds`` sets the phase-1 epoch length (rounds advanced per
-    Python iteration, with deferred comparison and replay-confirmed
-    hits — see :func:`_brent_periods`); phase 2 stays per-round, its
-    comparison is between two halves of the same moving block so there
-    is no stationary snapshot to defer against.  ``compact_ratio``
-    tunes when resolved lanes are compacted out of the working arrays
-    (see :data:`DEFAULT_COMPACT_RATIO`); ``_fingerprint_weights`` lets
-    tests inject degenerate weights to force fingerprint collisions.
+    Both phases step once per round and compact resolved lanes out of
+    their working arrays at :data:`COMPACT_RATIO`.
+    ``_fingerprint_weights`` lets tests inject degenerate weights to
+    force fingerprint collisions.
 
     With ``strict``, exhausting ``max_rounds`` raises ``RuntimeError``
     (mirroring the reference); otherwise unresolved lanes report -1,
@@ -1020,11 +832,6 @@ def batch_limit_cycles(
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-    if fuse_rounds < 1:
-        raise ValueError(
-            f"fuse_rounds must be at least 1, got {fuse_rounds}"
-        )
-    _check_compact_ratio(compact_ratio)
     # The kernel constructor owns validation and dtype selection; its
     # typed arrays seed both Brent phases.
     seed = BatchRingKernel(n, pointers, counts, track_cover=False)
@@ -1042,12 +849,10 @@ def batch_limit_cycles(
         }
     )
     periods = _brent_periods(
-        seed._ptr, seed._counts, max_rounds, strict, fingerprint,
-        compact_ratio, stats, fuse_rounds,
+        seed._ptr, seed._counts, max_rounds, strict, fingerprint, stats,
     )
     preperiods = _brent_preperiods(
-        seed._ptr, seed._counts, periods, max_rounds, fingerprint,
-        compact_ratio, stats,
+        seed._ptr, seed._counts, periods, max_rounds, fingerprint, stats,
     )
     if tel is not None:
         resolved = int((periods > 0).sum())

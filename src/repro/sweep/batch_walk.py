@@ -35,19 +35,20 @@ those of the reference — not merely equal in distribution — which
 configurations.  Lanes that cover stop drawing at the next epoch
 boundary, mirroring the reference's early exit.
 
-**Round fusion**: ``fuse_rounds`` lets one ``_advance_epoch`` dispatch
-advance up to ``fuse_rounds * block_size`` rounds — the per-lane RNG
-draw becomes one ``(T·block, k)`` matrix instead of ``T`` successive
-``(block, k)`` matrices.  The trajectory is still *processed* in
-``block_size`` sub-blocks (cache-resident working set, and covered
-lanes drop out between sub-blocks so fusion adds no wasted compute,
-only wasted tail draws that nothing ever observes).  The only
+**Round fusion**: one ``_advance_epoch`` dispatch advances up to
+``FUSE_ROUNDS * block_size`` rounds (:data:`FUSE_ROUNDS`), so the
+per-lane RNG draw becomes one ``(T·block, k)`` matrix instead of ``T``
+successive ``(block, k)`` matrices.  The trajectory is still
+*processed* in ``block_size`` sub-blocks (cache-resident working set,
+and covered lanes drop out between sub-blocks so fusion adds no wasted
+compute, only wasted tail draws that nothing ever observes).  The only
 behavioral wrinkle is freezing: the unfused driver re-evaluates the
 active set every ``block_size`` rounds, so a lane that covers inside
 an epoch must report the positions it had at the end of the
 ``block_size``-aligned sub-block in which it covered — dropping its
 columns between sub-blocks yields exactly that.  Fused-vs-unfused
-bit-identity is pinned by ``tests/test_sweep_fused.py``.
+bit-identity is pinned by ``tests/test_sweep_fused.py``, which patches
+:data:`FUSE_ROUNDS` to 1, 7 and 64.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ from repro.util.rng import make_rng
 #: seed-for-seed equivalence documented above.
 DEFAULT_BLOCK_SIZE = 1024
 
-#: Default blocks fused into one epoch (one RNG draw + one trajectory
+#: Blocks fused into one epoch (one RNG draw + one trajectory
 #: recovery per lane per epoch).  Identity-neutral: any value yields
 #: bit-identical covers, visit rounds and final positions.
-DEFAULT_FUSE_ROUNDS = 4
+#: ``_epoch_rounds`` reads it at call time, so tests can patch it.
+FUSE_ROUNDS = 4
 
 #: Cap on ``rounds × walkers`` elements drawn per fused epoch — bounds
 #: the per-epoch increment matrix (int8, ~4 MiB at the cap) and the
@@ -98,10 +100,6 @@ class BatchRingWalks:
     block_size:
         Rounds simulated per vectorized block.  Leave at the default
         to stay seed-for-seed equal to ``RingRandomWalks``.
-    fuse_rounds:
-        Blocks fused into one epoch (one dispatch advances up to
-        ``fuse_rounds * block_size`` rounds).  Identity-neutral — see
-        the module docstring for why any value is bit-identical.
     """
 
     def __init__(
@@ -109,7 +107,6 @@ class BatchRingWalks:
         n: int,
         lanes: Sequence[WalkLane],
         block_size: int = DEFAULT_BLOCK_SIZE,
-        fuse_rounds: int = DEFAULT_FUSE_ROUNDS,
     ) -> None:
         if n < 3:
             raise ValueError(f"ring requires n >= 3, got {n}")
@@ -117,13 +114,8 @@ class BatchRingWalks:
             raise ValueError("at least one lane is required")
         if block_size < 1:
             raise ValueError(f"block_size must be positive, got {block_size}")
-        if fuse_rounds < 1:
-            raise ValueError(
-                f"fuse_rounds must be positive, got {fuse_rounds}"
-            )
         self.n = n
         self.block_size = block_size
-        self.fuse_rounds = fuse_rounds
         self.num_lanes = len(lanes)
         self.round = 0
         self._blocks = 0
@@ -313,14 +305,14 @@ class BatchRingWalks:
     def _epoch_rounds(self, active: np.ndarray, remaining: int) -> int:
         """Rounds the next fused dispatch should advance.
 
-        Up to ``fuse_rounds`` whole blocks, clamped so the epoch's
+        Up to :data:`FUSE_ROUNDS` whole blocks, clamped so the epoch's
         ``rounds × walkers`` working set stays under
         :data:`_EPOCH_ELEMENT_BUDGET` — scheduling only, since any
         block partition is stream-identical (module docstring).
         """
         walkers = sum(self._positions[b].size for b in active)
         per_block = self.block_size * max(1, walkers)
-        blocks = max(1, min(self.fuse_rounds, _EPOCH_ELEMENT_BUDGET // per_block))
+        blocks = max(1, min(FUSE_ROUNDS, _EPOCH_ELEMENT_BUDGET // per_block))
         return min(blocks * self.block_size, remaining)
 
     def run(self, rounds: int) -> None:

@@ -24,7 +24,10 @@ results in three stages:
    ``multiprocessing`` pool under a supervising dispatcher
    (:class:`_Supervisor`), with per-chunk progress reporting; each
    chunk's results are written back in one batched
-   :meth:`~repro.sweep.store.SqliteStore.put_many` call.
+   :meth:`~repro.sweep.store.SqliteStore.put_many` call.  A chunk is
+   the same plain picklable dict at every ``jobs``: it carries cell
+   dict forms (plus, for general chunks, the pickled ``GraphCSR``
+   tables), and whichever process runs it builds its own lane arrays.
 
 The execution stage is **fault-tolerant**: chunks are tracked
 individually with per-chunk deadlines (``chunk_timeout``), failed
@@ -75,7 +78,6 @@ from repro.sweep.batch_ring import (
     batch_return_gaps,
     lanes_from_configs,
 )
-from repro.sweep import shm
 from repro.sweep.batch_walk import BatchRingWalks, walk_lanes_from_cells
 from repro.sweep.faults import (
     FaultPlan,
@@ -318,20 +320,12 @@ def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
     max_rounds = payload["max_rounds"]
     metrics: Sequence[str] = payload["metrics"]
     configs = [cell_from_dict(data) for data in payload["configs"]]
-    lanes = payload.get("lanes")
-    if lanes is not None:
-        # Parent-packed shared-memory slabs: the lane arrays were built
-        # once in the dispatching process; attach read-only views (the
-        # kernel constructor dtype-copies them into its own buffers).
-        pointers = shm.resolve(lanes["pointers"])
-        counts = shm.resolve(lanes["counts"])
-    else:
-        if list(metrics) == ["cover"] and _prefer_csr_covers(n, configs):
-            return _compute_rotor_covers_csr(n, max_rounds, configs)
-        built = [config.build() for config in configs]
-        pointers, counts = lanes_from_configs(
-            n, [(directions, agents) for agents, directions in built]
-        )
+    if list(metrics) == ["cover"] and _prefer_csr_covers(n, configs):
+        return _compute_rotor_covers_csr(n, max_rounds, configs)
+    built = [config.build() for config in configs]
+    pointers, counts = lanes_from_configs(
+        n, [(directions, agents) for agents, directions in built]
+    )
 
     out: list[dict] = [{} for _ in configs]
     if "cover" in metrics:
@@ -495,14 +489,9 @@ def _compute_general_chunk(payload: dict) -> list[tuple[str, dict]]:
     invocation, so all seeds, k-values — and families — advance with
     shared vectorized rounds, whatever the chunk's size.
     """
-    graphs = {
-        digest: shm.resolve_csr(entry)
-        if shm.is_csr_descriptor(entry)
-        else entry
-        for digest, entry in payload["graphs"].items()
-    }
     cells = [
-        cell_from_dict(data, graphs=graphs) for data in payload["configs"]
+        cell_from_dict(data, graphs=payload["graphs"])
+        for data in payload["configs"]
     ]
     return _csr_covers(
         cells,
@@ -536,9 +525,8 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
     ``2·jobs`` chunks balanced by occupied-pair load estimates
     (``min(k, n) · max_rounds`` per cell), not by lane count.
 
-    Every kernel runs at its own round-fusion and lane-compaction
-    defaults: chunking decides how cells share kernel invocations,
-    never what a cell computes.
+    Chunking decides how cells share kernel invocations, never what a
+    cell computes.
     """
     groups: dict[tuple[str, int, int, tuple[str, ...]], list] = {}
     for config in misses:
@@ -631,56 +619,6 @@ def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
     if current:
         chunks.append(current)
     return chunks
-
-
-def _pack_shm_payloads(payloads: list[dict]) -> "shm.SlabArena | None":
-    """Move parallel payloads' large arrays into one shared segment.
-
-    Rotor chunks get their lane slabs (``(B, n)`` pointers/counts)
-    prebuilt here and replaced by descriptors under ``payload["lanes"]``
-    — unless the chunk is a sparse cover chunk bound for the CSR
-    kernel, which builds its lanes from the per-cell configs.  General
-    chunks get their digest-keyed graph tables packed once *per
-    distinct graph across all chunks* (the same descriptor triple is
-    shared), so a graph that spans chunk boundaries ships a single
-    copy.  Walk and gap payloads are already
-    descriptor-sized (seeds and positions) and pass through untouched.
-
-    Returns the sealed arena (caller owns the unlink), or None when
-    nothing was worth packing.
-    """
-    arena = shm.SlabArena()
-    graph_entries: dict[str, dict] = {}
-    for payload in payloads:
-        model = payload["model"]
-        if model == "rotor-general":
-            packed = {}
-            for digest, csr in payload["graphs"].items():
-                entry = graph_entries.get(digest)
-                if entry is None:
-                    entry = shm.pack_csr(arena, csr)
-                    graph_entries[digest] = entry
-                packed[digest] = entry
-            payload["graphs"] = packed
-        elif model != "walk":
-            configs = [cell_from_dict(data) for data in payload["configs"]]
-            if list(payload["metrics"]) == ["cover"] and _prefer_csr_covers(
-                payload["n"], configs
-            ):
-                continue  # the worker re-derives the CSR decision
-            built = [config.build() for config in configs]
-            pointers, counts = lanes_from_configs(
-                payload["n"],
-                [(directions, agents) for agents, directions in built],
-            )
-            payload["lanes"] = {
-                "pointers": arena.add(pointers),
-                "counts": arena.add(counts),
-            }
-    if not len(arena):
-        return None
-    arena.seal()
-    return arena
 
 
 def _create_pool(jobs: int):
@@ -973,15 +911,12 @@ class _Supervisor:
     def _subset_payload(self, payload: dict, lo: int, hi: int) -> dict:
         """A payload computing ``configs[lo:hi]`` of ``payload``.
 
-        Prebuilt shared-memory lane slabs are dropped (the worker
-        rebuilds small slices from the configs), the general-graph
-        table shrinks to the slice's digests, and the fault stanza —
-        if any — is re-keyed to ``chunk=None``: chunk-indexed faults
-        never target bisection sub-chunks, so isolating a poison cell
-        always converges.
+        The general-graph table shrinks to the slice's digests, and
+        the fault stanza — if any — is re-keyed to ``chunk=None``:
+        chunk-indexed faults never target bisection sub-chunks, so
+        isolating a poison cell always converges.
         """
         sub = dict(payload)
-        sub.pop("lanes", None)
         sub["configs"] = payload["configs"][lo:hi]
         sub["cell_hashes"] = payload["cell_hashes"][lo:hi]
         if "graphs" in payload:
@@ -1013,13 +948,13 @@ class StderrProgress:
     sweep, which excludes the initial cache-hit jump: the ETA reflects
     actual compute throughput, not cache reads.  The rate itself is
     measured over a sliding window of recent updates (at most
-    ``RATE_WINDOW`` seconds) rather than the whole sweep: fused chunks
-    complete many cells in one burst after a long silent epoch, and a
-    since-start rate would let that stall (or a fast cached prefix)
+    ``RATE_WINDOW`` seconds) rather than the whole sweep: a chunk
+    completes many cells in one burst after a long silent stretch, and
+    a since-start rate would let that stall (or a fast cached prefix)
     distort the ETA for the rest of the run.  The window is clamped at
-    those epoch boundaries — it always retains the sample immediately
-    before a burst, so the burst is averaged over the epoch that
-    produced it and never reads as instantaneous throughput.  An
+    those bursts — it always retains the sample immediately before a
+    burst, so the burst is averaged over the stretch that produced it
+    and never reads as instantaneous throughput.  An
     instance resets itself when ``total`` changes, ``done`` regresses,
     or a sweep completes, so one instance serves consecutive sweeps.
     """
@@ -1096,11 +1031,6 @@ class StderrProgress:
             self._last_emit = elapsed
         if final:
             self._reset()
-
-
-#: Default progress reporter: one shared auto-resetting instance, so
-#: existing ``progress=stderr_progress`` call sites keep working.
-stderr_progress = StderrProgress()
 
 
 def run_cells(
@@ -1286,26 +1216,7 @@ def _run_cells_with_store(
                 chunk_timeout=chunk_timeout,
                 session=session,
             )
-            if jobs > 1:
-                # Large chunk arrays ship through one shared-memory
-                # segment owned by this call; workers map it read-only
-                # and payload pickles stay descriptor-sized.  The
-                # finally unlinks even if a worker (or the pool) dies:
-                # live worker mappings survive the unlink, nothing
-                # leaks past this call.
-                arena = _pack_shm_payloads(payloads)
-                if arena is not None:
-                    obs.count_many({
-                        "executor.shm_segments": 1,
-                        "executor.shm_bytes": arena.nbytes,
-                    })
-                try:
-                    supervisor.run(payloads)
-                finally:
-                    if arena is not None:
-                        arena.close()
-            else:
-                supervisor.run(payloads)
+            supervisor.run(payloads)
     fault_counters = report.counters()
     if fault_counters:
         obs.count_many(fault_counters)

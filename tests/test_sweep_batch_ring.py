@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.core import placement, pointers
 from repro.core.ring import RingRotorRouter
+from repro.sweep import batch_ring
 from repro.sweep.batch_ring import (
     BatchRingKernel,
     _padded_columns,
@@ -408,25 +409,17 @@ class TestFingerprintCollisions:
 
 
 class TestCompaction:
-    def test_results_invariant_across_ratios(self):
+    def test_results_invariant_across_ratios(self, monkeypatch):
         n = 32
         configurations = _family_configurations(n, seed_base=9)[:40]
         budget = 16 * n * n + 1024
         ptr, cnt = lanes_from_configs(n, configurations)
         baseline = batch_limit_cycles(n, ptr, cnt, budget)
         for ratio in (0.0, 0.3, 1.0):
-            cycles = batch_limit_cycles(
-                n, ptr, cnt, budget, compact_ratio=ratio
-            )
+            monkeypatch.setattr(batch_ring, "COMPACT_RATIO", ratio)
+            cycles = batch_limit_cycles(n, ptr, cnt, budget)
             assert np.array_equal(cycles.preperiods, baseline.preperiods)
             assert np.array_equal(cycles.periods, baseline.periods)
-
-    def test_invalid_ratio_rejected(self):
-        n = 8
-        ptr, cnt = lanes_from_configs(n, [(pointers.ring_uniform(n), [0])])
-        for ratio in (-0.1, 1.5):
-            with pytest.raises(ValueError):
-                batch_limit_cycles(n, ptr, cnt, 100, compact_ratio=ratio)
 
 
 class TestPositions:
@@ -437,27 +430,6 @@ class TestPositions:
         )
         kernel = BatchRingKernel(n, ptr, cnt)
         assert kernel.positions(0) == [0, 0, 0, 2, 4]
-
-
-class TestLaneMask:
-    def test_frozen_lanes_hold_still(self):
-        n = 12
-        dirs = [1] * n
-        ptr, cnt = lanes_from_configs(n, [(dirs, [0]), (dirs, [0])])
-        kernel = BatchRingKernel(n, ptr, cnt)
-        kernel.step(lane_mask=np.array([True, False]))
-        assert kernel.positions(0) == [1]
-        assert kernel.positions(1) == [0]
-        assert kernel.directions_lane(1) == dirs
-
-    def test_masked_visits_only_active_lanes(self):
-        n = 12
-        dirs = [1] * n
-        ptr, cnt = lanes_from_configs(n, [(dirs, [0]), (dirs, [0])])
-        kernel = BatchRingKernel(n, ptr, cnt)
-        visits = kernel.step(lane_mask=np.array([False, True]))
-        assert not visits[0].any()
-        assert visits[1].any()
 
 
 class TestValidation:
