@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.core import placement, pointers
 from repro.core.ring import RingRotorRouter
+from repro.obs.manifest import load_manifest, trace_session
 from repro.sweep import batch_ring
 from repro.sweep.batch_ring import (
     BatchRingKernel,
@@ -421,6 +422,23 @@ class TestCompaction:
             assert np.array_equal(cycles.preperiods, baseline.preperiods)
             assert np.array_equal(cycles.periods, baseline.periods)
 
+    def test_ratio_is_read_at_call_time(self, monkeypatch, tmp_path):
+        # Patching the module constant reaches both Brent phases: a
+        # ratio of 0 never compacts, 1 compacts on every resolution.
+        n = 32
+        configurations = _family_configurations(n, seed_base=9)[:40]
+        budget = 16 * n * n + 1024
+        ptr, cnt = lanes_from_configs(n, configurations)
+        compactions = {}
+        for ratio in (0.0, 1.0):
+            monkeypatch.setattr(batch_ring, "COMPACT_RATIO", ratio)
+            path = str(tmp_path / f"limit-{ratio}.jsonl")
+            with trace_session(path):
+                batch_limit_cycles(n, ptr, cnt, budget)
+            counters = load_manifest(path)["counters"]
+            compactions[ratio] = counters.get("limit.compactions", 0)
+        assert compactions[0.0] == 0 < compactions[1.0]
+
 
 class TestPositions:
     def test_multiplicity_and_order(self):
@@ -456,6 +474,19 @@ class TestValidation:
         counts[0, 1] = -1
         with pytest.raises(ValueError):
             BatchRingKernel(4, np.ones((1, 4)), counts)
+
+    def test_negative_rounds(self):
+        ptr, cnt = lanes_from_configs(4, [([1] * 4, [0])])
+        kernel = BatchRingKernel(4, ptr, cnt)
+        with pytest.raises(ValueError, match="non-negative"):
+            kernel.run(-1)
+        assert kernel.round == 0
+
+    def test_limit_budget_must_be_positive(self):
+        ptr, cnt = lanes_from_configs(4, [([1] * 4, [0])])
+        for max_rounds in (0, -3):
+            with pytest.raises(ValueError, match="must be positive"):
+                batch_limit_cycles(4, ptr, cnt, max_rounds)
 
     def test_dtype_escalation_preserves_totals(self):
         # k > 126 forces int16 lanes; conservation must survive.

@@ -1,6 +1,6 @@
 """Scheduling never changes a result: cadences, fusion and ``jobs``.
 
-Three pillars of the execution path are pinned here:
+Four pillars of the execution path are pinned here:
 
 * **The ring kernel's windowed cover driver is exact.**  Randomized
   configurations run through ``run_until_covered`` (32-round
@@ -8,6 +8,11 @@ Three pillars of the execution path are pinned here:
   per-round ``step()`` reaches at the same round — cover rounds, final
   pointers and counts.  Trials include lanes that cover *inside* a
   window and lanes that truncate at ``max_rounds``.
+* **Brent's limit-cycle search is exact at every compaction ratio.**
+  Randomized lanes resolve to the reference preperiod and period with
+  :data:`repro.sweep.batch_ring.COMPACT_RATIO` patched to 0 (never
+  compact), its default and 1 (compact on every resolution); starved
+  budgets truncate exactly the lanes whose search does not fit.
 * **Walk fusion is identity-neutral.**  The walk kernel runs with
   :data:`repro.sweep.batch_walk.FUSE_ROUNDS` patched to 1 (the
   unfused cadence), 7 (odd, misaligned with every power-of-two budget)
@@ -16,17 +21,22 @@ Three pillars of the execution path are pinned here:
 * **``jobs`` changes nothing.**  A ``jobs=2`` sweep — ring, walk and
   general-graph cells alike, each chunk one pickled payload — must
   equal the serial run result-for-result and kernel-counter for
-  kernel-counter, and rerun from its cache with zero recomputation.
+  kernel-counter, and rerun from its cache with zero recomputation;
+  a payload computes the same results after a pickle round trip.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.analysis.return_time import ring_rotor_return_time_exact
+from repro.graphs.base import GraphCSR
 from repro.obs.manifest import load_manifest, trace_session
-from repro.sweep import batch_walk
-from repro.sweep.batch_ring import BatchRingKernel
+from repro.sweep import batch_ring, batch_walk
+from repro.sweep.batch_ring import BatchRingKernel, batch_limit_cycles
 from repro.sweep.batch_walk import BatchRingWalks, WalkLane
-from repro.sweep.executor import _plan_chunks, run_sweep
+from repro.sweep.executor import _plan_chunks, compute_chunk, run_sweep
 from repro.sweep.registry import scenario
 from repro.sweep.spec import InitFamily, ScenarioSpec
 
@@ -86,6 +96,26 @@ class TestRingWindowedCover:
             f"trial={trial} n={n} max_rounds={max_rounds}",
         )
 
+    @pytest.mark.parametrize("trial", range(10))
+    def test_run_matches_stepping(self, trial):
+        rng = np.random.default_rng(2000 + trial)
+        n, pointers, counts = _random_ring_config(rng)
+        rounds = int(rng.integers(1, 200))
+        # Split the horizon at an arbitrary round: where one ``run``
+        # call ends and the next begins must not move the windows'
+        # results either.
+        first = int(rng.integers(0, rounds + 1))
+        windowed = BatchRingKernel(n, pointers, counts)
+        windowed.run(first)
+        windowed.run(rounds - first)
+        stepped = BatchRingKernel(n, pointers, counts)
+        for _ in range(rounds):
+            stepped.step()
+        _assert_states_equal(
+            _ring_state(stepped), _ring_state(windowed),
+            f"trial={trial} n={n} rounds={rounds} first={first}",
+        )
+
     def test_cover_inside_a_window_is_exact(self):
         # A single rotor walker fighting outward-pointing rotors covers
         # the n=40 ring at round 780, inside the 25th 32-round window
@@ -107,6 +137,74 @@ class TestRingWindowedCover:
         for _ in range(780):
             stepped.step()
         assert int(stepped.cover_rounds[0]) == 780
+
+
+def _brent_rounds(preperiod, period):
+    """Rounds Brent's phase 1 steps before it confirms ``period``.
+
+    Snapshots sit at rounds ``2^j - 1``, each compared against the next
+    ``2^j`` rounds: the first snapshot inside the cycle whose window
+    spans a full period sees its configuration again ``period`` rounds
+    later.
+    """
+    window = 1
+    while window - 1 < preperiod or window < period:
+        window *= 2
+    return window - 1 + period
+
+
+class TestLimitCompaction:
+    """Brent's search resolves reference cycles at every compaction ratio."""
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_periods_and_preperiods_match_reference(self, trial, monkeypatch):
+        rng = np.random.default_rng(3000 + trial)
+        n, pointers, counts = _random_ring_config(rng, max_n=24, max_lanes=5)
+        # Starve a third of the trials so truncation lanes (-1) are
+        # compared too: a lane resolves exactly when its search fits.
+        max_rounds = 40 if trial % 3 == 0 else 64 * n * n
+        expected_preperiods, expected_periods = [], []
+        for lane in range(pointers.shape[0]):
+            agents = np.repeat(np.arange(n), counts[lane]).tolist()
+            ref = ring_rotor_return_time_exact(
+                n, agents, pointers[lane].tolist()
+            )
+            fits = _brent_rounds(ref.preperiod, ref.period) <= max_rounds
+            expected_preperiods.append(ref.preperiod if fits else -1)
+            expected_periods.append(ref.period if fits else -1)
+        for ratio in (0.0, batch_ring.COMPACT_RATIO, 1.0):
+            monkeypatch.setattr(batch_ring, "COMPACT_RATIO", ratio)
+            cycles = batch_limit_cycles(
+                n, pointers, counts, max_rounds, strict=False
+            )
+            context = f"trial={trial} n={n} ratio={ratio}"
+            np.testing.assert_array_equal(
+                cycles.periods, expected_periods, err_msg=context
+            )
+            np.testing.assert_array_equal(
+                cycles.preperiods, expected_preperiods, err_msg=context
+            )
+
+
+    def test_budget_is_exact_at_the_search_length(self):
+        # A lane resolves with a budget of exactly the rounds its
+        # search steps and truncates one round short of it.
+        n = 24
+        pointers = np.array([[1] * (n // 2) + [-1] * (n // 2)])
+        counts = np.zeros((1, n), dtype=np.int64)
+        counts[0, [0, 5, 6]] = 1
+        ref = ring_rotor_return_time_exact(
+            n, [0, 5, 6], pointers[0].tolist()
+        )
+        rounds = _brent_rounds(ref.preperiod, ref.period)
+        exact = batch_limit_cycles(n, pointers, counts, rounds)
+        assert int(exact.preperiods[0]) == ref.preperiod
+        assert int(exact.periods[0]) == ref.period
+        short = batch_limit_cycles(
+            n, pointers, counts, rounds - 1, strict=False
+        )
+        assert int(short.periods[0]) == -1
+        assert int(short.preperiods[0]) == -1
 
 
 class TestWalkFusionEquivalence:
@@ -150,6 +248,18 @@ class TestWalkFusionEquivalence:
                 covers, tables[0][1], err_msg=context
             )
             assert positions == tables[0][2], context
+
+    def test_epochs_follow_the_module_constant(self, monkeypatch):
+        # The kernel reads FUSE_ROUNDS at call time: a fused epoch is
+        # FUSE_ROUNDS blocks while the element budget allows it.
+        lanes = [WalkLane((0, 3), seed=7), WalkLane((5,), seed=8)]
+        rounds = 1000
+        for fuse in FUSE_GRID:
+            monkeypatch.setattr(batch_walk, "FUSE_ROUNDS", fuse)
+            walks = BatchRingWalks(16, lanes, block_size=8)
+            walks.run(rounds)
+            assert walks.round == rounds
+            assert walks._epochs == -(-rounds // (fuse * walks.block_size))
 
 
 # ---------------------------------------------------- parallel sweeps
@@ -251,3 +361,48 @@ class TestParallelEquivalence:
         )
         for ours, theirs in zip(rerun.results, first.results):
             assert ours.metrics == theirs.metrics
+
+
+class TestChunkPayloads:
+    """A chunk is one plain picklable payload, whatever ``jobs`` is."""
+
+    def test_ring_and_walk_plans_do_not_depend_on_jobs(self, chunk_lanes):
+        cells = _mixed_spec().configs()
+        chunk_lanes(3)
+        serial_plan = _plan_chunks(cells, jobs=1)
+        assert {payload["model"] for payload in serial_plan} == {
+            "rotor", "walk",
+        }
+        for jobs in (2, 4):
+            assert _plan_chunks(cells, jobs=jobs) == serial_plan
+
+    @pytest.mark.parametrize(
+        "name", ("stabilization", "speedup", "general_speedup")
+    )
+    def test_payloads_compute_the_same_after_pickling(self, name):
+        # What a worker unpickles computes exactly what the dispatching
+        # process would: payloads carry cell dicts (and CSR tables),
+        # and lane arrays are built wherever the chunk runs.
+        cells = scenario(name, quick=True).configs()
+        for payload in _plan_chunks(cells, jobs=2):
+            shipped = pickle.loads(pickle.dumps(payload))
+            assert compute_chunk(shipped) == compute_chunk(payload)
+
+    def test_general_chunks_carry_exactly_their_graphs(self):
+        cells = scenario("general_speedup", quick=True).configs()
+        by_hash = {cell.config_hash: cell for cell in cells}
+        for payload in _plan_chunks(cells, jobs=2):
+            members = [by_hash[h] for h in payload["cell_hashes"]]
+            assert set(payload["graphs"]) == {
+                cell.graph_digest for cell in members
+            }
+            shipped = pickle.loads(pickle.dumps(payload["graphs"]))
+            for digest, graph in shipped.items():
+                # Recompute from the arrays that crossed the pipe, not
+                # from the digest cached on the pickled instance.
+                rebuilt = GraphCSR(
+                    indptr=graph.indptr,
+                    neighbors=graph.neighbors,
+                    deg=graph.deg,
+                )
+                assert rebuilt.digest == digest
