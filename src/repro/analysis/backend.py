@@ -44,8 +44,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.randomwalk.cover import CoverEstimate
 from repro.randomwalk.visits import GapStatistics
@@ -54,6 +52,7 @@ from repro.sweep.cells import (
     RotorCell,
     WalkCoverCell,
     WalkGapsCell,
+    general_cover_budget,
 )
 from repro.util.rng import derive_seed
 
@@ -278,23 +277,10 @@ class MeasurementPlan:
         """Rotor cover time on a port-labeled graph (exact int), as
         :func:`repro.analysis.cover_time.rotor_cover_time_general`."""
         if max_rounds is None:
-            # graph.diameter() caches, so wide grids pay the n-BFS
-            # sweep once per graph rather than once per cell.
-            max_rounds = 16 * graph.diameter() * graph.num_edges + 64
+            max_rounds = general_cover_budget(graph)
         cell = GeneralRotorCell.from_graph(
             graph, agents, ports, max_rounds
         )
-        # Ports are checked here, once per request, not in the cell:
-        # scenario grids build hundreds of general cells per pass.
-        deg = cell.csr().deg
-        port_array = np.asarray(cell.ports, dtype=np.int64)
-        bad = np.flatnonzero((port_array < 0) | (port_array >= deg))
-        if bad.size:
-            v = int(bad[0])
-            raise ValueError(
-                f"pointer {cell.ports[v]} at node {v} out of range for "
-                f"degree {int(deg[v])}"
-            )
         return self._schedule(cell, _wrap_rotor_cover)
 
     # ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.core import pointers as pointer_init
 from repro.graphs.base import PortLabeledGraph
 from repro.randomwalk.cover import CoverEstimate, estimate_cover_time
 from repro.randomwalk.ring_walk import RingRandomWalks
+from repro.sweep.cells import general_cover_budget
 from repro.util.rng import derive_seed
 
 
@@ -45,9 +46,7 @@ def rotor_cover_time_general(
     """Cover time of the rotor-router on an arbitrary graph."""
     engine = MultiAgentRotorRouter(graph, ports, agents)
     if max_rounds is None:
-        # Yanovski et al.: a single agent covers within O(D * m) and
-        # extra agents never hurt; leave generous slack for bad ports.
-        max_rounds = 16 * graph.diameter() * graph.num_edges + 64
+        max_rounds = general_cover_budget(graph)
     return engine.run_until_covered(max_rounds)
 
 

@@ -34,9 +34,9 @@ class GraphCSR:
     node every round.
 
     Arrays are immutable (``writeable=False``); ``digest`` is a
-    deterministic content hash of the packed structure, used to key
-    shared graph tables so a graph is serialized once per executor
-    chunk instead of once per cell.
+    deterministic content hash of the packed structure, which names
+    the graph in general-graph cells' cache identities instead of its
+    full port lists.
     """
 
     indptr: np.ndarray

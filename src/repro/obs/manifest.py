@@ -166,7 +166,7 @@ def traced_chunk(
     previous = _telemetry.set_active(tel)
     try:
         with tel.span(
-            f"chunk[{trace['chunk']}]", cells=len(payload["configs"])
+            f"chunk[{trace['chunk']}]", cells=len(payload["cells"])
         ):
             with tel.span("compute"):
                 result = fn(payload)

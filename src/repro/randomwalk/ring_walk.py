@@ -16,6 +16,12 @@ import numpy as np
 
 from repro.util.rng import make_rng
 
+#: Rounds per vectorized block.  The draw shapes follow it, so the
+#: batch walk kernel (:class:`repro.sweep.batch_walk.BatchRingWalks`)
+#: and the gap statistics of :mod:`repro.randomwalk.visits` read it to
+#: stay seed-for-seed equal to a default :class:`RingRandomWalks`.
+BLOCK_SIZE = 1024
+
 
 class RingRandomWalks:
     """k independent +/-1 walks on the n-ring with exact cover times."""
@@ -25,7 +31,7 @@ class RingRandomWalks:
         n: int,
         positions: Iterable[int],
         seed: int | np.random.Generator | None = 0,
-        block_size: int = 1024,
+        block_size: int = BLOCK_SIZE,
     ) -> None:
         if n < 3:
             raise ValueError(f"ring requires n >= 3, got {n}")

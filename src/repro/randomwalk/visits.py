@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.randomwalk import ring_walk
 from repro.util.rng import derive_seed
 
 
@@ -103,7 +104,7 @@ def ring_walk_gap_statistics(
         raise ValueError(f"node {node} out of range")
     rng = make_rng(derive_seed(seed, "gaps", n, k, node))
     positions = np.asarray(equally_spaced(n, k), dtype=np.int64)
-    block_size = 1024  # RingRandomWalks default; fixes the draw shapes
+    block_size = ring_walk.BLOCK_SIZE  # fixes the draw shapes
 
     def advance(block: int) -> np.ndarray:
         nonlocal positions

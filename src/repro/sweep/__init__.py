@@ -20,11 +20,12 @@ cached, parallel parameter sweeps:
 - :mod:`repro.sweep.cells` — explicit measurement cells (materialized
   agents/pointers/seeds rather than named families) that give the
   paper-reproduction experiments the same cached, batched execution
-  path via :mod:`repro.analysis.backend`;
+  path via :mod:`repro.analysis.backend`, plus the general-graph
+  budget rule :func:`~repro.sweep.cells.general_cover_budget`;
 - :mod:`repro.sweep.executor` — supervised multiprocessing execution
   with an on-disk result cache (``run_sweep`` for scenario grids,
-  ``run_cells`` for explicit cell lists; a chunk is one picklable
-  payload at every ``jobs``): per-chunk deadlines
+  ``run_cells`` for explicit cell lists; a chunk's payload is its
+  cell objects, pickled as-is at ``jobs > 1``): per-chunk deadlines
   (``chunk_timeout``), bounded retry (``max_retries``), poison-cell
   bisection/quarantine and serial degradation, all summarized in a
   :class:`FailureReport`;
@@ -66,7 +67,6 @@ from repro.sweep.cells import (
     RotorCell,
     WalkCoverCell,
     WalkGapsCell,
-    cell_from_dict,
 )
 from repro.sweep.executor import (
     ConfigResult,
@@ -108,7 +108,6 @@ __all__ = [
     "VerifyReport",
     "WalkCoverCell",
     "WalkGapsCell",
-    "cell_from_dict",
     "run_cells",
     "run_sweep",
     "verify_store",

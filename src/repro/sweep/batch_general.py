@@ -39,7 +39,9 @@ straggler lanes with a handful of agents — the driver hands each
 remaining lane to a scalar pure-Python finisher over the same CSR
 (plain-list indexing, ~0.2–2 µs/round vs ~10 µs of per-round numpy
 overhead), which is what keeps long single-agent lanes from running at
-dispatch cost.  Both phases implement the identical update rule;
+dispatch cost.  The crossover is the module constant
+:data:`SCALAR_TAIL_PAIRS`, read at call time.  Both phases implement
+the identical update rule;
 ``tests/test_sweep_batch_general.py`` pins the kernel configuration-
 for-configuration against :class:`repro.core.engine.MultiAgentRotorRouter`.
 """
@@ -60,8 +62,9 @@ from repro.obs.telemetry import active as _telemetry
 #: speedup_graphs grid: vector rounds cost ~10 µs of dispatch plus
 #: ~0.05 µs/pair, scalar rounds ~0.2–0.5 µs/pair with no floor, and a
 #: threshold sweep (16..192) bottoms out around 64 pairs.  Scheduling
-#: only — both phases are exact.
-DEFAULT_SCALAR_TAIL_PAIRS = 64
+#: only — both phases are exact.  ``run_until_covered`` reads it at
+#: call time, so tests can patch it.
+SCALAR_TAIL_PAIRS = 64
 
 
 @dataclass(frozen=True)
@@ -117,24 +120,11 @@ class BatchGeneralKernel:
         identical :class:`GraphCSR` objects (or equal digests) share
         one stacked copy.  ``max_rounds`` is per lane: a lane that has
         not covered when its budget elapses freezes with cover ``-1``.
-    scalar_tail_pairs:
-        Occupied-pair threshold below which remaining lanes finish on
-        the scalar stepper (scheduling only, never results).
     """
 
-    def __init__(
-        self,
-        lanes: Sequence,
-        scalar_tail_pairs: int = DEFAULT_SCALAR_TAIL_PAIRS,
-    ) -> None:
+    def __init__(self, lanes: Sequence) -> None:
         if not lanes:
             raise ValueError("at least one lane is required")
-        if scalar_tail_pairs < 0:
-            raise ValueError(
-                f"scalar_tail_pairs must be non-negative, got "
-                f"{scalar_tail_pairs}"
-            )
-        self._scalar_tail_pairs = int(scalar_tail_pairs)
         built = [
             lane if isinstance(lane, GeneralLane) else _as_lane(*lane)
             for lane in lanes
@@ -435,8 +425,9 @@ class BatchGeneralKernel:
             if self._active.any()
             else 0
         )
+        tail_pairs = SCALAR_TAIL_PAIRS
         while self._occ.size:
-            if self._occ.size <= self._scalar_tail_pairs:
+            if self._occ.size <= tail_pairs:
                 for lane in np.unique(self._lane_s[self._occ]).tolist():
                     self._finish_lane_scalar(int(lane))
                 self._occ = self._occ[:0]
@@ -495,16 +486,11 @@ class BatchGeneralKernel:
         return pointers, counts
 
 
-def batch_general_covers(
-    lanes: Sequence,
-    strict: bool = False,
-    scalar_tail_pairs: int = DEFAULT_SCALAR_TAIL_PAIRS,
-) -> np.ndarray:
+def batch_general_covers(lanes: Sequence, strict: bool = False) -> np.ndarray:
     """Cover rounds of many general-graph rotor lanes, batched.
 
     ``lanes`` holds ``(csr, pointers, agents, max_rounds)`` tuples; the
     result is one cover round per lane in order (-1 for lanes that
     exhausted their budget when ``strict`` is off).
     """
-    kernel = BatchGeneralKernel(lanes, scalar_tail_pairs=scalar_tail_pairs)
-    return kernel.run_until_covered(strict=strict)
+    return BatchGeneralKernel(lanes).run_until_covered(strict=strict)

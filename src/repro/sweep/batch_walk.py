@@ -23,8 +23,10 @@ so the per-element work drops to a handful of cheap int8/int32 passes
 
 **Seed-for-seed equivalence**: lane ``b`` with seed ``s`` consumes its
 generator identically to ``RingRandomWalks(n, positions, seed=s)``
-driven with the same ``block_size``.  Two stream facts make the fused
-draws exact, both pinned by ``tests/test_sweep_fused.py``:
+driven with the same ``block_size`` (the kernel reads the reference's
+default, :data:`repro.randomwalk.ring_walk.BLOCK_SIZE`, at
+construction).  Two stream facts make the fused draws exact, both
+pinned by ``tests/test_sweep_fused.py``:
 ``Generator.choice`` over a 2-element population consumes exactly one
 64-bit word per element in C order, so (1) it equals
 ``2·integers(0, 2, dtype=int64) − 1`` element for element, and (2) any
@@ -59,12 +61,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs.telemetry import active as _telemetry
+from repro.randomwalk import ring_walk
 from repro.util.rng import make_rng
-
-#: Default rounds per block; must match
-#: :class:`repro.randomwalk.ring_walk.RingRandomWalks` for the
-#: seed-for-seed equivalence documented above.
-DEFAULT_BLOCK_SIZE = 1024
 
 #: Blocks fused into one epoch (one RNG draw + one trajectory
 #: recovery per lane per epoch).  Identity-neutral: any value yields
@@ -97,25 +95,19 @@ class BatchRingWalks:
     lanes:
         One :class:`WalkLane` per system; lanes may have different
         walker counts (the walker axis is ragged and concatenated).
-    block_size:
-        Rounds simulated per vectorized block.  Leave at the default
-        to stay seed-for-seed equal to ``RingRandomWalks``.
+
+    Rounds are simulated in blocks of
+    :data:`repro.randomwalk.ring_walk.BLOCK_SIZE`, read at
+    construction, so tests can patch it.
     """
 
-    def __init__(
-        self,
-        n: int,
-        lanes: Sequence[WalkLane],
-        block_size: int = DEFAULT_BLOCK_SIZE,
-    ) -> None:
+    def __init__(self, n: int, lanes: Sequence[WalkLane]) -> None:
         if n < 3:
             raise ValueError(f"ring requires n >= 3, got {n}")
         if not lanes:
             raise ValueError("at least one lane is required")
-        if block_size < 1:
-            raise ValueError(f"block_size must be positive, got {block_size}")
         self.n = n
-        self.block_size = block_size
+        self.block_size = ring_walk.BLOCK_SIZE
         self.num_lanes = len(lanes)
         self.round = 0
         self._blocks = 0

@@ -25,13 +25,12 @@ Four cell kinds cover every measurement the experiments make:
   node (the Table 1 return-time contrast column);
 * :class:`GeneralRotorCell` — rotor-router cover on an arbitrary
   port-labeled graph (the Yanovski speed-up extension); lanes batch
-  through the CSR kernel of :mod:`repro.sweep.batch_general`, with
-  the graph structure carried once per chunk in a digest-keyed table
-  instead of once per cell.
+  through the CSR kernel of :mod:`repro.sweep.batch_general`.
 
-``cell_from_dict`` is the executor's deserializer: worker processes
-receive plain dicts and dispatch on the ``kind`` marker (absent for
-classic :class:`repro.sweep.spec.SweepConfig` cells).
+Cells are validated once, at construction, and are themselves the
+executor's chunk payload: a chunk holds the planner's own cell objects
+(pickled as-is to worker processes, where unpickling neither validates
+nor hashes again, since ``config_hash`` is cached on the instance).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.sweep.spec import METRICS
 
@@ -49,6 +48,19 @@ from repro.sweep.spec import METRICS
 #: v2: general cells identify their graph by CSR digest instead of
 #: embedding the full O(m) port lists in every cell's identity.
 CELL_SCHEMA_VERSION = 2
+
+
+def general_cover_budget(graph: Any) -> int:
+    """Default round budget of a general-graph rotor cover cell.
+
+    Yanovski et al.: a single agent covers within O(D·m) rounds and
+    extra agents never hurt; ``16·D·m + 64`` leaves generous slack for
+    bad pointer ports.  The budget joins the cell identity, so every
+    site that derives one (scenario grids, measurement plans, the
+    serial harness) calls this.  ``graph.diameter()`` caches, so wide
+    grids pay the n-BFS sweep once per graph.
+    """
+    return 16 * graph.diameter() * graph.num_edges + 64
 
 
 def _hash_identity(identity: dict) -> str:
@@ -143,20 +155,6 @@ class RotorCell:
         """``(agents, directions)`` — mirrors ``SweepConfig.build``."""
         return list(self.agents), list(self.directions)
 
-    def to_dict(self) -> dict:
-        return self.identity()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RotorCell":
-        _check_schema(data, "rotor-cell")
-        return cls(
-            n=int(data["n"]),
-            agents=tuple(int(a) for a in data["agents"]),
-            directions=tuple(int(d) for d in data["directions"]),
-            metrics=tuple(data["metrics"]),
-            max_rounds=int(data["max_rounds"]),
-        )
-
 
 @dataclass(frozen=True)
 class WalkCoverCell:
@@ -218,19 +216,6 @@ class WalkCoverCell:
     def rep_seeds(self) -> tuple[int, ...]:
         return self.seeds
 
-    def to_dict(self) -> dict:
-        return self.identity()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WalkCoverCell":
-        _check_schema(data, "walk-cover-cell")
-        return cls(
-            n=int(data["n"]),
-            agents=tuple(int(a) for a in data["agents"]),
-            seeds=tuple(int(s) for s in data["seeds"]),
-            max_rounds=int(data["max_rounds"]),
-        )
-
 
 @dataclass(frozen=True)
 class WalkGapsCell:
@@ -285,21 +270,6 @@ class WalkGapsCell:
     def config_hash(self) -> str:
         return _hash_identity(self.identity())
 
-    def to_dict(self) -> dict:
-        return self.identity()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WalkGapsCell":
-        _check_schema(data, "walk-gaps-cell")
-        return cls(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            node=int(data["node"]),
-            observation_rounds=int(data["observation_rounds"]),
-            burn_in=int(data["burn_in"]),
-            seed=int(data["seed"]),
-        )
-
 
 @dataclass(frozen=True)
 class GeneralRotorCell:
@@ -308,12 +278,11 @@ class GeneralRotorCell:
     The identity names the graph by the content digest of its CSR
     packing (:class:`repro.graphs.base.GraphCSR`), so topologically
     identical graphs built by different factories still share cache
-    entries — while a cell's serialized form shrinks to O(n + k) (the
-    pointer and agent vectors) instead of re-embedding the full O(m)
-    port lists once per seed.  The port structure itself travels once per executor chunk
-    in a digest-keyed graph table (see
-    :func:`repro.sweep.executor._plan_chunks`), and chunks dispatch to
-    the batched CSR kernel of :mod:`repro.sweep.batch_general`.
+    entries, and a cache row's identity holds O(n + k) values (the
+    pointer and agent vectors) instead of the full O(m) port lists.
+    Cells over one graph share its port tuple and CSR objects, so a
+    pickled chunk writes each graph once; chunks dispatch to the
+    batched CSR kernel of :mod:`repro.sweep.batch_general`.
     """
 
     graph_ports: tuple[tuple[int, ...], ...]
@@ -334,6 +303,12 @@ class GeneralRotorCell:
                 f"expected {len(self.graph_ports)} pointer ports, "
                 f"got {len(self.ports)}"
             )
+        for v, (port, row) in enumerate(zip(self.ports, self.graph_ports)):
+            if not 0 <= port < len(row):
+                raise ValueError(
+                    f"pointer {port} at node {v} out of range for "
+                    f"degree {len(row)}"
+                )
         _check_budget(self.max_rounds)
 
     @classmethod
@@ -371,7 +346,8 @@ class GeneralRotorCell:
 
     def csr(self) -> Any:
         """The graph's CSR packing (computed once per cell, shared by
-        cells built through :meth:`from_graph` or a chunk graph table)."""
+        cells built through :meth:`from_graph`, and pickled with the
+        cell)."""
         cached = getattr(self, "_csr", None)
         if cached is None:
             from repro.graphs.base import GraphCSR
@@ -399,40 +375,6 @@ class GeneralRotorCell:
     def config_hash(self) -> str:
         return _hash_identity(self.identity())
 
-    def to_dict(self) -> dict:
-        return self.identity()
-
-    @classmethod
-    def from_dict(
-        cls, data: dict, graphs: Mapping[str, Any] | None = None
-    ) -> "GeneralRotorCell":
-        """Rebuild from the compact dict plus a digest-keyed graph table.
-
-        ``graphs`` maps digests to :class:`repro.graphs.base.GraphCSR`
-        instances (an executor chunk payload carries exactly the table
-        its cells need).
-        """
-        _check_schema(data, "general-rotor-cell")
-        digest = data["graph"]
-        if graphs is None or digest not in graphs:
-            raise ValueError(
-                f"general-rotor-cell {digest[:12]}… needs its graph "
-                "table entry to deserialize"
-            )
-        csr = graphs[digest]
-        graph_ports = getattr(csr, "_cached_ports", None)
-        if graph_ports is None:
-            graph_ports = csr.to_ports()
-            object.__setattr__(csr, "_cached_ports", graph_ports)
-        cell = cls(
-            graph_ports=graph_ports,
-            agents=tuple(int(a) for a in data["agents"]),
-            ports=tuple(int(p) for p in data["ports"]),
-            max_rounds=int(data["max_rounds"]),
-        )
-        object.__setattr__(cell, "_csr", csr)
-        return cell
-
 
 @dataclass(frozen=True)
 class LabeledGeneralRotorCell(GeneralRotorCell):
@@ -454,46 +396,3 @@ class LabeledGeneralRotorCell(GeneralRotorCell):
     @property
     def pointer(self) -> str:
         return "random"
-
-
-_KINDS: dict[str, Any] = {
-    "rotor-cell": RotorCell,
-    "walk-cover-cell": WalkCoverCell,
-    "walk-gaps-cell": WalkGapsCell,
-    "general-rotor-cell": GeneralRotorCell,
-}
-
-
-def _check_schema(data: dict, kind: str) -> None:
-    if data.get("kind") != kind:
-        raise ValueError(f"expected a {kind!r} dict, got {data.get('kind')!r}")
-    if data.get("schema") != CELL_SCHEMA_VERSION:
-        raise ValueError(
-            f"cell schema {data.get('schema')!r} does not match "
-            f"{CELL_SCHEMA_VERSION}"
-        )
-
-
-def cell_from_dict(
-    data: dict, graphs: Mapping[str, Any] | None = None
-) -> Any:
-    """Rebuild any sweep cell from its dict form.
-
-    Explicit cells carry a ``kind`` marker; dicts without one are
-    classic :class:`repro.sweep.spec.SweepConfig` cells.  General cells
-    additionally need ``graphs``, the chunk's digest-keyed graph table.
-    """
-    kind = data.get("kind")
-    if kind is None:
-        from repro.sweep.spec import SweepConfig
-
-        return SweepConfig.from_dict(data)
-    try:
-        cls = _KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown cell kind {kind!r}; known: {sorted(_KINDS)}"
-        ) from None
-    if kind == "general-rotor-cell":
-        return cls.from_dict(data, graphs=graphs)
-    return cls.from_dict(data)

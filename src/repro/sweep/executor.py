@@ -18,16 +18,17 @@ results in three stages:
    chunks are additionally capped by total walker count, since the
    block buffers scale with ``Σ k·repetitions``), and a general-graph
    chunk one :class:`repro.sweep.batch_general.BatchGeneralKernel`
-   invocation over a digest-keyed graph table (graphs serialize once
-   per chunk, lanes of *different* graphs share rounds);
+   invocation (lanes of *different* graphs share rounds);
 3. **execution** — chunks run in-process (``jobs <= 1``) or across a
    ``multiprocessing`` pool under a supervising dispatcher
    (:class:`_Supervisor`), with per-chunk progress reporting; each
    chunk's results are written back in one batched
    :meth:`~repro.sweep.store.SqliteStore.put_many` call.  A chunk is
-   the same plain picklable dict at every ``jobs``: it carries cell
-   dict forms (plus, for general chunks, the pickled ``GraphCSR``
-   tables), and whichever process runs it builds its own lane arrays.
+   the same payload at every ``jobs``: ``{"cells": [...]}``, the
+   planner's own cell objects, passed by reference in-process and
+   pickled as-is to workers (each general graph once per chunk, by
+   pickle's memo); whichever process runs it builds its own lane
+   arrays.
 
 The execution stage is **fault-tolerant**: chunks are tracked
 individually with per-chunk deadlines (``chunk_timeout``), failed
@@ -84,7 +85,6 @@ from repro.sweep.faults import (
     apply_chunk_faults,
     corrupt_rows_in_store,
 )
-from repro.sweep.cells import cell_from_dict
 from repro.sweep.spec import ScenarioSpec, SweepConfig
 from repro.sweep.store import SqliteStore, open_store
 from repro.util.stats import normal_ci, summarize
@@ -274,10 +274,11 @@ class SweepResult:
 def compute_chunk(payload: dict) -> list[tuple[str, dict]]:
     """Run one chunk of same-model, same-``n`` cells through a kernel.
 
-    ``payload`` is a plain dict (picklable for worker processes) with
-    the model, ring size, round budget, metric list and the cells'
-    dict forms.  Returns ``(config_hash, metrics)`` pairs in chunk
-    order.
+    ``payload["cells"]`` holds the chunk's cells, which the planner's
+    group key makes agree on model, ring size, round budget and metric
+    set (general cells agree on model only), so the computers read
+    those from ``cells[0]``.  Returns ``(config_hash, metrics)`` pairs
+    in chunk order.
 
     When the payload carries a ``trace`` stanza (added by
     :func:`run_cells` under an active :func:`repro.obs.trace_session`),
@@ -291,7 +292,9 @@ def compute_chunk(payload: dict) -> list[tuple[str, dict]]:
     """
     stanza = payload.get("faults")
     if stanza is not None:
-        apply_chunk_faults(stanza, payload.get("cell_hashes", ()))
+        apply_chunk_faults(
+            stanza, [cell.config_hash for cell in payload["cells"]]
+        )
     trace = payload.get("trace")
     if trace is not None:
         return obs.traced_chunk(trace, _dispatch_chunk, payload)
@@ -300,27 +303,28 @@ def compute_chunk(payload: dict) -> list[tuple[str, dict]]:
 
 def _dispatch_chunk(payload: dict) -> list[tuple[str, dict]]:
     """Model dispatch of :func:`compute_chunk` (sans telemetry)."""
-    if payload["model"] == "walk":
-        if "gaps" in payload["metrics"]:
-            return _compute_gaps_chunk(payload)
-        return _compute_walk_chunk(payload)
-    if payload["model"] == "rotor-general":
-        return _compute_general_chunk(payload)
-    return _compute_rotor_chunk(payload)
+    cells = payload["cells"]
+    model = cells[0].model
+    if model == "walk":
+        if "gaps" in cells[0].metrics:
+            return _compute_gaps_chunk(cells)
+        return _compute_walk_chunk(cells)
+    if model == "rotor-general":
+        return _compute_general_chunk(cells)
+    return _compute_rotor_chunk(cells)
 
 
-def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
+def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
     """Rotor cells: one deterministic lane each, batch ring kernel.
 
     Sparse cover-only chunks run on the CSR kernel over the cached ring
     graph instead — identical results, per-round cost bounded by the
     agents rather than ``B·n`` (see :func:`_prefer_csr_covers`).
     """
-    n = payload["n"]
-    max_rounds = payload["max_rounds"]
-    metrics: Sequence[str] = payload["metrics"]
-    configs = [cell_from_dict(data) for data in payload["configs"]]
-    if list(metrics) == ["cover"] and _prefer_csr_covers(n, configs):
+    n = configs[0].n
+    max_rounds = configs[0].max_rounds
+    metrics: Sequence[str] = configs[0].metrics
+    if tuple(metrics) == ("cover",) and _prefer_csr_covers(n, configs):
         return _compute_rotor_covers_csr(n, max_rounds, configs)
     built = [config.build() for config in configs]
     pointers, counts = lanes_from_configs(
@@ -371,7 +375,7 @@ def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
     ]
 
 
-def _compute_walk_chunk(payload: dict) -> list[tuple[str, dict]]:
+def _compute_walk_chunk(configs: list) -> list[tuple[str, dict]]:
     """Walk cells: fan repetitions into lanes, aggregate mean/CI back.
 
     Each cell's repetitions run on the derived seeds of
@@ -382,9 +386,8 @@ def _compute_walk_chunk(payload: dict) -> list[tuple[str, dict]]:
     would be biased); the repetition count and truncation count are
     always recorded.
     """
-    n = payload["n"]
-    max_rounds = payload["max_rounds"]
-    configs = [cell_from_dict(data) for data in payload["configs"]]
+    n = configs[0].n
+    max_rounds = configs[0].max_rounds
     lanes, slices = walk_lanes_from_cells(
         [(config.build_agents(), config.rep_seeds()) for config in configs]
     )
@@ -455,7 +458,7 @@ def _csr_covers(cells: list, lanes: list) -> list[tuple[str, dict]]:
     ]
 
 
-def _compute_gaps_chunk(payload: dict) -> list[tuple[str, dict]]:
+def _compute_gaps_chunk(cells: list) -> list[tuple[str, dict]]:
     """Walk gap-statistics cells: one seeded measurement per cell.
 
     Gap cells have no lane-sharing structure (each is one k-walker
@@ -466,8 +469,7 @@ def _compute_gaps_chunk(payload: dict) -> list[tuple[str, dict]]:
     from repro.randomwalk.visits import ring_walk_gap_statistics
 
     out: list[tuple[str, dict]] = []
-    for data in payload["configs"]:
-        cell = cell_from_dict(data)
+    for cell in cells:
         stats = ring_walk_gap_statistics(
             cell.n,
             cell.k,
@@ -480,19 +482,17 @@ def _compute_gaps_chunk(payload: dict) -> list[tuple[str, dict]]:
     return out
 
 
-def _compute_general_chunk(payload: dict) -> list[tuple[str, dict]]:
+def _compute_general_chunk(cells: list) -> list[tuple[str, dict]]:
     """General-graph rotor cells: batched CSR kernel per chunk.
 
-    The chunk carries its graphs once in a digest-keyed table
-    (``payload["graphs"]``); every cell of the chunk becomes one lane
-    of a single :class:`repro.sweep.batch_general.BatchGeneralKernel`
-    invocation, so all seeds, k-values — and families — advance with
-    shared vectorized rounds, whatever the chunk's size.
+    Each cell carries its graph's CSR (cells over one graph share one
+    object, so a pickled chunk holds each graph once); every cell
+    becomes one lane of a single
+    :class:`repro.sweep.batch_general.BatchGeneralKernel` invocation
+    with its own size and budget, so all seeds, k-values — and
+    families — advance with shared vectorized rounds, whatever the
+    chunk's size.
     """
-    cells = [
-        cell_from_dict(data, graphs=payload["graphs"])
-        for data in payload["configs"]
-    ]
     return _csr_covers(
         cells,
         [
@@ -505,11 +505,14 @@ def _compute_general_chunk(payload: dict) -> list[tuple[str, dict]]:
 def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
     """Group misses by (model, n, budget, metrics); slice into payloads.
 
-    The metric tuple is part of the group key: a chunk's payload
-    carries exactly one metric set, so heterogeneous miss lists can
-    never compute (and cache) the wrong metrics for some of their
-    cells.  Ring and walk chunks hold at most :data:`CHUNK_LANES`
-    cells; walk chunks are additionally split by total walker count
+    Each payload is ``{"cells": chunk}``, the planner's own cell
+    objects; :func:`run_cells` adds the ``trace`` and ``faults``
+    stanzas when they are active.  The computers read the group key
+    from ``cells[0]``.  The metric tuple is part of it: a chunk holds
+    exactly one metric set, so heterogeneous miss lists can never
+    compute (and cache) the wrong metrics for some of their cells.
+    Ring and walk chunks hold at most :data:`CHUNK_LANES` cells; walk
+    chunks are additionally split by total walker count
     (``Σ k·repetitions``, at most :data:`WALK_CHUNK_WALKERS`), which
     bounds the walk kernel's block-buffer memory regardless of how
     many repetitions a cell fans out into.
@@ -518,11 +521,10 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
     the CSR kernel steps heterogeneous lanes natively, and the more
     lanes share one invocation, the better the long single-agent tails
     amortize — ordered by graph digest so every chunk's cells cluster
-    by graph and its digest-keyed graph table (``payload["graphs"]``,
-    one :class:`~repro.graphs.base.GraphCSR` per distinct graph) stays
-    small.  With ``jobs <= 1`` the whole group is one chunk (splitting
-    buys nothing in-process); parallel runs split it into up to
-    ``2·jobs`` chunks balanced by occupied-pair load estimates
+    by graph, and a chunk ships few distinct graphs.  With
+    ``jobs <= 1`` the whole group is one chunk (splitting buys nothing
+    in-process); parallel runs split it into up to ``2·jobs`` chunks
+    balanced by occupied-pair load estimates
     (``min(k, n) · max_rounds`` per cell), not by lane count.
 
     Chunking decides how cells share kernel invocations, never what a
@@ -540,30 +542,12 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
             )
         groups.setdefault(key, []).append(config)
     payloads = []
-    for (model, n, max_rounds, metrics), members in sorted(groups.items()):
+    for (model, _, _, _), members in sorted(groups.items()):
         if model == "rotor-general":
             # Stable, so same-graph cells keep their miss order.
             members = sorted(members, key=lambda cell: cell.graph_digest)
         for chunk in _slice_chunks(model, members, jobs):
-            payload = {
-                "model": model,
-                "n": n,
-                "max_rounds": max_rounds,
-                "metrics": list(metrics),
-                "configs": [config.to_dict() for config in chunk],
-                # Chunk-ordered hashes ride along so the supervisor can
-                # quarantine (and fault plans can target) cells without
-                # rebuilding them from their dict forms.
-                "cell_hashes": [config.config_hash for config in chunk],
-            }
-            if model == "rotor-general":
-                payload["max_rounds"] = max(
-                    config.max_rounds for config in chunk
-                )
-                payload["graphs"] = {
-                    config.graph_digest: config.csr() for config in chunk
-                }
-            payloads.append(payload)
+            payloads.append({"cells": chunk})
     return payloads
 
 
@@ -578,7 +562,7 @@ def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
         # rather than on lane count — one huge-graph cell no longer
         # weighs the same as a dozen tiny ones.  Members arrive
         # digest-sorted, so contiguous chunks keep same-graph cells
-        # (and their shared CSR tables) together.
+        # (and their shared CSR objects) together.
         if jobs <= 1:
             return [members]
         weights = [
@@ -896,36 +880,27 @@ class _Supervisor:
 
     def _bisect_or_quarantine(self, task: _ChunkTask, exc: BaseException):
         summary = f"{type(exc).__name__}: {exc}"
-        configs = task.payload["configs"]
-        if len(configs) <= 1:
-            self.quarantine(task.payload["cell_hashes"][0], summary)
+        cells = task.payload["cells"]
+        if len(cells) <= 1:
+            self.quarantine(cells[0].config_hash, summary)
             return
         self.report.chunk_failures += 1
-        mid = len(configs) // 2
+        mid = len(cells) // 2
         # Halves go to the queue front so isolation finishes promptly;
         # appendleft order puts the low half first.
-        for lo, hi in ((mid, len(configs)), (0, mid)):
+        for lo, hi in ((mid, len(cells)), (0, mid)):
             sub = self._subset_payload(task.payload, lo, hi)
             self.queue.appendleft(_ChunkTask(sub, tries_left=0))
 
     def _subset_payload(self, payload: dict, lo: int, hi: int) -> dict:
-        """A payload computing ``configs[lo:hi]`` of ``payload``.
+        """A payload computing ``cells[lo:hi]`` of ``payload``.
 
-        The general-graph table shrinks to the slice's digests, and
-        the fault stanza — if any — is re-keyed to ``chunk=None``:
+        The fault stanza — if any — is re-keyed to ``chunk=None``:
         chunk-indexed faults never target bisection sub-chunks, so
         isolating a poison cell always converges.
         """
         sub = dict(payload)
-        sub["configs"] = payload["configs"][lo:hi]
-        sub["cell_hashes"] = payload["cell_hashes"][lo:hi]
-        if "graphs" in payload:
-            digests = {data.get("graph") for data in sub["configs"]}
-            sub["graphs"] = {
-                digest: graph
-                for digest, graph in payload["graphs"].items()
-                if digest in digests
-            }
+        sub["cells"] = payload["cells"][lo:hi]
         stanza = payload.get("faults")
         if stanza is not None:
             sub["faults"] = dict(stanza, chunk=None, attempt=0)
@@ -1048,8 +1023,8 @@ def run_cells(
     analysis backend (:mod:`repro.analysis.backend` explicit experiment
     cells).  ``cells`` may mix models and cell kinds — anything
     exposing the sweep-cell surface (``model``/``n``/``max_rounds``/
-    ``metrics``/``k``/``repetitions``/``config_hash``/``to_dict``)
-    schedules; duplicate hashes are computed once.
+    ``metrics``/``k``/``repetitions``/``config_hash``, picklable for
+    ``jobs > 1``) schedules; duplicate hashes are computed once.
 
     Returns ``(metrics_by_hash, cached_hashes, failure_report)``:
     every requested hash's metrics, the subset served from the cache,

@@ -176,12 +176,6 @@ class SweepConfig:
         text = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    @property
-    def family(self) -> InitFamily:
-        """The named initialization pair (rotor cells only: walk cells
-        carry the ``none`` pointer sentinel, which is not a family)."""
-        return InitFamily(self.placement, self.pointer)
-
     def build_agents(self) -> list[int]:
         """Materialize the agent placement for this cell.
 
@@ -221,29 +215,6 @@ class SweepConfig:
         return tuple(
             derive_seed(self.seed, "walk-cover", self.n, self.k, rep)
             for rep in range(self.repetitions)
-        )
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (pickled to worker processes, stored in cache)."""
-        return self.identity()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepConfig":
-        if data.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"config schema {data.get('schema')!r} does not match "
-                f"{SCHEMA_VERSION}"
-            )
-        return cls(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            placement=str(data["placement"]),
-            pointer=str(data["pointer"]),
-            seed=int(data["seed"]),
-            metrics=tuple(data["metrics"]),
-            max_rounds=int(data["max_rounds"]),
-            model=str(data["model"]),
-            repetitions=int(data["repetitions"]),
         )
 
 
@@ -411,8 +382,9 @@ class GeneralScenarioSpec:
     aggregate speed-up view ``S(k) = C(1)/C(k)``.
 
     Graph instances (not factories) are part of the spec, so the spec
-    is hashable and its expansion deterministic; budgets follow the
-    same ``16·diam·m + 64`` rule as the analysis backend.
+    is hashable and its expansion deterministic; budgets follow
+    :func:`repro.sweep.cells.general_cover_budget`, like the analysis
+    backend's.
     """
 
     name: str
@@ -433,15 +405,15 @@ class GeneralScenarioSpec:
         if not self.seeds:
             raise ValueError("at least one seed is required")
 
-    def budget(self, graph: Any) -> int:
-        return 16 * graph.diameter() * graph.num_edges + 64
-
     def configs(self) -> list:
-        from repro.sweep.cells import LabeledGeneralRotorCell
+        from repro.sweep.cells import (
+            LabeledGeneralRotorCell,
+            general_cover_budget,
+        )
 
         cells: list[LabeledGeneralRotorCell] = []
         for family, graph in self.graphs:
-            budget = self.budget(graph)
+            budget = general_cover_budget(graph)
             for k in self.ks:
                 for seed in self.seeds:
                     agents, ports = general_instance(graph, k, seed)

@@ -50,16 +50,6 @@ def _cover_cell(n, agents, max_rounds):
     )
 
 
-def _cover_payload(n, max_rounds, cells):
-    return {
-        "model": "rotor",
-        "n": n,
-        "max_rounds": max_rounds,
-        "metrics": ["cover"],
-        "configs": [cell.to_dict() for cell in cells],
-    }
-
-
 class TestBackendEquivalenceGrid:
     """batch == reference over a randomized >=100-config grid."""
 
@@ -144,7 +134,7 @@ class TestBackendEquivalenceGrid:
         assert _prefer_csr_covers(n, sparse)
         assert not _prefer_csr_covers(n, dense)
         for chunk in (sparse, dense):
-            out = _compute_rotor_chunk(_cover_payload(n, max_rounds, chunk))
+            out = _compute_rotor_chunk(chunk)
             expected = [
                 ring_rotor_cover_time(
                     n, list(cell.agents), list(cell.directions)
@@ -166,7 +156,7 @@ class TestBackendEquivalenceGrid:
         budget = max(covers) - 1  # the lone agent truncates, the pair covers
         cells = [_cover_cell(n, agents, budget) for agents in placements]
         assert _prefer_csr_covers(n, cells)
-        out = _compute_rotor_chunk(_cover_payload(n, budget, cells))
+        out = _compute_rotor_chunk(cells)
         assert out == [
             (cells[0].config_hash, {"cover": None}),
             (cells[1].config_hash, {"cover": covers[1]}),

@@ -27,6 +27,7 @@ from repro.graphs import (
     torus_2d,
 )
 from repro.graphs.random_graphs import shuffled_ports
+from repro.sweep import batch_general
 from repro.sweep.batch_general import (
     BatchGeneralKernel,
     GeneralLane,
@@ -109,15 +110,32 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize(
         "tail", [0, 32, 10**9], ids=["vector-only", "crossover", "scalar-only"]
     )
-    def test_covers_and_final_states_match_reference(self, tail):
+    def test_covers_and_final_states_match_reference(self, tail, monkeypatch):
         lanes, references, _ = GRID
-        kernel = BatchGeneralKernel(lanes, scalar_tail_pairs=tail)
+        monkeypatch.setattr(batch_general, "SCALAR_TAIL_PAIRS", tail)
+        kernel = BatchGeneralKernel(lanes)
         covers = kernel.run_until_covered(strict=False)
         for lane_index, (cover, ref_ptr, ref_cnt) in enumerate(references):
             assert covers[lane_index] == cover, lane_index
             pointers, counts = kernel.lane_state(lane_index)
             assert pointers.tolist() == ref_ptr, lane_index
             assert counts.tolist() == ref_cnt, lane_index
+
+    def test_tail_threshold_is_read_at_call_time(self, monkeypatch):
+        # Patched after construction, the constant still decides: 0
+        # never hands a lane to the scalar finisher, a huge threshold
+        # hands every lane over before the first vector round.
+        lanes, references, _ = GRID
+        lanes, references = lanes[:24], references[:24]
+        for tail in (0, 10**9):
+            kernel = BatchGeneralKernel(lanes)
+            monkeypatch.setattr(batch_general, "SCALAR_TAIL_PAIRS", tail)
+            covers = kernel.run_until_covered(strict=False)
+            assert covers.tolist() == [cover for cover, _, _ in references]
+            if tail:
+                assert kernel._vector_rounds == 0 < kernel._scalar_lanes
+            else:
+                assert kernel._scalar_lanes == 0 < kernel._vector_rounds
 
     def test_truncated_lanes_report_minus_one(self):
         lanes, references, _ = GRID
@@ -170,10 +188,6 @@ class TestKernelSurface:
             BatchGeneralKernel([(csr, [0] * 9, [9], 10)])
         with pytest.raises(ValueError, match="pointers"):
             BatchGeneralKernel([(csr, [0] * 5, [0], 10)])
-        with pytest.raises(ValueError, match="scalar_tail_pairs"):
-            BatchGeneralKernel(
-                [(csr, [0] * 9, [0], 10)], scalar_tail_pairs=-1
-            )
 
     def test_lane_state_bounds(self):
         csr = torus_2d(3, 3).to_csr()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.randomwalk import ring_walk
 from repro.randomwalk.ring_walk import RingRandomWalks
 from repro.sweep.batch_walk import (
     BatchRingWalks,
@@ -64,12 +65,13 @@ class TestReferenceEquivalence:
             reference = RingRandomWalks(n, lane.positions, seed=lane.seed)
             assert reference.run_until_covered(64 * n * n) == int(got)
 
-    def test_partial_final_block_stays_aligned(self):
+    def test_partial_final_block_stays_aligned(self, monkeypatch):
         # A max_rounds that is not a multiple of block_size truncates
         # the last block in both implementations identically.
         n, positions, seed = 16, (0,), 5
         max_rounds = 100
-        batch = BatchRingWalks(n, [WalkLane(positions, seed)], block_size=32)
+        monkeypatch.setattr(ring_walk, "BLOCK_SIZE", 32)
+        batch = BatchRingWalks(n, [WalkLane(positions, seed)])
         covers = batch.run_until_covered(max_rounds, strict=False)
         reference = RingRandomWalks(
             n, positions, seed=seed, block_size=32
@@ -79,6 +81,26 @@ class TestReferenceEquivalence:
         except RuntimeError:
             expected = -1
         assert int(covers[0]) == expected
+
+    def test_block_size_is_read_at_construction(self, monkeypatch):
+        # The kernel takes ring_walk.BLOCK_SIZE when it is built:
+        # patching it afterwards no longer changes the block cadence,
+        # and either cadence matches the reference driven with it.
+        n, rounds = 16, 100
+        lanes = [WalkLane((0, 3), 7), WalkLane((5,), 8)]
+        for block in (8, 32):
+            monkeypatch.setattr(ring_walk, "BLOCK_SIZE", block)
+            batch = BatchRingWalks(n, lanes)
+            monkeypatch.setattr(ring_walk, "BLOCK_SIZE", 1024)
+            batch.run(rounds)
+            assert batch.block_size == block
+            assert batch._blocks == -(-rounds // block)
+            for b, lane in enumerate(lanes):
+                reference = RingRandomWalks(
+                    n, lane.positions, seed=lane.seed, block_size=block
+                )
+                reference.run(rounds)
+                assert batch.positions_lane(b) == reference.positions.tolist()
 
 
 class TestCoverDetection:
@@ -127,8 +149,6 @@ class TestValidation:
             BatchRingWalks(8, [WalkLane((), 0)])
         with pytest.raises(ValueError):
             BatchRingWalks(8, [WalkLane((9,), 0)])
-        with pytest.raises(ValueError):
-            BatchRingWalks(8, [WalkLane((0,), 0)], block_size=0)
         with pytest.raises(ValueError):
             BatchRingWalks(8, [WalkLane((0,), 0)]).run(-1)
 

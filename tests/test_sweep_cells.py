@@ -1,16 +1,21 @@
 """Tests for explicit measurement cells (repro.sweep.cells)."""
 
+import pickle
+
 import pytest
 
 from repro.sweep.cells import (
-    CELL_SCHEMA_VERSION,
     GeneralRotorCell,
     RotorCell,
     WalkCoverCell,
     WalkGapsCell,
-    cell_from_dict,
 )
 from repro.sweep.spec import SweepConfig
+
+
+def _shipped(cell):
+    """The cell as a worker process receives it."""
+    return pickle.loads(pickle.dumps(cell))
 
 
 def _rotor_cell(**overrides):
@@ -28,7 +33,7 @@ def _rotor_cell(**overrides):
 class TestRotorCell:
     def test_round_trip(self):
         cell = _rotor_cell()
-        clone = cell_from_dict(cell.to_dict())
+        clone = _shipped(cell)
         assert clone == cell
         assert clone.config_hash == cell.config_hash
 
@@ -73,7 +78,7 @@ class TestWalkCells:
         assert cell.repetitions == 3
         assert cell.build_agents() == [0, 8]
         assert cell.rep_seeds() == (11, 22, 33)
-        assert cell_from_dict(cell.to_dict()) == cell
+        assert _shipped(cell) == cell
 
     def test_cover_cell_validation(self):
         with pytest.raises(ValueError):
@@ -92,7 +97,7 @@ class TestWalkCells:
         assert cell.model == "walk"
         assert cell.metrics == ("gaps",)
         assert cell.max_rounds == 960 + 96
-        assert cell_from_dict(cell.to_dict()) == cell
+        assert _shipped(cell) == cell
 
     def test_gaps_cell_validation(self):
         with pytest.raises(ValueError):
@@ -121,25 +126,10 @@ class TestGeneralRotorCell:
         assert cell.model == "rotor-general"
         assert cell.n == 3
         assert cell.k == 1
-        # The dict form is compact (graph by digest); deserialization
-        # resolves the structure through the chunk's graph table.
-        graphs = {cell.graph_digest: cell.csr()}
-        clone = cell_from_dict(cell.to_dict(), graphs=graphs)
+        # The pickled cell carries its graph and its CSR packing.
+        clone = _shipped(cell)
         assert clone == cell
         assert clone.config_hash == cell.config_hash
-
-    def test_dict_form_is_compact_and_needs_graph_table(self):
-        cell = GeneralRotorCell(
-            graph_ports=((1, 2), (0, 2), (0, 1)),
-            agents=(0,),
-            ports=(0, 0, 0),
-            max_rounds=100,
-        )
-        data = cell.to_dict()
-        assert "graph_ports" not in data
-        assert data["graph"] == cell.graph_digest
-        with pytest.raises(ValueError, match="graph table"):
-            cell_from_dict(data)
 
     def test_labeled_cell_shares_identity(self):
         from repro.sweep.cells import LabeledGeneralRotorCell
@@ -194,18 +184,35 @@ class TestGeneralRotorCell:
                 max_rounds=10,
             )
 
+    def test_ports_are_checked_at_construction(self, monkeypatch):
+        # A port past its node's degree fails the cell's construction,
+        # so no chunk runs (and retries, then quarantines) the cell.
+        from repro.graphs import torus_2d
+        from repro.sweep import executor
+
+        ran = []
+        monkeypatch.setattr(executor, "compute_chunk", ran.append)
+        graph = torus_2d(4, 4)
+        ports = [0] * graph.num_nodes
+        ports[3] = 7
+        with pytest.raises(
+            ValueError, match="pointer 7 at node 3 out of range for degree 4"
+        ):
+            executor.run_cells(
+                [GeneralRotorCell.from_graph(graph, [0, 5], ports, 500)]
+            )
+        ports[3] = -1
+        with pytest.raises(ValueError, match="pointer -1 at node 3"):
+            GeneralRotorCell(
+                graph_ports=graph.port_lists(),
+                agents=(0,),
+                ports=tuple(ports),
+                max_rounds=500,
+            )
+        assert not ran
+
 
 class TestDispatcher:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown cell kind"):
-            cell_from_dict({"kind": "mystery-cell", "schema": 1})
-
-    def test_schema_mismatch(self):
-        data = _rotor_cell().to_dict()
-        data["schema"] = CELL_SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="schema"):
-            cell_from_dict(data)
-
     def test_sweep_config_fallback(self):
         config = SweepConfig(
             n=16,
@@ -216,7 +223,7 @@ class TestDispatcher:
             metrics=("cover",),
             max_rounds=2048,
         )
-        assert cell_from_dict(config.to_dict()) == config
+        assert _shipped(config) == config
 
     def test_no_cross_kind_hash_collisions(self):
         # Distinct cell kinds never share a cache identity.

@@ -1,5 +1,6 @@
 """Executor semantics: metrics, caching, parallelism, progress."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -88,16 +89,8 @@ class TestMetrics:
             families=(InitFamily("all_on_one", "toward_node0"),),
             metrics=("stabilization", "return"),
         )
-        config = spec.configs()[0].to_dict()
-        config["max_rounds"] = 2
-        payload = {
-            "model": "rotor",
-            "n": 16,
-            "max_rounds": 2,
-            "metrics": ["stabilization", "return"],
-            "configs": [config],
-        }
-        [(_, metrics)] = compute_chunk(payload)
+        config = dataclasses.replace(spec.configs()[0], max_rounds=2)
+        [(_, metrics)] = compute_chunk({"cells": [config]})
         assert metrics == {
             "preperiod": None,
             "period": None,
@@ -118,14 +111,7 @@ class TestMetrics:
             n=n, k=4, placement="all_on_one", pointer="toward_node0",
             seed=0, metrics=("stabilization", "return"), max_rounds=64,
         )
-        payload = {
-            "model": "rotor",
-            "n": n,
-            "max_rounds": 64,
-            "metrics": ["stabilization", "return"],
-            "configs": [slow.to_dict(), fast.to_dict(), slow.to_dict()],
-        }
-        results = dict(compute_chunk(payload))
+        results = dict(compute_chunk({"cells": [slow, fast, slow]}))
         agents, directions = fast.build()
         ref = ring_rotor_return_time_exact(n, agents, directions)
         fast_metrics = results[fast.config_hash]
@@ -205,16 +191,10 @@ class TestWalkModel:
                 )
 
     def test_truncated_walk_cell_records_nulls(self):
-        config = self._walk_spec().configs()[0].to_dict()
-        config["max_rounds"] = 2
-        payload = {
-            "model": "walk",
-            "n": 16,
-            "max_rounds": 2,
-            "metrics": ["cover"],
-            "configs": [config],
-        }
-        [(_, metrics)] = compute_chunk(payload)
+        config = dataclasses.replace(
+            self._walk_spec().configs()[0], max_rounds=2
+        )
+        [(_, metrics)] = compute_chunk({"cells": [config]})
         assert metrics["cover"] is None
         assert metrics["cover_ci_low"] is None
         assert metrics["cover_truncated"] == 3
@@ -237,13 +217,11 @@ class TestWalkModel:
         payloads = _plan_chunks(spec.configs())
         assert len(payloads) > 1
         for payload in payloads:
-            weight = sum(
-                c["k"] * c["repetitions"] for c in payload["configs"]
-            )
+            weight = sum(c.k * c.repetitions for c in payload["cells"])
             # single-config chunks may exceed the budget; multi-config
             # chunks never do
-            assert len(payload["configs"]) == 1 or weight <= 20
-        seen = [c["k"] for p in payloads for c in p["configs"]]
+            assert len(payload["cells"]) == 1 or weight <= 20
+        seen = [c.k for p in payloads for c in p["cells"]]
         assert sorted(seen) == [2, 3, 4, 5]
 
 
@@ -282,14 +260,14 @@ class TestChunkPlanning:
         # Regression: chunks used to group by (n, max_rounds) only and
         # stamp chunk[0].metrics on the whole payload — a mixed-metric
         # miss list silently computed the wrong metric set for some
-        # cells.
+        # cells.  The computers read the metric set from cells[0].
         cover = _cover_spec(ns=(16,), metrics=("cover",)).configs()
         stab = _cover_spec(ns=(16,), metrics=("stabilization",)).configs()
         payloads = _plan_chunks(cover + stab)
         assert len(payloads) == 2
         for payload in payloads:
-            for config in payload["configs"]:
-                assert payload["metrics"] == config["metrics"]
+            for config in payload["cells"]:
+                assert payload["cells"][0].metrics == config.metrics
 
     def test_heterogeneous_misses_compute_their_own_metrics(self):
         # End to end: every cell of a mixed-metric miss list comes back
@@ -315,7 +293,9 @@ class TestChunkPlanning:
             ns=(16,), ks=(2,), models=("walk",), repetitions=2
         ).configs()
         payloads = _plan_chunks(rotor + walk)
-        assert sorted(p["model"] for p in payloads) == ["rotor", "walk"]
+        assert sorted(p["cells"][0].model for p in payloads) == [
+            "rotor", "walk",
+        ]
 
 
 def _general_cells(graphs, ks=(1, 2), seeds=(0,)):
@@ -347,18 +327,20 @@ class TestGeneralChunkPlanning:
         # regardless of CHUNK_LANES or differing budgets/graph sizes.
         assert len(payloads) == 1
         payload = payloads[0]
-        assert payload["model"] == "rotor-general"
-        # The graph table carries each distinct graph exactly once,
-        # keyed by digest — not once per cell.
-        assert set(payload["graphs"]) == {
-            graph.to_csr().digest for graph in graphs
-        }
-        # Cells serialize compactly: digests, not port lists.
-        for data in payload["configs"]:
-            assert "graph_ports" not in data
-            assert data["graph"] in payload["graphs"]
+        assert set(payload) == {"cells"}
+        assert {cell.model for cell in payload["cells"]} == {"rotor-general"}
+        # The payload holds the planner's own cells, and cells over one
+        # graph share one CSR keyed by its digest, so the chunk holds
+        # each distinct graph exactly once — not once per cell.
+        assert sorted(map(id, payload["cells"])) == sorted(map(id, cells))
+        table = {}
+        for cell in payload["cells"]:
+            assert table.setdefault(cell.graph_digest, cell.csr()) is (
+                cell.csr()
+            )
+        assert set(table) == {graph.to_csr().digest for graph in graphs}
         # Cells are clustered by graph digest.
-        digests = [data["graph"] for data in payload["configs"]]
+        digests = [cell.graph_digest for cell in payload["cells"]]
         assert digests == sorted(digests)
 
     def test_parallel_planning_splits_general_group(self):
@@ -368,7 +350,7 @@ class TestGeneralChunkPlanning:
                                seeds=(0, 1, 2))
         payloads = _plan_chunks(cells, jobs=3)
         assert len(payloads) > 1
-        total = sum(len(p["configs"]) for p in payloads)
+        total = sum(len(p["cells"]) for p in payloads)
         assert total == len(cells)
 
     def test_general_chunk_results_match_reference_engine(self):

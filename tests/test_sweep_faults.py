@@ -5,10 +5,11 @@ The chaos acceptance suite for the fault-tolerant executor: seeded
 cell, chunk delay past its deadline, corrupted store row) must leave
 ``run_cells`` finishing with exactly the poison cell quarantined and
 every other metric bit-identical to a fault-free run — under both
-``jobs=1`` and ``jobs=2``, on CSR cover chunks and on dense ring
-stabilization chunks — plus interrupt safety, serial degradation,
-progress accounting and the ``repro cache verify`` CLI.  Failed
-attempts back off with no delay here (``RETRY_BACKOFF`` patched to 0).
+``jobs=1`` and ``jobs=2``, on CSR cover chunks, on dense ring
+stabilization chunks and on general-graph chunks — plus interrupt
+safety, serial degradation, progress accounting and the
+``repro cache verify`` CLI.  Failed attempts back off with no delay
+here (``RETRY_BACKOFF`` patched to 0).
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.sweep.faults import (
     FaultPlan,
     corrupt_rows_in_store,
 )
+from repro.sweep.registry import scenario
 from repro.sweep.spec import InitFamily, ScenarioSpec
 from repro.sweep.store import open_store, verify_store
 
@@ -97,18 +99,25 @@ class TestFaultPlan:
 class TestChaosSuite:
     """The acceptance scenario: crash + poison + delay + corrupt row."""
 
-    @pytest.mark.parametrize("jobs, metrics", [
-        pytest.param(1, ("cover",), id="1"),
-        pytest.param(2, ("cover",), id="2"),
-        pytest.param(1, ("stabilization",), id="stabilization-1"),
-        pytest.param(2, ("stabilization",), id="stabilization-2"),
+    @pytest.mark.parametrize("jobs, kind, size", [
+        pytest.param(1, "cover", 8, id="1"),
+        pytest.param(2, "cover", 8, id="2"),
+        pytest.param(1, "stabilization", 8, id="stabilization-1"),
+        pytest.param(2, "stabilization", 8, id="stabilization-2"),
+        pytest.param(1, "general", 12, id="general-1"),
+        pytest.param(2, "general", 12, id="general-2"),
     ])
-    def test_survives_and_heals(self, tmp_path, jobs, metrics):
+    def test_survives_and_heals(self, tmp_path, jobs, kind, size):
         # Cover chunks at these sizes take the sparse CSR kernel
         # (Σk < n); stabilization chunks take the dense ring kernel
-        # and the limit-cycle pipeline.
-        cells = _spec(metrics=metrics).configs()
-        assert len(cells) == 8
+        # and the limit-cycle pipeline; general chunks, one at jobs=1
+        # and several at jobs=2, take the CSR kernel over four graphs,
+        # so bisection slices cells that carry their graphs.
+        if kind == "general":
+            cells = scenario("general_speedup", quick=True).configs()
+        else:
+            cells = _spec(metrics=(kind,)).configs()
+        assert len(cells) == size
         baseline = _baseline(cells)
         poison = cells[0].config_hash
         tampered = cells[1].config_hash

@@ -19,13 +19,16 @@ Four pillars of the execution path are pinned here:
   and 64 (wide epochs that overshoot most events), and the visit
   tables, covers and final positions must be bit-identical.
 * **``jobs`` changes nothing.**  A ``jobs=2`` sweep — ring, walk and
-  general-graph cells alike, each chunk one pickled payload — must
+  general-graph cells alike, each chunk's cells pickled as-is — must
   equal the serial run result-for-result and kernel-counter for
   kernel-counter, and rerun from its cache with zero recomputation;
-  a payload computes the same results after a pickle round trip.
+  a payload computes the same results after a pickle round trip, and
+  at ``jobs=1`` computes on the planner's own cells without hashing
+  any of them again.
 """
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,9 +36,13 @@ import pytest
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.graphs.base import GraphCSR
 from repro.obs.manifest import load_manifest, trace_session
+from repro.randomwalk import ring_walk
 from repro.sweep import batch_ring, batch_walk
+from repro.sweep import cells as cells_module
+from repro.sweep import spec as spec_module
 from repro.sweep.batch_ring import BatchRingKernel, batch_limit_cycles
 from repro.sweep.batch_walk import BatchRingWalks, WalkLane
+from repro.sweep.cells import RotorCell, WalkCoverCell, WalkGapsCell
 from repro.sweep.executor import _plan_chunks, compute_chunk, run_sweep
 from repro.sweep.registry import scenario
 from repro.sweep.spec import InitFamily, ScenarioSpec
@@ -254,9 +261,10 @@ class TestWalkFusionEquivalence:
         # FUSE_ROUNDS blocks while the element budget allows it.
         lanes = [WalkLane((0, 3), seed=7), WalkLane((5,), seed=8)]
         rounds = 1000
+        monkeypatch.setattr(ring_walk, "BLOCK_SIZE", 8)
         for fuse in FUSE_GRID:
             monkeypatch.setattr(batch_walk, "FUSE_ROUNDS", fuse)
-            walks = BatchRingWalks(16, lanes, block_size=8)
+            walks = BatchRingWalks(16, lanes)
             walks.run(rounds)
             assert walks.round == rounds
             assert walks._epochs == -(-rounds // (fuse * walks.block_size))
@@ -327,13 +335,15 @@ class TestParallelEquivalence:
             assert ours.metrics == theirs.metrics
 
     def test_jobs2_general_cells_match_serial(self):
-        # General chunks carry their CSR tables pickled; at jobs=2 the
-        # quick grid splits into several chunks, and two of them share
-        # a graph, so one table crosses the pipe in both payloads.
+        # General cells carry their CSR pickled; at jobs=2 the quick
+        # grid splits into several chunks, and two of them share a
+        # graph, so one graph crosses the pipe in both payloads.
         spec = scenario("general_speedup", quick=True)
         chunks = _plan_chunks(spec.configs(), jobs=2)
         assert len(chunks) >= 2
-        digests = [set(chunk["graphs"]) for chunk in chunks]
+        digests = [
+            {cell.graph_digest for cell in chunk["cells"]} for chunk in chunks
+        ]
         assert any(
             digests[i] & digests[j]
             for i in range(len(digests))
@@ -364,13 +374,13 @@ class TestParallelEquivalence:
 
 
 class TestChunkPayloads:
-    """A chunk is one plain picklable payload, whatever ``jobs`` is."""
+    """A chunk is its cells, whatever ``jobs`` is."""
 
     def test_ring_and_walk_plans_do_not_depend_on_jobs(self, chunk_lanes):
         cells = _mixed_spec().configs()
         chunk_lanes(3)
         serial_plan = _plan_chunks(cells, jobs=1)
-        assert {payload["model"] for payload in serial_plan} == {
+        assert {payload["cells"][0].model for payload in serial_plan} == {
             "rotor", "walk",
         }
         for jobs in (2, 4):
@@ -381,28 +391,74 @@ class TestChunkPayloads:
     )
     def test_payloads_compute_the_same_after_pickling(self, name):
         # What a worker unpickles computes exactly what the dispatching
-        # process would: payloads carry cell dicts (and CSR tables),
-        # and lane arrays are built wherever the chunk runs.
+        # process would: payloads carry the cells (general ones with
+        # their CSR), and lane arrays are built wherever the chunk runs.
         cells = scenario(name, quick=True).configs()
         for payload in _plan_chunks(cells, jobs=2):
             shipped = pickle.loads(pickle.dumps(payload))
             assert compute_chunk(shipped) == compute_chunk(payload)
 
     def test_general_chunks_carry_exactly_their_graphs(self):
+        # Cells over one graph share its CSR and port tuple, so a
+        # pickled payload holds one GraphCSR per distinct graph:
+        # pickle's memo writes each once, however many cells use it.
         cells = scenario("general_speedup", quick=True).configs()
-        by_hash = {cell.config_hash: cell for cell in cells}
         for payload in _plan_chunks(cells, jobs=2):
-            members = [by_hash[h] for h in payload["cell_hashes"]]
-            assert set(payload["graphs"]) == {
-                cell.graph_digest for cell in members
-            }
-            shipped = pickle.loads(pickle.dumps(payload["graphs"]))
-            for digest, graph in shipped.items():
+            digests = {cell.graph_digest for cell in payload["cells"]}
+            shipped = pickle.loads(pickle.dumps(payload))
+            csrs = {id(cell.csr()) for cell in shipped["cells"]}
+            ports = {id(cell.graph_ports) for cell in shipped["cells"]}
+            assert len(csrs) == len(ports) == len(digests)
+            for ours, theirs in zip(shipped["cells"], payload["cells"]):
+                csr = ours.csr()
                 # Recompute from the arrays that crossed the pipe, not
                 # from the digest cached on the pickled instance.
                 rebuilt = GraphCSR(
-                    indptr=graph.indptr,
-                    neighbors=graph.neighbors,
-                    deg=graph.deg,
+                    indptr=csr.indptr,
+                    neighbors=csr.neighbors,
+                    deg=csr.deg,
                 )
-                assert rebuilt.digest == digest
+                assert rebuilt.digest == theirs.graph_digest
+                assert csr.to_ports() == ours.graph_ports
+
+    def test_serial_plan_computes_the_planners_cells_without_hashing(
+        self, monkeypatch
+    ):
+        # At jobs=1 a payload holds the planner's own cell objects:
+        # nothing is serialized, rebuilt or hashed again.  The hashes
+        # are cached first, as run_cells does when it deduplicates.
+        cells = (
+            _mixed_spec().configs()
+            + scenario("general_speedup", quick=True).configs()
+            + [
+                RotorCell(
+                    n=12, agents=(0, 6), directions=(1,) * 12,
+                    metrics=("stabilization", "return"), max_rounds=4096,
+                ),
+                WalkCoverCell(
+                    n=12, agents=(0,), seeds=(1, 2), max_rounds=20_000
+                ),
+                WalkGapsCell(
+                    n=12, k=2, node=0, observation_rounds=600, burn_in=12,
+                    seed=3,
+                ),
+            ]
+        )
+        expected = {cell.config_hash for cell in cells}
+        assert len(expected) == len(cells)
+
+        def rehashed(*args, **kwargs):
+            raise AssertionError("a planned cell was hashed again")
+
+        monkeypatch.setattr(cells_module, "_hash_identity", rehashed)
+        monkeypatch.setattr(
+            spec_module, "hashlib", SimpleNamespace(sha256=rehashed)
+        )
+        payloads = _plan_chunks(cells, jobs=1)
+        planned = [cell for payload in payloads for cell in payload["cells"]]
+        assert sorted(map(id, planned)) == sorted(map(id, cells))
+        pairs = [
+            pair for payload in payloads for pair in compute_chunk(payload)
+        ]
+        assert len(pairs) == len(cells)
+        assert {config_hash for config_hash, _ in pairs} == expected
