@@ -37,11 +37,13 @@ from repro.sweep.batch_ring import BatchRingKernel, lanes_from_configs
 
 #: Sampled rounds handed to one array call: :func:`border_counts` in
 #: :func:`border_type_census`, :func:`domain_snapshots` in
-#: :func:`trace_domains`.  A block's doubled, flattened rows are the
-#: working set: at Figure 1's size, ``run_figure1`` peaks 3.8 MB above
-#: its starting RSS with 8-round blocks, 8.0 MB with 32 and 13.5 MB with
-#: 64, at about the same speed.
-_BLOCK_ROUNDS = 8
+#: :func:`trace_domains`.  A block's temporaries are a few boolean
+#: copies of its rows and their run ends, so larger blocks pay less
+#: per-call overhead for little memory.  On a 2-core container,
+#: Figure 1's census spends 0.25 s of CPU in ``border_counts`` with
+#: 64-round blocks against 0.43-0.45 s with 8, and ``run_figure1``
+#: peaks 4.2 MB above its starting RSS against 3.2 MB.
+_BLOCK_ROUNDS = 64
 
 
 @dataclass
@@ -267,8 +269,10 @@ def border_type_census(
 
     The configurations run together as lanes of one
     :class:`BatchRingKernel`.  Visit kinds are one array update per
-    round, and sampled rounds are classified a block at a time by
-    :func:`border_counts`, which equals :func:`classify_borders` of
+    round, and sampled rounds are classified :data:`_BLOCK_ROUNDS` at
+    a time by :func:`border_counts`, which finds every domain arc,
+    lazy run and border by binary search over the run boundaries of
+    each row, and equals :func:`classify_borders` of
     :func:`domain_snapshot` per sample.  Raises :class:`DomainError`
     when a sampled round holds 3+ agents on a node.
     """

@@ -375,9 +375,65 @@ def classify_borders(snapshot: DomainSnapshot) -> list[BorderType]:
     return borders
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """Each row laid out twice end to end, all rows flattened."""
-    return np.concatenate((a, a), axis=1).ravel()
+def _check_rows(
+    counts: np.ndarray,
+    pointers: np.ndarray,
+    visited: np.ndarray,
+    propagation: np.ndarray,
+) -> None:
+    """Reject rows outside the model before any array work.
+
+    The four arrays must be 2-D and of one shape, ``visited`` and
+    ``propagation`` boolean, counts non-negative, and every occupied
+    node visited (engines mark the nodes agents stand on visited);
+    otherwise ``ValueError``.
+    """
+    arrays = (counts, pointers, visited, propagation)
+    shapes = [np.shape(a) for a in arrays]
+    if len(shapes[0]) != 2 or len(set(shapes)) != 1:
+        raise ValueError(f"rows must be 2-D arrays of one shape, got {shapes}")
+    if visited.dtype != bool or propagation.dtype != bool:
+        raise ValueError("visited and propagation rows must be boolean")
+    if (counts < 0).any():
+        raise ValueError("agent counts must be non-negative")
+    if ((counts > 0) & ~visited).any():
+        raise ValueError("every occupied node must be visited")
+
+
+def _run_ends(x: np.ndarray) -> np.ndarray:
+    """Where the True runs of each row of ``x`` end, as sorted positions.
+
+    ``x`` is an ``(R, n)`` boolean array of cyclic rows.  A run ends at
+    its first False node ``v``; row ``r`` lists it at ``r*2n + v`` and
+    ``r*2n + v + n``, as if the row were laid out twice end to end, and
+    one sentinel, ``(R + 1)*2n``, closes the list.
+    """
+    rows, n = x.shape
+    ends = ~x
+    ends[:, 1:] &= x[:, :-1]
+    ends[:, 0] &= x[:, -1]
+    flat = np.flatnonzero(ends)
+    flat += flat // n * n  # r*n + v -> r*2n + v
+    # Two sorted runs and the sentinel: the stable sort merges them in
+    # linear time.
+    listed = np.concatenate((flat, flat + n, [(rows + 1) * 2 * n]))
+    listed.sort(kind="stable")
+    return listed
+
+
+def _distance(
+    ends: np.ndarray, x: np.ndarray, rows: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """Cyclic distance from node ``at`` of each row to its first False.
+
+    ``ends`` is :func:`_run_ends` of ``x``; ``at`` may be ``n``, node 0
+    reached past the row's end.  The distance is 0 where ``x`` is False
+    at ``at``, and at least ``n`` in a row with no False.
+    """
+    n = x.shape[1]
+    position = rows * (2 * n) + at
+    found = ends[np.searchsorted(ends, position)] - position
+    return np.where(x[rows, at % n], found, 0)
 
 
 @dataclass(frozen=True)
@@ -410,57 +466,56 @@ def _domain_parts(
     nodes whose most recent visit was a PROPAGATION.  Each part equals
     the :class:`Domain` :func:`domain_snapshot` builds for it.
 
-    Each row is laid out twice end to end and all rows are flattened,
-    so that cyclic scans become 1-D accumulations over positions:
+    Every cyclic scan is one binary search over the run ends of a
+    boolean row (:func:`_run_ends`, :func:`_distance`), so the work
+    per row grows with its runs, not with its nodes:
 
     1. **Arcs.**  A visited free node ``v`` between consecutive agents
        ``a`` and ``b`` has ``o(v) = a`` if its pointer is clockwise and
        ``o(v) = b`` otherwise; with one occupied node, every visited
        node maps to it.  An anchor's arc extends over the run of
-       neighbours mapping to it, found as the distance to the nearest
-       stop each way (``np.minimum``/``np.maximum.accumulate``), so
-       transient nodes mapping to an agent they are cut off from stay
-       outside every arc, as in the serial expansion.  A shared anchor
-       splits its arc as :func:`domain_snapshot` does, keeping an
-       empty half.
+       neighbours mapping to it: clockwise, the distance from the next
+       node to the first stop; anticlockwise, the same on the mirrored
+       rows.  The anchor is a stop of both scans, which bounds them to
+       n - 1 steps, and transient nodes mapping to an agent they are
+       cut off from stay outside every arc, as in the serial
+       expansion.  A shared anchor splits its arc as
+       :func:`domain_snapshot` does, keeping an empty half.
     2. **Lazy runs.**  The first longest PROPAGATION run of each part
-       is its head run (clipped at the part's start) or the best run
-       ending inside the rest of the part, picked by
-       ``np.maximum.reduceat`` over a (length, -end) key.
+       is its head run (the run at the part's start, clipped at the
+       part's end) or the longest, then earliest, of the runs starting
+       after the head inside the part, the last of them clipped at the
+       part's end: ``np.maximum.reduceat`` over a (length, -start) key.
 
-    Raises :class:`DomainError` when a row holds 3+ agents on a node.
+    Raises :class:`DomainError` when a row holds 3+ agents on a node or
+    none, as :func:`domain_snapshot` does.
     """
     rows, n = counts.shape
-    crowded = int(counts.max())
+    crowded = int(counts.max(initial=0))
     if crowded > 2:
         raise DomainError(
             f"{crowded} agents on one node: domains are undefined (Lemma 5)"
         )
-    width = 2 * n
-    size = rows * width
-    pos = np.arange(size)
-
-    def next_at_or_after(mask: np.ndarray) -> np.ndarray:
-        marks = np.where(mask, pos, size)
-        return np.minimum.accumulate(marks[::-1])[::-1]
-
-    def last_at_or_before(mask: np.ndarray) -> np.ndarray:
-        return np.maximum.accumulate(np.where(mask, pos, -1))
-
     occupied = counts > 0
+    sites = np.count_nonzero(occupied, axis=1)
+    if not sites.all():
+        raise DomainError("no agents on the ring")
     clockwise = pointers.astype(bool)
-    one_site = (np.count_nonzero(occupied, axis=1) == 1)[:, None]
+    one_site = (sites == 1)[:, None]
     free = visited & ~occupied
-    # Stops of the clockwise expansion (nodes not mapping to the agent
-    # anticlockwise of them) and of the anticlockwise expansion.
-    stop_cw = _doubled(~(free & (clockwise | one_site)))
-    stop_acw = _doubled(~(free & (~clockwise | one_site)))
+    # Free nodes mapping to the agent anticlockwise of them, and the
+    # mirrored rows of those mapping to the agent clockwise of them.
+    to_acw_agent = free & (clockwise | one_site)
+    to_cw_agent = (free & (~clockwise | one_site))[:, ::-1]
 
-    anchor_rows, anchors = np.nonzero(occupied)
-    at = anchor_rows * width + anchors
-    # The anchor's own images bound both scans to n - 1 steps.
-    right = next_at_or_after(stop_cw)[at + 1] - (at + 1)
-    left = (at + n - 1) - last_at_or_before(stop_acw)[at + n - 1]
+    anchor_rows, anchors = np.divmod(np.flatnonzero(occupied), n)
+    right = _distance(
+        _run_ends(to_acw_agent), to_acw_agent, anchor_rows, anchors + 1
+    )
+    # Node a - 1 is node n - a of the mirrored row.
+    left = _distance(
+        _run_ends(to_cw_agent), to_cw_agent, anchor_rows, n - anchors
+    )
     shared = counts[anchor_rows, anchors] == 2
     bit = clockwise[anchor_rows, anchors].astype(np.int64)
     # Parts in anchor order, two slots per anchor: an anchor holding
@@ -479,23 +534,39 @@ def _domain_parts(
         np.stack((anchors - left, anchors + bit), axis=1).ravel()[keep] % n
     )
     part_length = np.stack((first_length, second_length), axis=1).ravel()[keep]
-    start = part_rows * width + part_start
-    end = start + part_length
 
-    prop = _doubled(propagation)
-    head_end = np.minimum(next_at_or_after(~prop)[start], end)
-    head_length = head_end - start
-    run_length = pos - last_at_or_before(~prop)
-    # Longest first: a larger key is a longer run, then an earlier end.
-    key = run_length * size + (size - 1 - pos)
-    best = np.maximum.reduceat(
-        key, np.stack((head_end, end), axis=1).ravel()
+    run_ends = _run_ends(propagation)
+    head_length = np.minimum(
+        part_length, _distance(run_ends, propagation, part_rows, part_start)
+    )
+    # Positions on the doubled rows, as _run_ends lists them.
+    start = part_rows * (2 * n) + part_start
+    end = start + part_length
+    run_starts = _run_ends(~propagation)
+    run_stops = run_ends[np.searchsorted(run_ends, run_starts)]
+    # Runs first..last start inside the part, after its head.  All but
+    # the last end inside the part too; the last is clipped at its end.
+    # (The two halves of a lone shared anchor may overlap, so the clip
+    # is per part.)
+    first = np.searchsorted(run_starts, start + head_length, side="right")
+    stop = np.searchsorted(run_starts, end)
+    has_tail = stop > first
+    last = np.maximum(stop - 1, first)
+    # Longest first: a larger key is a longer run, then an earlier start.
+    span = run_starts[-1] + 1
+
+    def keyed(stops: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        return (stops - starts) * span + (span - 1 - starts)
+
+    inner = np.maximum.reduceat(
+        keyed(run_stops, run_starts), np.stack((first, last), axis=1).ravel()
     )[::2]
-    tail_length = np.where(head_end < end, best // size, 0)
-    tail_end = size - 1 - best % size
+    last_key = keyed(np.minimum(run_stops[last], end), run_starts[last])
+    best = np.where(last > first, np.maximum(inner, last_key), last_key)
+    tail_length = np.where(has_tail, best // span, 0)
     use_head = head_length >= tail_length
     lazy_length = np.where(use_head, head_length, tail_length)
-    lazy_start = np.where(use_head, start, tail_end - tail_length + 1) % n
+    lazy_start = np.where(use_head, part_start, (span - 1 - best % span) % n)
     return _Parts(
         part_rows, part_anchor, part_start, part_length, lazy_start,
         lazy_length,
@@ -514,10 +585,15 @@ def domain_snapshots(
     Takes the ``(R, n)`` rows :func:`border_counts` takes, plus each
     row's round, and returns one :class:`DomainSnapshot` per row, equal
     to :func:`domain_snapshot` of that configuration with its visit
-    kinds; the tests compare the two row by row.  Raises
-    :class:`DomainError` when a row holds 3+ agents on a node.
+    kinds; the tests compare the two row by row.  Malformed rows (see
+    :func:`border_counts`) or a round count other than the row count
+    raise ``ValueError``; a row holding 3+ agents on a node, or none,
+    raises :class:`DomainError`.
     """
+    _check_rows(counts, pointers, visited, propagation)
     rows, n = counts.shape
+    if len(rounds) != rows:
+        raise ValueError(f"{len(rounds)} rounds given for {rows} rows")
     parts = _domain_parts(counts, pointers, visited, propagation)
     # domain_snapshot sorts its parts by start, stably.
     order = np.argsort(parts.rows * n + parts.start, kind="stable")
@@ -564,10 +640,14 @@ def border_counts(
 
     The parts and their lazy runs come from :func:`_domain_parts`.
     Consecutive nonempty lazy runs of a row, cyclically, are classified
-    by their gap; a prefix sum of unvisited nodes (over the doubled
-    rows) drops borders with the unvisited region.  Raises
-    :class:`DomainError` when a row holds 3+ agents on a node.
+    by their gap; a border with the unvisited region is dropped, found
+    as an unvisited node less than the gap past a run's last node.
+    Arrays that are not 2-D and of one shape, non-boolean visited or
+    propagation rows, a negative count or an occupied node not visited
+    raise ``ValueError``; a row holding 3+ agents on a node, or none,
+    raises :class:`DomainError`.
     """
+    _check_rows(counts, pointers, visited, propagation)
     rows, n = counts.shape
     parts = _domain_parts(counts, pointers, visited, propagation)
     lazy = parts.lazy_length > 0
@@ -579,10 +659,8 @@ def border_counts(
     row_last = np.searchsorted(lazy_rows, lazy_rows, side="right") - 1
     following = np.where(index == row_last, row_first, index + 1)
     gap = (lazy_first[following] - lazy_last) % n - 1
-    unvisited = np.concatenate(([0], np.cumsum(_doubled(~visited))))
-    after = lazy_rows * 2 * n + lazy_last + 1
-    hidden = unvisited[after + np.maximum(gap, 0)] - unvisited[after]
-    border = (row_last > row_first) & (hidden == 0)
+    room = _distance(_run_ends(visited), visited, lazy_rows, lazy_last + 1)
+    border = (row_last > row_first) & (room >= gap)
     # Column 0 vertex-type (gap 1), 1 edge-type (gap 0), 2 transient.
     kind = np.where(gap == 1, 0, np.where(gap == 0, 1, 2))
     tally = np.bincount(

@@ -6,7 +6,7 @@
 * :mod:`repro.theory.bounds` — every Θ(...) shape of Table 1 as an
   explicit normalization formula, plus harmonic numbers;
 * :mod:`repro.theory.ode` — the continuous-time approximation of §2.3,
-  integrated with scipy;
+  integrated by adaptive Dormand-Prince RK45 in numpy;
 * :mod:`repro.theory.token_game` — the one-player token game from the
   appendix proof of Lemma 8, with its invariants executable.
 """

@@ -72,7 +72,7 @@ def normal_ci(
     summary = summarize(values)
     # The three standard quantiles cover almost every use in this
     # repository; anything else comes from the stdlib inverse normal
-    # CDF (only the §2.3 ODE integration may import scipy).
+    # CDF (the package depends on numpy alone).
     z_table = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
     z = z_table.get(round(confidence, 2))
     if z is None:

@@ -1,6 +1,7 @@
 """Tests for agent domains and lazy domains (paper §2.2)."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.core.domains import (
     DomainError,
     VisitKind,
     VisitTypeTracker,
+    border_counts,
     classify_borders,
     domain_snapshot,
     domain_snapshots,
@@ -371,6 +373,49 @@ def oracle_rows(engine, tracker):
     return counts, clockwise, visited, propagation
 
 
+def arbitrary_block(rng):
+    """Seeded rows of arbitrary states, outside any trajectory.
+
+    1-4 rows on an n-ring (n 3-39): counts 0-2 with at least one agent
+    per row, or one site holding one or two agents; random pointers;
+    visited nodes covering the occupied ones.  Agent, visited and
+    PROPAGATION densities are drawn per row, 0 and 1 included, so rows
+    with no run boundary sit beside rows with many.
+    """
+    n = int(rng.integers(3, 40))
+    rows = int(rng.integers(1, 5))
+    counts = np.zeros((rows, n), dtype=np.int64)
+    for r in range(rows):
+        if rng.random() < 0.2:
+            counts[r, rng.integers(n)] = rng.integers(1, 3)
+            continue
+        counts[r] = rng.integers(0, 3, n) * (rng.random(n) < rng.random())
+        if not counts[r].any():
+            counts[r, rng.integers(n)] = 1
+    clockwise = rng.integers(0, 2, (rows, n)).astype(np.int8)
+    densities = rng.choice(
+        [0.0, 1.0, rng.random(), rng.random()], (2, rows, 1)
+    )
+    visited = (rng.random((rows, n)) < densities[0]) | (counts > 0)
+    propagation = rng.random((rows, n)) < densities[1]
+    return counts, clockwise, visited, propagation
+
+
+def oracle_snapshot(counts, clockwise, visited, propagation, round_):
+    """``domain_snapshot`` of one row, through a duck-typed engine."""
+    engine = SimpleNamespace(
+        n=counts.size,
+        round=round_,
+        counts={v: int(c) for v, c in enumerate(counts) if c},
+        ptr=[1 if bit else -1 for bit in clockwise],
+        visited=visited.tolist(),
+    )
+    tracker = SimpleNamespace(kinds=[
+        VisitKind.PROPAGATION if p else VisitKind.NEVER for p in propagation
+    ])
+    return domain_snapshot(engine, tracker)
+
+
 def outcome(fn, *args):
     """A call's result, or the type of the exception it raised."""
     try:
@@ -504,6 +549,27 @@ class TestBatchedCensus:
         with pytest.raises(DomainError):
             domain_snapshots(*oracle_rows(engine, tracker), [0])
 
+    def test_arbitrary_states_match_serial_oracle(self):
+        # The array paths search flat run-boundary lists that run across
+        # row ends, so every block mixes rows of unlike densities.
+        rng = make_rng(2019)
+        for _ in range(400):
+            block = arbitrary_block(rng)
+            rows = len(block[0])
+            snapshots = domain_snapshots(*block, range(rows))
+            tallies = border_counts(*block)
+            for r in range(rows):
+                expected = oracle_snapshot(*(a[r] for a in block), r)
+                assert snapshots[r] == expected
+                census = Counter(classify_borders(expected))
+                assert tallies[r].tolist() == [census[t] for t in BorderType]
+            # A block's tallies are its rows' tallies, each row alone.
+            alone = [
+                border_counts(*(a[r:r + 1] for a in block))
+                for r in range(rows)
+            ]
+            assert np.array_equal(np.concatenate(alone), tallies)
+
     def test_profile_matches_serial_oracle(self):
         rng = make_rng(2017)
         for _ in range(25):
@@ -536,3 +602,78 @@ class TestBatchedCensus:
                 assert got is RuntimeError
             else:
                 assert got == expected.max_adjacent_lazy_difference()
+
+
+def valid_block(rows=3, n=8):
+    """Well-formed rows: agents on nodes 0 and 4 of a covered n-ring."""
+    counts = np.zeros((rows, n), dtype=np.int64)
+    counts[:, [0, 4]] = 1
+    return [
+        counts,
+        np.ones((rows, n), dtype=np.int8),
+        np.ones((rows, n), dtype=bool),
+        np.zeros((rows, n), dtype=bool),
+    ]
+
+
+def snapshots_of(*block):
+    """``domain_snapshots`` with one round per row."""
+    return domain_snapshots(*block, [0] * len(block[0]))
+
+
+@pytest.mark.parametrize("census", [border_counts, snapshots_of])
+class TestRowValidation:
+    """Malformed rows fail at the ``border_counts``/``domain_snapshots``
+    boundary with one ``ValueError``, before any array work."""
+
+    def test_well_formed_rows_pass(self, census):
+        census(*valid_block())
+
+    def test_rows_must_share_one_shape(self, census):
+        block = valid_block()
+        block[1] = block[1][:1]
+        with pytest.raises(ValueError, match="2-D arrays of one shape"):
+            census(*block)
+
+    def test_rows_must_be_2d(self, census):
+        block = valid_block(rows=1)
+        block[3] = block[3][0]
+        with pytest.raises(ValueError, match="2-D arrays of one shape"):
+            census(*block)
+
+    def test_visit_rows_must_be_boolean(self, census):
+        block = valid_block()
+        block[2] = block[2].astype(np.int8)
+        with pytest.raises(ValueError, match="boolean"):
+            census(*block)
+
+    def test_counts_must_be_non_negative(self, census):
+        block = valid_block()
+        block[0][1, 2] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            census(*block)
+
+    def test_occupied_nodes_must_be_visited(self, census):
+        block = valid_block()
+        block[2][2, 4] = False
+        with pytest.raises(ValueError, match="visited"):
+            census(*block)
+
+    def test_a_row_without_agents_has_no_domains(self, census):
+        # domain_snapshot raises the same for an empty ring.
+        block = valid_block()
+        block[0][1] = 0
+        with pytest.raises(DomainError):
+            census(*block)
+
+    def test_three_agents_on_a_node_stay_a_domain_error(self, census):
+        block = valid_block()
+        block[0][0, 4] = 3
+        with pytest.raises(DomainError):
+            census(*block)
+
+
+@pytest.mark.parametrize("rounds", [[0, 1], [0, 1, 2, 3]])
+def test_snapshots_take_one_round_per_row(rounds):
+    with pytest.raises(ValueError, match="rounds"):
+        domain_snapshots(*valid_block(rows=3), rounds)

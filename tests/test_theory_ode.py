@@ -79,6 +79,48 @@ class TestIntegration:
             integrate_domains([1.0, -1.0], t_final=100.0)
         with pytest.raises(ValueError):
             integrate_domains([1.0], t_final=0.5)
+        with pytest.raises(ValueError):
+            integrate_domains([1.0], t_final=100.0, num_samples=1)
+
+    # Samples 57 and 199 of three trajectories, one per boundary mode,
+    # as scipy.integrate.solve_ivp(method="RK45", t_eval=...) computed
+    # them with the default tolerances; the numpy integrator follows it
+    # step for step.
+    PINNED = [
+        (([1.0] * 8, 1e6, False, False), {
+            57: [4.765622162614159, 2.9565065245828777, 2.4018429479905503,
+                 2.204085203654139, 2.204085203654139, 2.40184294799055,
+                 2.9565065245828777, 4.765622162614159],
+            199: [621.9566949954526, 385.5488111338329, 313.08357498577277,
+                  287.2503503280451, 287.2503520390014, 313.0835739387537,
+                  385.5488115062481, 621.9566949285197],
+        }),
+        (([1.0] * 5, 65536.0, False, True), {
+            57: [3.366172775245207, 2.059638916246548, 1.6350664889591902,
+                 1.4485695969343222, 1.372943628076302],
+            199: [150.422985619615, 90.90150544289108, 71.59692482608162,
+                  63.127617955894735, 59.69554155411826],
+        }),
+        (([10.0, 30.0, 10.0, 30.0], 1e5, True, False), {
+            57: [11.525015535825695, 28.4749844641743, 11.525015535825695,
+                 28.4749844641743],
+            199: [19.99999990747352, 20.000000092526474, 19.99999990747352,
+                  20.000000092526474],
+        }),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(PINNED)))
+    def test_matches_pinned_rk45_trajectories(self, case):
+        (start, t_final, covered, mirror_right), pinned = self.PINNED[case]
+        trajectory = integrate_domains(
+            start, t_final, covered=covered, mirror_right=mirror_right
+        )
+        assert trajectory.sizes.shape == (200, len(start))
+        assert trajectory.times[-1] == pytest.approx(t_final, rel=1e-12)
+        for index, sizes in pinned.items():
+            np.testing.assert_allclose(
+                trajectory.sizes[index], sizes, rtol=1e-12, atol=0
+            )
 
     def test_growth_fit_needs_samples(self):
         trajectory = integrate_domains([1.0], t_final=10.0, num_samples=3)
@@ -94,15 +136,18 @@ class TestEquilibrium:
         assert equilibrium_check([7.0, 9.0, 7.0]) > 0.0
 
 
-class TestLazyScipy:
-    def test_cli_and_experiments_do_not_import_scipy(self):
-        # Only integrate_domains needs scipy; importing the CLI or any
-        # experiment module must not pay for scipy.integrate.
+class TestNoScipy:
+    def test_cli_experiments_and_integration_import_no_scipy(self):
+        # The package depends on numpy alone: importing the CLI and every
+        # experiment module, then integrating a trajectory, loads no
+        # scipy module.
         script = (
             "import importlib, sys\n"
             "import repro.cli\n"
             "for module, _ in repro.cli.EXPERIMENTS.values():\n"
             "    importlib.import_module(module)\n"
+            "from repro.theory.ode import integrate_domains\n"
+            "integrate_domains([1.0] * 4, t_final=1e3)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ)
