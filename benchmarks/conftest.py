@@ -4,8 +4,11 @@ Each benchmark reproduces one paper artifact at a scaled-down size (so
 the whole suite runs in minutes), records its headline measurements in
 ``benchmark.extra_info`` (visible with ``pytest benchmarks/
 --benchmark-only --benchmark-verbose`` and in saved JSON), and asserts
-the paper's *shape* claims.  The full-size reproductions live in
-``python -m repro.experiments.<name>``.
+the paper's *shape* claims.  The full-size reproductions run as
+``python -m repro run <name>``: each experiment runner takes a
+:class:`repro.analysis.backend.MeasurementPlan`, its keyword defaults
+are the full size, and its module's ``QUICK`` dict holds the
+``--quick`` overrides.
 """
 
 from __future__ import annotations

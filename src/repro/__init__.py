@@ -35,7 +35,7 @@ Subpackages
   scaling fits, remote vertices, domain statistics);
 - :mod:`repro.loadbalance` — token-diffusion extension;
 - :mod:`repro.experiments` — the Table 1 / figure / theorem
-  reproductions, runnable as ``python -m repro.experiments.<name>``;
+  reproductions, runnable as ``python -m repro run <name> [--quick]``;
 - :mod:`repro.sweep` — declarative parameter sweeps over a batched
   ring kernel with a parallel executor and an on-disk result cache,
   runnable as ``python -m repro sweep <scenario>``.

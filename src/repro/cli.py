@@ -11,19 +11,22 @@ console script)::
     python -m repro sweep table1 --jobs 4     # declarative cached sweep
     python -m repro sweep stabilization --quick --cache out/cache
     python -m repro cache info .sweep-cache   # entries, bytes, schema
-    python -m repro cache migrate old-tree out/cache   # legacy JSON tree
     python -m repro cache verify .sweep-cache --repair  # integrity scan
     python -m repro sweep table1 --jobs 4 --chunk-timeout 60 --max-retries 3
     python -m repro lint src/repro       # determinism static analysis
     python -m repro lint --update-lock   # re-pin cache_identity.lock
 
-``run`` is a thin dispatcher over :mod:`repro.experiments`; every
-experiment module's ``run_*`` defaults define its "full size".  The
-paper-reproduction grids (Table 1, the theorems, stabilization, the
-general-graph speed-up) measure through the batched
-:mod:`repro.analysis.backend`: ``--quick`` selects a scaled-down grid,
-and ``--jobs``/``--cache`` thread straight to the sweep executor so
-experiment cells are parallelized and cached like sweep cells.
+``run`` is a thin dispatcher over :mod:`repro.experiments`.  Each
+experiment module's ``QUICK`` maps its report runners, in report
+order, to their ``--quick`` keyword overrides; the runners' own
+defaults define the "full size".  Every runner,
+``run_<name>(plan, **sizes)``, gets a fresh
+:class:`repro.analysis.backend.MeasurementPlan` built from
+``--jobs``/``--cache``.  The paper-reproduction grids (Table 1, the
+theorems, stabilization, the general-graph speed-up) schedule their
+cells on it, so experiment cells are batched, parallelized and cached
+like sweep cells; the figures and the §2.3 comparison trace serially
+and leave it empty.
 ``sweep`` executes a registered :mod:`repro.sweep`
 scenario through the batched kernel and the parallel executor; results
 land in the on-disk result store of :mod:`repro.sweep.store` — one
@@ -32,12 +35,12 @@ SQLite file, ``cells.db``, in the ``--cache`` directory (default
 repeating or resuming a sweep only computes the missing cells.
 ``python -m repro cache`` inspects, compacts and integrity-checks a
 store (``verify [--repair]`` re-digests every row and quarantines
-corrupt ones) and migrates a legacy one-file-per-cell JSON tree into
-one.
-Both commands end with a one-line ``computed=X cached=Y`` accounting
-— plus ``failed=Z`` when the fault-tolerant executor had to
-quarantine cells (``sweep --max-retries``/``--chunk-timeout`` tune
-its supervision; see :mod:`repro.sweep.executor`).
+corrupt ones).
+A sweep, and each grid experiment of ``run``, ends with a one-line
+``computed=X cached=Y`` accounting — plus ``failed=Z`` when the
+fault-tolerant executor had to quarantine cells (``sweep
+--max-retries``/``--chunk-timeout`` tune its supervision; see
+:mod:`repro.sweep.executor`).
 
 ``--trace PATH`` (on ``run``/``all``/``sweep``) records a
 :mod:`repro.obs` manifest — executor spans, kernel counters, cache
@@ -56,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import os
 import sys
 from typing import Callable
@@ -111,30 +113,6 @@ EXPERIMENTS: dict[str, tuple[str, str]] = {
 }
 
 
-def _runners_of(module_name: str) -> list[Callable[..., Report]]:
-    """The report runners of an experiment module.
-
-    Figures expose two reports (``run_figure1``/``run_figure2``);
-    everything else exposes one ``run_<name>``.
-    """
-    module = importlib.import_module(module_name)
-    short = module_name.rsplit(".", 1)[-1]
-    if short == "figures":
-        return [module.run_figure1, module.run_figure2]
-    return [getattr(module, f"run_{short}")]
-
-
-def _takes_grid_options(runner: Callable[..., Report]) -> bool:
-    """Whether a runner accepts the measurement-grid options.
-
-    Derived from the runner's own signature — the capability lives in
-    exactly one place (the experiment module) instead of a parallel
-    name registry here.  Runners without a grid (figures, continuous)
-    simply don't take ``quick=``.
-    """
-    return "quick" in inspect.signature(runner).parameters
-
-
 def _cmd_list() -> int:
     from repro.sweep import registry
 
@@ -160,21 +138,16 @@ def _cmd_run(
     if name not in EXPERIMENTS:
         print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
         return 2
-    module_name, _ = EXPERIMENTS[name]
-    runners = _runners_of(module_name)
-    if not any(map(_takes_grid_options, runners)) and (quick or jobs != 1):
-        print(
-            f"note: {name!r} has no measurement grid; "
-            "--quick/--jobs/--cache are ignored",
-            file=sys.stderr,
+    from repro.analysis.backend import MeasurementPlan
+
+    module = importlib.import_module(EXPERIMENTS[name][0])
+    for runner_name, quick_sizes in module.QUICK.items():
+        # Looked up at call time: a profiler may wrap the module's runner.
+        runner = getattr(module, runner_name)
+        report = runner(
+            MeasurementPlan(jobs=jobs, cache_dir=cache_dir),
+            **(quick_sizes if quick else {}),
         )
-    reports = [
-        runner(quick=quick, jobs=jobs, cache_dir=cache_dir)
-        if _takes_grid_options(runner)
-        else runner()
-        for runner in runners
-    ]
-    for report in reports:
         print(report.render())
         if report.stats is not None:
             # One-line accounting: how many cells actually simulated.
@@ -263,22 +236,14 @@ def _cmd_all(
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.sweep.store import (
-        migrate_json_to_sqlite,
-        store_info,
-        vacuum_store,
-        verify_store,
-    )
+    from repro.sweep.store import store_info, vacuum_store, verify_store
 
     def show(facts: dict) -> None:
         for key in sorted(facts):
             print(f"{key}={facts[key]}")
 
     try:
-        if args.cache_command == "migrate":
-            report = migrate_json_to_sqlite(args.source, args.dest)
-            print(report.summary_line())
-        elif args.cache_command == "vacuum":
+        if args.cache_command == "vacuum":
             show(vacuum_store(args.path))
         elif args.cache_command == "verify":
             verify = verify_store(args.path, repair=args.repair)
@@ -452,14 +417,12 @@ def main(argv: list[str] | None = None) -> int:
         "'stats'); results are unaffected",
     )
     cache_parser = sub.add_parser(
-        "cache", help="inspect, verify, compact or migrate a result store",
+        "cache", help="inspect, verify or compact a result store",
         description="Maintenance tooling for the on-disk result store "
         "(one SQLite file, DIR/cells.db): 'info' reports entries, "
-        "bytes and schema, 'verify' re-digests every row, 'vacuum' "
-        "compacts the file, and 'migrate' reads a legacy "
-        "one-file-per-cell JSON tree into a store (verifying every "
-        "entry's identity hash on the way).  None of them creates a "
-        "store that does not exist.",
+        "bytes and schema, 'verify' re-digests every row, and 'vacuum' "
+        "compacts the file.  None of them creates a store that does "
+        "not exist.",
     )
     cache_sub = cache_parser.add_subparsers(dest="cache_command",
                                             required=True)
@@ -467,14 +430,6 @@ def main(argv: list[str] | None = None) -> int:
         "info", help="report a store's entry count, bytes and schema"
     )
     cache_info.add_argument("path", help="cache directory")
-    cache_migrate = cache_sub.add_parser(
-        "migrate",
-        help="read a legacy JSON-tree cache into a result store",
-    )
-    cache_migrate.add_argument(
-        "source", help="legacy JSON-tree cache directory (left unchanged)"
-    )
-    cache_migrate.add_argument("dest", help="destination store directory")
     cache_vacuum = cache_sub.add_parser(
         "vacuum", help="compact a store's database file",
     )

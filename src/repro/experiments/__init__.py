@@ -1,15 +1,21 @@
 """Experiment reproductions: one module per paper artifact.
 
-Every module exposes ``run_*`` functions returning data objects /
-:class:`repro.util.tables.Table` instances, plus a ``main()`` that
-prints the full-size reproduction, so each experiment is runnable as::
+Every experiment module follows one protocol.  Each report runner is
+``run_<name>(plan, **sizes) -> Report``, and its keyword defaults are
+the full-size reproduction.  A runner with a measurement grid
+schedules its cells on the
+:class:`repro.analysis.backend.MeasurementPlan` it is given and
+executes it; the figures and the §2.3 comparison leave it empty.  The
+module-level ``QUICK`` dict maps the module's runners, in report
+order, to their ``--quick`` keyword overrides.  ``python -m repro run
+<name> [--quick]`` (see :mod:`repro.cli`) is the one entry point::
 
-    python -m repro.experiments.table1
-    python -m repro.experiments.theorem1
-    ...
+    python -m repro run table1
+    python -m repro run theorem1 --quick --jobs 2
+    python -m repro all --quick
 
-The benchmark suite (``benchmarks/``) calls the same ``run_*``
-functions with scaled-down parameters; EXPERIMENTS.md records the
+The benchmark suite (``benchmarks/``) calls the same planners and
+runners with scaled-down parameters; EXPERIMENTS.md records the
 outcomes side by side with the paper's claims.
 
 | Module            | Paper artifact                                   |
@@ -25,4 +31,5 @@ outcomes side by side with the paper's claims.
 | figures           | Figure 1 (border types) and Figure 2 (trace)     |
 | continuous        | §2.3 ODE vs discrete simulation                  |
 | speedup_graphs    | Multi-agent speed-up on general graphs ([27])    |
+| stabilization     | Time to the limit cycle across initializations   |
 """

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.backend import MeasurementPlan
 from repro.analysis.domains_stats import (
     final_profile_vs_lemma13,
     trace_domains,
@@ -24,6 +25,11 @@ from repro.core import placement, pointers
 from repro.experiments.harness import Report
 from repro.theory.ode import equilibrium_check, integrate_domains
 from repro.util.tables import Table
+
+#: ``--quick`` keyword overrides of each runner, in report order.  None
+#: yet: smaller sizes would change the report ``perfbench/expected.json``
+#: pins.  The comparison schedules no cells on its plan.
+QUICK = {"run_continuous": {}}
 
 
 def run_growth_comparison(n: int = 1024, k: int = 8) -> Table:
@@ -81,7 +87,9 @@ def run_equilibrium_table(ks: tuple[int, ...] = (4, 8, 16)) -> Table:
     return table
 
 
-def run_continuous(n: int = 1024, k: int = 8) -> Report:
+def run_continuous(
+    plan: MeasurementPlan, n: int = 1024, k: int = 8
+) -> Report:
     report = Report(
         title="§2.3 continuous-time approximation vs discrete simulation",
         claim=(
@@ -93,11 +101,3 @@ def run_continuous(n: int = 1024, k: int = 8) -> Report:
     report.add_table(run_profile_comparison(n, k))
     report.add_table(run_equilibrium_table())
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_continuous().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.analysis.backend import MeasurementPlan
 from repro.analysis.domains_stats import border_type_census
 from repro.core import placement, pointers
 from repro.core.domains import BorderType
@@ -26,8 +27,14 @@ from repro.experiments.deployments import run_theorem1_deployment
 from repro.experiments.harness import Report
 from repro.util.tables import Table
 
+#: ``--quick`` keyword overrides of each runner, in report order.  None
+#: yet: smaller sizes would change the reports ``perfbench/expected.json``
+#: pins.  Neither figure schedules cells on its plan.
+QUICK = {"run_figure1": {}, "run_figure2": {}}
+
 
 def run_figure1(
+    plan: MeasurementPlan,
     n: int = 256,
     ks: Sequence[int] = (4, 8, 16),
     burn_in_factor: int = 30,
@@ -78,6 +85,7 @@ def run_figure1(
 
 
 def run_figure2(
+    plan: MeasurementPlan,
     n: int = 400,
     k: int = 6,
     multiplier: float | None = None,
@@ -127,13 +135,3 @@ def run_figure2(
             "positions always matched)"
         )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_figure1().render())
-    print()
-    print(run_figure2().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -3,7 +3,7 @@
 Keeps experiment modules declarative: they build
 :class:`repro.util.tables.Table` objects and wrap them in a
 :class:`Report` that renders with a title, the paper's claim, and
-notes; ``main()`` functions print reports and optionally save CSVs.
+notes; ``repro run`` prints reports and optionally saves CSVs.
 """
 
 from __future__ import annotations

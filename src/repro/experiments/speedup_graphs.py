@@ -45,6 +45,22 @@ from repro.util.tables import Table
 
 GraphFactory = Callable[[], PortLabeledGraph]
 
+#: ``--quick`` keyword overrides of each runner, in report order: a
+#: CI-sized grid on graph families of ~36-64 nodes.
+QUICK = {
+    "run_speedup_graphs": {
+        "ks": (2, 4),
+        "seeds": (0, 1),
+        "families": {
+            "torus": lambda: torus_2d(6, 6),
+            "hypercube": lambda: hypercube(6),
+            "clique": lambda: clique(16),
+            "lollipop": lambda: lollipop(8, 8),
+            "gnp": lambda: gnp_random_graph(48, 0.15, seed=101),
+        },
+    },
+}
+
 
 def default_families(scale: int = 1) -> dict[str, GraphFactory]:
     """Graph families at a size scale (scale=1: ~1024-node graphs).
@@ -70,43 +86,13 @@ def default_families(scale: int = 1) -> dict[str, GraphFactory]:
     }
 
 
-def quick_families() -> dict[str, GraphFactory]:
-    """CI-sized graph families (~36-64 nodes) for ``--quick`` runs."""
-    return {
-        "torus": lambda: torus_2d(6, 6),
-        "hypercube": lambda: hypercube(6),
-        "clique": lambda: clique(16),
-        "lollipop": lambda: lollipop(8, 8),
-        "gnp": lambda: gnp_random_graph(48, 0.15, seed=101),
-    }
-
-
-def random_instance(
-    graph: PortLabeledGraph, k: int, seed: int
-) -> tuple[list[int], list[int]]:
-    """The seeded (agents, ports) instance of one speed-up sample.
-
-    Delegates to :func:`repro.sweep.spec.general_instance` — the one
-    shared derivation, so the ``general_speedup`` sweep scenario and
-    this experiment exchange cache entries cell for cell.
-    """
-    return general_instance(graph, k, seed)
-
-
 def run_speedup_graphs(
+    plan: MeasurementPlan,
     ks: Sequence[int] = (2, 4, 8, 16, 32),
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
     scale: int = 1,
     families: dict[str, GraphFactory] | None = None,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
-    if quick:
-        ks, seeds = (2, 4), (0, 1)
-        if families is None:
-            families = quick_families()
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Multi-agent rotor-router speed-up on general graphs "
         "(Yanovski et al. [27] experiment)",
@@ -126,7 +112,9 @@ def run_speedup_graphs(
         formats=[None, "d", "d"] + [".2f"] * len(ks) + [None, ".2f"],
     )
     # Schedule the whole (family x k x seed) grid, k = 1 included (the
-    # speed-up baseline), before a single batched execution.
+    # speed-up baseline), before a single batched execution.  The
+    # instances derive as in the ``general_speedup`` sweep scenario, so
+    # the two exchange cache entries cell for cell.
     all_ks = [1, *[k for k in ks if k != 1]]
     scheduled = []
     for name, factory in families.items():
@@ -134,7 +122,7 @@ def run_speedup_graphs(
         handles = {
             k: [
                 plan.rotor_cover_general(
-                    graph, *random_instance(graph, k, seed)
+                    graph, *general_instance(graph, k, seed)
                 )
                 for seed in seeds
             ]
@@ -170,11 +158,3 @@ def run_speedup_graphs(
         "[27]'s observation that extra agents never hurt"
     )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_speedup_graphs().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -29,6 +29,11 @@ from repro.experiments.harness import Report
 from repro.util.rng import derive_seed
 from repro.util.tables import Table
 
+#: ``--quick`` keyword overrides of each runner, in report order.
+QUICK = {
+    "run_stabilization": {"ns": (32, 64), "seeds": (0,)},
+}
+
 
 def battery_instances(
     n: int, k: int, seeds: Sequence[int]
@@ -50,16 +55,11 @@ def battery_instances(
 
 
 def run_stabilization(
+    plan: MeasurementPlan,
     ns: Sequence[int] = (64, 128, 256),
     k: int = 4,
     seeds: Sequence[int] = (0, 1),
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
-    if quick:
-        ns, seeds = (32, 64), (0,)
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Stabilization time of the k-agent rotor-router (extension)",
         claim=(
@@ -104,11 +104,3 @@ def run_stabilization(
         "is quadratic like the cover time, never worse"
     )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_stabilization().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -22,7 +22,6 @@ executed, so one batched execution serves all tables of the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.analysis.backend import MeasurementPlan
@@ -32,19 +31,12 @@ from repro.theory import bounds
 from repro.util.rng import derive_seed
 from repro.util.tables import Table
 
-
-@dataclass(frozen=True)
-class Table1Cell:
-    """One measured cell of Table 1."""
-
-    n: int
-    k: int
-    measured: float
-    predicted: float
-
-    @property
-    def normalized(self) -> float:
-        return self.measured / self.predicted
+#: ``--quick`` keyword overrides of each runner, in report order.
+QUICK = {
+    "run_table1": {
+        "n": 128, "ks": (2, 4, 8), "repetitions": 3, "return_n": 64,
+    },
+}
 
 
 def plan_cover_table(
@@ -179,50 +171,15 @@ def plan_return_time_table(
     return build
 
 
-def run_cover_table(
-    n: int,
-    ks: Sequence[int],
-    repetitions: int = 10,
-    seed: int = 0,
-    plan: MeasurementPlan | None = None,
-) -> Table:
-    """The four cover-time columns of Table 1 for fixed n, swept over k."""
-    if plan is None:
-        plan = MeasurementPlan()
-    build = plan_cover_table(plan, n, ks, repetitions, seed)
-    plan.execute()
-    return build()
-
-
-def run_return_time_table(
-    n: int,
-    ks: Sequence[int],
-    walk_window_factor: int = 400,
-    seed: int = 0,
-    plan: MeasurementPlan | None = None,
-) -> Table:
-    """The return-time column: rotor (exact, worst init) vs walks (mean)."""
-    if plan is None:
-        plan = MeasurementPlan()
-    build = plan_return_time_table(plan, n, ks, walk_window_factor, seed)
-    plan.execute()
-    return build()
-
-
 def run_table1(
+    plan: MeasurementPlan,
     n: int = 512,
     ks: Sequence[int] = (2, 4, 8, 16, 32),
     repetitions: int = 10,
     return_n: int | None = None,
     seed: int = 0,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
     """Full Table 1 reproduction (one measurement plan for the report)."""
-    if quick:
-        n, ks, repetitions, return_n = 128, (2, 4, 8), 3, 64
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Table 1: multi-agent rotor-router vs k random walks on the ring",
         claim=(
@@ -242,11 +199,3 @@ def run_table1(
         "constants are not specified by the Θ-bounds"
     )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_table1().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -34,11 +34,20 @@ from repro.theory import bounds
 from repro.util.tables import Table
 
 __all__ = [
-    "run_k_sweep",
-    "run_n_sweep",
     "run_deployment_sandwich",
     "run_theorem1",
 ]
+
+#: ``--quick`` keyword overrides of each runner, in report order.
+QUICK = {
+    "run_theorem1": {
+        "n": 256,
+        "ks": (2, 4, 8, 16),
+        "ns": (64, 128, 256),
+        "sweep_k": 4,
+        "deployment_cases": ((120, 4),),
+    },
+}
 
 
 def _worst_cover_handle(plan: MeasurementPlan, n: int, k: int):
@@ -101,22 +110,6 @@ def plan_n_sweep(
     return build
 
 
-def run_k_sweep(n: int, ks: Sequence[int]) -> Table:
-    """Standalone k-sweep (schedules, executes and builds in one go)."""
-    plan = MeasurementPlan()
-    build = plan_k_sweep(plan, n, ks)
-    plan.execute()
-    return build()
-
-
-def run_n_sweep(ns: Sequence[int], k: int) -> Table:
-    """Standalone n-sweep (schedules, executes and builds in one go)."""
-    plan = MeasurementPlan()
-    build = plan_n_sweep(plan, ns, k)
-    plan.execute()
-    return build()
-
-
 def run_deployment_sandwich(cases: Sequence[tuple[int, int]]) -> Table:
     """Execute the proof's delayed deployment; verify Lemma 3 bounds."""
     table = Table(
@@ -145,20 +138,13 @@ def run_deployment_sandwich(cases: Sequence[tuple[int, int]]) -> Table:
 
 
 def run_theorem1(
+    plan: MeasurementPlan,
     n: int = 1024,
     ks: Sequence[int] = (2, 4, 8, 16, 32, 64),
     ns: Sequence[int] = (128, 256, 512, 1024),
     sweep_k: int = 8,
     deployment_cases: Sequence[tuple[int, int]] = ((300, 6), (500, 8)),
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
-    if quick:
-        n, ks = 256, (2, 4, 8, 16)
-        ns, sweep_k = (64, 128, 256), 4
-        deployment_cases = ((120, 4),)
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 1: worst-case placement cover time Θ(n²/log k)",
         claim=(
@@ -173,11 +159,3 @@ def run_theorem1(
     report.add_table(build_ns())
     report.add_table(run_deployment_sandwich(deployment_cases))
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_theorem1().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

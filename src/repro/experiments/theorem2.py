@@ -20,6 +20,11 @@ from repro.experiments.harness import Report
 from repro.util.rng import derive_seed
 from repro.util.tables import Table
 
+#: ``--quick`` keyword overrides of each runner, in report order.
+QUICK = {
+    "run_theorem2": {"n": 128, "ks": (4, 8), "seeds": (0, 1)},
+}
+
 
 def battery_instances(
     n: int, k: int, seeds: Sequence[int]
@@ -51,16 +56,11 @@ def battery_instances(
 
 
 def run_theorem2(
+    plan: MeasurementPlan,
     n: int = 512,
     ks: Sequence[int] = (4, 8, 16, 32),
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
-    if quick:
-        n, ks, seeds = 128, (4, 8), (0, 1)
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 2: any initialization covers in O(n²/log k)",
         claim=(
@@ -106,11 +106,3 @@ def run_theorem2(
         "Theorem 1 adversary by more than a constant"
     )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_theorem2().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

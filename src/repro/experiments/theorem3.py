@@ -23,6 +23,11 @@ from repro.theory import bounds
 from repro.util.rng import derive_seed
 from repro.util.tables import Table
 
+#: ``--quick`` keyword overrides of each runner, in report order.
+QUICK = {
+    "run_theorem3": {"n": 256, "ks": (2, 4, 8, 16), "random_seeds": (0,)},
+}
+
 PointerFactory = Callable[[int, Sequence[int], int], list[int]]
 
 
@@ -60,16 +65,11 @@ def _spaced_handle(
 
 
 def run_theorem3(
+    plan: MeasurementPlan,
     n: int = 1024,
     ks: Sequence[int] = (2, 4, 8, 16, 32, 64),
     random_seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
-    if quick:
-        n, ks, random_seeds = 256, (2, 4, 8, 16), (0,)
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 3: equally spaced placement covers in O(n²/k²)",
         claim=(
@@ -124,11 +124,3 @@ def run_theorem3(
         "(n/k)²) should stay bounded and roughly flat in k"
     )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_theorem3().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

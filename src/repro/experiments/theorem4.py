@@ -31,6 +31,11 @@ from repro.theory import bounds
 from repro.util.rng import derive_seed
 from repro.util.tables import Table
 
+#: ``--quick`` keyword overrides of each runner, in report order.
+QUICK = {
+    "run_theorem4": {"n": 256, "ks": (4, 8), "seeds": (0,)},
+}
+
 
 def placements_battery(n: int, k: int, seeds: Sequence[int]) -> dict[str, list[int]]:
     """The placements the adversary is tested against."""
@@ -48,16 +53,11 @@ def placements_battery(n: int, k: int, seeds: Sequence[int]) -> dict[str, list[i
 
 
 def run_theorem4(
+    plan: MeasurementPlan,
     n: int = 1024,
     ks: Sequence[int] = (4, 8, 16),
     seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
-    if quick:
-        n, ks, seeds = 256, (4, 8), (0,)
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 4: pointers forcing Ω(n²/k²) for any placement",
         claim=(
@@ -117,11 +117,3 @@ def run_theorem4(
         "(>= 0.8n - o(n))"
     )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_theorem4().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -25,19 +25,19 @@ from repro.theory import bounds
 from repro.util.rng import derive_seed
 from repro.util.tables import Table
 
+#: ``--quick`` keyword overrides of each runner, in report order.
+QUICK = {
+    "run_theorem5": {"n": 256, "ks": (2, 4, 8), "repetitions": 5},
+}
+
 
 def run_theorem5(
+    plan: MeasurementPlan,
     n: int = 1024,
     ks: Sequence[int] = (2, 4, 8, 16, 32),
     repetitions: int = 20,
     seed: int = 0,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
-    if quick:
-        n, ks, repetitions = 256, (2, 4, 8), 5
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 5: equally spaced k random walks cover in "
         "Θ((n/k)² log² k)",
@@ -96,11 +96,3 @@ def run_theorem5(
         "wins the best-case comparison by exactly the polylog factor"
     )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_theorem5().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

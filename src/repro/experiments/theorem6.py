@@ -26,6 +26,11 @@ from repro.experiments.harness import Report
 from repro.util.rng import derive_seed
 from repro.util.tables import Table
 
+#: ``--quick`` keyword overrides of each runner, in report order.
+QUICK = {
+    "run_theorem6": {"n": 128, "ks": (2, 4, 8), "seeds": (0, 1)},
+}
+
 
 def battery_instances(
     n: int, k: int, seeds: Sequence[int]
@@ -49,16 +54,11 @@ def battery_instances(
 
 
 def run_theorem6(
+    plan: MeasurementPlan,
     n: int = 256,
     ks: Sequence[int] = (2, 4, 8, 16),
     seeds: Sequence[int] = (0, 1, 2),
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    quick: bool = False,
 ) -> Report:
-    if quick:
-        n, ks, seeds = 128, (2, 4, 8), (0, 1)
-    plan = MeasurementPlan(jobs=jobs, cache_dir=cache_dir)
     report = Report(
         title="Theorem 6: return time Θ(n/k) regardless of initialization",
         claim=(
@@ -112,11 +112,3 @@ def run_theorem6(
         "independent of n, k and the initialization"
     )
     return report
-
-
-def main() -> None:  # pragma: no cover - manual entry point
-    print(run_theorem6().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

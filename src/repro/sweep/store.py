@@ -14,20 +14,18 @@ store.  The rows are written only by the dispatching process (the
 supervisor commits every chunk there), so one file carries all the
 traffic; earlier versions kept a one-file-per-cell JSON tree and a
 16-shard SQLite layout.  Opening a directory that still holds either
-raises ``ValueError`` before anything is written: a JSON tree converts
-with ``repro cache migrate`` (:func:`migrate_json_to_sqlite`, which
-re-digests every entry), a sharded directory is simply deleted and
-recomputed.
+raises ``ValueError`` before anything is written, asking for the
+directory to be deleted (its results are recomputable).
 
 Every row is the canonical dump of a :class:`StoreEntry`, and identity
 is checked where rows enter: ``put_many`` derives key and config text
-from one identity dump, migration re-digests every entry, and WAL
-transactions rule out torn rows.  Probes therefore fetch only
-``(hash, metrics)`` and report ``corrupt`` when the stored metrics do
-not parse back to a dict; the executor quarantines (deletes) such rows
-and recomputes them.  ``verify_store`` (``repro cache verify
-[--repair]``) re-digests every stored row eagerly, and ``store_info``
-and ``vacuum_store`` back the rest of the ``repro cache`` subcommand.
+from one identity dump, and WAL transactions rule out torn rows.
+Probes therefore fetch only ``(hash, metrics)`` and report ``corrupt``
+when the stored metrics do not parse back to a dict; the executor
+quarantines (deletes) such rows and recomputes them.  ``verify_store``
+(``repro cache verify [--repair]``) re-digests every stored row
+eagerly, and ``store_info`` and ``vacuum_store`` back the rest of the
+``repro cache`` subcommand.
 """
 
 from __future__ import annotations
@@ -56,9 +54,6 @@ _SQLITE_PREFIX = "sqlite://"
 #: Rows per ``IN (...)`` probe query, comfortably under SQLite's
 #: default 999-variable limit.
 _SELECT_CHUNK = 512
-
-#: Rows per migration transaction.
-_MIGRATE_BATCH = 1024
 
 
 def _canonical(payload: dict) -> str:
@@ -138,16 +133,15 @@ def _refuse_legacy_layout(directory: str) -> None:
     if any(
         name.startswith("shard-") and name.endswith(".db") for name in names
     ):
-        raise ValueError(
-            f"{directory!r} holds a sharded result store of an older "
-            "version; delete the directory (its results are recomputable)"
-        )
-    if any(_is_json_tree_prefix(directory, name) for name in names):
-        raise ValueError(
-            f"{directory!r} holds a JSON-tree result cache; convert it "
-            f"with `repro cache migrate {directory} NEW_DIR` and use "
-            "NEW_DIR"
-        )
+        layout = "a sharded result store"
+    elif any(_is_json_tree_prefix(directory, name) for name in names):
+        layout = "a JSON-tree result cache"
+    else:
+        return
+    raise ValueError(
+        f"{directory!r} holds {layout} of an older version; delete the "
+        "directory (its results are recomputable)"
+    )
 
 
 @contextmanager
@@ -424,28 +418,8 @@ class SqliteStore:
 
 
 # ----------------------------------------------------------------------
-# tooling: migration, verify, info, vacuum (the `repro cache` subcommand)
+# tooling: verify, info, vacuum (the `repro cache` subcommand)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MigrationReport:
-    """Outcome of one JSON-tree → SQLite migration."""
-
-    migrated: int
-    corrupt: int
-
-    def summary_line(self) -> str:
-        return f"migrated={self.migrated} corrupt={self.corrupt}"
-
-
-def _iter_json_entries(directory: str) -> Iterator[tuple[str, str]]:
-    """``(config_hash, path)`` of every entry file, sorted walk order."""
-    for root, dirs, files in os.walk(directory):
-        dirs.sort()
-        for name in sorted(files):
-            if name.endswith(".json"):
-                yield name[:-len(".json")], os.path.join(root, name)
-
-
 def _entry_is_sound(config_hash: str, config, metrics) -> bool:
     """Whether a stored entry's identity re-digests to its key."""
     if not isinstance(config, dict) or not isinstance(metrics, dict):
@@ -454,54 +428,6 @@ def _entry_is_sound(config_hash: str, config, metrics) -> bool:
         _canonical(config).encode("utf-8")
     ).hexdigest()
     return digest == config_hash
-
-
-def migrate_json_to_sqlite(
-    source_dir: str, dest_dir: str, batch: int = _MIGRATE_BATCH
-) -> MigrationReport:
-    """Stream a legacy JSON tree into a result store, verifying each entry.
-
-    The source is read-only: its ``<h[:2]>/<h>.json`` entry files are
-    read directly and never modified.  Every entry is re-verified on
-    the way through: the canonical dump of its stored identity must
-    digest back to its filename hash, and the payload must carry
-    dict-shaped ``config`` and ``metrics`` blocks.  Entries failing
-    either check are counted ``corrupt`` and skipped — a migrated
-    store never contains rows the tree would not itself have served.
-    Rows commit in transactions of ``batch``.
-    """
-    if not os.path.isdir(source_dir):
-        raise FileNotFoundError(f"no JSON-tree cache at {source_dir!r}")
-    dest = SqliteStore(dest_dir)
-    migrated = corrupt = 0
-    pending: list[tuple[str, str, str]] = []
-    try:
-        for config_hash, path in _iter_json_entries(source_dir):
-            try:
-                with open(path) as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                corrupt += 1
-                continue
-            if not isinstance(entry, dict):
-                corrupt += 1
-                continue
-            config, metrics = entry.get("config"), entry.get("metrics")
-            if not _entry_is_sound(config_hash, config, metrics):
-                corrupt += 1
-                continue
-            pending.append(
-                (config_hash, _canonical(config), _canonical(metrics))
-            )
-            migrated += 1
-            if len(pending) >= batch:
-                dest._put_rows(pending)
-                pending = []
-        if pending:
-            dest._put_rows(pending)
-    finally:
-        dest.close()
-    return MigrationReport(migrated=migrated, corrupt=corrupt)
 
 
 @dataclass(frozen=True)
@@ -530,11 +456,11 @@ def verify_store(directory: str, repair: bool = False) -> VerifyReport:
     The deep counterpart of the probe-time corruption check: the
     canonical dump of each row's ``config`` must digest back to the
     hash it is keyed under, and its ``metrics`` must parse to a dict —
-    exactly the invariant ``put_many`` and migration enforce where
-    rows enter, so a clean scan certifies the store serves only rows
-    it would itself have written.  ``repair=True`` deletes each bad
-    row so the next run recomputes it.  A missing store is vacuously
-    clean and stays missing.  Backs ``repro cache verify``.
+    exactly the invariant ``put_many`` enforces where rows enter, so a
+    clean scan certifies the store serves only rows it would itself
+    have written.  ``repair=True`` deletes each bad row so the next run
+    recomputes it.  A missing store is vacuously clean and stays
+    missing.  Backs ``repro cache verify``.
     """
     store = SqliteStore(directory)
     checked = 0

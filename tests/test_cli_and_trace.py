@@ -1,7 +1,11 @@
 """Tests for the experiments CLI and the trace/rendering module."""
 
+import importlib
+import inspect
+
 import pytest
 
+from repro.analysis.backend import MeasurementPlan
 from repro.cli import EXPERIMENTS, main
 from repro.core import placement, pointers
 from repro.core.domains import VisitTypeTracker, domain_snapshot
@@ -24,16 +28,33 @@ class TestCli:
         assert main(["run", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
-    def test_every_registered_module_resolves(self):
-        import importlib
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_every_registered_module_resolves(self, name):
+        # Every runner QUICK names exists and takes the plan and its
+        # quick sizes, so a misspelled size fails without running.
+        module = importlib.import_module(EXPERIMENTS[name][0])
+        assert module.QUICK
+        for runner_name, overrides in module.QUICK.items():
+            runner = getattr(module, runner_name)
+            inspect.signature(runner).bind(MeasurementPlan(), **overrides)
 
-        for name, (module_name, _) in EXPERIMENTS.items():
-            module = importlib.import_module(module_name)
-            if name == "figures":
-                assert hasattr(module, "run_figure1")
-                assert hasattr(module, "run_figure2")
-            else:
-                assert hasattr(module, f"run_{name}")
+    def test_quick_figures_print_both_reports(self, monkeypatch, capsys):
+        from repro.experiments import figures
+
+        monkeypatch.setattr(figures, "QUICK", {
+            "run_figure1": {
+                "n": 32, "ks": (4,), "burn_in_factor": 2,
+                "observation_factor": 1,
+            },
+            "run_figure2": {"n": 64, "k": 4},
+        })
+        assert main(["run", "figures", "--quick", "--cache", "none"]) == 0
+        captured = capsys.readouterr()
+        assert "Figure 1: border types" in captured.out
+        assert "Figure 2: Phase B iterations" in captured.out
+        assert "n=32 ring" in captured.out
+        assert "computed=" not in captured.out
+        assert captured.err == ""
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -4,30 +4,24 @@ Small parameters keep the suite fast; the assertions check structure
 plus the coarse paper-shape facts each experiment exists to show.
 """
 
-import functools
-import sys
-
 import pytest
 
 from repro.analysis.backend import MeasurementPlan
 from repro.core import placement
+from repro.experiments import speedup_graphs
 from repro.experiments.continuous import (
     run_equilibrium_table,
     run_growth_comparison,
 )
 from repro.experiments.figures import run_figure1, run_figure2
 from repro.experiments.harness import Report
-from repro.experiments.table1 import (
-    run_cover_table,
-    run_return_time_table,
-    run_table1,
-)
+from repro.experiments.table1 import run_table1
+from repro.experiments.theorem1 import run_theorem1
 from repro.experiments.theorem2 import run_theorem2
 from repro.experiments.theorem3 import POINTER_FAMILIES, run_theorem3
 from repro.experiments.theorem4 import run_theorem4
 from repro.experiments.theorem5 import run_theorem5
 from repro.experiments.theorem6 import run_theorem6
-from repro.experiments.theorem1 import run_k_sweep, run_n_sweep
 from repro.util.tables import Table
 
 
@@ -97,7 +91,8 @@ class TestTable1:
     def test_cover_table_structure(self):
         # k >= 4: at k = 2 the log²k factor is < 1 and the asymptotic
         # ordering genuinely does not apply.
-        table = run_cover_table(96, ks=(4, 8), repetitions=3)
+        report = run_table1(MeasurementPlan(), n=96, ks=(4, 8), repetitions=3)
+        table = report.tables[0]
         assert len(table.rows) == 2
         # Rotor-router best case beats the walks' best case.
         rr_best = table.column("RR best")
@@ -105,35 +100,54 @@ class TestTable1:
         assert all(rr <= rw for rr, rw in zip(rr_best, rw_best))
 
     def test_return_table_normalized_band(self):
-        table = run_return_time_table(64, ks=(2, 4), walk_window_factor=80)
-        for value in table.column("RR gap*k/n"):
+        report = run_table1(
+            MeasurementPlan(), n=64, ks=(2, 4), repetitions=1, return_n=64
+        )
+        for value in report.tables[1].column("RR gap*k/n"):
             assert 1.0 <= value <= 3.0
 
     def test_full_report(self):
-        report = run_table1(n=96, ks=(2, 4), repetitions=2, return_n=64)
+        report = run_table1(
+            MeasurementPlan(), n=96, ks=(2, 4), repetitions=2, return_n=64
+        )
         assert len(report.tables) == 2
         assert "Table 1" in report.render()
 
 
+@pytest.fixture(scope="module")
+def theorem1_report():
+    """Theorem 1's k-sweep at n = 128 and n-sweep at k = 4."""
+    return run_theorem1(
+        MeasurementPlan(),
+        n=128,
+        ks=(2, 4, 8),
+        ns=(64, 128, 256),
+        sweep_k=4,
+        deployment_cases=(),
+    )
+
+
 class TestTheoremReports:
-    def test_theorem1_k_sweep_flatish(self):
-        table = run_k_sweep(128, ks=(2, 4, 8))
+    def test_theorem1_k_sweep_flatish(self, theorem1_report):
+        table = theorem1_report.tables[0]
         normalized = table.column("C*log k/n^2")
         assert max(normalized) / min(normalized) < 3.0
 
-    def test_theorem1_n_sweep_quadratic(self):
-        table = run_n_sweep((64, 128, 256), k=4)
+    def test_theorem1_n_sweep_quadratic(self, theorem1_report):
+        table = theorem1_report.tables[1]
         assert "n^" in table.caption
         exponent = float(table.caption.split("n^")[-1])
         assert 1.7 <= exponent <= 2.3
 
     def test_theorem2_battery_bounded(self):
-        report = run_theorem2(n=96, ks=(4,), seeds=(0, 1))
+        report = run_theorem2(MeasurementPlan(), n=96, ks=(4,), seeds=(0, 1))
         ratios = report.tables[0].column("battery/all-on-one")
         assert all(r <= 1.6 for r in ratios)
 
     def test_theorem3_normalized_bounded(self):
-        report = run_theorem3(n=128, ks=(2, 4, 8), random_seeds=(0,))
+        report = run_theorem3(
+            MeasurementPlan(), n=128, ks=(2, 4, 8), random_seeds=(0,)
+        )
         normalized = report.tables[0].column("worst*k^2/n^2")
         assert all(0.05 <= v <= 3.0 for v in normalized)
         assert max(normalized) / min(normalized) < 4.0
@@ -149,34 +163,33 @@ class TestTheoremReports:
         assert positive.value <= negative.value
 
     def test_theorem4_lower_bound_constant(self):
-        report = run_theorem4(n=256, ks=(4,), seeds=(0,))
+        report = run_theorem4(MeasurementPlan(), n=256, ks=(4,), seeds=(0,))
         normalized = report.tables[0].column("C*k^2/n^2")
         assert all(v >= 0.1 for v in normalized)
 
     def test_theorem5_ordering(self):
-        report = run_theorem5(n=128, ks=(4, 8), repetitions=4)
+        report = run_theorem5(
+            MeasurementPlan(), n=128, ks=(4, 8), repetitions=4
+        )
         ratios = report.tables[0].column("RW/RR")
         assert all(r > 1.0 for r in ratios)  # walks lose the best case
 
     def test_theorem6_band(self):
-        report = run_theorem6(n=64, ks=(2, 4), seeds=(0,))
+        report = run_theorem6(MeasurementPlan(), n=64, ks=(2, 4), seeds=(0,))
         gaps = report.tables[0].column("gap*k/n")
         assert all(1.0 <= g <= 3.0 for g in gaps)
 
 
 @pytest.fixture
-def both_backends(monkeypatch):
-    """Reports of an experiment runner on the batch backend, then with
-    its module's plans on the reference backend."""
+def both_backends():
+    """Reports of an experiment runner on a batch plan, then on a
+    reference plan."""
 
     def run(runner, **kwargs):
-        batch = runner(**kwargs)
-        monkeypatch.setattr(
-            sys.modules[runner.__module__],
-            "MeasurementPlan",
-            functools.partial(MeasurementPlan, backend="reference"),
+        return (
+            runner(MeasurementPlan(), **kwargs),
+            runner(MeasurementPlan(backend="reference"), **kwargs),
         )
-        return batch, runner(**kwargs)
 
     return run
 
@@ -213,12 +226,14 @@ class TestBackendsAgree:
         assert batch.render() == reference.render()
 
     def test_speedup_graphs_identical_across_backends(self, both_backends):
-        from repro.experiments.speedup_graphs import run_speedup_graphs
         from repro.graphs import ring_graph
 
         families = {"ring": lambda: ring_graph(32)}
         batch, reference = both_backends(
-            run_speedup_graphs, ks=(2, 4), seeds=(0,), families=families
+            speedup_graphs.run_speedup_graphs,
+            ks=(2, 4),
+            seeds=(0,),
+            families=families,
         )
         assert batch.render() == reference.render()
 
@@ -227,17 +242,20 @@ class TestBackendsAgree:
     ):
         # Pins the CSR-batched kernel (mixed families in one chunk)
         # against the reference engine at report granularity.
-        from repro.experiments.speedup_graphs import run_speedup_graphs
-
-        batch, reference = both_backends(run_speedup_graphs, quick=True)
+        batch, reference = both_backends(
+            speedup_graphs.run_speedup_graphs,
+            **speedup_graphs.QUICK["run_speedup_graphs"],
+        )
         assert batch.render() == reference.render()
         assert batch.stats.computed == reference.stats.computed
 
 
 class TestFiguresAndContinuous:
     def test_figure1_census(self):
-        report = run_figure1(n=64, ks=(4,), burn_in_factor=15,
-                             observation_factor=5)
+        report = run_figure1(
+            MeasurementPlan(), n=64, ks=(4,), burn_in_factor=15,
+            observation_factor=5,
+        )
         table = report.tables[0]
         totals = [
             v + e + t
@@ -252,7 +270,7 @@ class TestFiguresAndContinuous:
         assert all(pct <= 5.0 for pct in transients)
 
     def test_figure2_trace(self):
-        report = run_figure2(n=160, k=4)
+        report = run_figure2(MeasurementPlan(), n=160, k=4)
         ladder = report.tables[0]
         assert len(ladder.rows) >= 1
         phases = report.tables[1]

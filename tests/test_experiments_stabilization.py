@@ -39,7 +39,9 @@ class TestBattery:
 
 class TestReport:
     def test_report_structure(self):
-        report = run_stabilization(ns=(48, 96), k=4, seeds=(0,))
+        report = run_stabilization(
+            MeasurementPlan(), ns=(48, 96), k=4, seeds=(0,)
+        )
         table = report.tables[0]
         assert len(table.rows) == 2 * 4  # 2 sizes x 4 initializations
         ratios = table.column("preperiod/n^2")

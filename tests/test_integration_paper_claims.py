@@ -26,6 +26,7 @@ from repro.analysis.speedup import (
 )
 from repro.core import placement, pointers
 from repro.experiments import speedup_graphs, stabilization, theorem2, theorem4
+from repro.sweep.spec import general_instance
 from repro.theory import bounds
 from repro.util.rng import derive_seed
 from repro.util.stats import summarize
@@ -402,7 +403,7 @@ class TestSpeedupGeneralGraphs:
         covers = measured(lambda plan: {
             (name, k): [
                 plan.rotor_cover_general(
-                    graph, *speedup_graphs.random_instance(graph, k, seed),
+                    graph, *general_instance(graph, k, seed),
                     max_rounds=16 * graph.num_nodes * graph.num_edges,
                 )
                 for seed in (0, 1)

@@ -507,9 +507,9 @@ class TestCache:
     def test_planted_row_is_verified_evicted_and_recomputed(
         self, tmp_path, capsys, plant
     ):
-        # Rows enter only through put_many and migrate, which derive or
-        # check the key; a row planted behind their back is caught by
-        # `repro cache verify`, evicted by --repair, then recomputed.
+        # Rows enter only through put_many, which derives the key; a
+        # row planted behind its back is caught by `repro cache
+        # verify`, evicted by --repair, then recomputed.
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
         baseline = run_sweep(spec, cache_dir=cache_dir)

@@ -10,13 +10,11 @@ import pytest
 
 from repro.cli import main
 from repro.sweep.executor import run_sweep
-from repro.sweep.registry import scenario
 from repro.sweep.spec import InitFamily, ScenarioSpec, SweepConfig
 from repro.sweep.store import (
     STORE_FILE,
     STORE_SCHEMA_VERSION,
     SqliteStore,
-    migrate_json_to_sqlite,
     open_store,
     store_info,
     vacuum_store,
@@ -52,15 +50,13 @@ def _cover_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**base)
 
 
-def _write_json_tree(directory, items) -> dict[str, str]:
+def _write_json_tree(directory, items) -> None:
     """Write ``(cell, metrics)`` pairs in the legacy JSON-tree layout.
 
     One ``<hash[:2]>/<hash>.json`` file per cell holding
     ``{"config": identity, "metrics": metrics}`` — the one-file-per-cell
-    cache that ``repro cache migrate`` reads.  Returns each entry's
-    path by hash.
+    cache of older versions.
     """
-    paths = {}
     for cell, metrics in items:
         config_hash = cell.config_hash
         path = os.path.join(directory, config_hash[:2], f"{config_hash}.json")
@@ -71,8 +67,6 @@ def _write_json_tree(directory, items) -> dict[str, str]:
                 handle,
                 sort_keys=True,
             )
-        paths[config_hash] = path
-    return paths
 
 
 def _listing(directory) -> list[str]:
@@ -130,12 +124,12 @@ class TestLegacyLayouts:
         directory = str(tmp_path / "tree")
         _write_json_tree(directory, [(_config(0), {"cover": 1})])
         before = _listing(directory)
-        with pytest.raises(ValueError, match="repro cache migrate"):
+        with pytest.raises(ValueError, match="delete the directory"):
             open_store(directory)
-        with pytest.raises(ValueError, match="repro cache migrate"):
+        with pytest.raises(ValueError, match="delete the directory"):
             run_sweep(_cover_spec(ns=(16,), ks=(2,)), cache_dir=directory)
         assert main(["cache", "info", directory]) == 2
-        assert "repro cache migrate" in capsys.readouterr().err
+        assert "delete the directory" in capsys.readouterr().err
         assert _listing(directory) == before
 
     def test_shard_files_refused_untouched(self, tmp_path, capsys):
@@ -153,14 +147,13 @@ class TestLegacyLayouts:
     @pytest.mark.parametrize(
         "argv",
         [
-            lambda cache, _: ["sweep", "table1", "--quick", "--cache", cache],
-            lambda cache, _: ["run", "table1", "--quick", "--cache", cache],
-            lambda cache, _: ["cache", "info", cache],
-            lambda cache, _: ["cache", "verify", cache, "--repair"],
-            lambda cache, _: ["cache", "vacuum", cache],
-            lambda cache, source: ["cache", "migrate", source, cache],
+            lambda cache: ["sweep", "table1", "--quick", "--cache", cache],
+            lambda cache: ["run", "table1", "--quick", "--cache", cache],
+            lambda cache: ["cache", "info", cache],
+            lambda cache: ["cache", "verify", cache, "--repair"],
+            lambda cache: ["cache", "vacuum", cache],
         ],
-        ids=["sweep", "run", "info", "verify", "vacuum", "migrate-into"],
+        ids=["sweep", "run", "info", "verify", "vacuum"],
     )
     def test_every_command_refuses_in_one_line(
         self, tmp_path, capsys, layout, argv
@@ -169,19 +162,15 @@ class TestLegacyLayouts:
         directory = str(tmp_path / "legacy")
         if layout == "tree":
             _write_json_tree(directory, [(_config(0), {"cover": 1})])
-            hint = "repro cache migrate"
         else:
             os.makedirs(directory)
             sqlite3.connect(os.path.join(directory, "shard-a.db")).close()
-            hint = "delete the directory"
-        source = str(tmp_path / "source")
-        _write_json_tree(source, [(_config(1), {"cover": 2})])
         before = _listing(str(tmp_path))
-        assert main(argv(directory, source)) == 2
+        assert main(argv(directory)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert hint in captured.err
+        assert "delete the directory" in captured.err
         assert _listing(str(tmp_path)) == before
 
 
@@ -290,64 +279,6 @@ class TestCorruptEntries:
         fresh = SqliteStore(str(tmp_path))
         with pytest.raises(ValueError, match="schema"):
             fresh.lookup_many([cell])
-
-
-class TestMigration:
-    def test_round_trip_identical_lookup(self, tmp_path):
-        cells = [_config(seed) for seed in range(30)]
-        source = str(tmp_path / "json")
-        _write_json_tree(source, [(c, {"cover": c.seed + 100}) for c in cells])
-        before = _listing(source)
-        report = migrate_json_to_sqlite(source, str(tmp_path / "db"))
-        assert report.migrated == 30
-        assert report.corrupt == 0
-        assert report.summary_line() == "migrated=30 corrupt=0"
-        dest = SqliteStore(str(tmp_path / "db"))
-        assert dest.lookup_many(cells) == (
-            {c.config_hash: {"cover": c.seed + 100} for c in cells},
-            {c.config_hash: "hit" for c in cells},
-        )
-        assert dest.count() == 30
-        dest.close()
-        # The source is read, never written.
-        assert _listing(source) == before
-
-    def test_corrupt_source_entry_skipped_and_counted(self, tmp_path):
-        cells = [_config(seed) for seed in range(5)]
-        source = str(tmp_path / "json")
-        paths = _write_json_tree(
-            source, [(c, {"cover": c.seed}) for c in cells]
-        )
-        # Corrupt one entry in place: its stored identity no longer
-        # digests to its filename hash.
-        broken = cells[3]
-        with open(paths[broken.config_hash], "w") as handle:
-            json.dump(
-                {"config": cells[0].identity(), "metrics": {"cover": 0}},
-                handle,
-            )
-        report = migrate_json_to_sqlite(source, str(tmp_path / "db"))
-        assert report.migrated == 4
-        assert report.corrupt == 1
-        dest = SqliteStore(str(tmp_path / "db"))
-        found, statuses = dest.lookup_many(cells)
-        # The corrupt entry was never migrated: a clean miss, to be
-        # recomputed.  The valid ones hit identically.
-        assert statuses[broken.config_hash] == "miss"
-        for cell in cells:
-            if cell is not broken:
-                assert found[cell.config_hash] == {"cover": cell.seed}
-        dest.close()
-
-    def test_unreadable_source_file_counts_corrupt(self, tmp_path):
-        source = str(tmp_path / "json")
-        paths = _write_json_tree(source, [(_config(0), {"cover": 1})])
-        [path] = paths.values()
-        with open(path, "w") as handle:
-            handle.write("{half a wri")
-        report = migrate_json_to_sqlite(source, str(tmp_path / "db"))
-        assert report.migrated == 0
-        assert report.corrupt == 1
 
 
 class TestBackendEquivalence:
@@ -467,20 +398,6 @@ class TestCacheCli:
         assert main(["cache", "vacuum", directory]) == 0
         assert "vacuumed=1" in capsys.readouterr().out
 
-    def test_migrate_then_sqlite_run_is_all_cached(self, tmp_path, capsys):
-        # A legacy tree holding the quick table1 grid, migrated, then
-        # served to the same sweep without computing anything.
-        json_cache = str(tmp_path / "json")
-        db_cache = str(tmp_path / "db")
-        computed = run_sweep(scenario("table1", quick=True))
-        _write_json_tree(
-            json_cache, [(r.config, r.metrics) for r in computed.results]
-        )
-        assert main(["cache", "migrate", json_cache, db_cache]) == 0
-        assert "migrated=6 corrupt=0" in capsys.readouterr().out
-        assert main(["sweep", "table1", "--quick", "--cache", db_cache]) == 0
-        assert "computed=0 cached=6" in capsys.readouterr().out
-
     def test_cache_info_on_missing_store_fails_cleanly(
         self, tmp_path, capsys
     ):
@@ -490,12 +407,3 @@ class TestCacheCli:
         assert main(["cache", "vacuum", str(missing)]) == 0
         assert "vacuumed=0" in capsys.readouterr().out
         assert not missing.exists()
-
-    def test_migrate_missing_source_fails_cleanly(self, tmp_path, capsys):
-        source, dest = tmp_path / "typo-src", tmp_path / "dest"
-        assert main(["cache", "migrate", str(source), str(dest)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert "typo-src" in captured.err
-        assert not source.exists() and not dest.exists()
