@@ -52,8 +52,11 @@ def _payloads() -> list[dict]:
         ),
         metrics=("cover",),
     )
-    # Three-lane chunks: many chunks, each still compute-dominated.
-    with mock.patch.object(executor, "CHUNK_LANES", 3):
+    # Three-lane chunks, dense ones unmerged: many chunks, each still
+    # compute-dominated.
+    with mock.patch.object(executor, "CHUNK_LANES", 3), mock.patch.object(
+        executor, "CHUNK_ELEMENTS", 0
+    ):
         return _plan_chunks(spec.configs(), jobs=2)
 
 

@@ -1,6 +1,6 @@
 """[perf] Sweep subsystem: batch-kernel throughput and cache speedup.
 
-Two headline numbers for the perf trajectory, both in ``extra_info``:
+Three headline numbers for the perf trajectory, all in ``extra_info``:
 
 * **batch kernel throughput** — configs x rounds per second of
   :class:`repro.sweep.batch_ring.BatchRingKernel` at ``n=1024,
@@ -10,9 +10,14 @@ Two headline numbers for the perf trajectory, both in ``extra_info``:
   (required: >= 20x).
 * **cache speedup** — a repeated sweep must be served from the
   on-disk cache at least 10x faster than the computing run.
+* **dense chunk merging** — a wide grid of cheap dense cover cells
+  runs its merged plan (one chunk of up to ``CHUNK_ELEMENTS``
+  lane-nodes) at least 1.5x faster than one chunk per
+  ``CHUNK_LANES`` block, with identical results.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,13 +26,25 @@ from conftest import record_sweep_bench
 from repro.core.engine import MultiAgentRotorRouter
 from repro.core.pointers import ring_pointers_to_ports, ring_random
 from repro.graphs.ring import ring_graph
-from repro.sweep import BatchRingKernel, run_sweep, scenario
+from repro.sweep import BatchRingKernel, executor, run_sweep, scenario
+from repro.sweep.executor import _plan_chunks, compute_chunk
+from repro.sweep.spec import InitFamily, ScenarioSpec
 from repro.util.rng import derive_seed
 
 N = 1024
 LANES = 256
 K = 8
 ROUNDS = 400
+
+#: The wide grid: 2 ks x 2 families x this many seeds = 2,000 dense
+#: cover cells at n = 64, 128,000 lane-nodes (one merged chunk).
+WIDE_SEEDS = 500
+
+#: Interleaved sample pairs of the merging case (best of each side).
+MERGE_SAMPLES = 3
+
+#: Floor on unmerged over merged wall-clock, best of each side.
+MIN_MERGE_SPEEDUP = 1.5
 
 
 def _reference_rounds_per_sec() -> float:
@@ -144,3 +161,80 @@ def test_sweep_executor_scales(benchmark, tmp_path, jobs):
     assert result.cache_misses == spec.num_configs
     benchmark.extra_info["configs"] = spec.num_configs
     benchmark.extra_info["jobs"] = jobs
+
+
+def test_dense_chunk_merging_speedup(benchmark):
+    """Merged dense chunks beat one chunk per block on a wide grid.
+
+    2,000 dense cover cells (n = 64, k in {2, 4}, random and clustered
+    starts) run ``compute_chunk`` over their ``_plan_chunks`` payloads
+    with the default ``CHUNK_ELEMENTS`` and with 0 (one chunk per
+    64-lane block).  Pairs alternate sides and stop early once the
+    best-of-each ratio clears the floor, so a quiet run costs one pair
+    (about 1.3 s on a 2-core container) and a noisy one at most
+    ``MERGE_SAMPLES``.
+    """
+    spec = ScenarioSpec(
+        name="bench-wide-grid",
+        ns=(64,),
+        ks=(2, 4),
+        families=(
+            InitFamily("random", "random"),
+            InitFamily("clustered", "random"),
+        ),
+        metrics=("cover",),
+        seeds=tuple(range(WIDE_SEEDS)),
+    )
+    cells = spec.configs()
+    for cell in cells:
+        cell.config_hash  # hash outside the timed region
+    timings: dict[int, list[float]] = {}
+    results: dict[int, list] = {}
+    chunks: dict[int, int] = {}
+
+    def run(budget: int) -> int:
+        with mock.patch.object(executor, "CHUNK_ELEMENTS", budget):
+            payloads = _plan_chunks(cells)
+        started = time.perf_counter()
+        pairs = [
+            pair for payload in payloads for pair in compute_chunk(payload)
+        ]
+        timings.setdefault(budget, []).append(
+            time.perf_counter() - started
+        )
+        results[budget] = pairs
+        chunks[budget] = len(payloads)
+        return len(pairs)
+
+    merged = executor.CHUNK_ELEMENTS
+    assert benchmark.pedantic(
+        run, args=(merged,), rounds=1, iterations=1
+    ) == len(cells)
+    for _ in range(MERGE_SAMPLES):
+        run(0)
+        if len(timings[merged]) < len(timings[0]):
+            run(merged)
+        speedup = min(timings[0]) / min(timings[merged])
+        if speedup >= MIN_MERGE_SPEEDUP:
+            break
+    assert results[merged] == results[0]
+    assert (chunks[merged], chunks[0]) == (1, 32)
+    benchmark.extra_info["merged sec"] = round(min(timings[merged]), 3)
+    benchmark.extra_info["unmerged sec"] = round(min(timings[0]), 3)
+    benchmark.extra_info["merging speedup"] = round(speedup, 2)
+    record_sweep_bench(
+        "executor_dense_merge",
+        {
+            "cells": len(cells),
+            "n": 64,
+            "chunks_merged": chunks[merged],
+            "chunks_unmerged": chunks[0],
+            "merged_sec": round(min(timings[merged]), 4),
+            "unmerged_sec": round(min(timings[0]), 4),
+            "speedup": round(speedup, 2),
+        },
+    )
+    assert speedup >= MIN_MERGE_SPEEDUP, (
+        f"merged dense chunks only {speedup:.2f}x faster than 64-lane "
+        f"blocks ({min(timings[merged]):.3f}s vs {min(timings[0]):.3f}s)"
+    )

@@ -8,11 +8,19 @@ results in three stages:
    served without any simulation, which is what makes repeated and
    resumed sweeps free;
 2. **batch planning** — cache misses are grouped by model, ring size,
-   round budget and metric set, then chunked; a rotor chunk becomes
-   one :class:`repro.sweep.batch_ring.BatchRingKernel` invocation
-   stepping all of the chunk's lanes with shared vectorized rounds
-   (a sparse cover-only chunk, ``Σ k < n``, runs the CSR kernel over
-   the ring graph instead), a walk chunk one
+   round budget and metric set, then chunked.  A rotor group is
+   *routed, then merged*: it is sliced into :data:`CHUNK_LANES`-cell
+   blocks, each block picks its kernel on its own
+   (:func:`_prefer_csr_covers`: a sparse cover-only block, ``Σ k < n``,
+   runs the CSR kernel over the ring graph), and each run of adjacent
+   dense blocks merges into one
+   :class:`repro.sweep.batch_ring.BatchRingKernel` invocation of up to
+   :data:`CHUNK_ELEMENTS` lane-nodes, stepping all of its lanes with
+   shared vectorized rounds (a dense round at 64 lanes is mostly numpy
+   dispatch; :func:`_slice_chunks` gives the costs).  Routing stays
+   per block because a dense chunk steps every lane until its slowest
+   covers, while the CSR kernel finishes sparse lanes in its scalar
+   tail.  A walk chunk is one
    :class:`repro.sweep.batch_walk.BatchRingWalks` invocation whose
    lanes are the cells' seeded repetitions (walk
    chunks are additionally capped by total walker count, since the
@@ -91,9 +99,16 @@ from repro.util.stats import normal_ci, summarize
 from repro.util.tables import Table
 from repro.util.timing import Stopwatch
 
-#: Lanes per kernel invocation: large enough to amortize numpy
-#: dispatch, small enough to keep many chunks in flight per worker.
+#: Lanes per routing block: the planner slices each rotor group into
+#: blocks of this many cells and picks each block's kernel with
+#: :func:`_prefer_csr_covers`; walk chunks hold at most this many cells.
 CHUNK_LANES = 64
+
+#: Lane-node cap (lanes × n) of a dense ring chunk: adjacent dense
+#: blocks of one group merge into one :class:`BatchRingKernel`
+#: invocation up to this size, which spreads each round's numpy
+#: dispatch over up to 2,048 lanes at n = 64 (0 merges nothing).
+CHUNK_ELEMENTS = 1 << 17
 
 #: Walker cap per walk chunk: the walk kernel's block buffers are
 #: ``(block_size, Σ k·repetitions)`` int64 matrices, so chunks are
@@ -110,20 +125,26 @@ RETRY_BACKOFF = 0.1
 
 
 def _prefer_csr_covers(n: int, configs: Sequence) -> bool:
-    """Whether a cover-only rotor chunk runs on the sparse CSR kernel.
+    """Whether a rotor block runs on the sparse CSR kernel.
 
+    Only cover-only blocks can: the CSR kernel measures cover alone.
     A dense ring-kernel round sweeps the full ``(B, n)`` configuration
-    matrix until the chunk's slowest lane covers; a CSR-kernel round
+    matrix until the block's slowest lane covers; a CSR-kernel round
     touches only the occupied ``(lane, node)`` pairs, at most
     ``Σ k_i``.  Measured on ring cover chunks at n in 256..1024, the
     CSR kernel takes 0.31x the dense kernel's time below ``Σ k_i = n``
     and 1.6–2.3x above on chunks of equal k; chunks that mix
     single-agent lanes into a k ladder favor it further (0.10x below
-    n, 0.27x in ``[n, 2n)``).  Both kernels are pinned bit-identical
+    n, 0.27x in ``[n, 2n)``).  The planner asks this of every
+    :data:`CHUNK_LANES` block before it merges dense ones (see
+    :func:`_slice_chunks`), and :func:`_compute_rotor_chunk` asks it
+    again of the chunk it runs.  Both kernels are pinned bit-identical
     by the equivalence suites: this chooses scheduling, never
     semantics.
     """
-    return sum(config.k for config in configs) < n
+    return tuple(configs[0].metrics) == ("cover",) and (
+        sum(config.k for config in configs) < n
+    )
 
 
 @functools.lru_cache(maxsize=32)
@@ -324,7 +345,7 @@ def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
     n = configs[0].n
     max_rounds = configs[0].max_rounds
     metrics: Sequence[str] = configs[0].metrics
-    if tuple(metrics) == ("cover",) and _prefer_csr_covers(n, configs):
+    if _prefer_csr_covers(n, configs):
         return _compute_rotor_covers_csr(n, max_rounds, configs)
     built = [config.build() for config in configs]
     pointers, counts = lanes_from_configs(
@@ -511,11 +532,15 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
     from ``cells[0]``.  The metric tuple is part of it: a chunk holds
     exactly one metric set, so heterogeneous miss lists can never
     compute (and cache) the wrong metrics for some of their cells.
-    Ring and walk chunks hold at most :data:`CHUNK_LANES` cells; walk
-    chunks are additionally split by total walker count
-    (``Σ k·repetitions``, at most :data:`WALK_CHUNK_WALKERS`), which
-    bounds the walk kernel's block-buffer memory regardless of how
-    many repetitions a cell fans out into.
+    Walk chunks hold at most :data:`CHUNK_LANES` cells and are
+    additionally split by total walker count (``Σ k·repetitions``, at
+    most :data:`WALK_CHUNK_WALKERS`), which bounds the walk kernel's
+    block-buffer memory regardless of how many repetitions a cell fans
+    out into.  Ring groups are routed, then merged (see
+    :func:`_slice_chunks`): every :data:`CHUNK_LANES` block that
+    :func:`_prefer_csr_covers` sends to the CSR kernel is a chunk of
+    its own, and each run of adjacent dense blocks shares chunks of at
+    most :data:`CHUNK_ELEMENTS` lane-nodes.
 
     General-graph cells group together regardless of size or budget —
     the CSR kernel steps heterogeneous lanes natively, and the more
@@ -528,7 +553,7 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
     (``min(k, n) · max_rounds`` per cell), not by lane count.
 
     Chunking decides how cells share kernel invocations, never what a
-    cell computes.
+    cell computes, and no rotor or walk plan depends on ``jobs``.
     """
     groups: dict[tuple[str, int, int, tuple[str, ...]], list] = {}
     for config in misses:
@@ -552,7 +577,23 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
 
 
 def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
-    """Split one group's members into kernel-sized chunks."""
+    """Split one group's members into kernel-sized chunks.
+
+    A ring group is routed, then merged.  It is sliced into
+    :data:`CHUNK_LANES` blocks and :func:`_prefer_csr_covers` routes
+    each block, so the blocks that run the CSR kernel are the same
+    whatever the merge does.  Each run of adjacent dense blocks then
+    merges, whole blocks at a time, into chunks of at most
+    :data:`CHUNK_ELEMENTS` lane-nodes (lanes × n); a block larger
+    than that stays one chunk, and ``CHUNK_ELEMENTS = 0`` merges
+    nothing.  A dense round costs mostly numpy dispatch at 64 lanes
+    (21–25 µs against 98–113 µs at 1,024 lanes, n = 128), so wide
+    chunks amortize it.  Routing a merged chunk as a whole instead
+    would send, say, 128 cells of k = 8 at n = 1024 (``Σ k = n``) to
+    the dense kernel, which steps every lane until the slowest covers
+    (about 100 µs a round, for up to ~100k rounds), where the CSR
+    kernel finishes each block's lanes in its scalar tail.
+    """
     if model == "rotor-general":
         # Lane sharing is the whole point of the general kernel: only
         # split when worker processes can actually consume the chunks.
@@ -583,10 +624,23 @@ def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
             chunks.append(current)
         return chunks
     if model != "walk":
-        return [
-            members[start:start + CHUNK_LANES]
-            for start in range(0, len(members), CHUNK_LANES)
-        ]
+        n = members[0].n
+        chunks = []
+        merging: list | None = None  # the open dense chunk, if any
+        for start in range(0, len(members), CHUNK_LANES):
+            block = members[start:start + CHUNK_LANES]
+            if _prefer_csr_covers(n, block):
+                merging = None
+                chunks.append(block)
+            elif (
+                merging is not None
+                and (len(merging) + len(block)) * n <= CHUNK_ELEMENTS
+            ):
+                merging.extend(block)
+            else:
+                merging = block
+                chunks.append(block)
+        return chunks
     chunks: list[list] = []
     current: list = []
     walkers = 0
@@ -1218,7 +1272,11 @@ def run_sweep(
     pool of ``jobs`` workers consumes them.  ``progress`` (if given) is
     called with ``(done, total)`` configuration counts as results
     arrive, cache hits included.  Chunking follows the executor
-    constants :data:`CHUNK_LANES` and :data:`WALK_CHUNK_WALKERS`.
+    constants :data:`CHUNK_LANES`, :data:`CHUNK_ELEMENTS` and
+    :data:`WALK_CHUNK_WALKERS`: rotor groups route each
+    ``CHUNK_LANES`` block to the dense or the CSR kernel, then merge
+    adjacent dense blocks up to ``CHUNK_ELEMENTS`` lane-nodes (see
+    :func:`_slice_chunks`).
 
     The robustness knobs (``faults``/``max_retries``/
     ``chunk_timeout``) pass straight through to

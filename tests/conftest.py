@@ -28,12 +28,15 @@ def chunk_lanes(monkeypatch):
 
     Small grids split into several kernel chunks only below the
     default :data:`repro.sweep.executor.CHUNK_LANES`; the planner
-    reads the constant at call time.
+    reads the constant at call time.  Dense-block merging is switched
+    off too (``CHUNK_ELEMENTS = 0``), so every block stays its own
+    chunk whichever kernel it routes to.
     """
     from repro.sweep import executor
 
     def set_lanes(lanes: int) -> None:
         monkeypatch.setattr(executor, "CHUNK_LANES", lanes)
+        monkeypatch.setattr(executor, "CHUNK_ELEMENTS", 0)
 
     return set_lanes
 

@@ -1,5 +1,6 @@
 """Tests for pointer initializations."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,31 @@ class TestUniformRandomAlternating:
 
     def test_random_values(self):
         assert set(pointers.ring_random(50, 1)) == {1, -1}
+
+    def test_random_matches_choice_draws(self):
+        # Pinned random initializations were drawn as
+        # rng.choice((1, -1), size=n): each draw's values and the
+        # generator's state after it must stay the same, so the later
+        # draws of a shared generator do not move either.
+        sizes = (3, 4, 7, 64, 127, 128, 1000, 4097)
+        for seed in range(40):
+            for n in sizes:
+                assert pointers.ring_random(n, seed) == [
+                    int(d)
+                    for d in np.random.default_rng(seed).choice(
+                        (1, -1), size=n
+                    )
+                ]
+            ours = np.random.default_rng(seed)
+            theirs = np.random.default_rng(seed)
+            for n in sizes:
+                got = pointers.ring_random(n, ours)
+                assert got == [
+                    int(d) for d in theirs.choice((1, -1), size=n)
+                ]
+                assert all(type(d) is int for d in got)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+            assert ours.random(3).tolist() == theirs.random(3).tolist()
 
     def test_explicit_validates(self):
         with pytest.raises(ValueError):

@@ -298,6 +298,98 @@ class TestChunkPlanning:
         ]
 
 
+def _ring_cells(n, ks, metrics=("cover",), seed=0):
+    """One random rotor cell on the n-ring per entry of ``ks``."""
+    rng = np.random.default_rng(seed)
+    return [
+        RotorCell(
+            n=n,
+            agents=tuple(int(a) for a in rng.integers(0, n, size=k)),
+            directions=tuple(int(d) for d in rng.choice((1, -1), size=n)),
+            metrics=metrics,
+            max_rounds=16 * n * n + 1024,
+        )
+        for k in ks
+    ]
+
+
+class TestDenseChunkMerging:
+    """Blocks route one by one; adjacent dense blocks share a chunk."""
+
+    def test_dense_group_merges_whole_blocks_up_to_the_budget(
+        self, monkeypatch
+    ):
+        n = 16
+        lanes = executor.CHUNK_LANES
+        cells = _ring_cells(n, [2, 3, 5] * 100)  # every block is dense
+        # 300 cells x 16 nodes fit the default budget: one chunk.
+        assert [p["cells"] for p in _plan_chunks(cells)] == [cells]
+        for budget, sizes in (
+            (5 * lanes * n // 2, [128, 128, 44]),  # two and a half blocks
+            (lanes * n - 1, [64, 64, 64, 64, 44]),  # a block stays whole
+        ):
+            monkeypatch.setattr(executor, "CHUNK_ELEMENTS", budget)
+            payloads = _plan_chunks(cells)
+            assert [len(p["cells"]) for p in payloads] == sizes
+            start = 0
+            for payload in payloads:
+                chunk = payload["cells"]
+                assert start % lanes == 0
+                assert chunk == cells[start:start + len(chunk)]
+                assert len(chunk) <= lanes or len(chunk) * n <= budget
+                start += len(chunk)
+            assert start == len(cells)
+
+    def test_sparse_blocks_stay_whole_and_split_dense_runs(self):
+        n = 128
+        lanes = executor.CHUNK_LANES
+        # Runs of one block each: k = 1 blocks are sparse (Σk = 64 < n),
+        # k = 4 blocks dense (Σk = 256).
+        pattern = "ddsdssdd"
+        cells = _ring_cells(
+            n, [1 if kind == "s" else 4 for kind in pattern for _ in
+                range(lanes)]
+        )
+        blocks = [
+            cells[start:start + lanes]
+            for start in range(0, len(cells), lanes)
+        ]
+        payloads = _plan_chunks(cells)
+        assert [p["cells"] for p in payloads] == [
+            blocks[0] + blocks[1],
+            blocks[2],
+            blocks[3],
+            blocks[4],
+            blocks[5],
+            blocks[6] + blocks[7],
+        ]
+        assert [
+            "csr" if _prefer_csr_covers(n, p["cells"]) else "dense"
+            for p in payloads
+        ] == ["dense", "csr", "dense", "csr", "csr", "dense"]
+
+    @pytest.mark.parametrize(
+        "metrics", [("cover",), ("stabilization", "return")]
+    )
+    def test_merging_never_changes_a_result(self, monkeypatch, metrics):
+        n = 24
+        cells = _ring_cells(n, [1, 2, 3, 5, 8] * 30, metrics=metrics)
+        assert len(_plan_chunks(cells)) == 1
+        merged, _, report = run_cells(cells)
+        assert report.clean
+        monkeypatch.setattr(executor, "CHUNK_ELEMENTS", 0)
+        assert len(_plan_chunks(cells)) == 3
+        unmerged, _, report = run_cells(cells)
+        assert report.clean
+        assert sorted(merged.items()) == sorted(unmerged.items())
+        assert len(merged) == len(cells)
+        assert all(
+            value is not None
+            for metrics_out in merged.values()
+            for value in metrics_out.values()
+        )
+
+
 def _general_cells(graphs, ks=(1, 2), seeds=(0,)):
     from repro.sweep.cells import GeneralRotorCell
     from repro.sweep.spec import general_instance

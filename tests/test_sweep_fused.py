@@ -377,12 +377,27 @@ class TestChunkPayloads:
     """A chunk is its cells, whatever ``jobs`` is."""
 
     def test_ring_and_walk_plans_do_not_depend_on_jobs(self, chunk_lanes):
-        cells = _mixed_spec().configs()
+        # The n = 32 group is wider than a block, so at the default
+        # constants its dense blocks merge into one chunk.
+        wide = _mixed_spec(
+            ns=(32,),
+            ks=(2, 4),
+            families=(InitFamily("random", "random"),),
+            models=("rotor",),
+            seeds=tuple(range(40)),
+        ).configs()
+        cells = _mixed_spec().configs() + wide
+        merged_plan = _plan_chunks(cells, jobs=1)
+        assert [len(p["cells"]) for p in merged_plan
+                if p["cells"][0].n == 32] == [len(wide)]
+        for jobs in (2, 4):
+            assert _plan_chunks(cells, jobs=jobs) == merged_plan
         chunk_lanes(3)
         serial_plan = _plan_chunks(cells, jobs=1)
         assert {payload["cells"][0].model for payload in serial_plan} == {
             "rotor", "walk",
         }
+        assert len(serial_plan) > len(merged_plan)
         for jobs in (2, 4):
             assert _plan_chunks(cells, jobs=jobs) == serial_plan
 
