@@ -25,9 +25,11 @@ the sweep actually executes it:
   chunk per size.
 
 The legacy pipeline stepped a masked ``BatchRingKernel.step`` and
-keyed lanes by ``state_keys``; the production kernel has neither, so
-``_LegacyKernel`` below carries both (with the subset arithmetic they
-use) verbatim, and the baseline times the same code as before.
+keyed lanes by ``state_keys``.  ``_LegacyKernel`` below is a
+standalone copy of that kernel's constructor and round with both, so
+the baseline times the same code as before and cannot move with the
+production kernel; the cover tracking that kernel also carried is left
+out, as the legacy pipeline never turned it on.
 
 The whole-batch legacy time is recorded too, isolating the pipeline
 win from the scheduling win.  The workload is the scenario's k-axis
@@ -54,7 +56,6 @@ from conftest import record_sweep_bench
 from repro.core import placement, pointers
 from repro.sweep.batch_ring import (
     BatchLimitCycles,
-    BatchRingKernel,
     batch_limit_cycles,
     batch_return_gaps,
     lanes_from_configs,
@@ -74,8 +75,60 @@ MIN_SPEEDUP = 2.0 if QUICK else 5.0
 # ----------------------------------------------------------------------
 # pre-PR reference implementation (verbatim), the benchmark baseline
 # ----------------------------------------------------------------------
-class _LegacyKernel(BatchRingKernel):
-    """``BatchRingKernel`` plus the masked step and byte keys it had."""
+class _LegacyKernel:
+    """The pre-PR ``BatchRingKernel``: masked step and byte keys."""
+
+    def __init__(self, n: int, pointers: np.ndarray, counts: np.ndarray):
+        if n < 3:
+            raise ValueError(f"ring requires n >= 3, got {n}")
+        directions = np.asarray(pointers)
+        initial = np.asarray(counts)
+        if directions.ndim != 2 or directions.shape[1] != n:
+            raise ValueError(
+                f"pointers must have shape (B, {n}), got {directions.shape}"
+            )
+        if initial.shape != directions.shape:
+            raise ValueError(
+                f"counts shape {initial.shape} does not match pointers "
+                f"shape {directions.shape}"
+            )
+        if not np.all((directions == 1) | (directions == -1)):
+            raise ValueError("pointers must be +1 or -1")
+        if np.any(initial < 0):
+            raise ValueError("counts must be non-negative")
+        per_lane = initial.sum(axis=1)
+        if np.any(per_lane < 1):
+            raise ValueError("every lane requires at least one agent")
+
+        self.n = n
+        self.num_lanes = directions.shape[0]
+        self.round = 0
+        most = int(per_lane.max())
+        dtype = np.int8 if most <= 126 else (
+            np.int16 if most <= 32766 else np.int64
+        )
+        # Pointer bit: 1 = clockwise (+1), 0 = anticlockwise (-1).
+        self._ptr = (directions == 1).astype(dtype)
+        self._counts = initial.astype(dtype)
+        self._next = np.empty_like(self._counts)
+        self._fwd = np.empty_like(self._counts)
+        self._bwd = np.empty_like(self._counts)
+
+    def _step_arith(self) -> None:
+        """One round of the rotor-router arithmetic, no cover tracking."""
+        c, p = self._counts, self._ptr
+        fwd, bwd, nxt = self._fwd, self._bwd, self._next
+        np.add(c, p, out=fwd)
+        np.right_shift(fwd, 1, out=fwd)
+        np.subtract(c, fwd, out=bwd)
+        np.bitwise_xor(p, c, out=p)
+        np.bitwise_and(p, 1, out=p)
+        # arrivals(v) = fwd(v-1) + bwd(v+1), written into the back buffer
+        np.add(fwd[:, :-2], bwd[:, 2:], out=nxt[:, 1:-1])
+        np.add(fwd[:, -1], bwd[:, 1], out=nxt[:, 0])
+        np.add(fwd[:, -2], bwd[:, 0], out=nxt[:, -1])
+        self._counts, self._next = nxt, self._counts
+        self.round += 1
 
     def _step_arith_subset(self, active: np.ndarray) -> None:
         """Advance only the ``active`` lanes (cost proportional to them).
@@ -108,40 +161,22 @@ class _LegacyKernel(BatchRingKernel):
         lanes whose per-lane schedule has ended).  Returns a ``(B, n)``
         boolean array marking the nodes that received at least one
         agent this round (all-false rows for frozen lanes) — or None
-        when the caller passes ``need_visits=False`` and the kernel
-        does not track cover, which keeps a masked step's cost
-        proportional to the active lanes (the limit-cycle search's
-        tail case).
+        when the caller passes ``need_visits=False``, which keeps a
+        masked step's cost proportional to the active lanes (the
+        limit-cycle search's tail case).
 
         ``round`` counts ``step`` calls; with masks, callers manage
         per-lane time axes themselves.
         """
-        want_visits = need_visits or (
-            self._track_cover and not self._all_covered
-        )
         if lane_mask is None:
             self._step_arith()
-            visits = self._counts != 0 if want_visits else None
-        else:
-            active = np.flatnonzero(lane_mask)
-            self._step_arith_subset(active)
-            if want_visits:
-                visits = np.zeros((self.num_lanes, self.n), dtype=bool)
-                visits[active] = self._counts[active] != 0
-            else:
-                visits = None
-        if self._track_cover and not self._all_covered:
-            newly = visits & (self._seen == 0)
-            np.bitwise_or(self._seen, self._counts, out=self._seen)
-            # New visits are sparse (a lane's frontier grows by at most
-            # two nodes per round), so update through indices.
-            cells = np.flatnonzero(newly)
-            if cells.size:
-                lanes = cells // self.n
-                self._unvisited -= np.bincount(
-                    lanes, minlength=self.num_lanes
-                )
-                self._record_covered(np.unique(lanes), self.round)
+            return self._counts != 0 if need_visits else None
+        active = np.flatnonzero(lane_mask)
+        self._step_arith_subset(active)
+        if not need_visits:
+            return None
+        visits = np.zeros((self.num_lanes, self.n), dtype=bool)
+        visits[active] = self._counts[active] != 0
         return visits
 
     def state_keys(self, lanes: "list[int] | None" = None) -> dict[int, bytes]:
@@ -163,7 +198,7 @@ class _LegacyKernel(BatchRingKernel):
 
 
 def _legacy_batch_limit_cycles(n, ptr, cnt, max_rounds, strict=True):
-    hare = _LegacyKernel(n, ptr, cnt, track_cover=False)
+    hare = _LegacyKernel(n, ptr, cnt)
     num_lanes = hare.num_lanes
     saved = hare.state_keys()  # tortoise snapshots (initial configuration)
     power = np.ones(num_lanes, dtype=np.int64)
@@ -198,8 +233,8 @@ def _legacy_batch_limit_cycles(n, ptr, cnt, max_rounds, strict=True):
                 still.append(b)
         pending = still
 
-    tortoise = _LegacyKernel(n, ptr, cnt, track_cover=False)
-    hare = _LegacyKernel(n, ptr, cnt, track_cover=False)
+    tortoise = _LegacyKernel(n, ptr, cnt)
+    hare = _LegacyKernel(n, ptr, cnt)
     for t in range(int(periods.max())):
         hare.step(lane_mask=periods > t, need_visits=False)
     preperiods = np.zeros(num_lanes, dtype=np.int64)
@@ -233,7 +268,7 @@ def _legacy_batch_limit_cycles(n, ptr, cnt, max_rounds, strict=True):
 
 
 def _legacy_batch_return_gaps(n, ptr, cnt, cycles):
-    runner = _LegacyKernel(n, ptr, cnt, track_cover=False)
+    runner = _LegacyKernel(n, ptr, cnt)
     num_lanes = runner.num_lanes
     preperiods, periods = cycles.preperiods, cycles.periods
     for t in range(int(preperiods.max())):

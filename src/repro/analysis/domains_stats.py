@@ -2,7 +2,7 @@
 
 Steps single ring and path trajectories on flat per-node buffers and
 samples domain snapshots at intervals (the Figure 1 census runs its
-configurations as lanes of the batched ring kernel instead), producing
+configurations as rows of one batched ring lane block instead), producing
 the data series behind three reproduction targets:
 
 * **Lemma 12** — once every lazy domain is reasonably large, adjacent
@@ -33,7 +33,7 @@ from repro.core.domains import (
     domain_snapshots,
 )
 from repro.core.ring import RingRotorRouter
-from repro.sweep.batch_ring import BatchRingKernel, lanes_from_configs
+from repro.sweep.batch_ring import lane_block, lanes_from_configs
 
 #: Sampled rounds handed to one array call: :func:`border_counts` in
 #: :func:`border_type_census`, :func:`domain_snapshots` in
@@ -267,14 +267,15 @@ def border_type_census(
     are vertex-type or edge-type (transients are rare one-step events
     right after a first traversal).
 
-    The configurations run together as lanes of one
-    :class:`BatchRingKernel`.  Visit kinds are one array update per
-    round, and sampled rounds are classified :data:`_BLOCK_ROUNDS` at
-    a time by :func:`border_counts`, which finds every domain arc,
-    lazy run and border by binary search over the run boundaries of
-    each row, and equals :func:`classify_borders` of
-    :func:`domain_snapshot` per sample.  Raises :class:`DomainError`
-    when a sampled round holds 3+ agents on a node.
+    The configurations run together as the rows of one
+    :class:`repro.sweep.batch_ring.LaneBlock`.  Visit kinds are one
+    array update per round, and sampled rounds are classified
+    :data:`_BLOCK_ROUNDS` at a time by :func:`border_counts`, which
+    finds every domain arc, lazy run and border by binary search over
+    the run boundaries of each row, and equals
+    :func:`classify_borders` of :func:`domain_snapshot` per sample.
+    Raises :class:`DomainError` when a sampled round holds 3+ agents
+    on a node.
     """
     if burn_in < 0 or observation_rounds < 0 or sample_every < 1:
         raise ValueError(
@@ -284,16 +285,14 @@ def border_type_census(
     pointers, counts = lanes_from_configs(
         n, [(list(dirs), list(agents)) for agents, dirs in configurations]
     )
-    kernel = BatchRingKernel(n, pointers, counts, track_cover=False)
-    lanes = kernel.num_lanes
+    ring = lane_block(n, pointers, counts)
+    lanes = ring.rows
     visited = counts > 0
     propagation = np.zeros_like(visited)
     arrived = np.empty_like(visited)
     lone = np.empty_like(visited)
     lone_forward = np.empty_like(visited)
-    block_counts = np.empty(
-        (_BLOCK_ROUNDS, lanes, n), kernel.round_arrays()[0].dtype
-    )
+    block_counts = np.empty((_BLOCK_ROUNDS, lanes, n), ring.cnt.dtype)
     block_pointers = np.empty_like(block_counts)
     block_visited = np.empty((_BLOCK_ROUNDS, lanes, n), bool)
     block_propagation = np.empty_like(block_visited)
@@ -311,8 +310,8 @@ def border_type_census(
 
     samples = 0
     for t in range(burn_in + observation_rounds):
-        kernel.step(need_visits=False)
-        cnt, ptr, cw_exits = kernel.round_arrays()
+        ring.step_all()
+        cnt, ptr, cw_exits = ring.cnt, ring.ptr, ring.fwd
         np.greater(cnt, 0, out=arrived)
         visited |= arrived
         # A lone arrival propagates iff the pointer it finds now points

@@ -2,8 +2,9 @@
 
 Sweeps spend their time stepping thousands of *independent* ring
 configurations, so instead of vectorizing one configuration this
-kernel stacks ``B`` of them into ``(B, n)`` arrays and advances all
-lanes with one fixed sequence of numpy operations per round.
+module stacks ``B`` of them as the ``(B, n)`` rows of one
+:class:`LaneBlock` and advances all rows with one fixed sequence of
+numpy operations per round.
 
 The ring's degree-2 structure makes the round-robin rule branch-free.
 Storing the pointer as a bit ``p`` (1 = clockwise, 0 = anticlockwise)
@@ -23,17 +24,26 @@ roughly doubles the throughput.  All buffers are preallocated and the
 arrival computation writes straight into the double buffer, so a round
 is allocation-free.
 
-Per-lane detection built on top of the kernel:
+Every driver validates its input with :func:`lane_block` and steps the
+block it returns with that one round.  Drivers drop the rows they are
+done with by :meth:`LaneBlock.take`, or keep the rows still running a
+sorted prefix:
 
-* **cover** — ``cover_rounds[b]`` records the round lane ``b`` first
-  had every node visited (visits = agent arrivals, initial occupancy
-  counts at round 0).  Single ``step`` calls track this exactly; the
-  bulk drivers (``run`` / ``run_until_covered``) instead advance in
-  windows with a one-op visited accumulator (``seen |= counts``),
-  reconcile per-lane unvisited counts once per window, and pin exact
-  cover rounds by replaying just-covered lanes from the window's
-  snapshot — per-lane reductions are ~10x the cost of the element-wise
-  round itself, so they must stay off the per-step path;
+* **cover** — :class:`BatchRingKernel`'s ``cover_rounds[b]`` records
+  the round lane ``b`` first had every node visited (visits = agent
+  arrivals, initial occupancy counts at round 0).  One rule tracks it:
+  ``seen |= counts`` per round (one element-wise op), with per-lane
+  unvisited counts reconciled once per ``BatchRingKernel._WINDOW``
+  rounds — per-lane reductions are ~10x the cost of the element-wise
+  round itself, so they must stay off the per-round path.  Lanes that
+  covered inside a window are taken from the window-start snapshot and
+  replayed under the same rule one round wide, which is also what
+  ``step`` runs, to pin their exact cover round.
+  ``run_until_covered`` drops covered lanes at :data:`COMPACT_RATIO`;
+* **border census** — Figure 1's census
+  (:func:`repro.analysis.domains_stats.border_type_census`) steps a
+  block and reads its counts, pointer bits and clockwise exits after
+  every round;
 * **stabilization** — :func:`batch_limit_cycles` runs Brent's
   cycle-finding entirely in array ops: per-lane configurations are
   summarized by random-weight uint64 fingerprints (one matmul per
@@ -68,13 +78,14 @@ from repro.util.rng import derive_seed
 
 _DTYPE_LIMITS = ((np.int8, 126), (np.int16, 32766), (np.int64, 2**62))
 
-#: Lane-compaction threshold of the limit-cycle pipeline: working
-#: arrays are rebuilt to hold only unresolved lanes once the live
-#: fraction drops to this ratio.  1.0 compacts after every resolution
-#: (cheapest rounds, most rebuilds), 0.0 never compacts; 0.5 bounds
-#: dead-row overhead at 2x while keeping rebuilds logarithmic in the
-#: lane count.  Results are identical at every ratio; both Brent
-#: phases read it at call time, so tests can patch it.
+#: Lane-compaction threshold of the cover driver and the limit-cycle
+#: pipeline: working arrays are rebuilt to hold only the lanes still
+#: running once their live fraction drops to this ratio.  1.0 compacts
+#: after every resolution (cheapest rounds, most rebuilds), 0.0 never
+#: compacts; 0.5 bounds dead-row overhead at 2x while keeping rebuilds
+#: logarithmic in the lane count.  Results are identical at every
+#: ratio; ``run_until_covered`` and both Brent phases read it at call
+#: time, so tests can patch it.
 COMPACT_RATIO = 0.5
 
 
@@ -84,6 +95,164 @@ def _counts_dtype(max_agents: int) -> type:
         if max_agents <= limit:
             return dtype
     raise ValueError(f"batch kernel supports at most 2^62 agents, got {max_agents}")
+
+
+def _padded_columns(n: int, dtype: np.dtype) -> int:
+    """Columns per row so a row is a whole number of uint64 words."""
+    per_word = max(1, 8 // dtype.itemsize)
+    return -(-n // per_word) * per_word
+
+
+class LaneBlock:
+    """``(A, n)`` configuration rows stepped whole or as prefix slices.
+
+    Drivers keep their working lanes contiguous: lanes they are done
+    with are either compacted out (:meth:`take`) or sorted to the back
+    so the active set is always ``rows[:a]`` — both ways a round costs
+    element-wise ops on exactly the rows that still matter, with no
+    masks, gathers or full-batch temporaries.
+
+    Rows live in zero-padded buffers whose byte length is a multiple
+    of 8, exposed twice: as ``(A, n)`` working views (``ptr``/``cnt``)
+    the stepping arithmetic writes through, and as uint64 *word* views
+    (``ptr_words``/``cnt_words``) that fingerprinting and byte-exact
+    row comparison read — comparing packed words touches 1/8 of the
+    bytes of an element-wise row comparison.  The padding is written
+    once (zeros) and never touched again, so word equality is exactly
+    configuration equality.  ``fwd`` holds the clockwise exits of the
+    round last stepped: an agent that arrived at ``v`` alone travelled
+    clockwise iff ``fwd(v - 1) == 1``.
+    """
+
+    __slots__ = (
+        "ptr", "cnt", "fwd", "ptr_words", "cnt_words",
+        "_ptr_buf", "_cnt_buf", "_nxt_buf", "_bwd", "_nxt",
+        "_cnt_views",
+    )
+
+    def __init__(self, ptr: np.ndarray, cnt: np.ndarray) -> None:
+        rows, n = cnt.shape
+        padded = _padded_columns(n, cnt.dtype)
+        self._ptr_buf = np.zeros((rows, padded), dtype=cnt.dtype)
+        self._cnt_buf = np.zeros((rows, padded), dtype=cnt.dtype)
+        self._nxt_buf = np.zeros((rows, padded), dtype=cnt.dtype)
+        self._ptr_buf[:, :n] = ptr
+        self._cnt_buf[:, :n] = cnt
+        self.fwd = np.empty((rows, n), dtype=cnt.dtype)
+        self._bwd = np.empty((rows, n), dtype=cnt.dtype)
+        # The pointer buffer never changes roles, so its views are
+        # permanent; the count/next buffers alternate between exactly
+        # two role assignments (a buffer swap per committed round), so
+        # both view triples are built once and selected by buffer
+        # identity — per-round commits then re-slice nothing.
+        self.ptr = self._ptr_buf[:, :n]
+        self.ptr_words = self._ptr_buf.view(np.uint64)
+        self._cnt_views: dict[int, tuple] = {}
+        self._select_views(n)
+
+    def _select_views(self, n: int) -> None:
+        key = id(self._cnt_buf)
+        cached = self._cnt_views.get(key)
+        if cached is None:
+            cached = (
+                self._cnt_buf[:, :n],
+                self._nxt_buf[:, :n],
+                self._cnt_buf.view(np.uint64),
+            )
+            self._cnt_views[key] = cached
+        self.cnt, self._nxt, self.cnt_words = cached
+
+    @property
+    def rows(self) -> int:
+        return self.cnt.shape[0]
+
+    def _arith(self, a: int) -> None:
+        """Rotor arithmetic for rows ``[:a]``: arrivals into ``_nxt``,
+        pointers flipped in place."""
+        c, p = self.cnt[:a], self.ptr[:a]
+        f, b, x = self.fwd[:a], self._bwd[:a], self._nxt[:a]
+        np.add(c, p, out=f)
+        np.right_shift(f, 1, out=f)
+        np.subtract(c, f, out=b)
+        np.bitwise_xor(p, c, out=p)
+        np.bitwise_and(p, 1, out=p)
+        # arrivals(v) = fwd(v-1) + bwd(v+1), written into the back buffer
+        np.add(f[:, :-2], b[:, 2:], out=x[:, 1:-1])
+        np.add(f[:, -1], b[:, 1], out=x[:, 0])
+        np.add(f[:, -2], b[:, 0], out=x[:, -1])
+
+    def _commit_swap(self) -> None:
+        self._cnt_buf, self._nxt_buf = self._nxt_buf, self._cnt_buf
+        self._select_views(self.cnt.shape[1])
+
+    def step_all(self) -> None:
+        """One round on every row — commits by buffer swap (no copy)."""
+        self._arith(self.rows)
+        self._commit_swap()
+
+    def step_prefix(self, a: int) -> None:
+        """One rotor-router round on rows ``[:a]``; the rest hold still.
+
+        Commits whichever way copies less: small prefixes copy the new
+        counts back, large prefixes swap buffers and restore the
+        untouched tail.
+        """
+        self._arith(a)
+        if 2 * a >= self.rows:
+            self._nxt_buf[a:] = self._cnt_buf[a:]
+            self._commit_swap()
+        else:
+            self.cnt[:a] = self._nxt[:a]
+
+    def take(self, rows: np.ndarray | slice) -> "LaneBlock":
+        """A new block holding only ``rows`` (fresh compact buffers)."""
+        return LaneBlock(self.ptr[rows], self.cnt[rows])
+
+    def rows_equal(self, other: "LaneBlock", rows: np.ndarray) -> np.ndarray:
+        """Byte-exact configuration equality per row index, via words."""
+        return (self.ptr_words[rows] == other.ptr_words[rows]).all(axis=1) & (
+            self.cnt_words[rows] == other.cnt_words[rows]
+        ).all(axis=1)
+
+    def halves_equal(self, pairs: int, rows: np.ndarray) -> np.ndarray:
+        """Row ``r`` vs row ``r + pairs`` equality for each ``r`` in rows."""
+        return (
+            self.ptr_words[rows] == self.ptr_words[rows + pairs]
+        ).all(axis=1) & (
+            self.cnt_words[rows] == self.cnt_words[rows + pairs]
+        ).all(axis=1)
+
+
+def lane_block(n: int, pointers: np.ndarray, counts: np.ndarray) -> LaneBlock:
+    """Validate ``(B, n)`` lane arrays and load them into one block.
+
+    ``pointers`` holds a direction per node, +1 (clockwise) or -1, one
+    row per lane; ``counts`` the initial agents per node, at least one
+    per lane.  Counts take the smallest dtype the fullest lane fits.
+    """
+    if n < 3:
+        raise ValueError(f"ring requires n >= 3, got {n}")
+    directions = np.asarray(pointers)
+    initial = np.asarray(counts)
+    if directions.ndim != 2 or directions.shape[1] != n:
+        raise ValueError(
+            f"pointers must have shape (B, {n}), got {directions.shape}"
+        )
+    if initial.shape != directions.shape:
+        raise ValueError(
+            f"counts shape {initial.shape} does not match pointers "
+            f"shape {directions.shape}"
+        )
+    if not np.all((directions == 1) | (directions == -1)):
+        raise ValueError("pointers must be +1 or -1")
+    if np.any(initial < 0):
+        raise ValueError("counts must be non-negative")
+    per_lane = initial.sum(axis=1)
+    if np.any(per_lane < 1):
+        raise ValueError("every lane requires at least one agent")
+    dtype = _counts_dtype(int(per_lane.max()))
+    # Pointer bit: 1 = clockwise (+1), 0 = anticlockwise (-1).
+    return LaneBlock((directions == 1).astype(dtype), initial.astype(dtype))
 
 
 class BatchRingKernel:
@@ -99,238 +268,162 @@ class BatchRingKernel:
     counts:
         ``(B, n)`` array-like of initial agent counts per node; every
         lane needs at least one agent.
-    track_cover:
-        Maintain per-lane visited sets and ``cover_rounds``.  Turn off
-        for limit-cycle searches, which only need the configuration.
+
+    The lanes are the rows of one :class:`LaneBlock`.  ``step`` and
+    ``run`` advance every lane the kernel holds; ``run_until_covered``
+    also drops covered lanes, whose state accessors then raise (their
+    ``cover_rounds`` stay).
     """
-
-    def __init__(
-        self,
-        n: int,
-        pointers: np.ndarray,
-        counts: np.ndarray,
-        track_cover: bool = True,
-    ) -> None:
-        if n < 3:
-            raise ValueError(f"ring requires n >= 3, got {n}")
-        directions = np.asarray(pointers)
-        initial = np.asarray(counts)
-        if directions.ndim != 2 or directions.shape[1] != n:
-            raise ValueError(
-                f"pointers must have shape (B, {n}), got {directions.shape}"
-            )
-        if initial.shape != directions.shape:
-            raise ValueError(
-                f"counts shape {initial.shape} does not match pointers "
-                f"shape {directions.shape}"
-            )
-        if not np.all((directions == 1) | (directions == -1)):
-            raise ValueError("pointers must be +1 or -1")
-        if np.any(initial < 0):
-            raise ValueError("counts must be non-negative")
-        per_lane = initial.sum(axis=1)
-        if np.any(per_lane < 1):
-            raise ValueError("every lane requires at least one agent")
-
-        self.n = n
-        self.num_lanes = directions.shape[0]
-        self.num_agents = per_lane.astype(np.int64)
-        self.round = 0
-        self._replays = 0
-        self._epochs = 0
-
-        dtype = _counts_dtype(int(per_lane.max()))
-        # Pointer bit: 1 = clockwise (+1), 0 = anticlockwise (-1).
-        self._ptr = (directions == 1).astype(dtype)
-        self._counts = initial.astype(dtype)
-        self._next = np.empty_like(self._counts)
-        self._fwd = np.empty_like(self._counts)
-        self._bwd = np.empty_like(self._counts)
-
-        self._track_cover = bool(track_cover)
-        self.cover_rounds = np.full(self.num_lanes, -1, dtype=np.int64)
-        if self._track_cover:
-            # Visited accumulator: ``seen |= counts`` each round keeps
-            # a cell nonzero iff its node was ever occupied — one
-            # element-wise op per round, no comparison or temporary.
-            self._seen = self._counts.copy()
-            self._unvisited = n - np.count_nonzero(self._seen, axis=1)
-            self.cover_rounds[self._unvisited == 0] = 0
-            self._all_covered = bool((self.cover_rounds >= 0).all())
-        else:
-            self._seen = None
-            self._unvisited = None
-            self._all_covered = True
-
-    # ------------------------------------------------------------------
-    # stepping
-    # ------------------------------------------------------------------
-    def _step_arith(self) -> None:
-        """One round of the rotor-router arithmetic, no cover tracking."""
-        c, p = self._counts, self._ptr
-        fwd, bwd, nxt = self._fwd, self._bwd, self._next
-        np.add(c, p, out=fwd)
-        np.right_shift(fwd, 1, out=fwd)
-        np.subtract(c, fwd, out=bwd)
-        np.bitwise_xor(p, c, out=p)
-        np.bitwise_and(p, 1, out=p)
-        # arrivals(v) = fwd(v-1) + bwd(v+1), written into the back buffer
-        np.add(fwd[:, :-2], bwd[:, 2:], out=nxt[:, 1:-1])
-        np.add(fwd[:, -1], bwd[:, 1], out=nxt[:, 0])
-        np.add(fwd[:, -2], bwd[:, 0], out=nxt[:, -1])
-        self._counts, self._next = nxt, self._counts
-        self.round += 1
-
-    def step(self, need_visits: bool = True) -> np.ndarray | None:
-        """Advance every lane one synchronous round.
-
-        Returns a ``(B, n)`` boolean array marking the nodes that
-        received at least one agent this round — or None when the
-        caller passes ``need_visits=False`` and the kernel does not
-        track cover, which spares the comparison.  ``round`` counts
-        ``step`` calls.
-        """
-        want_visits = need_visits or (
-            self._track_cover and not self._all_covered
-        )
-        self._step_arith()
-        visits = self._counts != 0 if want_visits else None
-        if self._track_cover and not self._all_covered:
-            newly = visits & (self._seen == 0)
-            np.bitwise_or(self._seen, self._counts, out=self._seen)
-            # New visits are sparse (a lane's frontier grows by at most
-            # two nodes per round), so update through indices.
-            cells = np.flatnonzero(newly)
-            if cells.size:
-                lanes = cells // self.n
-                self._unvisited -= np.bincount(
-                    lanes, minlength=self.num_lanes
-                )
-                self._record_covered(np.unique(lanes), self.round)
-        return visits
-
-    def _record_covered(self, lanes: np.ndarray, at_round: int) -> None:
-        """Stamp ``cover_rounds`` for lanes whose unvisited hit zero."""
-        just = lanes[
-            (self._unvisited[lanes] == 0) & (self.cover_rounds[lanes] < 0)
-        ]
-        if just.size:
-            self.cover_rounds[just] = at_round
-            self._all_covered = bool((self.cover_rounds >= 0).all())
 
     #: Rounds per reconciliation window of the bulk drivers: large
     #: enough to amortize the per-lane reduction, small enough that a
     #: replay is negligible.
     _WINDOW = 32
 
-    def _advance_windowed(self, rounds: int) -> None:
-        """Advance ``rounds`` rounds with windowed exact cover tracking.
-
-        Per round only ``seen |= counts`` runs (one element-wise op);
-        once per ``_WINDOW`` rounds the per-lane unvisited counts are
-        reconciled, and lanes that covered inside the window are
-        replayed from the window-start snapshot to recover the exact
-        cover round.  The replay is deterministic, touches only the few
-        covered lanes, and is bounded by the window length.
-        """
-        remaining = rounds
-        while remaining > 0:
-            window = min(self._WINDOW, remaining)
-            if self._all_covered or not self._track_cover:
-                for _ in range(remaining):
-                    self._step_arith()
-                return
-            base_round = self.round
-            snap_counts = self._counts.copy()
-            snap_ptr = self._ptr.copy()
-            snap_seen = self._seen.copy()
-            for _ in range(window):
-                self._step_arith()
-                np.bitwise_or(self._seen, self._counts, out=self._seen)
-            remaining -= window
-            self._epochs += 1
-            self._unvisited = self.n - np.count_nonzero(self._seen, axis=1)
-            covered = np.flatnonzero(
-                (self._unvisited == 0) & (self.cover_rounds < 0)
-            )
-            if covered.size:
-                self._replay_cover_rounds(
-                    covered, snap_counts, snap_ptr, snap_seen,
-                    base_round, window,
-                )
-                self._all_covered = bool((self.cover_rounds >= 0).all())
-
-    def _replay_cover_rounds(
-        self,
-        lanes: np.ndarray,
-        snap_counts: np.ndarray,
-        snap_ptr: np.ndarray,
-        snap_seen: np.ndarray,
-        base_round: int,
-        window: int,
+    def __init__(
+        self, n: int, pointers: np.ndarray, counts: np.ndarray
     ) -> None:
-        """Re-run ``lanes`` from the snapshot to stamp exact cover rounds."""
-        self._replays += int(lanes.size)
-        sub = object.__new__(BatchRingKernel)
-        sub.n = self.n
-        sub.num_lanes = len(lanes)
-        sub.round = base_round
-        sub._replays = 0
-        sub._epochs = 0
-        sub._counts = snap_counts[lanes]
-        sub._ptr = snap_ptr[lanes]
-        sub._next = np.empty_like(sub._counts)
-        sub._fwd = np.empty_like(sub._counts)
-        sub._bwd = np.empty_like(sub._counts)
-        sub._track_cover = True
-        sub._seen = snap_seen[lanes]
-        sub._unvisited = sub.n - np.count_nonzero(sub._seen, axis=1)
-        sub.cover_rounds = np.full(sub.num_lanes, -1, dtype=np.int64)
-        sub._all_covered = False
-        for _ in range(window):
-            sub.step()
-            if sub._all_covered:
-                break
-        self.cover_rounds[lanes] = sub.cover_rounds
+        self._block = lane_block(n, pointers, counts)
+        self.n = n
+        self.num_lanes = self._block.rows
+        self.round = 0
+        # The lane of each block row, ascending; rows drop out as
+        # ``run_until_covered`` compacts covered lanes away.
+        self._lanes = np.arange(self.num_lanes)
+        # Visited accumulator: ``seen |= counts`` each round keeps a
+        # cell nonzero iff its node was ever occupied — one
+        # element-wise op per round, no comparison or temporary.
+        self._seen = self._block.cnt.copy()
+        self.cover_rounds = np.full(self.num_lanes, -1, dtype=np.int64)
+        self.cover_rounds[self._seen.all(axis=1)] = 0
+        self._epochs = 0
+        self._replays = 0
+        self._lane_rounds = 0
+
+    # ------------------------------------------------------------------
+    # stepping
+    # ------------------------------------------------------------------
+    def step(self) -> np.ndarray:
+        """Advance every held lane one synchronous round.
+
+        Returns a boolean array marking the nodes that received at
+        least one agent this round, one row per held lane.  ``round``
+        counts rounds.
+        """
+        self._advance(1)
+        return self._block.cnt != 0
+
+    def _advance(self, width: int) -> np.ndarray:
+        """Advance the held lanes ``width`` rounds, ``cover_rounds``
+        exact; returns which held rows are still uncovered."""
+        self._epochs += 1
+        live = self._window(
+            self._block, self._seen, self._lanes, self.round, width
+        )
+        self.round += width
+        return live
+
+    def _window(
+        self,
+        block: LaneBlock,
+        seen: np.ndarray,
+        lanes: np.ndarray,
+        base_round: int,
+        width: int,
+    ) -> np.ndarray:
+        """Step ``block`` (lanes ``lanes``) ``width`` rounds under the
+        cover rule, stamping ``cover_rounds`` exactly; returns which
+        rows are still uncovered.
+
+        Per round only ``seen |= counts`` runs; the rows are reconciled
+        once, at the end.  Lanes that covered inside a wider window are
+        taken from the window-start snapshot and replayed under the
+        same rule one round wide, compacted like the window's own rows;
+        the replay is deterministic, touches only those lanes, and is
+        bounded by the window length.
+        """
+        open_rows = self.cover_rounds[lanes] < 0
+        snapshot = None
+        if width > 1:
+            snapshot = (block.take(slice(None)), seen.copy())
+        for _ in range(width):
+            block.step_all()
+            np.bitwise_or(seen, block.cnt, out=seen)
+        self._lane_rounds += block.rows * width
+        full = seen.all(axis=1)
+        just = np.flatnonzero(open_rows & full)
+        if snapshot is None:
+            self.cover_rounds[lanes[just]] = base_round + 1
+        elif just.size:
+            self._replays += int(just.size)
+            replay = (snapshot[0].take(just), snapshot[1][just], lanes[just])
+            for at in range(base_round, base_round + width):
+                live = self._window(*replay, at, 1)
+                if not live.any():
+                    break
+                replay = self._compact(*replay, live)
+        return open_rows & ~full
+
+    @staticmethod
+    def _compact(
+        block: LaneBlock,
+        seen: np.ndarray,
+        lanes: np.ndarray,
+        live: np.ndarray,
+    ) -> tuple[LaneBlock, np.ndarray, np.ndarray]:
+        """Drop the rows not ``live`` once the live share falls to
+        :data:`COMPACT_RATIO`, as the Brent phases do."""
+        alive = int(np.count_nonzero(live))
+        if 0 < alive < live.size and alive <= COMPACT_RATIO * live.size:
+            keep = np.flatnonzero(live)
+            return block.take(keep), seen[keep], lanes[keep]
+        return block, seen, lanes
 
     def run(self, rounds: int) -> None:
-        """Advance every lane ``rounds`` rounds, ``cover_rounds`` exact.
+        """Advance every held lane ``rounds`` rounds, ``cover_rounds`` exact.
 
         Cover is reconciled once per ``_WINDOW`` rounds, with an exact
         replay for the lanes that covered inside a window.
         """
         if rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
-        self._advance_windowed(rounds)
+        while rounds > 0:
+            width = min(self._WINDOW, rounds)
+            self._advance(width)
+            rounds -= width
 
     def run_until_covered(
         self, max_rounds: int, strict: bool = True
     ) -> np.ndarray:
         """Step until every lane has covered its ring; per-lane cover rounds.
 
+        Covered lanes are dropped from the block once the live share of
+        its rows falls to :data:`COMPACT_RATIO`, as in both Brent
+        phases, so the rounds after cost only the lanes still running.
         With ``strict``, lanes still uncovered after ``max_rounds``
         raise ``RuntimeError`` (mirroring the reference engines);
         otherwise they report -1, letting sweeps record truncation
         instead of dying mid-grid.
         """
-        if not self._track_cover:
-            raise RuntimeError("kernel was created with track_cover=False")
-        while not self._all_covered and self.round < max_rounds:
-            self._advance_windowed(min(self._WINDOW, max_rounds - self.round))
-        if strict and not self._all_covered:
-            uncovered = int((self.cover_rounds < 0).sum())
+        while (self.cover_rounds < 0).any() and self.round < max_rounds:
+            live = self._advance(min(self._WINDOW, max_rounds - self.round))
+            self._block, self._seen, self._lanes = self._compact(
+                self._block, self._seen, self._lanes, live
+            )
+        covered = int(np.count_nonzero(self.cover_rounds >= 0))
+        if strict and covered < self.num_lanes:
             raise RuntimeError(
-                f"{uncovered} of {self.num_lanes} lanes not covered "
-                f"within {max_rounds} rounds"
+                f"{self.num_lanes - covered} of {self.num_lanes} lanes not "
+                f"covered within {max_rounds} rounds"
             )
         tel = _telemetry()
         if tel is not None:
-            covered = int((self.cover_rounds >= 0).sum())
             tel.count_many({
                 "ring.invocations": 1,
                 "ring.lanes": self.num_lanes,
                 "ring.rounds": self.round,
-                "ring.lane_rounds": self.num_lanes * self.round,
+                # Rows actually stepped, in windows and in replays.
+                "ring.lane_rounds": self._lane_rounds,
                 "ring.epochs": self._epochs,
                 "ring.cover_replays": self._replays,
                 "ring.lanes_covered": covered,
@@ -341,37 +434,32 @@ class BatchRingKernel:
     # ------------------------------------------------------------------
     # state inspection
     # ------------------------------------------------------------------
-    def round_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(B, n)`` views of counts, pointer bits and exits.
-
-        Returns the agent counts, the pointer bits (1 = clockwise) and
-        the clockwise exits ``fwd(v)`` of the round just stepped: an
-        agent that arrived at ``v`` alone travelled clockwise iff
-        ``fwd(v - 1) == 1``.  The exits are meaningful after the first
-        step only.  The views alias the kernel's buffers, so they go
-        stale at the next step.
-        """
-        views = (self._counts.view(), self._ptr.view(), self._fwd.view())
-        for view in views:
-            view.flags.writeable = False
-        return views
+    def _row(self, lane: int) -> int:
+        """The block row of ``lane``, which must still be held."""
+        row = int(np.searchsorted(self._lanes, lane))
+        if row == self._lanes.size or self._lanes[row] != lane:
+            raise ValueError(
+                f"lane {lane} is not held: out of range, or dropped by "
+                "run_until_covered after it covered"
+            )
+        return row
 
     def counts_lane(self, lane: int) -> np.ndarray:
         """Agent counts of one lane as int64 (copy)."""
-        return self._counts[lane].astype(np.int64)
+        return self._block.cnt[self._row(lane)].astype(np.int64)
 
     def directions_lane(self, lane: int) -> list[int]:
         """Pointer directions (+1/-1) of one lane."""
-        return [1 if bit else -1 for bit in self._ptr[lane]]
+        return [1 if bit else -1 for bit in self._block.ptr[self._row(lane)]]
 
     def positions(self, lane: int) -> list[int]:
         """Sorted agent locations of one lane, with multiplicity."""
-        return np.repeat(np.arange(self.n), self._counts[lane]).tolist()
+        return np.repeat(
+            np.arange(self.n), self._block.cnt[self._row(lane)]
+        ).tolist()
 
     def unvisited_lane(self, lane: int) -> int:
-        if not self._track_cover:
-            raise RuntimeError("kernel was created with track_cover=False")
-        return int(self.n - np.count_nonzero(self._seen[lane]))
+        return int(self.n - np.count_nonzero(self._seen[self._row(lane)]))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -428,7 +516,7 @@ class BatchLimitCycles:
 class _Fingerprinter:
     """Random-weight uint64 fingerprints of ``(pointer, counts)`` rows.
 
-    Configurations live in padded row buffers (:class:`_LaneBlock`)
+    Configurations live in padded row buffers (:class:`LaneBlock`)
     whose rows reinterpret as uint64 *words* — 8 packed count bytes or
     pointer bits per word.  The fingerprint is the random-weight dot
     product over those words, modulo 2^64::
@@ -483,7 +571,7 @@ class _Fingerprinter:
                     f"{self.w_cnt.shape}"
                 )
 
-    def of(self, block: "_LaneBlock") -> np.ndarray:
+    def of(self, block: "LaneBlock") -> np.ndarray:
         """``(A,)`` uint64 fingerprints of the block's configuration rows.
 
         Default weights take the packed fast path: the per-node state
@@ -503,130 +591,7 @@ class _Fingerprinter:
         return fp
 
 
-def _padded_columns(n: int, dtype: np.dtype) -> int:
-    """Columns per row so a row is a whole number of uint64 words."""
-    per_word = max(1, 8 // dtype.itemsize)
-    return -(-n // per_word) * per_word
-
-
-class _LaneBlock:
-    """Compacted ``(A, n)`` configuration rows stepped as prefix slices.
-
-    The limit-cycle pipeline keeps its working lanes contiguous:
-    resolving lanes are either compacted out (Brent phases, unsorted)
-    or sorted to the back so the active set is always ``rows[:a]`` —
-    both ways a round costs element-wise ops on exactly the rows that
-    still matter, with no masks, gathers or full-batch temporaries.
-
-    Rows live in zero-padded buffers whose byte length is a multiple
-    of 8, exposed twice: as ``(A, n)`` working views (``ptr``/``cnt``)
-    the stepping arithmetic writes through, and as uint64 *word* views
-    (``ptr_words``/``cnt_words``) that fingerprinting and byte-exact
-    row comparison read — comparing packed words touches 1/8 of the
-    bytes of an element-wise row comparison.  The padding is written
-    once (zeros) and never touched again, so word equality is exactly
-    configuration equality.
-    """
-
-    __slots__ = (
-        "ptr", "cnt", "ptr_words", "cnt_words",
-        "_ptr_buf", "_cnt_buf", "_nxt_buf", "_fwd", "_bwd", "_nxt",
-        "_cnt_views",
-    )
-
-    def __init__(self, ptr: np.ndarray, cnt: np.ndarray) -> None:
-        rows, n = cnt.shape
-        padded = _padded_columns(n, cnt.dtype)
-        self._ptr_buf = np.zeros((rows, padded), dtype=cnt.dtype)
-        self._cnt_buf = np.zeros((rows, padded), dtype=cnt.dtype)
-        self._nxt_buf = np.zeros((rows, padded), dtype=cnt.dtype)
-        self._ptr_buf[:, :n] = ptr
-        self._cnt_buf[:, :n] = cnt
-        self._fwd = np.empty((rows, n), dtype=cnt.dtype)
-        self._bwd = np.empty((rows, n), dtype=cnt.dtype)
-        # The pointer buffer never changes roles, so its views are
-        # permanent; the count/next buffers alternate between exactly
-        # two role assignments (a buffer swap per committed round), so
-        # both view triples are built once and selected by buffer
-        # identity — per-round commits then re-slice nothing.
-        self.ptr = self._ptr_buf[:, :n]
-        self.ptr_words = self._ptr_buf.view(np.uint64)
-        self._cnt_views: dict[int, tuple] = {}
-        self._select_views(n)
-
-    def _select_views(self, n: int) -> None:
-        key = id(self._cnt_buf)
-        cached = self._cnt_views.get(key)
-        if cached is None:
-            cached = (
-                self._cnt_buf[:, :n],
-                self._nxt_buf[:, :n],
-                self._cnt_buf.view(np.uint64),
-            )
-            self._cnt_views[key] = cached
-        self.cnt, self._nxt, self.cnt_words = cached
-
-    @property
-    def rows(self) -> int:
-        return self.cnt.shape[0]
-
-    def _arith(self, a: int) -> None:
-        """Rotor arithmetic for rows ``[:a]``: arrivals into ``_nxt``,
-        pointers flipped in place."""
-        c, p = self.cnt[:a], self.ptr[:a]
-        f, b, x = self._fwd[:a], self._bwd[:a], self._nxt[:a]
-        np.add(c, p, out=f)
-        np.right_shift(f, 1, out=f)
-        np.subtract(c, f, out=b)
-        np.bitwise_xor(p, c, out=p)
-        np.bitwise_and(p, 1, out=p)
-        np.add(f[:, :-2], b[:, 2:], out=x[:, 1:-1])
-        np.add(f[:, -1], b[:, 1], out=x[:, 0])
-        np.add(f[:, -2], b[:, 0], out=x[:, -1])
-
-    def _commit_swap(self) -> None:
-        self._cnt_buf, self._nxt_buf = self._nxt_buf, self._cnt_buf
-        self._select_views(self.cnt.shape[1])
-
-    def step_all(self) -> None:
-        """One round on every row — commits by buffer swap (no copy)."""
-        self._arith(self.rows)
-        self._commit_swap()
-
-    def step_prefix(self, a: int) -> None:
-        """One rotor-router round on rows ``[:a]``; the rest hold still.
-
-        Commits whichever way copies less: small prefixes copy the new
-        counts back, large prefixes swap buffers and restore the
-        untouched tail.
-        """
-        self._arith(a)
-        if 2 * a >= self.rows:
-            self._nxt_buf[a:] = self._cnt_buf[a:]
-            self._commit_swap()
-        else:
-            self.cnt[:a] = self._nxt[:a]
-
-    def take(self, rows: np.ndarray) -> "_LaneBlock":
-        """A new block holding only ``rows`` (fresh compact buffers)."""
-        return _LaneBlock(self.ptr[rows], self.cnt[rows])
-
-    def rows_equal(self, other: "_LaneBlock", rows: np.ndarray) -> np.ndarray:
-        """Byte-exact configuration equality per row index, via words."""
-        return (self.ptr_words[rows] == other.ptr_words[rows]).all(axis=1) & (
-            self.cnt_words[rows] == other.cnt_words[rows]
-        ).all(axis=1)
-
-    def halves_equal(self, pairs: int, rows: np.ndarray) -> np.ndarray:
-        """Row ``r`` vs row ``r + pairs`` equality for each ``r`` in rows."""
-        return (
-            self.ptr_words[rows] == self.ptr_words[rows + pairs]
-        ).all(axis=1) & (
-            self.cnt_words[rows] == self.cnt_words[rows + pairs]
-        ).all(axis=1)
-
-
-def _advance_by_schedule(block: _LaneBlock, schedule: np.ndarray) -> None:
+def _advance_by_schedule(block: LaneBlock, schedule: np.ndarray) -> None:
     """Step row ``i`` of ``block`` exactly ``schedule[i]`` rounds.
 
     ``schedule`` must be sorted descending: the rows still advancing
@@ -665,8 +630,8 @@ def _brent_periods(
     """
     num_lanes = ptr0.shape[0]
     periods = np.full(num_lanes, -1, dtype=np.int64)
-    block = _LaneBlock(ptr0, cnt0)
-    snapshot = _LaneBlock(ptr0, cnt0)
+    block = LaneBlock(ptr0, cnt0)
+    snapshot = LaneBlock(ptr0, cnt0)
     snap_fp = fingerprint.of(snapshot)
     orig = np.arange(num_lanes)
     alive = np.ones(num_lanes, dtype=bool)
@@ -752,11 +717,11 @@ def _brent_preperiods(
     if resolved.size == 0:
         return preperiods
     order = resolved[np.argsort(-periods[resolved], kind="stable")]
-    hare = _LaneBlock(ptr0[order], cnt0[order])
+    hare = LaneBlock(ptr0[order], cnt0[order])
     _advance_by_schedule(hare, periods[order])
     if stats is not None:
         stats["lane_rounds"] += int(periods[resolved].sum())
-    block = _LaneBlock(
+    block = LaneBlock(
         np.concatenate([ptr0[order], hare.ptr]),
         np.concatenate([cnt0[order], hare.cnt]),
     )
@@ -832,12 +797,8 @@ def batch_limit_cycles(
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-    # The kernel constructor owns validation and dtype selection; its
-    # typed arrays seed both Brent phases.
-    seed = BatchRingKernel(n, pointers, counts, track_cover=False)
-    words = _padded_columns(n, seed._counts.dtype) * (
-        seed._counts.dtype.itemsize
-    ) // 8
+    initial = lane_block(n, pointers, counts)
+    words = initial.cnt_words.shape[1]
     fingerprint = _Fingerprinter(words, words, weights=_fingerprint_weights)
     tel = _telemetry()
     stats = (
@@ -849,16 +810,16 @@ def batch_limit_cycles(
         }
     )
     periods = _brent_periods(
-        seed._ptr, seed._counts, max_rounds, strict, fingerprint, stats,
+        initial.ptr, initial.cnt, max_rounds, strict, fingerprint, stats,
     )
     preperiods = _brent_preperiods(
-        seed._ptr, seed._counts, periods, max_rounds, fingerprint, stats,
+        initial.ptr, initial.cnt, periods, max_rounds, fingerprint, stats,
     )
     if tel is not None:
         resolved = int((periods > 0).sum())
         tel.count_many({
             "limit.invocations": 1,
-            "limit.lanes": seed.num_lanes,
+            "limit.lanes": initial.rows,
             "limit.rounds": stats["rounds"],
             "limit.lane_rounds": stats["lane_rounds"],
             "limit.epochs": stats["epochs"],
@@ -867,7 +828,7 @@ def batch_limit_cycles(
             "limit.fp_collisions": stats["fp_hits"] - stats["fp_confirmed"],
             "limit.compactions": stats["compactions"],
             "limit.lanes_resolved": resolved,
-            "limit.lanes_truncated": seed.num_lanes - resolved,
+            "limit.lanes_truncated": initial.rows - resolved,
         })
     return BatchLimitCycles(preperiods=preperiods, periods=periods)
 
@@ -892,8 +853,8 @@ def batch_return_gaps(
     ``max_gap`` updates entirely (the per-round temporaries shrink
     with the active prefix) instead of being masked at full width.
     """
-    seed = BatchRingKernel(n, pointers, counts, track_cover=False)
-    num_lanes = seed.num_lanes
+    initial = lane_block(n, pointers, counts)
+    num_lanes = initial.rows
     preperiods, periods = cycles.preperiods, cycles.periods
     if np.any(periods < 1):
         raise ValueError(
@@ -902,7 +863,7 @@ def batch_return_gaps(
         )
     # Advance to each lane's cycle start (preperiod-descending prefix).
     order_pre = np.argsort(-preperiods, kind="stable")
-    block = _LaneBlock(seed._ptr[order_pre], seed._counts[order_pre])
+    block = initial.take(order_pre)
     _advance_by_schedule(block, preperiods[order_pre])
 
     # Re-sort rows by period so the scan's active set is a prefix too.

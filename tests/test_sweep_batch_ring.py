@@ -27,6 +27,7 @@ from repro.sweep.batch_ring import (
     _padded_columns,
     batch_limit_cycles,
     batch_return_gaps,
+    lane_block,
     lanes_from_configs,
 )
 
@@ -309,8 +310,7 @@ class TestRandomizedLimitEquivalence:
             agents = placement.random_nodes(n, k, seed=k)
             dirs = pointers.ring_random(n, seed=k)
             ptr, cnt = lanes_from_configs(n, [(dirs, agents)])
-            kernel = BatchRingKernel(n, ptr, cnt, track_cover=False)
-            assert kernel._counts.dtype == (
+            assert lane_block(n, ptr, cnt).cnt.dtype == (
                 np.int8 if k <= 126 else np.int16
             )
             budget = 16 * n * n + 1024
@@ -409,6 +409,19 @@ class TestFingerprintCollisions:
             )
 
 
+def _mixed_cover_block(n):
+    """k = 1 lanes beside k = 16 lanes: the many-agent lanes cover
+    long before the lone walkers, so a cover run can drop them."""
+    rng = np.random.default_rng(23)
+    configurations = []
+    for k in (1, 16) * 6:
+        dirs = [int(d) for d in rng.choice((1, -1), size=n)]
+        configurations.append((dirs, placement.random_nodes(
+            n, k, seed=int(rng.integers(2**31))
+        )))
+    return lanes_from_configs(n, configurations)
+
+
 class TestCompaction:
     def test_results_invariant_across_ratios(self, monkeypatch):
         n = 32
@@ -416,28 +429,46 @@ class TestCompaction:
         budget = 16 * n * n + 1024
         ptr, cnt = lanes_from_configs(n, configurations)
         baseline = batch_limit_cycles(n, ptr, cnt, budget)
+        mixed_ptr, mixed_cnt = _mixed_cover_block(n)
+        covers = BatchRingKernel(n, mixed_ptr, mixed_cnt).run_until_covered(
+            budget
+        )
         for ratio in (0.0, 0.3, 1.0):
             monkeypatch.setattr(batch_ring, "COMPACT_RATIO", ratio)
             cycles = batch_limit_cycles(n, ptr, cnt, budget)
             assert np.array_equal(cycles.preperiods, baseline.preperiods)
             assert np.array_equal(cycles.periods, baseline.periods)
+            kernel = BatchRingKernel(n, mixed_ptr, mixed_cnt)
+            assert np.array_equal(kernel.run_until_covered(budget), covers)
+        # At ratio 1 the k = 16 lane 1 was dropped after its first
+        # window: its state is gone, its cover round is not.
+        with pytest.raises(ValueError, match="not held"):
+            kernel.positions(1)
+        assert int(kernel.cover_rounds[1]) == int(covers[1]) > 0
 
     def test_ratio_is_read_at_call_time(self, monkeypatch, tmp_path):
-        # Patching the module constant reaches both Brent phases: a
-        # ratio of 0 never compacts, 1 compacts on every resolution.
+        # Patching the module constant reaches both Brent phases and
+        # the cover driver: a ratio of 0 never compacts, 1 compacts on
+        # every resolution, so the cover run steps fewer rows.
         n = 32
         configurations = _family_configurations(n, seed_base=9)[:40]
         budget = 16 * n * n + 1024
         ptr, cnt = lanes_from_configs(n, configurations)
-        compactions = {}
+        mixed_ptr, mixed_cnt = _mixed_cover_block(n)
+        compactions, lane_rounds = {}, {}
         for ratio in (0.0, 1.0):
             monkeypatch.setattr(batch_ring, "COMPACT_RATIO", ratio)
             path = str(tmp_path / f"limit-{ratio}.jsonl")
             with trace_session(path):
                 batch_limit_cycles(n, ptr, cnt, budget)
+                BatchRingKernel(n, mixed_ptr, mixed_cnt).run_until_covered(
+                    budget
+                )
             counters = load_manifest(path)["counters"]
             compactions[ratio] = counters.get("limit.compactions", 0)
+            lane_rounds[ratio] = counters["ring.lane_rounds"]
         assert compactions[0.0] == 0 < compactions[1.0]
+        assert lane_rounds[1.0] < lane_rounds[0.0]
 
 
 class TestPositions:
@@ -492,8 +523,8 @@ class TestValidation:
         # k > 126 forces int16 lanes; conservation must survive.
         n, k = 8, 500
         ptr, cnt = lanes_from_configs(n, [([1] * n, [0] * k)])
+        assert lane_block(n, ptr, cnt).cnt.dtype == np.int16
         kernel = BatchRingKernel(n, ptr, cnt)
-        assert kernel._counts.dtype == np.int16
         kernel.run(50)
         assert int(kernel.counts_lane(0).sum()) == k
 

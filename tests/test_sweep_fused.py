@@ -4,9 +4,11 @@ Four pillars of the execution path are pinned here:
 
 * **The ring kernel's windowed cover driver is exact.**  Randomized
   configurations run through ``run_until_covered`` (32-round
-  reconciliation windows with replay) must end in the very state that
-  per-round ``step()`` reaches at the same round — cover rounds, final
-  pointers and counts.  Trials include lanes that cover *inside* a
+  reconciliation windows with replay) must stop at the round and with
+  the cover rounds that per-round ``step()`` reaches, with
+  :data:`repro.sweep.batch_ring.COMPACT_RATIO` patched to 0, its
+  default and 1; at 0, which keeps every lane, the final pointers and
+  counts must match too.  Trials include lanes that cover *inside* a
   window and lanes that truncate at ``max_rounds``.
 * **Brent's limit-cycle search is exact at every compaction ratio.**
   Randomized lanes resolve to the reference preperiod and period with
@@ -63,11 +65,12 @@ def _random_ring_config(rng, max_n=40, max_lanes=6):
 
 def _ring_state(kernel):
     """Every observable of a finished ring kernel, for equality checks."""
+    lanes = range(kernel.num_lanes)
     return (
         kernel.round,
         kernel.cover_rounds.copy(),
-        kernel._ptr.copy(),
-        kernel._counts.copy(),
+        np.array([kernel.directions_lane(lane) for lane in lanes]),
+        np.array([kernel.counts_lane(lane) for lane in lanes]),
     )
 
 
@@ -84,24 +87,34 @@ class TestRingWindowedCover:
     """Windowed ring cover runs match per-round stepping bit for bit."""
 
     @pytest.mark.parametrize("trial", range(40))
-    def test_cover_and_final_state_match_stepping(self, trial):
+    def test_cover_and_final_state_match_stepping(self, trial, monkeypatch):
         rng = np.random.default_rng(1000 + trial)
         n, pointers, counts = _random_ring_config(rng)
         # Mix horizons: generous (all lanes cover, most inside a
         # window) and starved (truncation lanes report -1).
         max_rounds = int(rng.choice([8, 64, 16 * n * n]))
-        windowed = BatchRingKernel(n, pointers, counts)
-        windowed.run_until_covered(max_rounds, strict=False)
+        windowed = {}
+        for ratio in (0.0, batch_ring.COMPACT_RATIO, 1.0):
+            monkeypatch.setattr(batch_ring, "COMPACT_RATIO", ratio)
+            windowed[ratio] = BatchRingKernel(n, pointers, counts)
+            windowed[ratio].run_until_covered(max_rounds, strict=False)
         # Cover is only *checked* at window boundaries; the recorded
         # cover rounds are exact regardless, so stepping round by round
         # to the same stopping round must reach the identical state.
         stepped = BatchRingKernel(n, pointers, counts)
-        for _ in range(windowed.round):
+        for _ in range(windowed[0.0].round):
             stepped.step()
+        context = f"trial={trial} n={n} max_rounds={max_rounds}"
+        # Ratio 0 never compacts, so it holds every lane to the end.
         _assert_states_equal(
-            _ring_state(stepped), _ring_state(windowed),
-            f"trial={trial} n={n} max_rounds={max_rounds}",
+            _ring_state(stepped), _ring_state(windowed[0.0]), context
         )
+        for ratio, kernel in windowed.items():
+            assert kernel.round == stepped.round, f"{context} ratio={ratio}"
+            np.testing.assert_array_equal(
+                kernel.cover_rounds, stepped.cover_rounds,
+                err_msg=f"{context} ratio={ratio}",
+            )
 
     @pytest.mark.parametrize("trial", range(10))
     def test_run_matches_stepping(self, trial):
