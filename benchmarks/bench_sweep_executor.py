@@ -14,6 +14,9 @@ Three headline numbers for the perf trajectory, all in ``extra_info``:
   runs its merged plan (one chunk of up to ``CHUNK_ELEMENTS``
   lane-nodes) at least 1.5x faster than one chunk per
   ``CHUNK_LANES`` block, with identical results.
+* **single-agent closed form** — single-agent cover lanes resolve in
+  closed form at least 10x faster than the CSR kernel steps them,
+  with identical covers.
 """
 
 import time
@@ -27,6 +30,8 @@ from repro.core.engine import MultiAgentRotorRouter
 from repro.core.pointers import ring_pointers_to_ports, ring_random
 from repro.graphs.ring import ring_graph
 from repro.sweep import BatchRingKernel, executor, run_sweep, scenario
+from repro.sweep.batch_general import batch_general_covers
+from repro.sweep.batch_ring import single_agent_covers
 from repro.sweep.executor import _plan_chunks, compute_chunk
 from repro.sweep.spec import InitFamily, ScenarioSpec
 from repro.util.rng import derive_seed
@@ -45,6 +50,13 @@ MERGE_SAMPLES = 3
 
 #: Floor on unmerged over merged wall-clock, best of each side.
 MIN_MERGE_SPEEDUP = 1.5
+
+#: Single-agent cover lanes of the closed-form case, on the SINGLE_N-ring.
+SINGLE_LANES = 1000
+SINGLE_N = 128
+
+#: Floor on the CSR kernel's wall-clock over the closed form's.
+MIN_SINGLE_SPEEDUP = 10.0
 
 
 def _reference_rounds_per_sec() -> float:
@@ -237,4 +249,71 @@ def test_dense_chunk_merging_speedup(benchmark):
     assert speedup >= MIN_MERGE_SPEEDUP, (
         f"merged dense chunks only {speedup:.2f}x faster than 64-lane "
         f"blocks ({min(timings[merged]):.3f}s vs {min(timings[0]):.3f}s)"
+    )
+
+
+def test_single_agent_closed_form_speedup(benchmark):
+    """Single-agent covers resolve in closed form >= 10x faster.
+
+    1,000 single-agent cover lanes at n = 128 (random start and
+    pointers, ``grid_churn``'s shape) through
+    :func:`repro.sweep.batch_ring.single_agent_covers` and through
+    :func:`repro.sweep.batch_general.batch_general_covers` on the ring
+    CSR, the route such cells took before the closed form.  The covers
+    must be identical; the closed form's time is a best of three, the
+    CSR kernel's one run (about 0.7 s on a 2-core container).
+    """
+    rng = np.random.default_rng(
+        derive_seed(0, "bench-single", SINGLE_N, SINGLE_LANES)
+    )
+    pointers = rng.choice(
+        np.array([1, -1], dtype=np.int8), size=(SINGLE_LANES, SINGLE_N)
+    )
+    starts = rng.integers(0, SINGLE_N, size=SINGLE_LANES)
+    counts = np.zeros((SINGLE_LANES, SINGLE_N), dtype=np.int64)
+    counts[np.arange(SINGLE_LANES), starts] = 1
+    budget = 16 * SINGLE_N * SINGLE_N + 1024
+    csr = ring_graph(SINGLE_N).to_csr()
+    lanes = [
+        (csr, ring_pointers_to_ports(row.tolist()), [int(start)], budget)
+        for row, start in zip(pointers, starts)
+    ]
+    timings: dict[str, list[float]] = {"closed": [], "csr": []}
+
+    def timed(side, fn, *args):
+        started = time.perf_counter()
+        out = fn(*args)
+        timings[side].append(time.perf_counter() - started)
+        return out
+
+    closed = benchmark.pedantic(
+        timed,
+        args=("closed", single_agent_covers, SINGLE_N, pointers, counts,
+              budget),
+        rounds=1,
+        iterations=1,
+    )
+    stepped = timed("csr", batch_general_covers, lanes)
+    while len(timings["closed"]) < 3:
+        timed("closed", single_agent_covers, SINGLE_N, pointers, counts,
+              budget)
+    assert np.array_equal(closed, stepped)
+    assert (closed > 0).all()
+    speedup = min(timings["csr"]) / min(timings["closed"])
+    benchmark.extra_info["closed form sec"] = round(min(timings["closed"]), 4)
+    benchmark.extra_info["csr kernel sec"] = round(min(timings["csr"]), 3)
+    benchmark.extra_info["closed form speedup"] = round(speedup, 1)
+    record_sweep_bench(
+        "executor_single_agent",
+        {
+            "lanes": SINGLE_LANES,
+            "n": SINGLE_N,
+            "closed_form_sec": round(min(timings["closed"]), 4),
+            "csr_kernel_sec": round(min(timings["csr"]), 4),
+            "speedup": round(speedup, 1),
+        },
+    )
+    assert speedup >= MIN_SINGLE_SPEEDUP, (
+        f"closed form only {speedup:.1f}x faster than the CSR kernel "
+        f"({min(timings['closed']):.4f}s vs {min(timings['csr']):.3f}s)"
     )

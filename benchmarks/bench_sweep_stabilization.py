@@ -49,13 +49,13 @@ smoke runs.
 
 import os
 import time
+from collections import namedtuple
 
 import numpy as np
 
 from conftest import record_sweep_bench
 from repro.core import placement, pointers
 from repro.sweep.batch_ring import (
-    BatchLimitCycles,
     batch_limit_cycles,
     batch_return_gaps,
     lanes_from_configs,
@@ -75,6 +75,11 @@ MIN_SPEEDUP = 2.0 if QUICK else 5.0
 # ----------------------------------------------------------------------
 # pre-PR reference implementation (verbatim), the benchmark baseline
 # ----------------------------------------------------------------------
+#: The pre-PR limit-cycle record: preperiods and periods only (the
+#: pipeline's ``BatchLimitCycles`` also carries cycle-start rows).
+_LegacyCycles = namedtuple("_LegacyCycles", "preperiods periods")
+
+
 class _LegacyKernel:
     """The pre-PR ``BatchRingKernel``: masked step and byte keys."""
 
@@ -264,7 +269,7 @@ def _legacy_batch_limit_cycles(n, ptr, cnt, max_rounds, strict=True):
             if tortoise_keys[b] == hare_keys[b]:
                 unmatched[b] = False
     preperiods[~resolved] = -1
-    return BatchLimitCycles(preperiods=preperiods, periods=periods)
+    return _LegacyCycles(preperiods=preperiods, periods=periods)
 
 
 def _legacy_batch_return_gaps(n, ptr, cnt, cycles):
@@ -334,25 +339,35 @@ def _run_pipeline(impl_cycles, impl_gaps, configs):
     worst = np.full(len(configs), np.nan)
     best = np.full(len(configs), np.nan)
     if lanes.size:
-        worst[lanes], best[lanes] = impl_gaps(
-            N, ptr[lanes], cnt[lanes],
-            BatchLimitCycles(
-                preperiods=cycles.preperiods[lanes],
-                periods=cycles.periods[lanes],
-            ),
-        )
+        worst[lanes], best[lanes] = impl_gaps(ptr, cnt, cycles, lanes)
     return cycles.preperiods, cycles.periods, worst, best
+
+
+def _gaps(ptr, cnt, cycles, lanes):
+    """The pipeline's gap scan: from the resolved lanes' cycle starts."""
+    return batch_return_gaps(N, cycles.take(lanes))
+
+
+def _legacy_gaps(ptr, cnt, cycles, lanes):
+    """The pre-PR gap scan: from the resolved lanes' inputs."""
+    return _legacy_batch_return_gaps(
+        N, ptr[lanes], cnt[lanes],
+        _LegacyCycles(
+            preperiods=cycles.preperiods[lanes],
+            periods=cycles.periods[lanes],
+        ),
+    )
 
 
 def _run_new(configs):
     # One full-width chunk, exactly as a sweep runs it.
-    return _run_pipeline(batch_limit_cycles, batch_return_gaps, configs)
+    return _run_pipeline(batch_limit_cycles, _gaps, configs)
 
 
 def _run_legacy(configs, chunk_lanes):
     parts = [
         _run_pipeline(
-            _legacy_batch_limit_cycles, _legacy_batch_return_gaps,
+            _legacy_batch_limit_cycles, _legacy_gaps,
             configs[start:start + chunk_lanes],
         )
         for start in range(0, len(configs), chunk_lanes)

@@ -261,31 +261,33 @@ def domain_snapshot(
     kinds = tracker.kinds if tracker is not None else [VisitKind.NEVER] * n
 
     unvisited = tuple(v for v in range(n) if omap[v] is None)
+    # Every visited node maps to a lone anchor.  A lone agent's arc is
+    # all of them; a lone pair splits them as any shared anchor does,
+    # by the side each node's o-value scan reaches the anchor from:
+    # clockwise pointers after the anchor, anticlockwise ones before.
+    lone_pair = len(engine.counts) == 1 and 2 in engine.counts.values()
+
+    def reach(anchor: int, side: int) -> int:
+        """Nodes past ``anchor`` on ``side`` (+1 clockwise) in its arc:
+        the arc is contiguous (Lemma 4 / Lemma 6), so it ends at the
+        first node with a different o-value."""
+        steps = 0
+        while steps < n - 1:
+            candidate = (anchor + side * (steps + 1)) % n
+            if omap[candidate] != anchor or (
+                lone_pair and engine.ptr[candidate] != side
+            ):
+                break
+            steps += 1
+        return steps
+
     domains: list[Domain] = []
     for anchor in sorted(engine.counts):
-        # Expand the arc {v : o(v) = anchor} around the anchor.  The arc
-        # is contiguous (Lemma 4 / Lemma 6), so expansion terminates at
-        # the first node with a different o-value in each direction.
-        left = anchor
-        left_steps = 0
-        while left_steps < n - 1:
-            candidate = (left - 1) % n
-            if omap[candidate] == anchor and candidate != anchor:
-                left = candidate
-                left_steps += 1
-            else:
-                break
-        right = anchor
-        right_steps = 0
-        while right_steps < n - 1:
-            candidate = (right + 1) % n
-            if omap[candidate] == anchor and candidate != anchor:
-                right = candidate
-                right_steps += 1
-            else:
-                break
+        left_steps, right_steps = reach(anchor, -1), reach(anchor, 1)
+        left = (anchor - left_steps) % n
+        right = (anchor + right_steps) % n
         arc_start = left
-        # A lone anchor on a covered ring expands n - 1 steps each way:
+        # A lone agent on a covered ring expands n - 1 steps each way:
         # its arc is then the whole ring, not the n - 1 nodes between.
         arc_length = min(left_steps + right_steps + 1, n)
 
@@ -472,15 +474,18 @@ def _domain_parts(
 
     1. **Arcs.**  A visited free node ``v`` between consecutive agents
        ``a`` and ``b`` has ``o(v) = a`` if its pointer is clockwise and
-       ``o(v) = b`` otherwise; with one occupied node, every visited
-       node maps to it.  An anchor's arc extends over the run of
-       neighbours mapping to it: clockwise, the distance from the next
-       node to the first stop; anticlockwise, the same on the mirrored
-       rows.  The anchor is a stop of both scans, which bounds them to
-       n - 1 steps, and transient nodes mapping to an agent they are
-       cut off from stay outside every arc, as in the serial
-       expansion.  A shared anchor splits its arc as
-       :func:`domain_snapshot` does, keeping an empty half.
+       ``o(v) = b`` otherwise; with one agent on the ring, every
+       visited node maps to it.  An anchor's arc extends over the run
+       of neighbours mapping to it: clockwise, the distance from the
+       next node to the first stop; anticlockwise, the same on the
+       mirrored rows.  The anchor is a stop of both scans, which
+       bounds them to n - 1 steps, and transient nodes mapping to an
+       agent they are cut off from stay outside every arc, as in the
+       serial expansion.  A shared anchor splits its arc as
+       :func:`domain_snapshot` does, keeping an empty half; a lone
+       pair, whose scans start and end at its own node, reads its
+       halves off the pointers like any shared anchor, so they
+       partition the visited nodes.
     2. **Lazy runs.**  The first longest PROPAGATION run of each part
        is its head run (the run at the part's start, clipped at the
        part's end) or the longest, then earliest, of the runs starting
@@ -501,12 +506,12 @@ def _domain_parts(
     if not sites.all():
         raise DomainError("no agents on the ring")
     clockwise = pointers.astype(bool)
-    one_site = (sites == 1)[:, None]
+    lone_agent = (counts.sum(axis=1) == 1)[:, None]
     free = visited & ~occupied
     # Free nodes mapping to the agent anticlockwise of them, and the
     # mirrored rows of those mapping to the agent clockwise of them.
-    to_acw_agent = free & (clockwise | one_site)
-    to_cw_agent = (free & (~clockwise | one_site))[:, ::-1]
+    to_acw_agent = free & (clockwise | lone_agent)
+    to_cw_agent = (free & (~clockwise | lone_agent))[:, ::-1]
 
     anchor_rows, anchors = np.divmod(np.flatnonzero(occupied), n)
     right = _distance(
@@ -546,8 +551,6 @@ def _domain_parts(
     run_stops = run_ends[np.searchsorted(run_ends, run_starts)]
     # Runs first..last start inside the part, after its head.  All but
     # the last end inside the part too; the last is clipped at its end.
-    # (The two halves of a lone shared anchor may overlap, so the clip
-    # is per part.)
     first = np.searchsorted(run_starts, start + head_length, side="right")
     stop = np.searchsorted(run_starts, end)
     has_tail = stop > first

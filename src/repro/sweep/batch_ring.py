@@ -52,12 +52,18 @@ sorted prefix:
   resolved, so the result is still the true minimal period; resolved
   lanes are compacted out of the working arrays (once the live
   fraction drops to :data:`COMPACT_RATIO`), making stepping *and*
-  bookkeeping scale with unresolved lanes;
-* **return times** — :func:`batch_return_gaps` sorts lanes by schedule
-  length so the active set is always a contiguous array prefix, scans
-  one limit-cycle period per lane on that shrinking prefix, and
-  records the worst per-node visit gap including the wrap-around gap,
-  exactly as :func:`repro.core.limit.return_time_exact`.
+  bookkeeping scale with unresolved lanes.  Phase 2 starts each lane
+  from a snapshot phase 1 proved to lie before its cycle, and hands
+  on each lane's configuration at round mu, its cycle start;
+* **return times** — :func:`batch_return_gaps` sorts lanes by period
+  so the active set is always a contiguous array prefix, scans one
+  limit-cycle period per lane from its cycle start on that shrinking
+  prefix, and records the worst per-node visit gap including the
+  wrap-around gap, exactly as :func:`repro.core.limit.return_time_exact`.
+
+Single-agent covers need no block: :func:`single_agent_covers` reads
+them off the pointers in closed form, in n - 2 lockstep array steps
+whatever the cover round.
 
 Every driver runs one cadence: cover windows are
 ``BatchRingKernel._WINDOW`` (32) rounds wide, and the Brent search
@@ -126,8 +132,7 @@ class LaneBlock:
 
     __slots__ = (
         "ptr", "cnt", "fwd", "ptr_words", "cnt_words",
-        "_ptr_buf", "_cnt_buf", "_nxt_buf", "_bwd", "_nxt",
-        "_cnt_views",
+        "_ptr_buf", "_cnt_buf", "_nxt_buf", "_bwd", "_nxt", "_nxt_words",
     )
 
     def __init__(self, ptr: np.ndarray, cnt: np.ndarray) -> None:
@@ -141,36 +146,30 @@ class LaneBlock:
         self.fwd = np.empty((rows, n), dtype=cnt.dtype)
         self._bwd = np.empty((rows, n), dtype=cnt.dtype)
         # The pointer buffer never changes roles, so its views are
-        # permanent; the count/next buffers alternate between exactly
-        # two role assignments (a buffer swap per committed round), so
-        # both view triples are built once and selected by buffer
-        # identity — per-round commits then re-slice nothing.
+        # permanent; the count and next buffers swap roles every
+        # committed round, and their views swap with them.
         self.ptr = self._ptr_buf[:, :n]
         self.ptr_words = self._ptr_buf.view(np.uint64)
-        self._cnt_views: dict[int, tuple] = {}
-        self._select_views(n)
-
-    def _select_views(self, n: int) -> None:
-        key = id(self._cnt_buf)
-        cached = self._cnt_views.get(key)
-        if cached is None:
-            cached = (
-                self._cnt_buf[:, :n],
-                self._nxt_buf[:, :n],
-                self._cnt_buf.view(np.uint64),
-            )
-            self._cnt_views[key] = cached
-        self.cnt, self._nxt, self.cnt_words = cached
+        self.cnt = self._cnt_buf[:, :n]
+        self.cnt_words = self._cnt_buf.view(np.uint64)
+        self._nxt = self._nxt_buf[:, :n]
+        self._nxt_words = self._nxt_buf.view(np.uint64)
 
     @property
     def rows(self) -> int:
         return self.cnt.shape[0]
 
-    def _arith(self, a: int) -> None:
-        """Rotor arithmetic for rows ``[:a]``: arrivals into ``_nxt``,
-        pointers flipped in place."""
-        c, p = self.cnt[:a], self.ptr[:a]
-        f, b, x = self.fwd[:a], self._bwd[:a], self._nxt[:a]
+    @staticmethod
+    def _arith(
+        c: np.ndarray,
+        p: np.ndarray,
+        f: np.ndarray,
+        b: np.ndarray,
+        x: np.ndarray,
+    ) -> None:
+        """Rotor arithmetic on count rows ``c`` and pointer rows ``p``:
+        clockwise exits into ``f``, anticlockwise into ``b``, arrivals
+        into ``x``, pointers flipped in place."""
         np.add(c, p, out=f)
         np.right_shift(f, 1, out=f)
         np.subtract(c, f, out=b)
@@ -183,11 +182,12 @@ class LaneBlock:
 
     def _commit_swap(self) -> None:
         self._cnt_buf, self._nxt_buf = self._nxt_buf, self._cnt_buf
-        self._select_views(self.cnt.shape[1])
+        self.cnt, self._nxt = self._nxt, self.cnt
+        self.cnt_words, self._nxt_words = self._nxt_words, self.cnt_words
 
     def step_all(self) -> None:
         """One round on every row — commits by buffer swap (no copy)."""
-        self._arith(self.rows)
+        self._arith(self.cnt, self.ptr, self.fwd, self._bwd, self._nxt)
         self._commit_swap()
 
     def step_prefix(self, a: int) -> None:
@@ -197,7 +197,10 @@ class LaneBlock:
         counts back, large prefixes swap buffers and restore the
         untouched tail.
         """
-        self._arith(a)
+        self._arith(
+            self.cnt[:a], self.ptr[:a], self.fwd[:a], self._bwd[:a],
+            self._nxt[:a],
+        )
         if 2 * a >= self.rows:
             self._nxt_buf[a:] = self._cnt_buf[a:]
             self._commit_swap()
@@ -498,19 +501,88 @@ def lanes_from_configs(
     return pointers, counts
 
 
+def single_agent_covers(
+    n: int, pointers: np.ndarray, counts: np.ndarray, max_rounds: int
+) -> np.ndarray:
+    """Cover rounds of single-agent lanes in closed form: no round steps.
+
+    Takes the ``(B, n)`` lane arrays :func:`lane_block` validates, one
+    agent per lane, and returns each lane's cover round, or -1 past
+    ``max_rounds`` (a cover equal to the budget counts, as in
+    :meth:`BatchRingKernel.run_until_covered`).
+
+    Until it covers, a lone agent's visited nodes form an arc around its
+    start, and it crosses that arc straight (§2.2: a lone agent turns
+    only at its domain's border, here the arc's ends).  Each arc node's
+    pointer was flipped at its last departure, and that departure was
+    toward the side the agent now arrives from, so the pointer sends it
+    on.  The walk is therefore fixed by the pointers the nodes hold
+    before their first visits.  The first move follows the start's
+    pointer and reaches a second node.  Each of the next n - 2 steps
+    adds one frontier node, decided by the pointer of the node just
+    reached (the arc's end the agent stands on):
+
+    * pointing outward, it moves on to the next fresh node: 1 round;
+    * pointing inward, it crosses the arc of l + r + 1 nodes (l and r
+      of them either side of the start) and steps past the arc's other
+      end: l + r + 1 rounds.
+
+    Every lane takes exactly n - 2 steps, and at step i the arc holds
+    i + 2 nodes in every lane, so all lanes advance in lockstep.
+    """
+    block = lane_block(n, pointers, counts)
+    if np.any(block.cnt.sum(axis=1) != 1):
+        raise ValueError("every lane must hold exactly one agent")
+    lanes = np.arange(block.rows)
+    start = block.cnt.argmax(axis=1)
+    clockwise = block.ptr.astype(bool)
+    # ``heading``: the agent's last move was clockwise; ``lo``/``hi``:
+    # arc nodes anticlockwise/clockwise of the start.
+    heading = clockwise[lanes, start]
+    hi = heading.astype(np.int64)
+    lo = 1 - hi
+    rounds = np.ones(block.rows, dtype=np.int64)
+    for arc in range(2, n):
+        at = np.where(heading, start + hi, start - lo) % n
+        onward = clockwise[lanes, at] == heading
+        rounds += np.where(onward, 1, arc)
+        heading = heading == onward
+        hi += heading
+        lo += ~heading
+    tel = _telemetry()
+    if tel is not None:
+        tel.count("ring.single_lanes", block.rows)
+    return np.where(rounds <= max_rounds, rounds, -1)
+
+
 # ----------------------------------------------------------------------
 # per-lane limit-cycle detection (stabilization + return times)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BatchLimitCycles:
-    """Per-lane stabilization results: preperiod mu and period lam.
+    """Per-lane stabilization results: preperiod mu, period lam, and
+    the configuration at round mu, where the cycle starts.
 
-    Lanes whose cycle was not confirmed within the round budget (only
-    possible with ``strict=False``) carry -1 in both arrays.
+    ``pointers`` (+1/-1 per node) and ``counts`` hold those cycle-start
+    configurations as ``(B, n)`` rows, which :func:`batch_return_gaps`
+    scans from.  Lanes whose cycle was not confirmed within the round
+    budget (only possible with ``strict=False``) carry -1 in
+    ``preperiods`` and ``periods``, and their input configuration.
     """
 
     preperiods: np.ndarray
     periods: np.ndarray
+    pointers: np.ndarray
+    counts: np.ndarray
+
+    def take(self, lanes: np.ndarray) -> "BatchLimitCycles":
+        """The results of ``lanes`` alone, such as the resolved ones."""
+        return BatchLimitCycles(
+            preperiods=self.preperiods[lanes],
+            periods=self.periods[lanes],
+            pointers=self.pointers[lanes],
+            counts=self.counts[lanes],
+        )
 
 
 class _Fingerprinter:
@@ -614,7 +686,7 @@ def _brent_periods(
     strict: bool,
     fingerprint: _Fingerprinter,
     stats: dict | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Phase 1 of Brent's search: per-lane minimal periods (or -1).
 
     While a lane is unresolved its ``(power, lam)`` schedule is
@@ -627,11 +699,23 @@ def _brent_periods(
     keeps the lane searching — exactly what exact keys would have
     done.  Resolved lanes are compacted out once the live fraction
     drops to :data:`COMPACT_RATIO`.
+
+    It also returns where phase 2 starts each lane: a round at most
+    the lane's preperiod mu, and the pointer bits and counts there.  A
+    lane that resolves with period lam against the snapshot at s,
+    after the snapshot at s' = s - w went a window of w rounds without
+    a hit, has mu <= s; if w >= lam, s' lies below mu too (on the cycle
+    it would have hit within lam rounds), so phase 2 starts there, from
+    the previous snapshot phase 1 keeps for this.  Otherwise it starts
+    at round 0, and mu <= s < 2 lam.
     """
     num_lanes = ptr0.shape[0]
     periods = np.full(num_lanes, -1, dtype=np.int64)
+    starts = np.zeros(num_lanes, dtype=np.int64)
+    start_ptr, start_cnt = ptr0.copy(), cnt0.copy()
     block = LaneBlock(ptr0, cnt0)
     snapshot = LaneBlock(ptr0, cnt0)
+    previous = LaneBlock(ptr0, cnt0)  # the snapshot before ``snapshot``
     snap_fp = fingerprint.of(snapshot)
     orig = np.arange(num_lanes)
     alive = np.ones(num_lanes, dtype=bool)
@@ -656,7 +740,14 @@ def _brent_periods(
                 stats["fp_hits"] += int(rows.size)
                 stats["fp_confirmed"] += int(confirmed.size)
             if confirmed.size:
-                periods[orig[confirmed]] = steps - snap_step
+                lanes = orig[confirmed]
+                periods[lanes] = steps - snap_step
+                # The previous window, window / 2 rounds, held a whole
+                # period without a hit: its snapshot precedes the cycle.
+                if 2 * (steps - snap_step) <= window:
+                    starts[lanes] = snap_step - window // 2
+                    start_ptr[lanes] = previous.ptr[confirmed]
+                    start_cnt[lanes] = previous.cnt[confirmed]
                 alive[confirmed] = False
                 num_alive -= confirmed.size
                 resolved_now = True
@@ -664,6 +755,7 @@ def _brent_periods(
             # Window complete: every live lane refreshes its snapshot
             # to the current configuration (dead rows refresh too —
             # harmless, their results are already extracted).
+            previous, snapshot = snapshot, previous
             np.copyto(snapshot._ptr_buf, block._ptr_buf)
             np.copyto(snapshot._cnt_buf, block._cnt_buf)
             snap_fp = cur_fp
@@ -677,6 +769,7 @@ def _brent_periods(
             keep = np.flatnonzero(alive)
             block = block.take(keep)
             snapshot = snapshot.take(keep)
+            previous = previous.take(keep)
             snap_fp = snap_fp[keep]
             orig = orig[keep]
             alive = np.ones(num_alive, dtype=bool)
@@ -689,12 +782,13 @@ def _brent_periods(
             f"{num_alive} lanes have no limit cycle confirmed "
             f"within {max_rounds} rounds"
         )
-    return periods
+    return periods, starts, start_ptr, start_cnt
 
 
 def _brent_preperiods(
-    ptr0: np.ndarray,
-    cnt0: np.ndarray,
+    start_ptr: np.ndarray,
+    start_cnt: np.ndarray,
+    starts: np.ndarray,
     periods: np.ndarray,
     max_rounds: int,
     fingerprint: _Fingerprinter,
@@ -702,28 +796,33 @@ def _brent_preperiods(
 ) -> np.ndarray:
     """Phase 2: preperiods via synchronized tortoise/hare walkers.
 
-    The hare starts one full period ahead per lane (a sorted-prefix
+    Each lane's tortoise starts where phase 1 placed it: round
+    ``starts``, configuration rows ``start_ptr``/``start_cnt``.  The
+    hare starts one full period ahead per lane (a sorted-prefix
     advance costing ``Σ period`` row-rounds); then tortoise and hare
     rows are stacked into ONE block — rows ``[:A]`` tortoise, ``[A:]``
     hare — so each round is a single vectorized step, a single
     fingerprint call and one ``(A,)`` equality between the halves.
-    Fingerprint matches are byte-confirmed on the spot; matched lanes
-    stay matched under further steps (determinism), so they are
+    Fingerprint matches are byte-confirmed on the spot, and a lane's
+    preperiod is its start plus the rounds stepped.  A confirmed
+    lane's tortoise row, its cycle start, is copied into
+    ``start_ptr``/``start_cnt`` before compaction can drop it; matched
+    lanes stay matched under further steps (determinism), so they are
     stepped harmlessly until compaction drops them.
     """
-    num_lanes = ptr0.shape[0]
+    num_lanes = start_ptr.shape[0]
     preperiods = np.full(num_lanes, -1, dtype=np.int64)
     resolved = np.flatnonzero(periods > 0)
     if resolved.size == 0:
         return preperiods
     order = resolved[np.argsort(-periods[resolved], kind="stable")]
-    hare = LaneBlock(ptr0[order], cnt0[order])
+    hare = LaneBlock(start_ptr[order], start_cnt[order])
     _advance_by_schedule(hare, periods[order])
     if stats is not None:
         stats["lane_rounds"] += int(periods[resolved].sum())
     block = LaneBlock(
-        np.concatenate([ptr0[order], hare.ptr]),
-        np.concatenate([cnt0[order], hare.cnt]),
+        np.concatenate([start_ptr[order], hare.ptr]),
+        np.concatenate([start_cnt[order], hare.cnt]),
     )
 
     orig = order.copy()
@@ -742,7 +841,10 @@ def _brent_preperiods(
                 stats["fp_hits"] += int(rows.size)
                 stats["fp_confirmed"] += int(confirmed.size)
             if confirmed.size:
-                preperiods[orig[confirmed]] = rounds
+                lanes = orig[confirmed]
+                preperiods[lanes] = starts[lanes] + rounds
+                start_ptr[lanes] = block.ptr[confirmed]
+                start_cnt[lanes] = block.cnt[confirmed]
                 alive[confirmed] = False
                 num_alive -= confirmed.size
                 if num_alive and num_alive <= COMPACT_RATIO * alive.size:
@@ -809,11 +911,11 @@ def batch_limit_cycles(
             "fp_confirmed": 0, "compactions": 0,
         }
     )
-    periods = _brent_periods(
+    periods, starts, rows_ptr, rows_cnt = _brent_periods(
         initial.ptr, initial.cnt, max_rounds, strict, fingerprint, stats,
     )
     preperiods = _brent_preperiods(
-        initial.ptr, initial.cnt, periods, max_rounds, fingerprint, stats,
+        rows_ptr, rows_cnt, starts, periods, max_rounds, fingerprint, stats,
     )
     if tel is not None:
         resolved = int((periods > 0).sum())
@@ -830,47 +932,40 @@ def batch_limit_cycles(
             "limit.lanes_resolved": resolved,
             "limit.lanes_truncated": initial.rows - resolved,
         })
-    return BatchLimitCycles(preperiods=preperiods, periods=periods)
+    return BatchLimitCycles(
+        preperiods=preperiods,
+        periods=periods,
+        pointers=2 * rows_ptr.astype(np.int8) - 1,
+        counts=rows_cnt.astype(np.int64),
+    )
 
 
 def batch_return_gaps(
-    n: int,
-    pointers: np.ndarray,
-    counts: np.ndarray,
-    cycles: BatchLimitCycles,
+    n: int, cycles: BatchLimitCycles
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-lane (worst, best) visit gaps within one limit-cycle period.
 
-    Advances each lane to its cycle start, then scans exactly one
-    period per lane recording per-node gaps between consecutive visits,
-    including the wrap-around gap (last visit -> first visit of the
-    next repetition), exactly like
+    Scans exactly one period per lane from its cycle start, the
+    configuration ``cycles`` carries for round mu, recording per-node
+    gaps between consecutive visits, including the wrap-around gap
+    (last visit -> first visit of the next repetition), exactly like
     :func:`repro.core.limit.return_time_exact`.
 
-    Both the preperiod advance and the period scan sort lanes by
-    schedule length, so the active set is a contiguous prefix: lanes
-    whose period ended are dropped from the ``first``/``last``/
-    ``max_gap`` updates entirely (the per-round temporaries shrink
-    with the active prefix) instead of being masked at full width.
+    The scan sorts lanes by period, so the active set is a contiguous
+    prefix: lanes whose period ended are dropped from the ``first``/
+    ``last``/``max_gap`` updates entirely (the per-round temporaries
+    shrink with the active prefix) instead of being masked at full
+    width.
     """
-    initial = lane_block(n, pointers, counts)
-    num_lanes = initial.rows
-    preperiods, periods = cycles.preperiods, cycles.periods
+    periods = cycles.periods
     if np.any(periods < 1):
         raise ValueError(
-            "every lane needs a confirmed cycle; slice unresolved "
-            "(period -1) lanes out before computing gaps"
+            "every lane needs a confirmed cycle; take the resolved "
+            "(period > 0) lanes before computing gaps"
         )
-    # Advance to each lane's cycle start (preperiod-descending prefix).
-    order_pre = np.argsort(-preperiods, kind="stable")
-    block = initial.take(order_pre)
-    _advance_by_schedule(block, preperiods[order_pre])
-
-    # Re-sort rows by period so the scan's active set is a prefix too.
     order = np.argsort(-periods, kind="stable")
-    position = np.empty(num_lanes, dtype=np.int64)
-    position[order_pre] = np.arange(num_lanes)
-    block = block.take(position[order])
+    block = lane_block(n, cycles.pointers[order], cycles.counts[order])
+    num_lanes = block.rows
     schedule = periods[order]
 
     # Use the narrowest stamp dtype the longest period fits in — the
@@ -939,8 +1034,8 @@ def batch_return_gaps(
             "gaps.invocations": 1,
             "gaps.lanes": num_lanes,
             "gaps.rounds": longest,
-            # Row-rounds actually stepped: the preperiod advance plus
-            # one period per lane, both on shrinking sorted prefixes.
-            "gaps.lane_rounds": int(preperiods.sum() + periods.sum()),
+            # Row-rounds actually stepped: one period per lane, on a
+            # shrinking sorted prefix.
+            "gaps.lane_rounds": int(periods.sum()),
         })
     return worst, best

@@ -9,8 +9,11 @@ results in three stages:
    resumed sweeps free;
 2. **batch planning** — cache misses are grouped by model, ring size,
    round budget and metric set, then chunked.  A rotor group is
-   *routed, then merged*: it is sliced into :data:`CHUNK_LANES`-cell
-   blocks, each block picks its kernel on its own
+   *routed, then merged*: its single-agent cover cells form one chunk
+   that :func:`repro.sweep.batch_ring.single_agent_covers` resolves in
+   closed form, stepping no round (:func:`_closed_form_covers`); the
+   rest is sliced into :data:`CHUNK_LANES`-cell blocks, each block
+   picks its kernel on its own
    (:func:`_prefer_csr_covers`: a sparse cover-only block, ``Σ k < n``,
    runs the CSR kernel over the ring graph), and each run of adjacent
    dense blocks merges into one
@@ -81,11 +84,11 @@ from repro.graphs.base import GraphCSR
 from repro.graphs.ring import ring_graph
 from repro.sweep.batch_general import batch_general_covers
 from repro.sweep.batch_ring import (
-    BatchLimitCycles,
     BatchRingKernel,
     batch_limit_cycles,
     batch_return_gaps,
     lanes_from_configs,
+    single_agent_covers,
 )
 from repro.sweep.batch_walk import BatchRingWalks, walk_lanes_from_cells
 from repro.sweep.faults import (
@@ -124,6 +127,21 @@ DEFAULT_MAX_RETRIES = 2
 RETRY_BACKOFF = 0.1
 
 
+def _closed_form_covers(configs: Sequence) -> bool:
+    """Whether a rotor chunk resolves its covers without stepping.
+
+    A cover-only chunk whose every cell holds one agent runs
+    :func:`repro.sweep.batch_ring.single_agent_covers`, which reads
+    each cover off the pointers in n - 2 lockstep array steps.  The
+    planner asks this of every cell of a rotor group, and gathers the
+    cells it holds for into one chunk (see :func:`_slice_chunks`);
+    :func:`_compute_rotor_chunk` asks it again of the chunk it runs.
+    """
+    return tuple(configs[0].metrics) == ("cover",) and all(
+        config.k == 1 for config in configs
+    )
+
+
 def _prefer_csr_covers(n: int, configs: Sequence) -> bool:
     """Whether a rotor block runs on the sparse CSR kernel.
 
@@ -133,14 +151,13 @@ def _prefer_csr_covers(n: int, configs: Sequence) -> bool:
     touches only the occupied ``(lane, node)`` pairs, at most
     ``Σ k_i``.  Measured on ring cover chunks at n in 256..1024, the
     CSR kernel takes 0.31x the dense kernel's time below ``Σ k_i = n``
-    and 1.6–2.3x above on chunks of equal k; chunks that mix
-    single-agent lanes into a k ladder favor it further (0.10x below
-    n, 0.27x in ``[n, 2n)``).  The planner asks this of every
-    :data:`CHUNK_LANES` block before it merges dense ones (see
-    :func:`_slice_chunks`), and :func:`_compute_rotor_chunk` asks it
-    again of the chunk it runs.  Both kernels are pinned bit-identical
-    by the equivalence suites: this chooses scheduling, never
-    semantics.
+    and 1.6–2.3x above on chunks of equal k.  Single-agent cells never
+    reach either kernel (:func:`_closed_form_covers`).  The planner
+    asks this of every :data:`CHUNK_LANES` block before it merges
+    dense ones (see :func:`_slice_chunks`), and
+    :func:`_compute_rotor_chunk` asks it again of the chunk it runs.
+    Both kernels are pinned bit-identical by the equivalence suites:
+    this chooses scheduling, never semantics.
     """
     return tuple(configs[0].metrics) == ("cover",) and (
         sum(config.k for config in configs) < n
@@ -338,14 +355,17 @@ def _dispatch_chunk(payload: dict) -> list[tuple[str, dict]]:
 def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
     """Rotor cells: one deterministic lane each, batch ring kernel.
 
-    Sparse cover-only chunks run on the CSR kernel over the cached ring
-    graph instead — identical results, per-round cost bounded by the
-    agents rather than ``B·n`` (see :func:`_prefer_csr_covers`).
+    Single-agent cover chunks resolve in closed form
+    (:func:`_closed_form_covers`), and other sparse cover-only chunks
+    run on the CSR kernel over the cached ring graph — identical
+    results, per-round cost bounded by the agents rather than ``B·n``
+    (see :func:`_prefer_csr_covers`).
     """
     n = configs[0].n
     max_rounds = configs[0].max_rounds
     metrics: Sequence[str] = configs[0].metrics
-    if _prefer_csr_covers(n, configs):
+    single = _closed_form_covers(configs)
+    if not single and _prefer_csr_covers(n, configs):
         return _compute_rotor_covers_csr(n, max_rounds, configs)
     built = [config.build() for config in configs]
     pointers, counts = lanes_from_configs(
@@ -354,8 +374,11 @@ def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
 
     out: list[dict] = [{} for _ in configs]
     if "cover" in metrics:
-        kernel = BatchRingKernel(n, pointers, counts)
-        covers = kernel.run_until_covered(max_rounds, strict=False)
+        if single:
+            covers = single_agent_covers(n, pointers, counts, max_rounds)
+        else:
+            kernel = BatchRingKernel(n, pointers, counts)
+            covers = kernel.run_until_covered(max_rounds, strict=False)
         for b, cover in enumerate(covers):
             out[b]["cover"] = int(cover) if cover >= 0 else None
     if "stabilization" in metrics or "return" in metrics:
@@ -379,13 +402,7 @@ def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
             resolved_lanes = np.flatnonzero(resolved)
             if resolved_lanes.size:
                 worst, best = batch_return_gaps(
-                    n,
-                    pointers[resolved_lanes],
-                    counts[resolved_lanes],
-                    BatchLimitCycles(
-                        preperiods=cycles.preperiods[resolved_lanes],
-                        periods=cycles.periods[resolved_lanes],
-                    ),
+                    n, cycles.take(resolved_lanes)
                 )
                 for i, b in enumerate(resolved_lanes):
                     out[b]["worst_gap"] = float(worst[i])
@@ -537,10 +554,11 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
     most :data:`WALK_CHUNK_WALKERS`), which bounds the walk kernel's
     block-buffer memory regardless of how many repetitions a cell fans
     out into.  Ring groups are routed, then merged (see
-    :func:`_slice_chunks`): every :data:`CHUNK_LANES` block that
-    :func:`_prefer_csr_covers` sends to the CSR kernel is a chunk of
-    its own, and each run of adjacent dense blocks shares chunks of at
-    most :data:`CHUNK_ELEMENTS` lane-nodes.
+    :func:`_slice_chunks`): the single-agent cover cells share one
+    closed-form chunk, every :data:`CHUNK_LANES` block of the rest
+    that :func:`_prefer_csr_covers` sends to the CSR kernel is a chunk
+    of its own, and each run of adjacent dense blocks shares chunks of
+    at most :data:`CHUNK_ELEMENTS` lane-nodes.
 
     General-graph cells group together regardless of size or budget —
     the CSR kernel steps heterogeneous lanes natively, and the more
@@ -579,11 +597,13 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
 def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
     """Split one group's members into kernel-sized chunks.
 
-    A ring group is routed, then merged.  It is sliced into
-    :data:`CHUNK_LANES` blocks and :func:`_prefer_csr_covers` routes
-    each block, so the blocks that run the CSR kernel are the same
-    whatever the merge does.  Each run of adjacent dense blocks then
-    merges, whole blocks at a time, into chunks of at most
+    A ring group is routed, then merged.  Its single-agent cover cells
+    (:func:`_closed_form_covers`) come first, all in one chunk, since
+    their closed form steps no round.  The rest, in order, is sliced
+    into :data:`CHUNK_LANES` blocks and :func:`_prefer_csr_covers`
+    routes each block, so the blocks that run the CSR kernel are the
+    same whatever the merge does.  Each run of adjacent dense blocks
+    then merges, whole blocks at a time, into chunks of at most
     :data:`CHUNK_ELEMENTS` lane-nodes (lanes × n); a block larger
     than that stays one chunk, and ``CHUNK_ELEMENTS = 0`` merges
     nothing.  A dense round costs mostly numpy dispatch at 64 lanes
@@ -625,10 +645,14 @@ def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
         return chunks
     if model != "walk":
         n = members[0].n
-        chunks = []
+        single: list = []
+        stepped: list = []
+        for cell in members:
+            (single if _closed_form_covers((cell,)) else stepped).append(cell)
+        chunks = [single] if single else []
         merging: list | None = None  # the open dense chunk, if any
-        for start in range(0, len(members), CHUNK_LANES):
-            block = members[start:start + CHUNK_LANES]
+        for start in range(0, len(stepped), CHUNK_LANES):
+            block = stepped[start:start + CHUNK_LANES]
             if _prefer_csr_covers(n, block):
                 merging = None
                 chunks.append(block)
@@ -1273,9 +1297,10 @@ def run_sweep(
     called with ``(done, total)`` configuration counts as results
     arrive, cache hits included.  Chunking follows the executor
     constants :data:`CHUNK_LANES`, :data:`CHUNK_ELEMENTS` and
-    :data:`WALK_CHUNK_WALKERS`: rotor groups route each
-    ``CHUNK_LANES`` block to the dense or the CSR kernel, then merge
-    adjacent dense blocks up to ``CHUNK_ELEMENTS`` lane-nodes (see
+    :data:`WALK_CHUNK_WALKERS`: rotor groups send their single-agent
+    cover cells to the closed form, route each ``CHUNK_LANES`` block
+    of the rest to the dense or the CSR kernel, then merge adjacent
+    dense blocks up to ``CHUNK_ELEMENTS`` lane-nodes (see
     :func:`_slice_chunks`).
 
     The robustness knobs (``faults``/``max_retries``/

@@ -234,6 +234,21 @@ class TestDomainSnapshot:
         assert total_containing == 1
         assert containing
 
+    def test_lone_shared_anchor_partitions_the_ring(self):
+        # Both agents meet on node 2 of the covered 5-ring in round 7.
+        # Its other nodes are two runs: clockwise pointers from node 3,
+        # anticlockwise ones up to node 1.  They split at the anchor,
+        # whose clockwise pointer puts it in the anticlockwise part.
+        engine = RingRotorRouter(5, [-1, 1, 1, 1, -1], [1, 3])
+        tracker = VisitTypeTracker(engine)
+        tracker.run(7)
+        assert engine.counts == {2: 2}
+        assert list(engine.ptr) == [-1, -1, 1, 1, 1]
+        snap = domain_snapshot(engine, tracker)
+        assert [d.nodes(5) for d in snap.domains] == [[0, 1, 2], [3, 4]]
+        assert snap.sizes() == [3, 2]
+        assert domain_snapshots(*oracle_rows(engine, tracker), [7]) == [snap]
+
     def test_snapshot_without_tracker_has_empty_lazy(self):
         e = RingRotorRouter(12, [1] * 12, [0, 6])
         e.run(30)
@@ -540,6 +555,39 @@ class TestBatchedCensus:
         assert domain_snapshots(
             *oracle_rows(engine, tracker), [engine.round]
         ) == [expected]
+
+    def test_lone_shared_anchor_states_partition_the_ring(self):
+        # Seeded k = 2 trajectories, sampled whenever both agents share
+        # one node: the domains and the unvisited nodes partition the
+        # ring, and the serial and array paths agree on every state.
+        rng = make_rng(2024)
+        states = 0
+        for _ in range(60):
+            n = int(rng.integers(5, 40))
+            dirs = [int(d) for d in rng.choice((1, -1), size=n)]
+            agents = [int(a) for a in rng.integers(0, n, size=2)]
+            engine = RingRotorRouter(n, dirs, agents, track_counts=False)
+            tracker = VisitTypeTracker(engine)
+            sampled = 0
+            while engine.round < 2 * n * n and sampled < 4:
+                tracker.advance()
+                if len(engine.counts) != 1:
+                    continue
+                sampled += 1
+                snap = domain_snapshot(engine, tracker)
+                nodes = sorted(
+                    [v for d in snap.domains for v in d.nodes(n)]
+                    + list(snap.unvisited)
+                )
+                assert nodes == list(range(n))
+                rows = oracle_rows(engine, tracker)
+                assert domain_snapshots(*rows, [engine.round]) == [snap]
+                census = Counter(classify_borders(snap))
+                assert border_counts(*rows)[0].tolist() == [
+                    census[t] for t in BorderType
+                ]
+            states += sampled
+        assert states >= 100
 
     def test_snapshots_domain_error_parity(self):
         engine = RingRotorRouter(10, [1] * 10, [4] * 3, track_counts=False)

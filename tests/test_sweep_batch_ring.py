@@ -29,6 +29,7 @@ from repro.sweep.batch_ring import (
     batch_return_gaps,
     lane_block,
     lanes_from_configs,
+    single_agent_covers,
 )
 
 
@@ -99,10 +100,14 @@ class TestLockstep:
 
 class TestCoverEquivalence:
     def test_200_randomized_configurations(self):
-        """Acceptance bar: >= 200 random configs, exact cover agreement."""
+        """Acceptance bar: >= 200 random configs, exact cover agreement.
+
+        The k = 1 draws also run the closed form, all lanes at once and
+        each alone at budgets equal to its cover and one below it."""
         rng = np.random.default_rng(20260728)
         total = 0
-        for n in (11, 32, 64):
+        singles = 0
+        for n in (11, 32, 64, 3):
             configurations = [
                 _random_configuration(rng, n, max_k=3 * n // 2)
                 for _ in range(70)
@@ -118,7 +123,23 @@ class TestCoverEquivalence:
             covers = BatchRingKernel(n, ptr, cnt).run_until_covered(budget)
             assert [int(c) for c in covers] == expected
             total += len(configurations)
+            single = [
+                lane for lane, (_, agents) in enumerate(configurations)
+                if len(agents) == 1
+            ]
+            if not single:
+                continue
+            covers = single_agent_covers(n, ptr[single], cnt[single], budget)
+            assert covers.tolist() == [expected[lane] for lane in single]
+            for lane in single:
+                cover = expected[lane]
+                for limit, want in ((cover, cover), (cover - 1, -1)):
+                    assert single_agent_covers(
+                        n, ptr[lane:lane + 1], cnt[lane:lane + 1], limit
+                    ).tolist() == [want]
+            singles += len(single)
         assert total >= 200
+        assert singles >= 20
 
     def test_paper_corner_cases(self):
         n, k = 64, 4
@@ -170,13 +191,20 @@ class TestLimitBehaviour:
         budget = 16 * n * n + 1024
         ptr, cnt = lanes_from_configs(n, cases)
         cycles = batch_limit_cycles(n, ptr, cnt, budget)
-        worst, best = batch_return_gaps(n, ptr, cnt, cycles)
+        worst, best = batch_return_gaps(n, cycles)
         for lane, (dirs, agents) in enumerate(cases):
             ref = ring_rotor_return_time_exact(n, agents, dirs)
             assert int(cycles.preperiods[lane]) == ref.preperiod
             assert int(cycles.periods[lane]) == ref.period
             assert float(worst[lane]) == ref.worst_gap
             assert float(best[lane]) == ref.best_gap
+            # The rows the gap scan starts from: the cycle start.
+            engine = RingRotorRouter(n, list(dirs), agents)
+            engine.run(ref.preperiod)
+            assert cycles.pointers[lane].tolist() == list(engine.ptr)
+            assert np.repeat(
+                np.arange(n), cycles.counts[lane]
+            ).tolist() == engine.positions()
 
     def test_theorem6_shape(self):
         # Return time is Θ(n/k): worst gap a small multiple of n/k.
@@ -185,7 +213,7 @@ class TestLimitBehaviour:
         dirs = pointers.ring_toward_node(n, 0)
         ptr, cnt = lanes_from_configs(n, [(dirs, agents)])
         cycles = batch_limit_cycles(n, ptr, cnt, 16 * n * n + 1024)
-        worst, _ = batch_return_gaps(n, ptr, cnt, cycles)
+        worst, _ = batch_return_gaps(n, cycles)
         assert worst[0] <= 4 * n / k
 
     def test_budget_exhaustion_raises(self):
@@ -201,7 +229,7 @@ class TestLimitBehaviour:
         assert int(cycles.periods[0]) == -1
         assert int(cycles.preperiods[0]) == -1
         with pytest.raises(ValueError):
-            batch_return_gaps(n, ptr, cnt, cycles)
+            batch_return_gaps(n, cycles)
 
     def test_lenient_mode_resolves_what_fits(self):
         # One instant-cycle lane and one whose search exceeds the budget.
@@ -256,7 +284,7 @@ class TestRandomizedLimitEquivalence:
             budget = 16 * n * n + 1024
             ptr, cnt = lanes_from_configs(n, configurations)
             cycles = batch_limit_cycles(n, ptr, cnt, budget)
-            worst, best = batch_return_gaps(n, ptr, cnt, cycles)
+            worst, best = batch_return_gaps(n, cycles)
             for lane, (dirs, agents) in enumerate(configurations):
                 ref = ring_rotor_return_time_exact(n, agents, dirs)
                 assert int(cycles.preperiods[lane]) == ref.preperiod
@@ -290,15 +318,7 @@ class TestRandomizedLimitEquivalence:
             assert int(cycles.periods[lane]) == -1
         # Resolved lanes still produce exact gaps after slicing.
         lanes = np.flatnonzero(cycles.periods > 0)
-        from repro.sweep.batch_ring import BatchLimitCycles
-
-        worst, best = batch_return_gaps(
-            n, ptr[lanes], cnt[lanes],
-            BatchLimitCycles(
-                preperiods=cycles.preperiods[lanes],
-                periods=cycles.periods[lanes],
-            ),
-        )
+        worst, best = batch_return_gaps(n, cycles.take(lanes))
         assert [float(w) for w in worst] == [ref.worst_gap] * 2
         assert [float(b) for b in best] == [ref.best_gap] * 2
 
@@ -315,7 +335,7 @@ class TestRandomizedLimitEquivalence:
             )
             budget = 16 * n * n + 1024
             cycles = batch_limit_cycles(n, ptr, cnt, budget)
-            worst, best = batch_return_gaps(n, ptr, cnt, cycles)
+            worst, best = batch_return_gaps(n, cycles)
             ref = ring_rotor_return_time_exact(n, agents, dirs)
             assert int(cycles.preperiods[0]) == ref.preperiod
             assert int(cycles.periods[0]) == ref.period
@@ -370,7 +390,7 @@ class TestFingerprintCollisions:
             n, ptr, cnt, 16 * n * n + 1024,
             _fingerprint_weights=(zero, zero),
         )
-        worst, best = batch_return_gaps(n, ptr, cnt, cycles)
+        worst, best = batch_return_gaps(n, cycles)
         for lane, ref in enumerate(self._reference(n, configurations)):
             assert int(cycles.preperiods[lane]) == ref.preperiod
             assert int(cycles.periods[lane]) == ref.period
@@ -518,6 +538,14 @@ class TestValidation:
         for max_rounds in (0, -3):
             with pytest.raises(ValueError, match="must be positive"):
                 batch_limit_cycles(4, ptr, cnt, max_rounds)
+
+    def test_closed_form_takes_single_agent_lanes_only(self):
+        ptr, cnt = lanes_from_configs(4, [([1] * 4, [0]), ([1] * 4, [0, 2])])
+        with pytest.raises(ValueError, match="exactly one agent"):
+            single_agent_covers(4, ptr, cnt, 100)
+        with pytest.raises(ValueError, match="n >= 3"):
+            single_agent_covers(2, np.ones((1, 2)), np.eye(1, 2), 100)
+        assert single_agent_covers(4, ptr[:1], cnt[:1], 100).tolist() == [3]
 
     def test_dtype_escalation_preserves_totals(self):
         # k > 126 forces int16 lanes; conservation must survive.

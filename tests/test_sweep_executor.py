@@ -9,6 +9,7 @@ import sqlite3
 import numpy as np
 import pytest
 
+from repro.analysis.backend import MeasurementPlan
 from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.cli import main
@@ -314,7 +315,60 @@ def _ring_cells(n, ks, metrics=("cover",), seed=0):
 
 
 class TestDenseChunkMerging:
-    """Blocks route one by one; adjacent dense blocks share a chunk."""
+    """Single-agent covers share one closed-form chunk; the other blocks
+    route one by one, and adjacent dense blocks share a chunk."""
+
+    def test_single_agent_covers_share_one_closed_form_chunk(
+        self, chunk_lanes
+    ):
+        n = 16
+        chunk_lanes(4)
+        # Once the k = 1 cells leave, the rest slices into a sparse
+        # block (k = 2, Σk = 8 < n) and a dense one (k = 8).
+        cover = _ring_cells(n, [1, 2, 2, 1, 2, 2, 1, 8, 8, 1, 8, 8, 1])
+        limit = _ring_cells(
+            n, [1, 3, 1], metrics=("stabilization", "return"), seed=1
+        )
+        cells = cover + limit
+        chunks = [payload["cells"] for payload in _plan_chunks(cells)]
+        assert chunks == [
+            [cell for cell in cover if cell.k == 1],
+            [cell for cell in cover if cell.k == 2],
+            [cell for cell in cover if cell.k == 8],
+            limit,
+        ]
+        routes = [
+            "single" if executor._closed_form_covers(chunk)
+            else "csr" if _prefer_csr_covers(n, chunk)
+            else "dense"
+            for chunk in chunks
+        ]
+        assert routes == ["single", "csr", "dense", "dense"]
+
+        got, _, report = run_cells(cells)
+        assert report.clean
+        reference = MeasurementPlan(backend="reference")
+        covers = [
+            reference.rotor_cover(n, c.agents, c.directions, c.max_rounds)
+            for c in cover
+        ]
+        returns = [
+            reference.rotor_return_exact(
+                n, c.agents, c.directions, c.max_rounds
+            )
+            for c in limit
+        ]
+        reference.execute()
+        for cell, handle in zip(cover, covers):
+            assert got[cell.config_hash] == {"cover": handle.value}
+        for cell, handle in zip(limit, returns):
+            value = handle.value
+            assert got[cell.config_hash] == {
+                "preperiod": value.preperiod,
+                "period": value.period,
+                "worst_gap": value.worst_gap,
+                "best_gap": value.best_gap,
+            }
 
     def test_dense_group_merges_whole_blocks_up_to_the_budget(
         self, monkeypatch
@@ -341,13 +395,13 @@ class TestDenseChunkMerging:
             assert start == len(cells)
 
     def test_sparse_blocks_stay_whole_and_split_dense_runs(self):
-        n = 128
+        n = 256
         lanes = executor.CHUNK_LANES
-        # Runs of one block each: k = 1 blocks are sparse (Σk = 64 < n),
+        # Runs of one block each: k = 2 blocks are sparse (Σk = 128 < n),
         # k = 4 blocks dense (Σk = 256).
         pattern = "ddsdssdd"
         cells = _ring_cells(
-            n, [1 if kind == "s" else 4 for kind in pattern for _ in
+            n, [2 if kind == "s" else 4 for kind in pattern for _ in
                 range(lanes)]
         )
         blocks = [
@@ -373,7 +427,7 @@ class TestDenseChunkMerging:
     )
     def test_merging_never_changes_a_result(self, monkeypatch, metrics):
         n = 24
-        cells = _ring_cells(n, [1, 2, 3, 5, 8] * 30, metrics=metrics)
+        cells = _ring_cells(n, [2, 3, 4, 5, 8] * 30, metrics=metrics)
         assert len(_plan_chunks(cells)) == 1
         merged, _, report = run_cells(cells)
         assert report.clean
