@@ -15,9 +15,8 @@ long straggler tails where numpy dispatch cannot be amortized.
 
 This benchmark pins the delivered speedup on a **speedup_graphs-shaped
 grid** — the scaled default families (torus / hypercube / clique /
-lollipop / G(n,p); random-regular is left out to keep the bench free
-of the optional networkx dependency) over the k-ladder with the k = 1
-speed-up baselines and per-family seeds:
+lollipop / G(n,p); random-regular is left out) over the k-ladder
+with the k = 1 speed-up baselines and per-family seeds:
 
 * **serial** — the pre-PR ``_compute_general_chunk`` body, kept
   verbatim below: one reference engine per cell;
@@ -55,7 +54,7 @@ SEEDS = (0, 1) if QUICK else (0, 1, 2, 3, 4, 5)
 
 
 def _families():
-    """The speedup_graphs default shape (sans networkx), bench-sized."""
+    """The speedup_graphs default shape (sans random-regular), bench-sized."""
     if QUICK:
         return {
             "torus": torus_2d(8, 8),

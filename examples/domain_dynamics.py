@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Watch agent domains form, grow like sqrt(t), and equalize.
 
-An ASCII rendering of the paper's §2.2-2.3 story: start k agents on one
-node of the ring with adversarial pointers, and watch
+The paper's §2.2-2.3 story in numbers: start k agents on one node of
+the ring with adversarial pointers, and watch
 
 * the covered region grow like sqrt(t),
 * the domains (here separated by the agents' positions) follow the
@@ -18,7 +18,6 @@ from repro.analysis.domains_stats import trace_domains
 from repro.core import placement, pointers
 from repro.core.domains import VisitTypeTracker, domain_snapshot
 from repro.core.ring import RingRotorRouter
-from repro.core.trace import render_domains
 from repro.theory.sequences import solve_profile
 
 
@@ -33,7 +32,6 @@ def main() -> None:
     tracker = VisitTypeTracker(engine)
 
     print(f"n={n} ring, k={k} agents all on node 0, pointers toward it")
-    print("legend: letters = domains (capital = agent anchor), '.' = unvisited")
     print()
     checkpoints = [n // 8, n, 4 * n, 10 * n, 25 * n, 60 * n, 150 * n]
     for target in checkpoints:
@@ -46,7 +44,7 @@ def main() -> None:
         covered = n - len(snapshot.unvisited)
         print(
             f"round {engine.round:>7}: covered {covered:>4}/{n}  "
-            f"{render_domains(snapshot, width=72)}"
+            f"domain sizes {snapshot.sizes()}"
         )
     print()
 

@@ -33,7 +33,6 @@ Subpackages
   Θ-shapes;
 - :mod:`repro.analysis` — measurement harnesses (cover/return times,
   scaling fits, remote vertices, domain statistics);
-- :mod:`repro.loadbalance` — token-diffusion extension;
 - :mod:`repro.experiments` — the Table 1 / figure / theorem
   reproductions, runnable as ``python -m repro run <name> [--quick]``;
 - :mod:`repro.sweep` — declarative parameter sweeps over a batched

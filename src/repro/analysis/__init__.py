@@ -3,7 +3,7 @@
 * :mod:`repro.analysis.cover_time` — cover-time measurement for both
   models under any placement/pointer initialization;
 * :mod:`repro.analysis.return_time` — Theorem 6 measurements (exact
-  limit-cycle return times and windowed estimates);
+  limit-cycle return times);
 * :mod:`repro.analysis.speedup` — speed-up tables vs. k;
 * :mod:`repro.analysis.scaling` — power-law fits and flatness checks
   used to verify the paper's Θ-shapes;
@@ -24,7 +24,6 @@ from repro.analysis.cover_time import (
     ring_rotor_cover_time,
     ring_walk_cover_estimate,
     rotor_cover_time_general,
-    worst_over_pointer_seeds,
 )
 from repro.analysis.remote import (
     count_remote_vertices,
@@ -39,7 +38,6 @@ __all__ = [
     "ring_rotor_cover_time",
     "ring_walk_cover_estimate",
     "rotor_cover_time_general",
-    "worst_over_pointer_seeds",
     "remote_vertex_mask",
     "count_remote_vertices",
     "is_remote",

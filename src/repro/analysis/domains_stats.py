@@ -255,33 +255,28 @@ def border_type_census(
     configurations: Sequence[tuple[Sequence[int], Sequence[int]]],
     burn_in: int,
     observation_rounds: int,
-    sample_every: int = 1,
 ) -> list[Counter]:
     """Census of border types between lazy domains (Figure 1 data).
 
     Each configuration is an ``(agents, directions)`` pair on the
-    n-ring.  After ``burn_in`` rounds, classify the borders at every
-    ``sample_every``-th round of the next ``observation_rounds`` rounds
-    (starting with the first), and return one Counter of
+    n-ring.  After ``burn_in`` rounds, classify the borders at each of
+    the next ``observation_rounds`` rounds, and return one Counter of
     :class:`BorderType` per configuration.  Figure 1's claim: borders
     are vertex-type or edge-type (transients are rare one-step events
     right after a first traversal).
 
     The configurations run together as the rows of one
     :class:`repro.sweep.batch_ring.LaneBlock`.  Visit kinds are one
-    array update per round, and sampled rounds are classified
+    array update per round, and observed rounds are classified
     :data:`_BLOCK_ROUNDS` at a time by :func:`border_counts`, which
     finds every domain arc, lazy run and border by binary search over
     the run boundaries of each row, and equals
-    :func:`classify_borders` of :func:`domain_snapshot` per sample.
-    Raises :class:`DomainError` when a sampled round holds 3+ agents
+    :func:`classify_borders` of :func:`domain_snapshot` per round.
+    Raises :class:`DomainError` when an observed round holds 3+ agents
     on a node.
     """
-    if burn_in < 0 or observation_rounds < 0 or sample_every < 1:
-        raise ValueError(
-            "burn_in and observation_rounds must be non-negative and "
-            "sample_every positive"
-        )
+    if burn_in < 0 or observation_rounds < 0:
+        raise ValueError("burn_in and observation_rounds must be non-negative")
     pointers, counts = lanes_from_configs(
         n, [(list(dirs), list(agents)) for agents, dirs in configurations]
     )
@@ -321,7 +316,7 @@ def border_type_census(
         np.equal(cnt, 1, out=lone)
         lone_forward &= lone
         np.copyto(propagation, lone_forward, where=arrived)
-        if t >= burn_in and (t - burn_in) % sample_every == 0:
+        if t >= burn_in:
             block_counts[samples] = cnt
             block_pointers[samples] = ptr
             block_visited[samples] = visited

@@ -2,13 +2,9 @@
 
 Theorem 6: once the k-agent rotor-router on the ring stabilizes, every
 node is visited at least once every Θ(n/k) rounds, *regardless of the
-initialization*.  We measure this two ways:
-
-* **exactly** — find the limit cycle (Brent) and scan one period for
-  the worst per-node visit gap, including the wrap-around gap;
-* **windowed** — for instances with long stabilization, burn in and
-  record gaps over a finite window (a lower bound converging from
-  below).
+initialization*.  We measure it exactly: find the limit cycle (Brent)
+and scan one period for the worst per-node visit gap, including the
+wrap-around gap.
 
 For the random-walk column of Table 1, the expected gap is exactly
 ``n/k`` (uniform stationary distribution), measured via
@@ -20,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.limit import (
-    ReturnTimeResult,
-    return_time_exact,
-    return_time_windowed,
-)
+from repro.core.limit import ReturnTimeResult, return_time_exact
 from repro.core.ring import RingRotorRouter
 
 
@@ -36,8 +28,8 @@ class RingReturnTime:
     k: int
     worst_gap: float
     best_gap: float
-    preperiod: int | None  # None for windowed estimates
-    period: int | None
+    preperiod: int
+    period: int
 
     @property
     def normalized(self) -> float:
@@ -66,24 +58,4 @@ def ring_rotor_return_time_exact(
         best_gap=result.best,
         preperiod=result.cycle.preperiod,
         period=result.cycle.period,
-    )
-
-
-def ring_rotor_return_time_windowed(
-    n: int,
-    agents: Sequence[int],
-    directions: Sequence[int],
-    burn_in: int,
-    window: int,
-) -> RingReturnTime:
-    """Windowed return-time estimate (for large instances)."""
-    engine = RingRotorRouter(n, directions, agents, track_counts=False)
-    gaps = return_time_windowed(engine, n, burn_in, window)
-    return RingReturnTime(
-        n=n,
-        k=len(agents),
-        worst_gap=float(gaps.max()),
-        best_gap=float(gaps.min()),
-        preperiod=None,
-        period=None,
     )

@@ -15,9 +15,6 @@ needs O(mu + lam) steps and O(1) stored snapshots — and measures:
   limit cycle has period exactly 2|E| and traverses every arc once;
 * **edge traversal balance** within a period (the multi-agent system
   "visits all edges a similar number of times", [27]).
-
-A windowed estimator is provided for instances whose exact period is
-too long to enumerate.
 """
 
 from __future__ import annotations
@@ -125,18 +122,17 @@ def find_limit_cycle(system: CyclingSystem, max_rounds: int) -> LimitCycle:
 
 
 def _gaps_from_run(
-    system: CyclingSystem, n: int, window: int, cyclic: bool
+    system: CyclingSystem, n: int, period: int
 ) -> np.ndarray:
-    """Max per-node visit gaps over ``window`` rounds of ``system``.
+    """Max per-node visit gaps over one ``period`` of ``system``.
 
-    With ``cyclic`` set, the window is treated as one full period: the
-    wrap-around gap (last visit -> first visit of the next repetition)
-    is included, giving exact limit-cycle return times.
+    The wrap-around gap (last visit -> first visit of the next
+    repetition) is included, giving exact limit-cycle return times.
     """
     first_visit = np.full(n, -1, dtype=np.int64)
     last_visit = np.full(n, -1, dtype=np.int64)
     max_gap = np.zeros(n, dtype=np.int64)
-    for t in range(window):
+    for t in range(period):
         moves = system.step()
         for _, dst, _ in moves:
             if last_visit[dst] >= 0:
@@ -146,18 +142,9 @@ def _gaps_from_run(
             else:
                 first_visit[dst] = t
             last_visit[dst] = t
-    result = max_gap.astype(float)
-    never = first_visit < 0
-    if cyclic:
-        wrap = first_visit + window - last_visit
-        result = np.maximum(result, wrap.astype(float))
-    else:
-        # Open window: the leading/trailing censored gaps still lower-
-        # bound the true gap.
-        lead = first_visit.astype(float)
-        trail = window - 1 - last_visit.astype(float)
-        result = np.maximum(result, np.maximum(lead, trail))
-    result[never] = math.inf
+    wrap = first_visit + period - last_visit
+    result = np.maximum(max_gap, wrap).astype(float)
+    result[first_visit < 0] = math.inf
     return result
 
 
@@ -173,27 +160,8 @@ def return_time_exact(
     runner = system.clone()
     for _ in range(cycle.preperiod):
         runner.step()
-    gaps = _gaps_from_run(runner, n, cycle.period, cyclic=True)
+    gaps = _gaps_from_run(runner, n, cycle.period)
     return ReturnTimeResult(cycle=cycle, max_gap=gaps)
-
-
-def return_time_windowed(
-    system: CyclingSystem, n: int, burn_in: int, window: int
-) -> np.ndarray:
-    """Approximate per-node return times from a long settled window.
-
-    Runs ``burn_in`` rounds to let the system stabilize, then measures
-    max visit gaps over ``window`` further rounds (no wrap-around).
-    Converges to the exact value from below as the window grows; used
-    when the exact period is too long to enumerate.  The input system
-    is not mutated.
-    """
-    if burn_in < 0 or window < 1:
-        raise ValueError("burn_in must be >= 0 and window >= 1")
-    runner = system.clone()
-    for _ in range(burn_in):
-        runner.step()
-    return _gaps_from_run(runner, n, window, cyclic=False)
 
 
 @dataclass(frozen=True)

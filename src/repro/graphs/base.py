@@ -161,15 +161,6 @@ class PortLabeledGraph:
             adjacency[v].add(u)
         return cls([sorted(neigh) for neigh in adjacency])
 
-    @classmethod
-    def from_networkx(cls, nx_graph) -> "PortLabeledGraph":
-        """Convert a networkx graph with integer nodes ``0..n-1``."""
-        n = nx_graph.number_of_nodes()
-        nodes = sorted(nx_graph.nodes())
-        if nodes != list(range(n)):
-            raise ValueError("nodes must be exactly 0..n-1")
-        return cls.from_edges(n, nx_graph.edges())
-
     def _validate(self, n: int) -> None:
         for v, row in enumerate(self._ports):
             seen: set[int] = set()
@@ -299,15 +290,6 @@ class PortLabeledGraph:
                 self.eccentricity(v) for v in range(self.num_nodes)
             )
         return self._diameter_cache
-
-    def to_networkx(self):
-        """Export to a networkx graph (edges only; port order is lost)."""
-        import networkx as nx
-
-        nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(range(self.num_nodes))
-        nx_graph.add_edges_from(self.edges())
-        return nx_graph
 
     # ------------------------------------------------------------------
     # dunder conveniences

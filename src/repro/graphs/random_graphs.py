@@ -9,6 +9,8 @@ both return connected graphs (retrying the construction when needed).
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from repro.graphs.base import PortLabeledGraph
@@ -52,10 +54,12 @@ def random_regular_graph(
 ) -> PortLabeledGraph:
     """A connected random d-regular graph.
 
-    Delegates the sampling to networkx (whose algorithm avoids the
-    naive pairing model's exponential rejection rate at higher degrees)
-    and retries with derived seeds until the sample is connected —
-    quick for d >= 3, where random regular graphs are connected w.h.p.
+    Samples by Steger–Wormald stub pairing (which avoids the naive
+    pairing model's exponential rejection rate at higher degrees), as
+    networkx 3.x's ``random_regular_graph`` does: the same seed gives
+    the same edge set.  Retries with derived seeds until the sample is
+    connected — quick for d >= 3, where random regular graphs are
+    connected w.h.p.
     """
     if n * degree % 2 != 0:
         raise ValueError("n * degree must be even")
@@ -63,18 +67,69 @@ def random_regular_graph(
         raise ValueError("degree must be smaller than n")
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    import networkx as nx
-
     rng = make_rng(seed)
     for _ in range(_MAX_ATTEMPTS):
-        sample_seed = int(rng.integers(0, 2 ** 31 - 1))
-        nx_graph = nx.random_regular_graph(degree, n, seed=sample_seed)
-        graph = PortLabeledGraph.from_edges(n, nx_graph.edges())
+        sampler = random.Random(int(rng.integers(0, 2 ** 31 - 1)))
+        edges = _pair_stubs(n, degree, sampler)
+        while edges is None:
+            edges = _pair_stubs(n, degree, sampler)
+        graph = PortLabeledGraph.from_edges(n, edges)
         if graph.is_connected():
             return graph
     raise RuntimeError(
         f"failed to sample a connected {degree}-regular graph on {n} nodes"
     )
+
+
+def _pair_stubs(
+    n: int, degree: int, sampler: random.Random
+) -> set[tuple[int, int]] | None:
+    """One Steger–Wormald pairing pass: an edge set, or None if stuck.
+
+    Shuffles the ``degree`` stubs of every node and pairs them up,
+    keeping each pair that is no loop and no repeated edge; the rest
+    are shuffled and paired again until none remain.
+    """
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * degree
+    while stubs:
+        leftover: dict[int, int] = {}
+        sampler.shuffle(stubs)
+        pairs = iter(stubs)
+        for s1, s2 in zip(pairs, pairs):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftover[s1] = leftover.get(s1, 0) + 1
+                leftover[s2] = leftover.get(s2, 0) + 1
+        if not _suitable(edges, leftover):
+            return None
+        stubs = [
+            node for node, count in leftover.items() for _ in range(count)
+        ]
+    return edges
+
+
+def _suitable(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+    """networkx's check that some leftover pair can still become an edge.
+
+    Kept as networkx writes it, down to the swap that rebinds ``s1``
+    for the rest of the inner loop, so that every sample, and with it
+    every seeded graph, equals networkx's.
+    """
+    if not leftover:
+        return True
+    for s1 in leftover:
+        for s2 in leftover:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
 
 
 def shuffled_ports(

@@ -6,14 +6,8 @@ from repro.analysis.cover_time import (
     ring_rotor_cover_time,
     ring_walk_cover_estimate,
     rotor_cover_time_general,
-    scenario_cover_function,
-    walk_scenario_cover_function,
-    worst_over_pointer_seeds,
 )
-from repro.analysis.return_time import (
-    ring_rotor_return_time_exact,
-    ring_rotor_return_time_windowed,
-)
+from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.core import placement, pointers
 from repro.graphs.families import grid_2d
 
@@ -52,33 +46,11 @@ class TestGeneralCover:
         cover = rotor_cover_time_general(g, [0], pointers.zero_ports(g))
         assert 0 < cover <= 2 * g.diameter() * g.num_edges + g.num_nodes
 
-    def test_worst_over_pointer_seeds(self):
-        worst = worst_over_pointer_seeds(48, [0, 24], seeds=range(4))
-        single = ring_rotor_cover_time(
-            48, [0, 24], pointers.ring_random(48, 0)
-        )
-        assert worst >= single
-
-
 class TestWalkCover:
     def test_estimate_reproducible(self):
         a = ring_walk_cover_estimate(24, [0], repetitions=4, base_seed=5)
         b = ring_walk_cover_estimate(24, [0], repetitions=4, base_seed=5)
         assert a.samples == b.samples
-
-    def test_scenario_functions(self):
-        rotor = scenario_cover_function(
-            lambda n, k: (
-                placement.equally_spaced(n, k),
-                pointers.ring_negative(n, placement.equally_spaced(n, k)),
-            )
-        )
-        assert rotor(64, 4) > 0
-        walk = walk_scenario_cover_function(
-            placement.equally_spaced, repetitions=3
-        )
-        assert walk(64, 4) > 0
-
 
 class TestReturnTimeHarness:
     def test_exact_normalized_band(self):
@@ -90,18 +62,6 @@ class TestReturnTimeHarness:
         assert result.k == 4
         assert 1.0 <= result.normalized <= 3.0
         assert result.period is not None
-
-    def test_windowed_estimate_close_to_exact(self):
-        n, k = 64, 4
-        agents = placement.equally_spaced(n, k)
-        dirs = pointers.ring_negative(n, agents)
-        exact = ring_rotor_return_time_exact(n, agents, dirs)
-        windowed = ring_rotor_return_time_windowed(
-            n, agents, dirs, burn_in=4000, window=2000
-        )
-        assert windowed.worst_gap <= exact.worst_gap
-        assert windowed.worst_gap >= exact.worst_gap * 0.5
-        assert windowed.preperiod is None
 
     def test_theorem6_holds_for_stacked_start(self):
         n, k = 96, 4

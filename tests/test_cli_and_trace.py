@@ -1,4 +1,4 @@
-"""Tests for the experiments CLI and the trace/rendering module."""
+"""Tests for the experiments CLI."""
 
 import importlib
 import inspect
@@ -7,14 +7,6 @@ import pytest
 
 from repro.analysis.backend import MeasurementPlan
 from repro.cli import EXPERIMENTS, main
-from repro.core import placement, pointers
-from repro.core.domains import VisitTypeTracker, domain_snapshot
-from repro.core.ring import RingRotorRouter
-from repro.core.trace import (
-    RunRecorder,
-    render_configuration,
-    render_domains,
-)
 
 
 class TestCli:
@@ -107,90 +99,3 @@ class TestCliBackendAccounting:
         assert "computed=6 cached=0" in capsys.readouterr().out
         assert main(args) == 0
         assert "computed=0 cached=6" in capsys.readouterr().out
-
-
-class TestRenderConfiguration:
-    def test_glyphs(self):
-        e = RingRotorRouter(6, [1, -1, 1, 1, 1, 1], [0, 0, 3])
-        text = render_configuration(e)
-        assert len(text) == 6
-        assert text[0] == "2"     # two agents
-        assert text[3] == "1"     # one agent
-        assert text[1] == "."     # unvisited
-        e.step()
-        text = render_configuration(e)
-        assert set(text) <= set("123456789*><.")
-
-    def test_pointer_arrows(self):
-        e = RingRotorRouter(4, [1, 1, -1, 1], [0])
-        e.step()  # leaves node 0, flips its pointer to -1
-        text = render_configuration(e)
-        assert text[0] == "<"
-
-    def test_ten_plus_agents_star(self):
-        e = RingRotorRouter(4, [1] * 4, [1] * 12)
-        assert render_configuration(e)[1] == "*"
-
-
-class TestRenderDomains:
-    def _snapshot(self):
-        n, k = 48, 3
-        agents = placement.equally_spaced(n, k)
-        e = RingRotorRouter(n, pointers.ring_negative(n, agents), agents)
-        tracker = VisitTypeTracker(e)
-        for _ in range(400):
-            tracker.advance()
-        return domain_snapshot(e, tracker)
-
-    def test_full_width(self):
-        snapshot = self._snapshot()
-        text = render_domains(snapshot)
-        assert len(text) == snapshot.n
-        # three domains -> letters a, b, c with capitals at anchors
-        assert set(text.lower()) <= {"a", "b", "c", "."}
-        assert sum(ch.isupper() for ch in text) == 3
-
-    def test_downsampled(self):
-        snapshot = self._snapshot()
-        assert len(render_domains(snapshot, width=20)) == 20
-
-
-class TestRunRecorder:
-    def test_records_rounds(self):
-        e = RingRotorRouter(12, [1] * 12, [0, 6], track_counts=False)
-        recorder = RunRecorder(e)
-        recorder.advance(10)
-        assert len(recorder.records) == 10
-        assert recorder.records[-1].round == 10
-        assert all(len(r.positions) == 2 for r in recorder.records)
-
-    def test_capacity_trimming(self):
-        e = RingRotorRouter(12, [1] * 12, [0], track_counts=False)
-        recorder = RunRecorder(e, capacity=5)
-        recorder.advance(12)
-        assert len(recorder.records) == 5
-        assert recorder.records[-1].round == 12
-        assert recorder.records[0].round == 8
-
-    def test_node_visit_rounds(self):
-        e = RingRotorRouter(8, [1] * 8, [0], track_counts=False)
-        recorder = RunRecorder(e)
-        recorder.advance(8)
-        # Uniform clockwise pointers: node v first visited at round v.
-        assert recorder.node_visit_rounds(3)[0] == 3
-
-    def test_timeline_shape(self):
-        e = RingRotorRouter(10, [1] * 10, [0, 5], track_counts=False)
-        recorder = RunRecorder(e)
-        recorder.advance(6)
-        lines = recorder.timeline(last=4).splitlines()
-        assert len(lines) == 4
-        assert all("#" in line for line in lines)
-
-    def test_validation(self):
-        e = RingRotorRouter(8, [1] * 8, [0], track_counts=False)
-        with pytest.raises(ValueError):
-            RunRecorder(e, capacity=0)
-        recorder = RunRecorder(e)
-        with pytest.raises(ValueError):
-            recorder.advance(-1)

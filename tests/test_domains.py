@@ -301,18 +301,16 @@ class TestBorders:
         assert snap.max_adjacent_lazy_difference() <= 10
 
 
-def serial_census(n, agents, directions, burn_in, observation_rounds,
-                  sample_every=1):
+def serial_census(n, agents, directions, burn_in, observation_rounds):
     """The per-configuration census on the serial oracle."""
     engine = RingRotorRouter(n, directions, agents, track_counts=False)
     tracker = VisitTypeTracker(engine)
     for _ in range(burn_in):
         tracker.advance()
     census = Counter()
-    for i in range(observation_rounds):
+    for _ in range(observation_rounds):
         tracker.advance()
-        if i % sample_every == 0:
-            census.update(classify_borders(domain_snapshot(engine, tracker)))
+        census.update(classify_borders(domain_snapshot(engine, tracker)))
     return census
 
 
@@ -453,14 +451,11 @@ class TestBatchedCensus:
             # Burn-in as short as 0 leaves some rings uncovered.
             burn_in = int(rng.integers(0, 5 * n + 1))
             rounds = int(rng.integers(1, 3 * n + 1))
-            every = int(rng.integers(1, 4))
             expected = [
-                serial_census(n, agents, dirs, burn_in, rounds, every)
+                serial_census(n, agents, dirs, burn_in, rounds)
                 for agents, dirs in lanes
             ]
-            assert border_type_census(
-                n, lanes, burn_in, rounds, every
-            ) == expected
+            assert border_type_census(n, lanes, burn_in, rounds) == expected
 
     def test_figure1_configurations(self):
         n = 64
@@ -501,8 +496,6 @@ class TestBatchedCensus:
         lanes = [([0, 4], [1] * 8)]
         with pytest.raises(ValueError):
             border_type_census(8, lanes, -1, 4)
-        with pytest.raises(ValueError):
-            border_type_census(8, lanes, 0, 4, sample_every=0)
 
     def test_trace_matches_serial_oracle(self):
         rng = make_rng(2015)

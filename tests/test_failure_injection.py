@@ -108,13 +108,6 @@ class TestAnalysisInputValidation:
         with pytest.raises(ValueError):
             remote_vertex_mask(1, [0])
 
-    def test_return_time_rejects_bad_window(self):
-        from repro.core.limit import return_time_windowed
-
-        e = RingRotorRouter(8, [1] * 8, [0], track_counts=False)
-        with pytest.raises(ValueError):
-            return_time_windowed(e, 8, burn_in=0, window=0)
-
     def test_token_game_illegal_move_keeps_state(self):
         from repro.theory.token_game import IllegalMoveError, TokenGame
 

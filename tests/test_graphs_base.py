@@ -40,11 +40,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PortLabeledGraph.from_edges(2, [(0, 0)])
 
-    def test_from_networkx_round_trip(self):
-        g = ring_graph(8)
-        back = PortLabeledGraph.from_networkx(g.to_networkx())
-        assert sorted(back.edges()) == sorted(g.edges())
-
 
 class TestAccessors:
     def test_ports_and_reverse_lookup(self):

@@ -1,13 +1,18 @@
 """Tests for seeded random graph generators."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.graphs.base import PortLabeledGraph
 from repro.graphs.random_graphs import (
     gnp_random_graph,
     random_regular_graph,
     shuffled_ports,
 )
 from repro.graphs.ring import ring_graph
+from repro.util.rng import make_rng
 
 
 class TestGnp:
@@ -60,6 +65,31 @@ class TestRandomRegular:
             random_regular_graph(4, 4)
         with pytest.raises(ValueError):
             random_regular_graph(4, 0)
+
+    def test_matches_networkx_sampler(self):
+        # Same seeds, same edge sets as networkx's Steger-Wormald
+        # sampler under the same connectivity retry.  On the dense
+        # shapes, networkx's quirk in ``_suitable`` decides samples.
+        nx = pytest.importorskip("networkx")
+        for n, degree in [(8, 3), (10, 7), (12, 7), (15, 4), (31, 6)]:
+            for seed in range(4):
+                rng = make_rng(seed)
+                while True:
+                    sample = nx.random_regular_graph(
+                        degree, n, seed=int(rng.integers(0, 2 ** 31 - 1))
+                    )
+                    expected = PortLabeledGraph.from_edges(n, sample.edges())
+                    if expected.is_connected():
+                        break
+                assert random_regular_graph(n, degree, seed) == expected
+
+    def test_speedup_graphs_family_edges_pinned(self):
+        # The full-size random-4-regular family of speedup_graphs.
+        edges = sorted(random_regular_graph(1024, 4, seed=97).edges())
+        digest = hashlib.sha256(json.dumps(edges).encode()).hexdigest()
+        assert digest == (
+            "abc85a149f0f798b553eb9af5210a5874b9108d7bb4c9f17f79e15aef1ccaee1"
+        )
 
 
 class TestShuffledPorts:

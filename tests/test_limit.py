@@ -1,7 +1,5 @@
 """Tests for limit-cycle detection, return times, Eulerian lock-in."""
 
-import math
-
 import pytest
 
 from repro.core import placement, pointers
@@ -12,7 +10,6 @@ from repro.core.limit import (
     eulerian_lockin,
     find_limit_cycle,
     return_time_exact,
-    return_time_windowed,
 )
 from repro.core.ring import RingRotorRouter
 from repro.graphs.families import grid_2d, path_graph, star
@@ -91,32 +88,6 @@ class TestReturnTimes:
         result = return_time_exact(e, n, 10 ** 6)
         normalized = result.worst * k / n
         assert 1.0 <= normalized <= 3.0
-
-    def test_windowed_lower_bounds_exact(self):
-        n, k = 48, 3
-        agents = placement.equally_spaced(n, k)
-        e = RingRotorRouter(
-            n, pointers.ring_negative(n, agents), agents, track_counts=False
-        )
-        exact = return_time_exact(e, n, 10 ** 6)
-        windowed = return_time_windowed(e, n, burn_in=5000, window=4000)
-        assert windowed.max() <= exact.worst + 1e-9
-        # And with a long window it should actually find the worst gap.
-        assert windowed.max() >= exact.worst / 2
-
-    def test_windowed_validates(self):
-        e = RingRotorRouter(8, [1] * 8, [0], track_counts=False)
-        with pytest.raises(ValueError):
-            return_time_windowed(e, 8, burn_in=-1, window=10)
-        with pytest.raises(ValueError):
-            return_time_windowed(e, 8, burn_in=0, window=0)
-
-    def test_unvisited_node_gap_infinite_in_window(self):
-        # A long burn-in-free window on a huge ring: far nodes unvisited.
-        n = 64
-        e = RingRotorRouter(n, [1] * n, [0], track_counts=False)
-        gaps = return_time_windowed(e, n, burn_in=0, window=5)
-        assert math.isinf(gaps[n // 2])
 
 
 class TestEulerianLockIn:

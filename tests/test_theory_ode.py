@@ -136,6 +136,21 @@ class TestEquilibrium:
         assert equilibrium_check([7.0, 9.0, 7.0]) > 0.0
 
 
+def _run_with_src(script: str) -> str:
+    """Run ``script`` in a fresh interpreter with ``src`` importable."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestNoScipy:
     def test_cli_experiments_and_integration_import_no_scipy(self):
         # The package depends on numpy alone: importing the CLI and every
@@ -150,14 +165,18 @@ class TestNoScipy:
             "integrate_domains([1.0] * 4, t_final=1e3)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        env = dict(os.environ)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p
+        assert _run_with_src(script) == "[]"
+
+
+class TestNoNetworkx:
+    def test_full_size_graph_families_import_no_networkx(self):
+        # Building every full-size speedup_graphs family, random-regular
+        # included, loads no networkx module.
+        script = (
+            "import sys\n"
+            "from repro.experiments.speedup_graphs import default_families\n"
+            "for build in default_families().values():\n"
+            "    build()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert _run_with_src(script) == "[]"
