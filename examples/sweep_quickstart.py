@@ -18,6 +18,9 @@ mean ± CI over repetitions), joined into speed-up and walk/rotor
 ratio tables — the paper's Table 1 workflow in a few lines.
 
 Run:  python examples/sweep_quickstart.py [cache_dir]
+
+A cache directory given on the command line is kept; without one the
+sweeps use a temporary directory that is removed on exit.
 """
 
 import sys
@@ -32,11 +35,14 @@ from repro.sweep import (
 
 
 def main() -> None:
-    cache_dir = (
-        sys.argv[1] if len(sys.argv) > 1
-        else tempfile.mkdtemp(prefix="sweep-cache-")
-    )
+    if len(sys.argv) > 1:
+        sweep(sys.argv[1])
+        return
+    with tempfile.TemporaryDirectory(prefix="sweep-cache-") as cache_dir:
+        sweep(cache_dir)
 
+
+def sweep(cache_dir: str) -> None:
     spec = ScenarioSpec(
         name="quickstart",
         ns=(64, 128, 256),

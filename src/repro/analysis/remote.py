@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graphs.ring import ring_distance
+from repro.graphs.ring import source_gaps
 
 
 def _occupancy(n: int, starts: Sequence[int]) -> np.ndarray:
@@ -99,14 +99,11 @@ def remote_vertices_far_from_agents(
     adversaries target (the paper uses ``min_distance = n/(9k)`` and
     ``n/(10k)`` respectively)."""
     mask = remote_vertex_mask(n, starts)
-    result = []
-    unique_starts = sorted(set(starts))
-    for v in range(n):
-        if not mask[v]:
-            continue
-        if all(ring_distance(n, v, s) >= min_distance for s in unique_starts):
-            result.append(v)
-    return result
+    clockwise_gap, anticlockwise_gap = source_gaps(
+        n, np.unique(np.asarray(starts, dtype=np.int64))
+    )
+    far = np.minimum(clockwise_gap, anticlockwise_gap) >= min_distance
+    return np.flatnonzero(mask & far).tolist()
 
 
 def lemma15_lower_bound(n: int) -> float:

@@ -48,8 +48,8 @@ def random_nodes(
     _check_n_k(n, k, allow_k_above_n=not distinct)
     rng = make_rng(seed)
     if distinct:
-        return sorted(int(v) for v in rng.choice(n, size=k, replace=False))
-    return sorted(int(v) for v in rng.integers(0, n, size=k))
+        return sorted(rng.choice(n, size=k, replace=False).tolist())
+    return sorted(rng.integers(0, n, size=k).tolist())
 
 
 def clustered(
@@ -69,7 +69,7 @@ def clustered(
     if clusters > n:
         raise ValueError(f"cannot place {clusters} clusters on {n} nodes")
     rng = make_rng(seed)
-    centers = sorted(int(v) for v in rng.choice(n, size=clusters, replace=False))
+    centers = sorted(rng.choice(n, size=clusters, replace=False).tolist())
     placement = []
     for i in range(k):
         placement.append(centers[i % clusters])

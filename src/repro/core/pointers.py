@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.graphs.base import PortLabeledGraph
-from repro.graphs.ring import CLOCKWISE, clockwise_distance
+from repro.graphs.ring import CLOCKWISE, clockwise_distance, source_gaps
 from repro.util.rng import make_rng
 
 
@@ -64,22 +64,9 @@ def ring_negative(
     from the side of its nearest agent, the pointer must point toward
     that side.  Ties resolve clockwise; occupied nodes get ``at_agents``.
     """
-    sources = sorted(set(int(a) for a in agents))
-    if not sources:
-        raise ValueError("at least one agent position is required")
-    for a in sources:
-        if not 0 <= a < n:
-            raise ValueError(f"agent position {a} out of range")
-    pointers = []
-    occupied = set(sources)
-    for v in range(n):
-        if v in occupied:
-            pointers.append(at_agents)
-            continue
-        clockwise_gap = min(clockwise_distance(n, v, a) for a in sources)
-        anticlockwise_gap = min(clockwise_distance(n, a, v) for a in sources)
-        pointers.append(+1 if clockwise_gap <= anticlockwise_gap else -1)
-    return pointers
+    toward, sources = _toward_nearest_agent(n, agents)
+    toward[sources] = at_agents
+    return toward.tolist()
 
 
 def ring_positive(
@@ -90,9 +77,25 @@ def ring_positive(
     First visits *propagate*: an agent reaching a fresh node continues
     onward, the friendly counterpart of :func:`ring_negative`.
     """
-    negative = ring_negative(n, agents, at_agents=at_agents)
-    occupied = {int(a) for a in agents}
-    return [d if v in occupied else -d for v, d in enumerate(negative)]
+    toward, sources = _toward_nearest_agent(n, agents)
+    away = -toward
+    away[sources] = at_agents
+    return away.tolist()
+
+
+def _toward_nearest_agent(
+    n: int, agents: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the direction of its nearest agent (ties clockwise),
+    and the sorted distinct agent nodes."""
+    sources = np.array(sorted(set(int(a) for a in agents)), dtype=np.int64)
+    if not sources.size:
+        raise ValueError("at least one agent position is required")
+    outside = sources[(sources < 0) | (sources >= n)]
+    if outside.size:
+        raise ValueError(f"agent position {outside[0]} out of range")
+    clockwise_gap, anticlockwise_gap = source_gaps(n, sources)
+    return np.where(clockwise_gap <= anticlockwise_gap, 1, -1), sources
 
 
 def ring_uniform(n: int, direction: int = CLOCKWISE) -> list[int]:
@@ -117,8 +120,18 @@ def ring_random(
     Draws the values, and advances the generator, exactly as
     ``rng.choice((1, -1), size=n)`` does, at a third of its cost.
     """
-    rng = make_rng(seed)
-    return (1 - 2 * rng.integers(0, 2, size=n)).tolist()
+    return ring_random_row(n, seed).tolist()
+
+
+def ring_random_row(
+    n: int, seed: int | np.random.Generator | None = 0
+) -> np.ndarray:
+    """:func:`ring_random`'s draw as an int64 array.
+
+    The sweep's lane materializer writes it into a lane row directly:
+    at n = 128, writing the list into a row costs as much as the draw.
+    """
+    return 1 - 2 * make_rng(seed).integers(0, 2, size=n)
 
 
 def ring_explicit(directions: Sequence[int]) -> list[int]:

@@ -95,6 +95,46 @@ class GraphCSR:
         )
 
 
+#: Sources per pass of :func:`_bitset_diameter`: each pass holds two
+#: bitset matrices, ``(n, 64)`` and ``(2m, 64)`` uint64 words.
+DIAMETER_SOURCES = 4096
+
+
+def _bitset_diameter(csr: GraphCSR) -> int:
+    """The largest eccentricity, by BFS balls grown as uint64 bitsets.
+
+    Bit ``s`` of row ``v`` of ``reach`` says that ``v`` lies within the
+    current distance of source ``s``.  One ``np.bitwise_or.reduceat``
+    over the CSR rows ORs every node's neighbors' rows, which grows all
+    balls by one level.  The levels until every row is full are the
+    sources' largest eccentricity; a level that adds nothing before that
+    means the graph is disconnected.
+    """
+    n = csr.num_nodes
+    if n == 0:
+        raise ValueError("the empty graph has no diameter")
+    if n > 1 and not csr.deg.all():
+        raise ValueError("graph is not connected")
+    diameter = 0
+    for first in range(0, n, DIAMETER_SOURCES):
+        sources = np.arange(first, min(n, first + DIAMETER_SOURCES))
+        bit = (sources - first).astype(np.uint64)
+        reach = np.zeros((n, -(-sources.size // 64)), dtype=np.uint64)
+        reach[sources, bit // np.uint64(64)] = np.uint64(1) << bit % 64
+        full = np.bitwise_or.reduce(reach, axis=0)
+        levels = 0
+        while not (reach == full).all():
+            grown = reach | np.bitwise_or.reduceat(
+                reach[csr.neighbors], csr.indptr[:-1], axis=0
+            )
+            if np.array_equal(grown, reach):
+                raise ValueError("graph is not connected")
+            reach = grown
+            levels += 1
+        diameter = max(diameter, levels)
+    return diameter
+
+
 class PortLabeledGraph:
     """An undirected graph with explicit cyclic port orderings.
 
@@ -279,16 +319,16 @@ class PortLabeledGraph:
         return max(found.values())
 
     def diameter(self) -> int:
-        """Exact diameter by n BFS traversals, computed once and cached.
+        """Exact diameter, computed once and cached.
 
-        The cache matters because round-budget derivations consult the
+        A BFS from every source at once (:func:`_bitset_diameter`).  The
+        cache matters because round-budget derivations consult the
         diameter once per scheduled cell — grids fan hundreds of cells
-        over one graph instance.
+        over one graph instance.  A disconnected graph raises
+        ``ValueError``, as :meth:`eccentricity` does.
         """
         if self._diameter_cache is None:
-            self._diameter_cache = max(
-                self.eccentricity(v) for v in range(self.num_nodes)
-            )
+            self._diameter_cache = _bitset_diameter(self.to_csr())
         return self._diameter_cache
 
     # ------------------------------------------------------------------

@@ -16,6 +16,8 @@ the general engine on :func:`ring_graph`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graphs.base import PortLabeledGraph
 
 CLOCKWISE = +1
@@ -43,6 +45,21 @@ def ring_distance(n: int, u: int, v: int) -> int:
 def clockwise_distance(n: int, u: int, v: int) -> int:
     """Number of clockwise steps from ``u`` to ``v`` on the n-ring."""
     return (v - u) % n
+
+
+def source_gaps(n: int, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clockwise and anticlockwise steps from every node to a source.
+
+    ``sources`` holds sorted, distinct nodes of the n-ring.  Entry ``v``
+    of the first array is the fewest clockwise steps from ``v`` to any
+    source, of the second the fewest anticlockwise steps; both are 0 on
+    a source.  Each is one ``searchsorted`` for the next source on that
+    side, wrapping around the ring.
+    """
+    nodes = np.arange(n)
+    ahead = sources[np.searchsorted(sources, nodes) % sources.size]
+    behind = sources[np.searchsorted(sources, nodes, side="right") - 1]
+    return (ahead - nodes) % n, (nodes - behind) % n
 
 
 def direction_toward(n: int, source: int, target: int) -> int:

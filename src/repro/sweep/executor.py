@@ -79,7 +79,6 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from repro import obs
-from repro.core.pointers import ring_pointers_to_ports
 from repro.graphs.base import GraphCSR
 from repro.graphs.ring import ring_graph
 from repro.sweep.batch_general import batch_general_covers
@@ -87,7 +86,6 @@ from repro.sweep.batch_ring import (
     BatchRingKernel,
     batch_limit_cycles,
     batch_return_gaps,
-    lanes_from_configs,
     single_agent_covers,
 )
 from repro.sweep.batch_walk import BatchRingWalks, walk_lanes_from_cells
@@ -96,7 +94,7 @@ from repro.sweep.faults import (
     apply_chunk_faults,
     corrupt_rows_in_store,
 )
-from repro.sweep.spec import ScenarioSpec, SweepConfig
+from repro.sweep.spec import ScenarioSpec, SweepConfig, rotor_lanes
 from repro.sweep.store import SqliteStore, open_store
 from repro.util.stats import normal_ci, summarize
 from repro.util.tables import Table
@@ -355,22 +353,22 @@ def _dispatch_chunk(payload: dict) -> list[tuple[str, dict]]:
 def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
     """Rotor cells: one deterministic lane each, batch ring kernel.
 
-    Single-agent cover chunks resolve in closed form
-    (:func:`_closed_form_covers`), and other sparse cover-only chunks
-    run on the CSR kernel over the cached ring graph — identical
-    results, per-round cost bounded by the agents rather than ``B·n``
-    (see :func:`_prefer_csr_covers`).
+    Every route reads the chunk's lanes from one
+    :func:`repro.sweep.spec.rotor_lanes` pass.  Single-agent cover
+    chunks resolve in closed form (:func:`_closed_form_covers`), and
+    other sparse cover-only chunks run on the CSR kernel over the
+    cached ring graph — identical results, per-round cost bounded by
+    the agents rather than ``B·n`` (see :func:`_prefer_csr_covers`).
     """
     n = configs[0].n
     max_rounds = configs[0].max_rounds
     metrics: Sequence[str] = configs[0].metrics
     single = _closed_form_covers(configs)
+    pointers, counts = rotor_lanes(n, configs)
     if not single and _prefer_csr_covers(n, configs):
-        return _compute_rotor_covers_csr(n, max_rounds, configs)
-    built = [config.build() for config in configs]
-    pointers, counts = lanes_from_configs(
-        n, [(directions, agents) for agents, directions in built]
-    )
+        return _compute_rotor_covers_csr(
+            n, max_rounds, configs, pointers, counts
+        )
 
     out: list[dict] = [{} for _ in configs]
     if "cover" in metrics:
@@ -466,20 +464,25 @@ def _compute_walk_chunk(configs: list) -> list[tuple[str, dict]]:
 
 
 def _compute_rotor_covers_csr(
-    n: int, max_rounds: int, configs: list
+    n: int,
+    max_rounds: int,
+    configs: list,
+    pointers: np.ndarray,
+    counts: np.ndarray,
 ) -> list[tuple[str, dict]]:
     """Sparse ring cover chunk on the CSR kernel over ``ring_graph(n)``.
 
-    Ring directions map onto the canonical ports (port 0 = clockwise),
+    Takes the chunk's :func:`rotor_lanes` arrays.  Ring directions map
+    onto the canonical ports (port 0 = clockwise, 1 = anticlockwise),
     so every lane is exactly the general engine's instance of the cell.
     """
     csr = _ring_csr(n)
-    lanes = []
-    for config in configs:
-        agents, directions = config.build()
-        lanes.append(
-            (csr, ring_pointers_to_ports(directions), agents, max_rounds)
-        )
+    ports = (pointers < 0).astype(np.int64)
+    nodes = np.arange(n)
+    lanes = [
+        (csr, ports[b], np.repeat(nodes, counts[b]), max_rounds)
+        for b in range(len(configs))
+    ]
     return _csr_covers(configs, lanes)
 
 

@@ -31,11 +31,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+import numpy as np
 
 from repro.core import placement as _placement
 from repro.core import pointers as _pointers
-from repro.util.rng import derive_seed, make_rng
+from repro.util.rng import default_rng_stream, derive_seed, make_rng
 
 #: Bump when the identity layout or initializer semantics change, so
 #: stale cache entries from older code are never served.
@@ -61,11 +63,15 @@ MODEL_METRICS = {
 #: two cache identities).
 WALK_POINTER = "none"
 
-PlacementFn = Callable[[int, int, int], list[int]]
-PointerFn = Callable[[int, Sequence[int], int], list[int]]
+if TYPE_CHECKING:
+    #: A family's seed: an int, or a generator it draws from as-is.
+    #: (``np.random`` is not touched at import: it loads lazily.)
+    Seed = int | np.random.Generator
+PlacementFn = Callable[[int, int, "Seed"], list[int]]
+PointerFn = Callable[[int, Sequence[int], "Seed"], list[int]]
 
 
-def _clustered(n: int, k: int, seed: int) -> list[int]:
+def _clustered(n: int, k: int, seed: Seed) -> list[int]:
     # sqrt(k) clusters: halfway between all-on-one and fully spread.
     clusters = min(n, max(1, math.isqrt(k)))
     return _placement.clustered(n, k, clusters, seed=seed)
@@ -88,6 +94,13 @@ POINTERS: dict[str, PointerFn] = {
     "uniform": lambda n, agents, seed: _pointers.ring_uniform(n),
     "alternating": lambda n, agents, seed: _pointers.ring_alternating(n),
     "random": lambda n, agents, seed: _pointers.ring_random(n, seed=seed),
+}
+
+#: name -> (n, seed) -> the POINTERS family's draw as an array, for the
+#: families that have one: :func:`rotor_lanes` writes it into a lane
+#: row without the list round trip.
+POINTER_ROWS: dict[str, Callable[[int, Seed], np.ndarray]] = {
+    "random": lambda n, seed: _pointers.ring_random_row(n, seed=seed),
 }
 
 #: Initializers whose output depends on the seed.
@@ -191,7 +204,9 @@ class SweepConfig:
         """Materialize ``(agents, directions)`` for a rotor cell.
 
         Placement and pointer draws get independent derived streams so
-        adding one initializer never shifts another's randomness.
+        adding one initializer never shifts another's randomness.  The
+        executor materializes whole chunks with :func:`rotor_lanes`;
+        this per-cell form is its reference.
         """
         if self.model != "rotor":
             raise ValueError(
@@ -216,6 +231,55 @@ class SweepConfig:
             derive_seed(self.seed, "walk-cover", self.n, self.k, rep)
             for rep in range(self.repetitions)
         )
+
+
+def rotor_lanes(n: int, cells: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(B, n)`` pointer and count arrays of one chunk of rotor cells.
+
+    The production counterpart of :meth:`SweepConfig.build`, which
+    stays the per-cell reference: the arrays equal
+    :func:`repro.sweep.batch_ring.lanes_from_configs` over every cell's
+    ``build()``.  A :class:`SweepConfig` derives its placement and
+    pointer seeds as ``build()`` does, and the same family functions
+    draw from one shared generator, reseeded to the state
+    ``np.random.default_rng(seed)`` would start from
+    (:func:`repro.util.rng.default_rng_stream`), which costs a fraction
+    of a new generator.  Pointer families with an array draw
+    (:data:`POINTER_ROWS`) write their row directly.  Explicit cells
+    (:class:`repro.sweep.cells.RotorCell`) copy their rows.
+    """
+    if not cells:
+        raise ValueError("at least one cell is required")
+    seeds: list[int] = []
+    for cell in cells:
+        if isinstance(cell, SweepConfig):
+            seeds += (
+                derive_seed(cell.seed, "placement", cell.n, cell.k),
+                derive_seed(cell.seed, "pointer", cell.n, cell.k),
+            )
+    streams = default_rng_stream(seeds)
+    pointers = np.empty((len(cells), n), dtype=np.int8)
+    agents: list[int] = []
+    ks = np.empty(len(cells), dtype=np.int64)
+    for b, cell in enumerate(cells):
+        if isinstance(cell, SweepConfig):
+            placed = PLACEMENTS[cell.placement](n, cell.k, next(streams))
+            row = POINTER_ROWS.get(cell.pointer)
+            pointers[b] = (
+                row(n, next(streams)) if row is not None
+                else POINTERS[cell.pointer](n, placed, next(streams))
+            )
+        else:
+            placed = cell.agents
+            pointers[b] = cell.directions
+        agents += placed
+        ks[b] = len(placed)
+    flat = np.array(agents, dtype=np.int64)
+    if flat.min() < 0 or flat.max() >= n:
+        raise ValueError(f"agent position out of range for n={n}")
+    flat += np.repeat(np.arange(len(cells), dtype=np.int64) * n, ks)
+    counts = np.bincount(flat, minlength=len(cells) * n).reshape(-1, n)
+    return pointers, counts.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,18 @@ from repro.analysis.remote import (
     remote_vertices_far_from_agents,
 )
 from repro.core import placement
+from repro.graphs.ring import ring_distance
 from repro.util.rng import make_rng
+
+
+def _far_oracle(n, starts, min_distance):
+    """The per-vertex transcription: every start checked at every node."""
+    mask = remote_vertex_mask(n, starts)
+    return [
+        v for v in range(n)
+        if mask[v]
+        and all(ring_distance(n, v, s) >= min_distance for s in starts)
+    ]
 
 
 class TestMaskVsReference:
@@ -99,6 +110,20 @@ class TestFarRemote:
             assert all(
                 ring_distance(n, v, s) >= n // (9 * k) for s in starts
             )
+
+    def test_matches_oracle_on_random_inputs(self):
+        rng = make_rng(15)
+        for _ in range(300):
+            n = int(rng.integers(3, 160))
+            k = int(rng.integers(1, 2 * n))  # k > n included
+            if rng.random() < 0.25:
+                starts = [int(rng.integers(0, n))] * k  # one stack
+            else:
+                starts = rng.integers(0, n, size=k).tolist()
+            min_distance = int(rng.integers(0, n // 2 + 2))
+            assert remote_vertices_far_from_agents(
+                n, starts, min_distance
+            ) == _far_oracle(n, starts, min_distance)
 
     def test_theorem4_ingredient_exists(self):
         # For every battery placement there is a far remote vertex.

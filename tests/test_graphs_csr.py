@@ -8,6 +8,7 @@ from repro.graphs import (
     GraphCSR,
     PortLabeledGraph,
     clique,
+    grid_2d,
     hypercube,
     lollipop,
     path_graph,
@@ -15,7 +16,44 @@ from repro.graphs import (
     star,
     torus_2d,
 )
-from repro.graphs.random_graphs import gnp_random_graph, shuffled_ports
+from repro.graphs import base
+from repro.graphs.random_graphs import (
+    gnp_random_graph,
+    random_regular_graph,
+    shuffled_ports,
+)
+
+
+def _bfs_diameter(graph):
+    """The reference: one Python BFS per source."""
+    return max(graph.eccentricity(v) for v in range(graph.num_nodes))
+
+
+#: Every family at small sizes, the random graphs, and shapes with
+#: long tails, odd cycles and word-boundary node counts (64, 65).
+DIAMETER_GRAPHS = {
+    "ring-3": lambda: ring_graph(3),
+    "ring-64": lambda: ring_graph(64),
+    "ring-65": lambda: ring_graph(65),
+    "path-2": lambda: path_graph(2),
+    "path-130": lambda: path_graph(130),
+    "star": lambda: star(70),
+    "clique": lambda: clique(9),
+    "grid": lambda: grid_2d(6, 9),
+    "torus": lambda: torus_2d(7, 11),
+    "hypercube": lambda: hypercube(7),
+    "lollipop": lambda: lollipop(6, 40),
+    "random-4-regular": lambda: random_regular_graph(200, 4, seed=97),
+    "random-3-regular": lambda: random_regular_graph(30, 3, seed=1),
+    "gnp": lambda: gnp_random_graph(150, 0.05, seed=101),
+    "shuffled-torus": lambda: shuffled_ports(torus_2d(5, 6), seed=3),
+    # A 41-node path labeled outward from its middle: node 0 is the
+    # center, odd nodes run one way and even nodes the other, so only
+    # sources of high label reach the diameter.
+    "path-from-middle": lambda: PortLabeledGraph.from_edges(
+        41, [(0, 1), (0, 2)] + [(v, v + 2) for v in range(1, 39)]
+    ),
+}
 
 
 class TestGraphCSR:
@@ -64,6 +102,60 @@ class TestGraphCSR:
     def test_to_csr_is_cached(self):
         graph = hypercube(4)
         assert graph.to_csr() is graph.to_csr()
+
+
+class TestBitsetDiameter:
+    """``PortLabeledGraph.diameter`` against n Python BFS runs."""
+
+    @pytest.mark.parametrize("name", sorted(DIAMETER_GRAPHS))
+    def test_matches_bfs(self, name):
+        graph = DIAMETER_GRAPHS[name]()
+        assert graph.diameter() == _bfs_diameter(graph)
+
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+    def test_general_speedup_graphs_match_bfs(self, quick):
+        from repro.sweep.registry import scenario
+
+        for _, graph in scenario("general_speedup", quick=quick).graphs:
+            fresh = PortLabeledGraph(graph.port_lists())
+            assert fresh.diameter() == _bfs_diameter(fresh)
+
+    def test_full_size_speedup_families_pinned(self):
+        # The Python BFS's values on speedup_graphs' full-size graphs
+        # (2 s of BFS; the bitset search takes about 50 ms).
+        from repro.experiments.speedup_graphs import default_families
+
+        diameters = {
+            name: factory().diameter()
+            for name, factory in default_families().items()
+        }
+        assert diameters == {
+            "torus": 32, "hypercube": 10, "clique": 1,
+            "random-4-regular": 9, "lollipop": 81, "gnp": 6,
+        }
+
+    @pytest.mark.parametrize("sources", [1, 5, 64])
+    def test_source_blocks(self, monkeypatch, sources):
+        monkeypatch.setattr(base, "DIAMETER_SOURCES", sources)
+        for name in ("ring-65", "lollipop", "torus", "path-from-middle"):
+            graph = DIAMETER_GRAPHS[name]()
+            assert graph.diameter() == _bfs_diameter(graph)
+
+    def test_single_node(self):
+        graph = PortLabeledGraph([[]])
+        assert graph.diameter() == _bfs_diameter(graph) == 0
+
+    @pytest.mark.parametrize(
+        "ports",
+        [[[1], [0], [3], [2]], [[1], [0], []], [[1, 2], [0, 2], [0, 1], []]],
+        ids=["two-edges", "isolated-node", "triangle-and-node"],
+    )
+    def test_disconnected_raises_like_bfs(self, ports):
+        graph = PortLabeledGraph(ports)
+        with pytest.raises(ValueError, match="not connected"):
+            _bfs_diameter(graph)
+        with pytest.raises(ValueError, match="not connected"):
+            graph.diameter()
 
 
 class TestLazyConstructionCaches:

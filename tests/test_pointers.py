@@ -8,7 +8,26 @@ from hypothesis import strategies as st
 from repro.core import pointers
 from repro.core.ring import RingRotorRouter
 from repro.graphs.families import grid_2d
-from repro.graphs.ring import ring_distance, ring_graph
+from repro.graphs.ring import clockwise_distance, ring_distance, ring_graph
+
+
+def _negative_oracle(n, agents, at_agents=1):
+    """The O(n·k) transcription: a min over every agent at every node."""
+    sources = sorted(set(agents))
+    result = []
+    for v in range(n):
+        if v in sources:
+            result.append(at_agents)
+            continue
+        clockwise_gap = min(clockwise_distance(n, v, a) for a in sources)
+        anticlockwise_gap = min(clockwise_distance(n, a, v) for a in sources)
+        result.append(+1 if clockwise_gap <= anticlockwise_gap else -1)
+    return result
+
+
+def _positive_oracle(n, agents, at_agents=1):
+    negative = _negative_oracle(n, agents, at_agents)
+    return [d if v in agents else -d for v, d in enumerate(negative)]
 
 
 class TestTowardNode:
@@ -91,6 +110,37 @@ class TestNegative:
             dist_toward = min(ring_distance(n, toward, a) for a in agents)
             dist_away = min(ring_distance(n, away, a) for a in agents)
             assert dist_toward <= dist_away
+
+
+class TestNearestAgentFamilies:
+    """``ring_negative``/``ring_positive`` against the O(n·k) oracle."""
+
+    def test_match_oracle_on_random_inputs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            n = int(rng.integers(3, 70))
+            k = int(rng.integers(1, 2 * n + 4))  # k > n included
+            if rng.random() < 0.25:
+                agents = [int(rng.integers(0, n))] * k  # one stack
+            else:
+                agents = rng.integers(0, n, size=k).tolist()
+            at_agents = int(rng.choice((1, -1)))
+            assert pointers.ring_negative(
+                n, agents, at_agents
+            ) == _negative_oracle(n, agents, at_agents)
+            assert pointers.ring_positive(
+                n, agents, at_agents
+            ) == _positive_oracle(n, agents, at_agents)
+
+    def test_midway_ties_resolve_clockwise(self):
+        # n = 8, agents 0 and 4: nodes 2 and 6 are 2 steps from each.
+        negative = pointers.ring_negative(8, [4, 0])
+        assert negative == _negative_oracle(8, [4, 0])
+        assert negative[2] == negative[6] == 1
+
+    def test_returns_python_ints(self):
+        for family in (pointers.ring_negative, pointers.ring_positive):
+            assert all(type(d) is int for d in family(9, [2, 5]))
 
 
 class TestPositive:

@@ -69,6 +69,31 @@ class TestMetrics:
                 config.n, agents, directions
             )
 
+    def test_random_families_match_build_on_every_route(self, chunk_lanes):
+        # Closed form (k = 1), CSR (k = 2: Σk = 8 < n per 4-cell block)
+        # and dense (k = 8) chunks all read their lanes from rotor_lanes.
+        chunk_lanes(4)
+        spec = _cover_spec(
+            ns=(16,), ks=(1, 2, 8), seeds=(0, 1),
+            families=(
+                InitFamily("random", "random"),
+                InitFamily("clustered", "random"),
+            ),
+        )
+        routes = {
+            "single" if executor._closed_form_covers(chunk)
+            else "csr" if _prefer_csr_covers(16, chunk)
+            else "dense"
+            for chunk in (p["cells"] for p in _plan_chunks(spec.configs()))
+        }
+        assert routes == {"single", "csr", "dense"}
+        result = run_sweep(spec)
+        for cell in result.results:
+            agents, directions = cell.config.build()
+            assert cell.metrics["cover"] == ring_rotor_cover_time(
+                16, agents, directions
+            )
+
     def test_stabilization_and_return_match_reference(self):
         spec = _cover_spec(
             ns=(16,), ks=(2,), metrics=("stabilization", "return")

@@ -2,8 +2,11 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.sweep.batch_ring import lanes_from_configs
+from repro.sweep.cells import RotorCell
 from repro.sweep.spec import (
     PLACEMENTS,
     POINTERS,
@@ -12,6 +15,7 @@ from repro.sweep.spec import (
     InitFamily,
     ScenarioSpec,
     SweepConfig,
+    rotor_lanes,
 )
 
 
@@ -94,6 +98,75 @@ class TestExpansion:
                 agents, directions = config.build()
                 assert len(agents) == k
                 assert len(directions) == n
+
+
+def _every_family(n, k, seeds=(0, 1, 7)):
+    return [
+        SweepConfig(
+            n=n, k=k, placement=placement, pointer=pointer, seed=seed,
+            metrics=("cover",), max_rounds=100,
+        )
+        for placement in PLACEMENTS
+        for pointer in POINTERS
+        for seed in seeds
+    ]
+
+
+def _lanes_of_builds(n, cells):
+    """The per-cell reference: every cell's ``build()``, stacked."""
+    built = [cell.build() for cell in cells]
+    return lanes_from_configs(
+        n, [(directions, agents) for agents, directions in built]
+    )
+
+
+def _assert_same_lanes(got, expected):
+    for array, reference in zip(got, expected):
+        assert array.dtype == reference.dtype
+        np.testing.assert_array_equal(array, reference)
+
+
+class TestRotorLanes:
+    """The chunk materializer against per-cell ``build()``.
+
+    Odd ``n`` and odd ``k`` leave the shared generator a buffered
+    half-word after a draw; a reseed that kept it would shift the next
+    stream's draws.
+    """
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            (n, k)
+            for n in (3, 4, 64, 127, 128)
+            for k in (1, 2, 5, 16, n + 3)
+        ],
+    )
+    def test_spec_cells_match_per_cell_build(self, n, k):
+        cells = _every_family(n, k)
+        _assert_same_lanes(rotor_lanes(n, cells), _lanes_of_builds(n, cells))
+
+    @pytest.mark.parametrize("n", [3, 64, 127])
+    def test_explicit_cells_copy_their_rows(self, n):
+        spec_cells = _every_family(n, 5, seeds=(3,))
+        explicit = []
+        for cell in spec_cells:
+            agents, directions = cell.build()
+            explicit.append(
+                RotorCell(
+                    n=n, agents=tuple(agents), directions=tuple(directions),
+                    metrics=("cover",), max_rounds=100,
+                )
+            )
+        mixed = [cell for pair in zip(explicit, spec_cells) for cell in pair]
+        _assert_same_lanes(rotor_lanes(n, mixed), _lanes_of_builds(n, mixed))
+        _assert_same_lanes(
+            rotor_lanes(n, explicit), rotor_lanes(n, spec_cells)
+        )
+
+    def test_empty_chunk_rejected(self):
+        with pytest.raises(ValueError):
+            rotor_lanes(8, [])
 
 
 class TestModelAxis:

@@ -5,11 +5,18 @@ import pytest
 
 from repro.util.rng import (
     choice_seeded,
+    default_rng_states,
+    default_rng_stream,
     derive_seed,
     make_rng,
     shuffled,
     spawn_rngs,
 )
+
+
+def _pcg64_state(seed):
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
 
 
 class TestMakeRng:
@@ -49,6 +56,46 @@ class TestDeriveSeed:
     def test_numeric_vs_string_labels_distinguished_by_position(self):
         # "1:2" vs "12" style collisions must not occur.
         assert derive_seed(1, 23) != derive_seed(12, 3)
+
+
+class TestDefaultRngStates:
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1]
+    )
+    def test_edge_seeds_match_pcg64(self, seed):
+        assert default_rng_states([seed]) == [_pcg64_state(seed)]
+
+    @pytest.mark.parametrize(
+        "low, high", [(0, 2 ** 32), (2 ** 32, 2 ** 63)],
+        ids=["one-word", "two-word"],
+    )
+    def test_random_seeds_match_pcg64(self, low, high):
+        seeds = np.random.default_rng(low).integers(
+            low, high, size=10_000, dtype=np.uint64
+        ).tolist()
+        assert default_rng_states(seeds) == [
+            _pcg64_state(seed) for seed in seeds
+        ]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 63])
+    def test_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError):
+            default_rng_states([0, seed])
+
+    def test_empty(self):
+        assert default_rng_states([]) == []
+
+    def test_stream_draws_what_default_rng_draws(self):
+        # Odd draw counts leave PCG64 a buffered 32-bit half-word; each
+        # reseed must drop it, as a fresh generator has none.
+        seeds = [derive_seed(7, "stream", i) for i in range(6)]
+        sizes = [3, 5, 1, 4, 7, 2]
+        for seed, size, rng in zip(seeds, sizes, default_rng_stream(seeds)):
+            fresh = np.random.default_rng(seed)
+            assert np.array_equal(
+                rng.integers(0, 2, size=size), fresh.integers(0, 2, size=size)
+            )
+            assert rng.random() == fresh.random()
 
 
 class TestSpawnRngs:
