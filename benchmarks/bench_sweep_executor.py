@@ -17,6 +17,9 @@ Three headline numbers for the perf trajectory, all in ``extra_info``:
 * **single-agent closed form** — single-agent cover lanes resolve in
   closed form at least 10x faster than the CSR kernel steps them,
   with identical covers.
+* **sparse straight-run jumps** — ``cover_scaling``'s k = 2 and 4
+  lanes at n = 1024 run on the sparse stepper at least 3x faster than
+  on the CSR kernel over the ring graph, with identical covers.
 """
 
 import time
@@ -31,9 +34,9 @@ from repro.core.pointers import ring_pointers_to_ports, ring_random
 from repro.graphs.ring import ring_graph
 from repro.sweep import BatchRingKernel, executor, run_sweep, scenario
 from repro.sweep.batch_general import batch_general_covers
-from repro.sweep.batch_ring import single_agent_covers
+from repro.sweep.batch_ring import single_agent_covers, sparse_ring_covers
 from repro.sweep.executor import _plan_chunks, compute_chunk
-from repro.sweep.spec import InitFamily, ScenarioSpec
+from repro.sweep.spec import InitFamily, ScenarioSpec, rotor_lanes
 from repro.util.rng import derive_seed
 
 N = 1024
@@ -57,6 +60,17 @@ SINGLE_N = 128
 
 #: Floor on the CSR kernel's wall-clock over the closed form's.
 MIN_SINGLE_SPEEDUP = 10.0
+
+#: Ring size and agent counts of the sparse-stepper case.
+SPARSE_N = 1024
+SPARSE_KS = (2, 4)
+
+#: Runs of the sparse stepper, and of the CSR kernel at most, in the
+#: sparse-stepper case.
+SPARSE_SAMPLES = 3
+
+#: Floor on the CSR kernel's wall-clock over the sparse stepper's.
+MIN_SPARSE_SPEEDUP = 3.0
 
 
 def _reference_rounds_per_sec() -> float:
@@ -316,4 +330,79 @@ def test_single_agent_closed_form_speedup(benchmark):
     assert speedup >= MIN_SINGLE_SPEEDUP, (
         f"closed form only {speedup:.1f}x faster than the CSR kernel "
         f"({min(timings['closed']):.4f}s vs {min(timings['csr']):.3f}s)"
+    )
+
+
+def test_sparse_stepper_speedup(benchmark):
+    """Sparse ring covers run >= 3x faster in straight-run jumps.
+
+    ``cover_scaling``'s distinct cells at n = 1024 and k in {2, 4} (14
+    lanes, a sweep's own dedupe) through
+    :func:`repro.sweep.batch_ring.sparse_ring_covers` and through
+    :func:`repro.sweep.batch_general.batch_general_covers` on the ring
+    CSR, the route such lanes took before the stepper.  The covers
+    must be identical.  The stepper's time is a best of
+    ``SPARSE_SAMPLES`` runs; the CSR kernel runs until the ratio clears
+    the floor, at most that many times, so a quiet run costs one CSR
+    run (about 1.5 s on a 2-core container).
+    """
+    cells = list({
+        cell.config_hash: cell
+        for cell in scenario("cover_scaling").configs()
+        if cell.n == SPARSE_N and cell.k in SPARSE_KS
+    }.values())
+    assert len(cells) == 14
+    budget = cells[0].max_rounds
+    pointers, counts = rotor_lanes(SPARSE_N, cells)
+    csr = ring_graph(SPARSE_N).to_csr()
+    nodes = np.arange(SPARSE_N)
+    lanes = [
+        (csr, (pointers[b] < 0).astype(np.int64),
+         np.repeat(nodes, counts[b]), budget)
+        for b in range(len(cells))
+    ]
+    timings: dict[str, list[float]] = {"sparse": [], "csr": []}
+
+    def timed(side, fn, *args):
+        started = time.perf_counter()
+        out = fn(*args)
+        timings[side].append(time.perf_counter() - started)
+        return out
+
+    sparse = benchmark.pedantic(
+        timed,
+        args=("sparse", sparse_ring_covers, SPARSE_N, pointers, counts,
+              budget),
+        rounds=1,
+        iterations=1,
+    )
+    while len(timings["sparse"]) < SPARSE_SAMPLES:
+        timed("sparse", sparse_ring_covers, SPARSE_N, pointers, counts,
+              budget)
+    for _ in range(SPARSE_SAMPLES):
+        stepped = timed("csr", batch_general_covers, lanes)
+        assert np.array_equal(sparse, stepped)
+        speedup = min(timings["csr"]) / min(timings["sparse"])
+        if speedup >= MIN_SPARSE_SPEEDUP:
+            break
+    assert (sparse > 0).all()
+    benchmark.extra_info["sparse stepper sec"] = round(
+        min(timings["sparse"]), 4
+    )
+    benchmark.extra_info["csr kernel sec"] = round(min(timings["csr"]), 3)
+    benchmark.extra_info["sparse stepper speedup"] = round(speedup, 1)
+    record_sweep_bench(
+        "executor_sparse_stepper",
+        {
+            "lanes": len(cells),
+            "n": SPARSE_N,
+            "ks": list(SPARSE_KS),
+            "sparse_stepper_sec": round(min(timings["sparse"]), 4),
+            "csr_kernel_sec": round(min(timings["csr"]), 4),
+            "speedup": round(speedup, 1),
+        },
+    )
+    assert speedup >= MIN_SPARSE_SPEEDUP, (
+        f"sparse stepper only {speedup:.1f}x faster than the CSR kernel "
+        f"({min(timings['sparse']):.4f}s vs {min(timings['csr']):.3f}s)"
     )

@@ -4,8 +4,9 @@ Renders the tables the CLI's ``stats`` subcommand prints: per-phase
 wall clock (chunk indices collapsed to ``chunk[*]`` so thousand-chunk
 runs stay readable), cache traffic, fault handling (retry/quarantine/
 pool-restart events of the supervising dispatcher, shown only when a
-run actually saw any), per-kernel counters with estimated throughput,
-per-worker busy time, and the raw counter list — all through
+run actually saw any), per-kernel counters with each kernel's
+throughput over its own ``kernel/<name>`` spans, per-worker busy
+time, and the raw counter list — all through
 :class:`repro.util.tables.Table`, the same renderer experiment
 reports use.
 """
@@ -24,6 +25,7 @@ _CHUNK = re.compile(r"chunk\[\d+\]")
 #: occupied pairs, the gap scan row-rounds).
 _KERNELS = (
     ("ring", "rounds", "lane_rounds"),
+    ("sparse", "rounds", "lane_rounds"),
     ("limit", "rounds", "lane_rounds"),
     ("gaps", "rounds", "lane_rounds"),
     ("walk", "rounds", "lane_rounds"),
@@ -94,18 +96,27 @@ def _cache_table(counters: dict) -> Table | None:
     return table
 
 
+def _kernel_seconds(spans: list[dict]) -> dict[str, float]:
+    """Wall seconds per kernel prefix, summed over the ``kernel/<prefix>``
+    spans the chunk computers open around each kernel call."""
+    seconds: dict[str, float] = {}
+    for span in spans:
+        head, _, prefix = span["name"].rpartition("/")
+        if head == "kernel" or head.endswith("/kernel"):
+            seconds[prefix] = seconds.get(prefix, 0.0) + span["wall"]
+    return seconds
+
+
 def _kernel_table(manifest: dict) -> Table | None:
     counters = manifest["counters"]
-    compute_wall = sum(
-        s["wall"] for s in manifest["spans"] if s["name"].endswith("/compute")
-    )
+    seconds = _kernel_seconds(manifest["spans"])
     table = Table(
         columns=[
             "kernel", "invocations", "lanes", "rounds", "lane_rounds",
             "Mlr/s", "covered", "truncated",
         ],
         caption="per-kernel counters (Mlr/s: million lane-rounds per "
-        "second against total compute wall)",
+        "second of the kernel's own kernel/<name> spans)",
         formats=[None, "d", "d", "d", "d", ".2f", "d", "d"],
     )
     rows = 0
@@ -118,17 +129,14 @@ def _kernel_table(manifest: dict) -> Table | None:
         if covered is None:
             covered = get("lanes_resolved")
         truncated = get("lanes_truncated")
+        wall = seconds.get(prefix, 0.0)
         table.add_row(
             prefix,
             get("invocations"),
             get("lanes"),
             get(rounds_name),
             lane_rounds,
-            (
-                lane_rounds / compute_wall / 1e6
-                if lane_rounds and compute_wall > 0
-                else None
-            ),
+            lane_rounds / wall / 1e6 if lane_rounds and wall > 0 else None,
             covered,
             truncated,
         )

@@ -63,7 +63,10 @@ sorted prefix:
 
 Single-agent covers need no block: :func:`single_agent_covers` reads
 them off the pointers in closed form, in n - 2 lockstep array steps
-whatever the cover round.
+whatever the cover round.  Sparse covers (fewer agents than nodes)
+need none either: :func:`sparse_ring_covers` steps each lane on its
+own in plain Python, crossing every stretch in which all agents walk
+straight in one jump.
 
 Every driver runs one cadence: cover windows are
 ``BatchRingKernel._WINDOW`` (32) rounds wide, and the Brent search
@@ -553,6 +556,276 @@ def single_agent_covers(
     if tel is not None:
         tel.count("ring.single_lanes", block.rows)
     return np.where(rounds <= max_rounds, rounds, -1)
+
+
+#: Shortest jump a sparse lane takes, in rounds: a shorter one saves
+#: less than its attempt and its slice writes cost, so the lane steps
+#: those rounds plainly.  Scheduling only: both give the same states.
+_SHORTEST_JUMP = 8
+
+#: Longest wait, in plain rounds, between jump attempts of a sparse
+#: lane: each failed attempt doubles the wait up to this cap, and each
+#: jump resets it.
+_MAX_BACKOFF = 32
+
+
+def sparse_ring_covers(
+    n: int, pointers: np.ndarray, counts: np.ndarray, max_rounds: int
+) -> np.ndarray:
+    """Cover rounds of sparse lanes, stepped in exact straight-run jumps.
+
+    Takes the ``(B, n)`` lane arrays :func:`lane_block` validates and
+    returns each lane's cover round, or -1 past ``max_rounds`` (a cover
+    equal to the budget counts), as :func:`single_agent_covers` does.
+
+    Each lane steps alone in plain Python: a round costs O(k), with the
+    pointers as bits in a ``bytearray`` (1 = clockwise) and the
+    occupied nodes in a dict.  A lone agent walks straight until a
+    pointer sends it back or it meets another agent (§2: each agent
+    sweeps its own arc between borders), so whenever every agent is
+    alone on its node the lane takes one jump of Δ rounds, Δ the least
+    of these bounds:
+
+    * per agent, its distance to the first node ahead whose pointer
+      points back (``find``/``rfind`` over the bits, at C speed);
+    * ``(g - 1) // 2`` for two cyclically adjacent agents approaching
+      each other at gap g;
+    * ``g`` for an agent following another in the same direction;
+    * the budget left.
+
+    Within the jump no agent reads a pointer another agent writes, and
+    no two agents share a node (see :func:`_jump_length`), so moving
+    every agent Δ nodes at once, reversing each node it departs and
+    marking each node it reaches, gives exactly the state Δ rounds
+    produce.  When the jump reaches the last unvisited nodes, the cover
+    round is the jump's start plus the largest offset at which an agent
+    reached one of them.  Jumps shorter than :data:`_SHORTEST_JUMP`
+    are stepped plainly, and failed attempts, frequent where agents
+    meet every few rounds, back off up to :data:`_MAX_BACKOFF` rounds.
+    """
+    block = lane_block(n, pointers, counts)
+    bits = block.ptr.astype(np.uint8)
+    covers = np.empty(block.rows, dtype=np.int64)
+    longest = lane_rounds = jumps = jump_rounds = 0
+    for lane in range(block.rows):
+        row = block.cnt[lane]
+        nodes = np.flatnonzero(row)
+        cover, rounds, lane_jumps, lane_jump_rounds = _sparse_lane(
+            n,
+            bytearray(bits[lane]),
+            dict(zip(nodes.tolist(), row[nodes].tolist())),
+            max_rounds,
+        )
+        covers[lane] = cover
+        longest = max(longest, rounds)
+        lane_rounds += rounds
+        jumps += lane_jumps
+        jump_rounds += lane_jump_rounds
+    tel = _telemetry()
+    if tel is not None:
+        covered = int(np.count_nonzero(covers >= 0))
+        tel.count_many({
+            "sparse.invocations": 1,
+            "sparse.lanes": block.rows,
+            "sparse.rounds": longest,
+            "sparse.lane_rounds": lane_rounds,
+            "sparse.jumps": jumps,
+            "sparse.jump_rounds": jump_rounds,
+            "sparse.lanes_covered": covered,
+            "sparse.lanes_truncated": block.rows - covered,
+        })
+    return covers
+
+
+def _sparse_lane(
+    n: int, bits: bytearray, occupied: dict[int, int], budget: int
+) -> tuple[int, int, int, int]:
+    """Step one lane to its cover round or its budget.
+
+    ``bits`` holds the pointers (1 = clockwise) and is stepped in
+    place; ``occupied`` maps each occupied node to its agent count.
+    Returns
+    ``(cover, rounds, jumps, jump_rounds)``: the cover round, or -1 if
+    ``budget`` rounds leave a node unvisited, the rounds stepped, and
+    how many of them ran as how many jumps.
+    """
+    k = sum(occupied.values())
+    visited = bytearray(n)
+    for v in occupied:
+        visited[v] = 1
+    unvisited = n - len(occupied)
+    if not unvisited:
+        return 0, 0, 0, 0
+    top = n - 1
+    zeros = bytes(n)
+    ones = b"\x01" * n
+    t = jumps = jump_rounds = backoff = retry = 0
+    while t < budget:
+        if t >= retry and len(occupied) == k:
+            agents = sorted(occupied)
+            delta = _jump_length(n, bits, agents, budget - t)
+            if delta >= _SHORTEST_JUMP:
+                # Runs touch disjoint nodes, so each agent moves on its
+                # own: reverse the nodes it departs, count the unvisited
+                # ones it reaches (marked below, once the cover is
+                # known not to fall inside the jump).
+                moved = []
+                explorers = []
+                fresh = 0
+                for x in agents:
+                    if bits[x]:
+                        start = x + 1
+                        _fill(bits, x, delta, zeros, n)
+                        moved.append((x + delta) % n)
+                    else:
+                        start = x - delta
+                        _fill(bits, start + 1, delta, ones, n)
+                        moved.append(start % n)
+                    reached = _unvisited(visited, start, delta, n)
+                    if reached:
+                        fresh += reached
+                        explorers.append((x, start))
+                if fresh == unvisited:
+                    last = max(
+                        _last_reached(visited, x, start, delta, n)
+                        for x, start in explorers
+                    )
+                    return t + last, t + last, jumps + 1, jump_rounds + last
+                unvisited -= fresh
+                for _, start in explorers:
+                    _fill(visited, start, delta, ones, n)
+                occupied = dict.fromkeys(moved, 1)
+                jumps += 1
+                jump_rounds += delta
+                t += delta
+                backoff = 0
+            else:
+                backoff = min(2 * backoff + 1, _MAX_BACKOFF)
+            retry = t + backoff
+            continue
+        t += 1
+        arrivals: dict[int, int] = {}
+        for v, c in occupied.items():
+            if c == 1:
+                # A lone agent leaves along the pointer, which flips.
+                if bits[v]:
+                    bits[v] = 0
+                    u = v + 1 if v < top else 0
+                else:
+                    bits[v] = 1
+                    u = v - 1 if v else top
+                if u in arrivals:
+                    arrivals[u] += 1
+                else:
+                    arrivals[u] = 1
+                continue
+            # ceil(c/2) along the pointer, floor(c/2) the other way; the
+            # pointer flips iff c is odd.
+            half = c >> 1
+            if bits[v]:
+                clockwise, anticlockwise = c - half, half
+            else:
+                clockwise, anticlockwise = half, c - half
+            if c & 1:
+                bits[v] ^= 1
+            u = v + 1 if v < top else 0
+            arrivals[u] = arrivals.get(u, 0) + clockwise
+            u = v - 1 if v else top
+            arrivals[u] = arrivals.get(u, 0) + anticlockwise
+        occupied = arrivals
+        for u in arrivals:
+            if not visited[u]:
+                visited[u] = 1
+                unvisited -= 1
+                if not unvisited:
+                    return t, t, jumps, jump_rounds
+    return -1, t, jumps, jump_rounds
+
+
+def _jump_length(n: int, bits: bytearray, agents: list[int], limit: int) -> int:
+    """Rounds lone agents at ``agents`` (sorted nodes) can run straight.
+
+    The least of ``limit`` and, per agent, the bounds that keep every
+    run straight and apart: the distance to the first node ahead whose
+    pointer points back (the agent reaches it, then turns), half the
+    gap less one to an approaching neighbour (their runs must not
+    meet), and the gap to a neighbour it follows (it may reach the node
+    the leader left, but not read the pointer the leader flipped
+    there).  Within such a jump each agent reads only pointers no other
+    agent writes, which is what makes the jump exact.  Stops early,
+    returning a value below :data:`_SHORTEST_JUMP`, once the jump
+    would be shorter.
+    """
+    delta = limit
+    # ``before`` is the nearest agent anticlockwise of x, a ring back
+    # (a negative index) for the first; x itself when it is alone.
+    before = agents[-1] - n
+    for x in agents:
+        gap = x - before
+        if bits[before]:
+            bound = gap if bits[x] else (gap - 1) >> 1
+        elif not bits[x]:
+            bound = gap
+        else:
+            bound = delta
+        if bound < delta:
+            delta = bound
+            if delta < _SHORTEST_JUMP:
+                return delta
+        before = x
+    for x in agents:
+        if bits[x]:
+            ahead = bits.find(0, x + 1, x + 1 + delta)
+            if ahead >= 0:
+                delta = ahead - x
+            elif x + 1 + delta > n:
+                ahead = bits.find(0, 0, x + 1 + delta - n)
+                if ahead >= 0:
+                    delta = ahead + n - x
+        else:
+            start = x - delta
+            ahead = bits.rfind(1, start if start > 0 else 0, x)
+            if ahead >= 0:
+                delta = x - ahead
+            elif start < 0:
+                ahead = bits.rfind(1, start + n, n)
+                if ahead >= 0:
+                    delta = x + n - ahead
+        if delta < _SHORTEST_JUMP:
+            return delta
+    return delta
+
+
+def _fill(buf: bytearray, lo: int, length: int, run: bytes, n: int) -> None:
+    """Write ``run[:length]`` over the ``length`` nodes from ``lo`` on."""
+    lo %= n
+    hi = lo + length
+    if hi <= n:
+        buf[lo:hi] = run[:length]
+    else:
+        buf[lo:] = run[:n - lo]
+        buf[:hi - n] = run[:hi - n]
+
+
+def _unvisited(visited: bytearray, lo: int, length: int, n: int) -> int:
+    """How many of the ``length`` nodes from ``lo`` on are unvisited."""
+    lo %= n
+    hi = lo + length
+    if hi <= n:
+        return visited.count(0, lo, hi)
+    return visited.count(0, lo, n) + visited.count(0, 0, hi - n)
+
+
+def _last_reached(
+    visited: bytearray, x: int, start: int, delta: int, n: int
+) -> int:
+    """Largest offset at which the run from ``x`` over the ``delta``
+    nodes from ``start`` on reached an unvisited node."""
+    return max(
+        abs(node - x)
+        for node in range(start, start + delta)
+        if not visited[node % n]
+    )
 
 
 # ----------------------------------------------------------------------

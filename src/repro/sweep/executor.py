@@ -14,16 +14,17 @@ results in three stages:
    closed form, stepping no round (:func:`_closed_form_covers`); the
    rest is sliced into :data:`CHUNK_LANES`-cell blocks, each block
    picks its kernel on its own
-   (:func:`_prefer_csr_covers`: a sparse cover-only block, ``Σ k < n``,
-   runs the CSR kernel over the ring graph), and each run of adjacent
-   dense blocks merges into one
+   (:func:`_prefer_sparse_covers`: a sparse cover-only block,
+   ``Σ k < n``, runs :func:`repro.sweep.batch_ring.sparse_ring_covers`,
+   which steps each lane on its own in straight-run jumps), and each
+   run of adjacent dense blocks merges into one
    :class:`repro.sweep.batch_ring.BatchRingKernel` invocation of up to
    :data:`CHUNK_ELEMENTS` lane-nodes, stepping all of its lanes with
    shared vectorized rounds (a dense round at 64 lanes is mostly numpy
    dispatch; :func:`_slice_chunks` gives the costs).  Routing stays
    per block because a dense chunk steps every lane until its slowest
-   covers, while the CSR kernel finishes sparse lanes in its scalar
-   tail.  A walk chunk is one
+   covers, while the sparse stepper finishes each lane on its own.
+   A walk chunk is one
    :class:`repro.sweep.batch_walk.BatchRingWalks` invocation whose
    lanes are the cells' seeded repetitions (walk
    chunks are additionally capped by total walker count, since the
@@ -66,7 +67,6 @@ syscall territory, and only the dispatching process ever writes it.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import sys
@@ -79,14 +79,13 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from repro import obs
-from repro.graphs.base import GraphCSR
-from repro.graphs.ring import ring_graph
 from repro.sweep.batch_general import batch_general_covers
 from repro.sweep.batch_ring import (
     BatchRingKernel,
     batch_limit_cycles,
     batch_return_gaps,
     single_agent_covers,
+    sparse_ring_covers,
 )
 from repro.sweep.batch_walk import BatchRingWalks, walk_lanes_from_cells
 from repro.sweep.faults import (
@@ -102,7 +101,8 @@ from repro.util.timing import Stopwatch
 
 #: Lanes per routing block: the planner slices each rotor group into
 #: blocks of this many cells and picks each block's kernel with
-#: :func:`_prefer_csr_covers`; walk chunks hold at most this many cells.
+#: :func:`_prefer_sparse_covers`; walk chunks hold at most this many
+#: cells.
 CHUNK_LANES = 64
 
 #: Lane-node cap (lanes × n) of a dense ring chunk: adjacent dense
@@ -140,16 +140,18 @@ def _closed_form_covers(configs: Sequence) -> bool:
     )
 
 
-def _prefer_csr_covers(n: int, configs: Sequence) -> bool:
-    """Whether a rotor block runs on the sparse CSR kernel.
+def _prefer_sparse_covers(n: int, configs: Sequence) -> bool:
+    """Whether a rotor block runs on the sparse stepper.
 
-    Only cover-only blocks can: the CSR kernel measures cover alone.
-    A dense ring-kernel round sweeps the full ``(B, n)`` configuration
-    matrix until the block's slowest lane covers; a CSR-kernel round
-    touches only the occupied ``(lane, node)`` pairs, at most
-    ``Σ k_i``.  Measured on ring cover chunks at n in 256..1024, the
-    CSR kernel takes 0.31x the dense kernel's time below ``Σ k_i = n``
-    and 1.6–2.3x above on chunks of equal k.  Single-agent cells never
+    Only cover-only blocks can: the stepper measures cover alone.  A
+    dense ring-kernel round sweeps the full ``(B, n)`` configuration
+    matrix until the block's slowest lane covers, while
+    :func:`repro.sweep.batch_ring.sparse_ring_covers` steps each lane
+    on its own, O(k) a round or one straight-run jump.  The rule,
+    ``Σ k_i < n``, rests on ring cover chunks at n in 256..1024, where
+    the CSR kernel took 0.31x the dense kernel's time below it and
+    1.6–2.3x above on chunks of equal k; the stepper is at least as
+    fast as the CSR kernel at every k.  Single-agent cells never
     reach either kernel (:func:`_closed_form_covers`).  The planner
     asks this of every :data:`CHUNK_LANES` block before it merges
     dense ones (see :func:`_slice_chunks`), and
@@ -160,12 +162,6 @@ def _prefer_csr_covers(n: int, configs: Sequence) -> bool:
     return tuple(configs[0].metrics) == ("cover",) and (
         sum(config.k for config in configs) < n
     )
-
-
-@functools.lru_cache(maxsize=32)
-def _ring_csr(n: int) -> GraphCSR:
-    """The n-ring's CSR packing, built once per size per process."""
-    return ring_graph(n).to_csr()
 
 
 ProgressFn = Callable[[int, int], None]
@@ -351,38 +347,45 @@ def _dispatch_chunk(payload: dict) -> list[tuple[str, dict]]:
 
 
 def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
-    """Rotor cells: one deterministic lane each, batch ring kernel.
+    """Rotor cells: one deterministic lane each, on one of three kernels.
 
     Every route reads the chunk's lanes from one
     :func:`repro.sweep.spec.rotor_lanes` pass.  Single-agent cover
-    chunks resolve in closed form (:func:`_closed_form_covers`), and
-    other sparse cover-only chunks run on the CSR kernel over the
-    cached ring graph — identical results, per-round cost bounded by
-    the agents rather than ``B·n`` (see :func:`_prefer_csr_covers`).
+    chunks resolve in closed form (:func:`_closed_form_covers`), other
+    sparse cover-only chunks run on the straight-run stepper
+    (:func:`_prefer_sparse_covers`), and the rest on the dense ring
+    kernel and the limit-cycle pipeline — identical results on every
+    route.  Each kernel call runs under a ``kernel/<prefix>`` span,
+    ``<prefix>`` the kernel's counter prefix, so ``repro stats`` rates
+    each kernel against its own time.
     """
     n = configs[0].n
     max_rounds = configs[0].max_rounds
     metrics: Sequence[str] = configs[0].metrics
-    single = _closed_form_covers(configs)
     pointers, counts = rotor_lanes(n, configs)
-    if not single and _prefer_csr_covers(n, configs):
-        return _compute_rotor_covers_csr(
-            n, max_rounds, configs, pointers, counts
-        )
-
     out: list[dict] = [{} for _ in configs]
     if "cover" in metrics:
-        if single:
-            covers = single_agent_covers(n, pointers, counts, max_rounds)
+        if _closed_form_covers(configs):
+            with obs.span("kernel/ring"):
+                covers = single_agent_covers(
+                    n, pointers, counts, max_rounds
+                )
+        elif _prefer_sparse_covers(n, configs):
+            with obs.span("kernel/sparse"):
+                covers = sparse_ring_covers(
+                    n, pointers, counts, max_rounds
+                )
         else:
-            kernel = BatchRingKernel(n, pointers, counts)
-            covers = kernel.run_until_covered(max_rounds, strict=False)
+            with obs.span("kernel/ring"):
+                kernel = BatchRingKernel(n, pointers, counts)
+                covers = kernel.run_until_covered(max_rounds, strict=False)
         for b, cover in enumerate(covers):
             out[b]["cover"] = int(cover) if cover >= 0 else None
     if "stabilization" in metrics or "return" in metrics:
-        cycles = batch_limit_cycles(
-            n, pointers, counts, max_rounds, strict=False
-        )
+        with obs.span("kernel/limit"):
+            cycles = batch_limit_cycles(
+                n, pointers, counts, max_rounds, strict=False
+            )
         resolved = cycles.periods > 0
         if "stabilization" in metrics:
             for b in range(len(configs)):
@@ -399,9 +402,10 @@ def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
                 out[b]["best_gap"] = None
             resolved_lanes = np.flatnonzero(resolved)
             if resolved_lanes.size:
-                worst, best = batch_return_gaps(
-                    n, cycles.take(resolved_lanes)
-                )
+                with obs.span("kernel/gaps"):
+                    worst, best = batch_return_gaps(
+                        n, cycles.take(resolved_lanes)
+                    )
                 for i, b in enumerate(resolved_lanes):
                     out[b]["worst_gap"] = float(worst[i])
                     out[b]["best_gap"] = float(best[i])
@@ -427,9 +431,10 @@ def _compute_walk_chunk(configs: list) -> list[tuple[str, dict]]:
     lanes, slices = walk_lanes_from_cells(
         [(config.build_agents(), config.rep_seeds()) for config in configs]
     )
-    covers = BatchRingWalks(n, lanes).run_until_covered(
-        max_rounds, strict=False
-    )
+    with obs.span("kernel/walk"):
+        covers = BatchRingWalks(n, lanes).run_until_covered(
+            max_rounds, strict=False
+        )
     out: list[tuple[str, dict]] = []
     for config, (start, stop) in zip(configs, slices):
         samples = covers[start:stop]
@@ -461,42 +466,6 @@ def _compute_walk_chunk(configs: list) -> list[tuple[str, dict]]:
             )
         out.append((config.config_hash, metrics))
     return out
-
-
-def _compute_rotor_covers_csr(
-    n: int,
-    max_rounds: int,
-    configs: list,
-    pointers: np.ndarray,
-    counts: np.ndarray,
-) -> list[tuple[str, dict]]:
-    """Sparse ring cover chunk on the CSR kernel over ``ring_graph(n)``.
-
-    Takes the chunk's :func:`rotor_lanes` arrays.  Ring directions map
-    onto the canonical ports (port 0 = clockwise, 1 = anticlockwise),
-    so every lane is exactly the general engine's instance of the cell.
-    """
-    csr = _ring_csr(n)
-    ports = (pointers < 0).astype(np.int64)
-    nodes = np.arange(n)
-    lanes = [
-        (csr, ports[b], np.repeat(nodes, counts[b]), max_rounds)
-        for b in range(len(configs))
-    ]
-    return _csr_covers(configs, lanes)
-
-
-def _csr_covers(cells: list, lanes: list) -> list[tuple[str, dict]]:
-    """``(config_hash, metrics)`` of one CSR-kernel run, lane per cell.
-
-    Mirrors the ring kernel's ``strict=False`` semantics: a cell that
-    does not cover within its budget records ``cover=None``.
-    """
-    covers = batch_general_covers(lanes, strict=False)
-    return [
-        (cell.config_hash, {"cover": int(c) if c >= 0 else None})
-        for cell, c in zip(cells, covers)
-    ]
 
 
 def _compute_gaps_chunk(cells: list) -> list[tuple[str, dict]]:
@@ -532,15 +501,19 @@ def _compute_general_chunk(cells: list) -> list[tuple[str, dict]]:
     :class:`repro.sweep.batch_general.BatchGeneralKernel` invocation
     with its own size and budget, so all seeds, k-values — and
     families — advance with shared vectorized rounds, whatever the
-    chunk's size.
+    chunk's size.  A cell that does not cover within its budget
+    records ``cover=None``, as on the ring kernels.
     """
-    return _csr_covers(
-        cells,
-        [
-            (cell.csr(), cell.ports, cell.agents, cell.max_rounds)
-            for cell in cells
-        ],
-    )
+    lanes = [
+        (cell.csr(), cell.ports, cell.agents, cell.max_rounds)
+        for cell in cells
+    ]
+    with obs.span("kernel/general"):
+        covers = batch_general_covers(lanes, strict=False)
+    return [
+        (cell.config_hash, {"cover": int(c) if c >= 0 else None})
+        for cell, c in zip(cells, covers)
+    ]
 
 
 def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
@@ -559,9 +532,9 @@ def _plan_chunks(misses: list, jobs: int = 1) -> list[dict]:
     out into.  Ring groups are routed, then merged (see
     :func:`_slice_chunks`): the single-agent cover cells share one
     closed-form chunk, every :data:`CHUNK_LANES` block of the rest
-    that :func:`_prefer_csr_covers` sends to the CSR kernel is a chunk
-    of its own, and each run of adjacent dense blocks shares chunks of
-    at most :data:`CHUNK_ELEMENTS` lane-nodes.
+    that :func:`_prefer_sparse_covers` sends to the sparse stepper is a
+    chunk of its own, and each run of adjacent dense blocks shares
+    chunks of at most :data:`CHUNK_ELEMENTS` lane-nodes.
 
     General-graph cells group together regardless of size or budget —
     the CSR kernel steps heterogeneous lanes natively, and the more
@@ -603,9 +576,9 @@ def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
     A ring group is routed, then merged.  Its single-agent cover cells
     (:func:`_closed_form_covers`) come first, all in one chunk, since
     their closed form steps no round.  The rest, in order, is sliced
-    into :data:`CHUNK_LANES` blocks and :func:`_prefer_csr_covers`
-    routes each block, so the blocks that run the CSR kernel are the
-    same whatever the merge does.  Each run of adjacent dense blocks
+    into :data:`CHUNK_LANES` blocks and :func:`_prefer_sparse_covers`
+    routes each block, so the blocks that run the sparse stepper are
+    the same whatever the merge does.  Each run of adjacent dense blocks
     then merges, whole blocks at a time, into chunks of at most
     :data:`CHUNK_ELEMENTS` lane-nodes (lanes × n); a block larger
     than that stays one chunk, and ``CHUNK_ELEMENTS = 0`` merges
@@ -614,8 +587,8 @@ def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
     chunks amortize it.  Routing a merged chunk as a whole instead
     would send, say, 128 cells of k = 8 at n = 1024 (``Σ k = n``) to
     the dense kernel, which steps every lane until the slowest covers
-    (about 100 µs a round, for up to ~100k rounds), where the CSR
-    kernel finishes each block's lanes in its scalar tail.
+    (about 100 µs a round, for up to ~100k rounds), where the sparse
+    stepper finishes each lane on its own.
     """
     if model == "rotor-general":
         # Lane sharing is the whole point of the general kernel: only
@@ -656,7 +629,7 @@ def _slice_chunks(model: str, members: list, jobs: int) -> list[list]:
         merging: list | None = None  # the open dense chunk, if any
         for start in range(0, len(stepped), CHUNK_LANES):
             block = stepped[start:start + CHUNK_LANES]
-            if _prefer_csr_covers(n, block):
+            if _prefer_sparse_covers(n, block):
                 merging = None
                 chunks.append(block)
             elif (
@@ -1302,8 +1275,8 @@ def run_sweep(
     constants :data:`CHUNK_LANES`, :data:`CHUNK_ELEMENTS` and
     :data:`WALK_CHUNK_WALKERS`: rotor groups send their single-agent
     cover cells to the closed form, route each ``CHUNK_LANES`` block
-    of the rest to the dense or the CSR kernel, then merge adjacent
-    dense blocks up to ``CHUNK_ELEMENTS`` lane-nodes (see
+    of the rest to the dense kernel or the sparse stepper, then merge
+    adjacent dense blocks up to ``CHUNK_ELEMENTS`` lane-nodes (see
     :func:`_slice_chunks`).
 
     The robustness knobs (``faults``/``max_retries``/

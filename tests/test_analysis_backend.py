@@ -20,7 +20,7 @@ from repro.core import placement as placement_mod
 from repro.core.pointers import random_ports
 from repro.graphs import clique, grid_2d, ring_graph
 from repro.sweep.cells import RotorCell
-from repro.sweep.executor import _compute_rotor_chunk, _prefer_csr_covers
+from repro.sweep.executor import _compute_rotor_chunk, _prefer_sparse_covers
 from repro.sweep.spec import PLACEMENTS, POINTERS
 from repro.util.rng import derive_seed, make_rng
 
@@ -121,9 +121,9 @@ class TestBackendEquivalenceGrid:
             assert b.value.ci_high == r.value.ci_high
 
     def test_cover_kernel_selection_is_identity_neutral(self):
-        # The executor routes sparse cover chunks (Σk < n) to the CSR
-        # kernel over the ring graph and dense ones to the batch ring
-        # kernel; both must reproduce the serial cover times exactly.
+        # The executor routes sparse cover chunks (Σk < n) to the
+        # straight-run stepper and dense ones to the batch ring kernel;
+        # both must reproduce the serial cover times exactly.
         n = 64
         max_rounds = 8 * n * n + 64
         cells = [
@@ -131,8 +131,8 @@ class TestBackendEquivalenceGrid:
             for k in (2, 4, 8, 16, 32, 64)
         ]
         sparse, dense = cells[:2], cells  # Σk = 6 and 126
-        assert _prefer_csr_covers(n, sparse)
-        assert not _prefer_csr_covers(n, dense)
+        assert _prefer_sparse_covers(n, sparse)
+        assert not _prefer_sparse_covers(n, dense)
         for chunk in (sparse, dense):
             out = _compute_rotor_chunk(chunk)
             expected = [
@@ -155,7 +155,7 @@ class TestBackendEquivalenceGrid:
         ]
         budget = max(covers) - 1  # the lone agent truncates, the pair covers
         cells = [_cover_cell(n, agents, budget) for agents in placements]
-        assert _prefer_csr_covers(n, cells)
+        assert _prefer_sparse_covers(n, cells)
         out = _compute_rotor_chunk(cells)
         assert out == [
             (cells[0].config_hash, {"cover": None}),

@@ -190,10 +190,12 @@ class TestParallelMerge:
         assert counters["walk.invocations"] >= 1
         assert counters["walk.lane_rounds"] > 0
         # The four n=16 rotor cover cells hold Σk = 10 < n agents: a
-        # sparse chunk, stepped by the CSR kernel, not the ring kernel.
-        assert counters["general.invocations"] == 1
-        assert counters["general.lanes"] == 4
+        # sparse chunk, stepped by the sparse stepper, not the ring or
+        # the general kernel.
+        assert counters["sparse.invocations"] == 1
+        assert counters["sparse.lanes"] == 4
         assert "ring.invocations" not in counters
+        assert "general.invocations" not in counters
 
     def test_limit_kernel_counts_lane_rounds(self, tmp_path):
         path = str(tmp_path / "limit.jsonl")
@@ -208,6 +210,74 @@ class TestParallelMerge:
         ]
         assert row[4] == str(manifest["counters"]["limit.lane_rounds"])
         assert float(row[5]) >= 0
+
+
+def _kernel_rows(manifest: dict) -> dict[str, list[str]]:
+    """``repro stats`` kernel-table rows by kernel name, split on spaces:
+    kernel, invocations, lanes, rounds, lane_rounds, Mlr/s, ..."""
+    kernels = ("ring", "sparse", "limit", "gaps", "walk", "general")
+    return {
+        fields[0]: fields
+        for fields in (
+            line.split() for line in render_stats(manifest).splitlines()
+        )
+        if fields[:1] and fields[0] in kernels
+    }
+
+
+class TestKernelTable:
+    def test_each_kernel_rated_against_its_own_spans(self):
+        # Two chunks spend 10 s in compute; the ring kernel 2 s of it
+        # over two spans, the sparse stepper 0.25 s.  Against the
+        # compute wall both rates would read 0.60 and 0.10 Mlr/s.
+        manifest = {
+            "schema": 1,
+            "run_id": "abc123",
+            "meta": {},
+            "counters": {
+                "ring.invocations": 2,
+                "ring.lanes": 128,
+                "ring.rounds": 500,
+                "ring.lane_rounds": 6_000_000,
+                "sparse.invocations": 1,
+                "sparse.lanes": 4,
+                "sparse.rounds": 300_000,
+                "sparse.lane_rounds": 1_000_000,
+            },
+            "spans": [
+                {"name": "chunk[0]/compute", "wall": 6.0, "cpu": 6.0},
+                {"name": "chunk[0]/compute/kernel/ring", "wall": 1.5},
+                {"name": "chunk[1]/compute", "wall": 4.0, "cpu": 4.0},
+                {"name": "chunk[1]/compute/kernel/ring", "wall": 0.5},
+                {"name": "chunk[1]/compute/kernel/sparse", "wall": 0.25},
+            ],
+            "workers": [],
+            "leftover_shards": [],
+        }
+        rows = _kernel_rows(manifest)
+        assert rows["ring"][4:6] == ["6000000", "3.00"]
+        assert rows["sparse"][4:6] == ["1000000", "4.00"]
+
+    def test_every_traced_kernel_has_its_own_span(self, tmp_path):
+        path = str(tmp_path / "kernels.jsonl")
+        with trace_session(path):
+            run_sweep(
+                _cover_spec(models=("rotor", "walk"), repetitions=2),
+                jobs=1,
+            )
+            run_sweep(_cover_spec(metrics=("stabilization", "return")))
+        manifest = load_manifest(path)
+        spans = {
+            span["name"].split("/compute/", 1)[-1]
+            for span in manifest["spans"]
+        }
+        rows = _kernel_rows(manifest)
+        # Each cover group holds Σk = 10 agents, fewer than n = 16 and
+        # 24, so the sparse stepper runs them and no ring kernel does.
+        assert set(rows) == {"sparse", "limit", "gaps", "walk"}
+        for kernel, fields in rows.items():
+            assert f"kernel/{kernel}" in spans
+            assert fields[5] != "-"  # a rate over the kernel's spans
 
 
 class TestLeftoverShards:

@@ -20,16 +20,21 @@ from hypothesis import strategies as st
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.core import placement, pointers
 from repro.core.ring import RingRotorRouter
+from repro.graphs.ring import ring_graph
 from repro.obs.manifest import load_manifest, trace_session
+from repro.obs.telemetry import Telemetry, set_active
 from repro.sweep import batch_ring
+from repro.sweep.batch_general import batch_general_covers
 from repro.sweep.batch_ring import (
     BatchRingKernel,
+    _jump_length,
     _padded_columns,
     batch_limit_cycles,
     batch_return_gaps,
     lane_block,
     lanes_from_configs,
     single_agent_covers,
+    sparse_ring_covers,
 )
 
 
@@ -173,6 +178,263 @@ class TestCoverEquivalence:
             3, strict=False
         )
         assert int(lenient[0]) == -1
+
+
+def _sparse_grid(rng, lanes_per_n):
+    """Seeded ``(n, directions, agents)`` lanes for the sparse stepper.
+
+    Every n in 3..64 gets ``lanes_per_n`` lanes with k in 2..n-1,
+    cycling through stacked, clustered and spread starts, and through
+    two pointer patterns: one direction with a few nodes flipped, and
+    random.
+    """
+    lanes = []
+    for n in range(3, 65):
+        for i in range(lanes_per_n):
+            k = int(rng.integers(2, n)) if n > 3 else 2
+            start = int(rng.integers(n))
+            if i % 3 == 0:  # stacked
+                agents = [start] * k
+            elif i % 3 == 1:  # clustered in about 2k/3 nodes
+                width = max(1, 2 * k // 3)
+                agents = [
+                    (start + int(a)) % n
+                    for a in rng.integers(0, width, size=k)
+                ]
+            else:  # spread over k distinct nodes
+                agents = [int(a) for a in rng.choice(n, k, replace=False)]
+            if i // 3 % 2:
+                directions = [int(d) for d in rng.choice((1, -1), size=n)]
+            else:
+                way = int(rng.choice((1, -1)))
+                directions = [way] * n
+                for v in rng.integers(0, n, size=int(rng.integers(1, 4))):
+                    directions[v] = -way
+            lanes.append((n, directions, agents))
+    return lanes
+
+
+def _sparse_covers(lanes, budget):
+    """``sparse_ring_covers`` of ``(n, directions, agents)`` lanes, one
+    call per ring size, in lane order."""
+    covers = [0] * len(lanes)
+    by_size: dict[int, list[int]] = {}
+    for index, (n, _, _) in enumerate(lanes):
+        by_size.setdefault(n, []).append(index)
+    for n, indices in by_size.items():
+        ptr, cnt = lanes_from_configs(
+            n, [(lanes[i][1], lanes[i][2]) for i in indices]
+        )
+        lane_covers = sparse_ring_covers(n, ptr, cnt, budget(n))
+        for i, cover in zip(indices, lane_covers.tolist()):
+            covers[i] = cover
+    return covers
+
+
+def _reference_covers(lanes, budget):
+    """Cover rounds from the reference engine and from the CSR kernel
+    over ``ring_graph(n)``; asserts they agree."""
+    engine = [
+        RingRotorRouter(
+            n, list(directions), agents, track_counts=False
+        ).run_until_covered(budget(n))
+        for n, directions, agents in lanes
+    ]
+    graphs: dict[int, object] = {}
+    csr = batch_general_covers([
+        (
+            graphs.setdefault(n, ring_graph(n).to_csr()),
+            pointers.ring_pointers_to_ports(directions),
+            agents,
+            budget(n),
+        )
+        for n, directions, agents in lanes
+    ])
+    assert csr.tolist() == engine
+    return engine
+
+
+def _sparse_counters(n, lanes, max_rounds):
+    """Covers and ``sparse.*`` counters of one ``sparse_ring_covers``
+    call on ``(directions, agents)`` lanes."""
+    telemetry = Telemetry()
+    previous = set_active(telemetry)
+    try:
+        covers = sparse_ring_covers(
+            n, *lanes_from_configs(n, lanes), max_rounds
+        )
+    finally:
+        set_active(previous)
+    return covers.tolist(), telemetry.counters
+
+
+class TestSparseStepper:
+    """``sparse_ring_covers`` against the CSR kernel over the ring graph
+    and against :class:`RingRotorRouter`.
+
+    ``_SHORTEST_JUMP`` is patched to 1 where a test needs jumps of
+    every length: the stepper then jumps whenever the bounds allow.
+    """
+
+    @staticmethod
+    def _budget(n):
+        return 16 * n * n + 1024
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        lanes = _sparse_grid(np.random.default_rng(20261019), 33)
+        return lanes, _reference_covers(lanes, self._budget)
+
+    def test_seeded_grid_at_three_budgets(self, grid):
+        lanes, expected = grid
+        assert len(lanes) >= 2000
+        assert _sparse_covers(lanes, self._budget) == expected
+        for (n, directions, agents), cover in zip(lanes, expected):
+            ptr, cnt = lanes_from_configs(n, [(directions, agents)])
+            assert sparse_ring_covers(n, ptr, cnt, cover).tolist() == [
+                cover
+            ]
+            assert sparse_ring_covers(n, ptr, cnt, cover - 1).tolist() == [
+                -1
+            ]
+
+    def test_seeded_grid_with_jumps_of_every_length(self, grid, monkeypatch):
+        monkeypatch.setattr(batch_ring, "_SHORTEST_JUMP", 1)
+        lanes, expected = grid
+        assert _sparse_covers(lanes[::2], self._budget) == expected[::2]
+
+    @staticmethod
+    def _approaching(n, a, gap):
+        """Agents at a, heading clockwise, and at a + gap, heading
+        anticlockwise, with the pointers between them leading each
+        agent on up to the middle of the gap."""
+        b = a + gap
+        directions = [1] * n
+        for v in range(a + (gap + 1) // 2, b + 1):
+            directions[v] = -1
+        return directions, [a, b]
+
+    @pytest.mark.parametrize(
+        "gap, bound", [(1, 0), (2, 0), (3, 1), (17, 8), (18, 8), (19, 9)]
+    )
+    def test_approaching_pair(self, monkeypatch, gap, bound):
+        monkeypatch.setattr(batch_ring, "_SHORTEST_JUMP", 1)
+        n = 48
+        directions, agents = self._approaching(n, 5, gap)
+        bits = bytearray(d == 1 for d in directions)
+        assert _jump_length(n, bits, agents, 10**6) == bound
+        lanes = [(n, directions, agents)]
+        expected = _reference_covers(lanes, self._budget)
+        assert _sparse_covers(lanes, self._budget) == expected
+        covers, counters = _sparse_counters(
+            n, [(directions, agents)], self._budget(n)
+        )
+        assert covers == expected
+        assert counters["sparse.jumps"] >= (bound > 0)
+
+    def test_follower_at_gap_one(self, monkeypatch):
+        monkeypatch.setattr(batch_ring, "_SHORTEST_JUMP", 1)
+        n = 20
+        directions, agents = [1] * n, [6, 7]
+        bits = bytearray(n * [1])
+        # The follower may reach the node its leader left, no further.
+        assert _jump_length(n, bits, agents, 10**6) == 1
+        lanes = [(n, directions, agents)]
+        expected = _reference_covers(lanes, self._budget)
+        covers, counters = _sparse_counters(
+            n, [(directions, agents)], self._budget(n)
+        )
+        assert covers == expected
+        assert counters["sparse.jumps"] >= 1
+
+    @pytest.mark.parametrize("way", [1, -1])
+    def test_jump_across_node_zero(self, way):
+        # Clockwise: the agent at 30 runs 15 nodes across node 0 to
+        # node 5, whose pointer sends it back; the agent at 10 runs 15
+        # nodes of its 20-node gap alongside.  The anticlockwise lane is
+        # the mirror image.
+        n = 40
+        directions = [1] * n
+        directions[5] = -1
+        agents = [30, 10]
+        if way < 0:
+            directions = [-directions[-v % n] for v in range(n)]
+            agents = [-a % n for a in agents]
+        bits = bytearray(d == 1 for d in directions)
+        assert _jump_length(n, bits, sorted(agents), 10**6) == 15
+        lanes = [(n, directions, agents)]
+        (cover,) = _reference_covers(lanes, self._budget)
+        for budget, want in ((self._budget(n), cover), (cover, cover),
+                             (cover - 1, -1), (15, -1)):
+            covers, counters = _sparse_counters(
+                n, [(directions, agents)], budget
+            )
+            assert covers == [want]
+            assert counters["sparse.jumps"] >= 1
+
+    def test_cover_inside_a_jump_takes_the_longest_fresh_run(self):
+        # Three clockwise agents at gaps 10, 11 and 10 on a 31-ring: one
+        # 10-round jump covers the ring.  The middle agent reaches
+        # unvisited nodes for all 10 rounds, the others for 9 (their
+        # last step lands on a start node), so the cover is round 10.
+        n = 31
+        directions, agents = [1] * n, [0, 10, 21]
+        lanes = [(n, directions, agents)]
+        assert _reference_covers(lanes, self._budget) == [10]
+        covers, counters = _sparse_counters(n, [(directions, agents)], 100)
+        assert covers == [10]
+        assert (counters["sparse.jumps"], counters["sparse.jump_rounds"]) == (
+            1, 10
+        )
+        assert sparse_ring_covers(
+            n, *lanes_from_configs(n, [(directions, agents)]), 9
+        ).tolist() == [-1]
+
+    def test_single_agents_and_covered_lanes(self):
+        # Chunks can mix k = 1 lanes in (a ring away is a follower gap
+        # of n); a lane whose agents occupy every node covers at 0.
+        rng = np.random.default_rng(5)
+        n = 29
+        configurations = [
+            _random_configuration(rng, n, max_k=2) for _ in range(40)
+        ]
+        ptr, cnt = lanes_from_configs(n, configurations)
+        budget = self._budget(n)
+        assert sparse_ring_covers(n, ptr, cnt, budget).tolist() == (
+            single_agent_covers(n, ptr, cnt, budget).tolist()
+        )
+        ptr, cnt = lanes_from_configs(5, [([1] * 5, [0, 1, 2, 3, 4, 4])])
+        assert sparse_ring_covers(5, ptr, cnt, 0).tolist() == [0]
+
+    def test_counters(self):
+        n = 64
+        lanes = [
+            ([1] * n, [0, 32]),
+            ([-1] * n, placement.all_on_one(3)),
+        ]
+        expected = [
+            RingRotorRouter(n, list(d), a).run_until_covered(10**6)
+            for d, a in lanes
+        ]
+        budget = max(expected) - 1  # the slower lane truncates
+        covers, counters = _sparse_counters(n, lanes, budget)
+        assert covers == [min(expected), -1]
+        assert counters["sparse.invocations"] == 1
+        assert counters["sparse.lanes"] == 2
+        assert counters["sparse.rounds"] == budget
+        assert counters["sparse.lane_rounds"] == min(expected) + budget
+        assert 0 < counters["sparse.jump_rounds"] <= counters[
+            "sparse.lane_rounds"
+        ]
+        assert counters["sparse.jumps"] >= 1
+        assert counters["sparse.lanes_covered"] == 1
+        assert counters["sparse.lanes_truncated"] == 1
+
+    def test_validates_like_the_kernel(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            sparse_ring_covers(2, np.ones((1, 2)), np.ones((1, 2)), 10)
+        with pytest.raises(ValueError, match="at least one agent"):
+            sparse_ring_covers(4, np.ones((1, 4)), np.zeros((1, 4)), 10)
 
 
 class TestLimitBehaviour:

@@ -18,7 +18,7 @@ from repro.sweep import executor
 from repro.sweep.cells import RotorCell
 from repro.sweep.executor import (
     _plan_chunks,
-    _prefer_csr_covers,
+    _prefer_sparse_covers,
     compute_chunk,
     run_cells,
     run_sweep,
@@ -70,8 +70,9 @@ class TestMetrics:
             )
 
     def test_random_families_match_build_on_every_route(self, chunk_lanes):
-        # Closed form (k = 1), CSR (k = 2: Σk = 8 < n per 4-cell block)
-        # and dense (k = 8) chunks all read their lanes from rotor_lanes.
+        # Closed form (k = 1), sparse (k = 2: Σk = 8 < n per 4-cell
+        # block) and dense (k = 8) chunks all read their lanes from
+        # rotor_lanes.
         chunk_lanes(4)
         spec = _cover_spec(
             ns=(16,), ks=(1, 2, 8), seeds=(0, 1),
@@ -82,11 +83,11 @@ class TestMetrics:
         )
         routes = {
             "single" if executor._closed_form_covers(chunk)
-            else "csr" if _prefer_csr_covers(16, chunk)
+            else "sparse" if _prefer_sparse_covers(16, chunk)
             else "dense"
             for chunk in (p["cells"] for p in _plan_chunks(spec.configs()))
         }
-        assert routes == {"single", "csr", "dense"}
+        assert routes == {"single", "sparse", "dense"}
         result = run_sweep(spec)
         for cell in result.results:
             agents, directions = cell.config.build()
@@ -364,11 +365,11 @@ class TestDenseChunkMerging:
         ]
         routes = [
             "single" if executor._closed_form_covers(chunk)
-            else "csr" if _prefer_csr_covers(n, chunk)
+            else "sparse" if _prefer_sparse_covers(n, chunk)
             else "dense"
             for chunk in chunks
         ]
-        assert routes == ["single", "csr", "dense", "dense"]
+        assert routes == ["single", "sparse", "dense", "dense"]
 
         got, _, report = run_cells(cells)
         assert report.clean
@@ -443,9 +444,9 @@ class TestDenseChunkMerging:
             blocks[6] + blocks[7],
         ]
         assert [
-            "csr" if _prefer_csr_covers(n, p["cells"]) else "dense"
+            "sparse" if _prefer_sparse_covers(n, p["cells"]) else "dense"
             for p in payloads
-        ] == ["dense", "csr", "dense", "csr", "csr", "dense"]
+        ] == ["dense", "sparse", "dense", "sparse", "sparse", "dense"]
 
     @pytest.mark.parametrize(
         "metrics", [("cover",), ("stabilization", "return")]
@@ -746,8 +747,8 @@ class TestRingSymmetries:
     A check that needs no reference engine: each seeded random cell
     runs through ``run_cells`` beside its rotation by r and its
     reflection ``v -> -v`` with every pointer flipped.  Cover-only
-    triples take the CSR kernel below ``Σ k = n`` and the dense ring
-    kernel above it; limit-cycle triples take Brent's pipeline.
+    triples take the sparse stepper below ``Σ k = n`` and the dense
+    ring kernel above it; limit-cycle triples take Brent's pipeline.
     """
 
     def test_rotation_and_reflection_preserve_metrics(self):
@@ -793,7 +794,7 @@ class TestRingSymmetries:
             if metrics == ("cover",):
                 assert original["cover"] is not None
                 paths.add(
-                    "csr" if _prefer_csr_covers(n, cells) else "dense"
+                    "sparse" if _prefer_sparse_covers(n, cells) else "dense"
                 )
             else:
                 assert original["period"] is not None
@@ -801,4 +802,4 @@ class TestRingSymmetries:
                     "preperiod", "period", "worst_gap", "best_gap",
                 }
                 paths.add("limit")
-        assert paths == {"csr", "dense", "limit"}
+        assert paths == {"sparse", "dense", "limit"}

@@ -108,7 +108,7 @@ class TestChaosSuite:
         pytest.param(2, "general", 12, id="general-2"),
     ])
     def test_survives_and_heals(self, tmp_path, jobs, kind, size):
-        # Cover chunks at these sizes take the sparse CSR kernel
+        # Cover chunks at these sizes take the sparse stepper
         # (Σk < n); stabilization chunks take the dense ring kernel
         # and the limit-cycle pipeline; general chunks, one at jobs=1
         # and several at jobs=2, take the CSR kernel over four graphs,
