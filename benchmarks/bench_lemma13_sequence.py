@@ -1,9 +1,11 @@
 """[L13] Lemma 13: the profile sequence exists with properties (1)-(6),
 and the discrete worst-case run follows it (correlation ~1).
 
-The discrete run steps the path in one fused O(k) loop; the same run
-on the ``PathRotorRouter`` oracle must return identical arrays, and
-the fused run must be at least ``MIN_SPEEDUP`` times faster than it.
+The discrete run steps the path on the one ring-and-path stepper
+(``repro.sweep.batch_ring.Trajectory``: O(k) rounds and straight-run
+jumps); the same run on the ``PathRotorRouter`` oracle must return
+identical arrays, and the stepper's run must be at least
+``MIN_SPEEDUP`` times faster than it.
 """
 
 import time

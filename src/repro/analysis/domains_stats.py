@@ -1,6 +1,7 @@
 """Domain-evolution statistics: Lemma 12, Figure 1, §2.3 growth.
 
-Steps single ring and path trajectories on flat per-node buffers and
+Steps single ring and path trajectories on
+:class:`repro.sweep.batch_ring.Trajectory`, the one O(k) stepper, and
 samples domain snapshots at intervals (the Figure 1 census runs its
 configurations as rows of one batched ring lane block instead), producing
 the data series behind three reproduction targets:
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +33,12 @@ from repro.core.domains import (
     border_counts,
     domain_snapshots,
 )
-from repro.core.ring import RingRotorRouter
-from repro.sweep.batch_ring import lane_block, lanes_from_configs
+from repro.sweep.batch_ring import (
+    Trajectory,
+    lane_block,
+    lanes_from_configs,
+    ring_trajectories,
+)
 
 #: Sampled rounds handed to one array call: :func:`border_counts` in
 #: :func:`border_type_census`, :func:`domain_snapshots` in
@@ -81,96 +86,17 @@ class DomainTrace:
         return float(slope)
 
 
-class _Ring:
-    """One k-agent ring trajectory on flat per-node buffers.
-
-    ``ptr[v]`` is the neighbour node ``v``'s pointer leads to and
-    ``other[v]`` its other neighbour, so a move needs no wrap-around
-    and a flip is a swap.  ``counts`` maps occupied nodes to agent
-    counts, so a round costs O(k), as in :class:`RingRotorRouter`.
-    ``propagation[v]`` flags nodes whose most recent visit was a
-    PROPAGATION (the only visit kind a domain snapshot reads): a lone
-    arrival whose node's pointer, after the round, leads away from
-    where the agent came from.  Takes the arguments
-    :class:`RingRotorRouter` does.
-    """
-
-    def __init__(
-        self, n: int, directions: Sequence[int], agents: Iterable[int]
-    ) -> None:
-        # The reference engine validates the arguments and lays out the
-        # start; it is never stepped.
-        start = RingRotorRouter(n, directions, agents, track_counts=False)
-        self.n = n
-        self.ptr = [(v + d) % n for v, d in enumerate(start.ptr)]
-        self.other = [(v - d) % n for v, d in enumerate(start.ptr)]
-        self.counts = start.counts
-        self.visited = start.visited
-        self.unvisited = start.unvisited
-        self.propagation = bytearray(n)
-        self._came = [0] * n
-        self._clockwise = np.arange(1, n + 1) % n
-        self.round = 0
-
-    def run(self, rounds: int, stop_at_cover: bool = False) -> None:
-        """Step ``rounds`` rounds, or until covered with ``stop_at_cover``
-        (checked after each round, so at least one round runs)."""
-        ptr, other, came = self.ptr, self.other, self._came
-        visited, propagation = self.visited, self.propagation
-        counts, unvisited = self.counts, self.unvisited
-        stepped = 0
-        while stepped < rounds:
-            stepped += 1
-            arrivals: dict[int, int] = {}
-            for v, c in counts.items():
-                p = ptr[v]
-                came[p] = v
-                if c == 1:
-                    # One agent leaves along the pointer, which flips.
-                    if p in arrivals:
-                        arrivals[p] += 1
-                    else:
-                        arrivals[p] = 1
-                    ptr[v] = other[v]
-                    other[v] = p
-                    continue
-                via_pointer = (c + 1) >> 1
-                if p in arrivals:
-                    arrivals[p] += via_pointer
-                else:
-                    arrivals[p] = via_pointer
-                q = other[v]
-                came[q] = v
-                if q in arrivals:
-                    arrivals[q] += c - via_pointer
-                else:
-                    arrivals[q] = c - via_pointer
-                if c & 1:
-                    ptr[v] = q
-                    other[v] = p
-            for v, c in arrivals.items():
-                if not visited[v]:
-                    visited[v] = 1
-                    unvisited -= 1
-                propagation[v] = c == 1 and ptr[v] != came[v]
-            counts = arrivals
-            if stop_at_cover and not unvisited:
-                break
-        self.counts, self.unvisited = counts, unvisited
-        self.round += stepped
-
-    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The configuration as the rows :func:`domain_snapshots` takes."""
-        n = self.n
-        counts = np.zeros(n, dtype=np.int64)
-        counts[list(self.counts)] = list(self.counts.values())
-        clockwise = np.fromiter(self.ptr, np.int64, n) == self._clockwise
-        return (
-            counts,
-            clockwise,
-            np.frombuffer(self.visited, dtype=bool).copy(),
-            np.frombuffer(self.propagation, dtype=bool).copy(),
-        )
+def _rows(ring: Trajectory) -> tuple[np.ndarray, ...]:
+    """A ring trajectory's configuration as the rows
+    :func:`domain_snapshots` takes."""
+    counts = np.zeros(ring.n, dtype=np.int64)
+    counts[list(ring.occupied)] = list(ring.occupied.values())
+    return (
+        counts,
+        np.frombuffer(ring.bits, dtype=bool).copy(),
+        np.frombuffer(ring.visited, dtype=bool).copy(),
+        np.frombuffer(ring.propagation, dtype=bool).copy(),
+    )
 
 
 def trace_domains(
@@ -185,17 +111,21 @@ def trace_domains(
 
     Samples are only taken once domains are well defined (<= 2 agents
     per node); earlier sample points are skipped silently, which only
-    matters for stacked initial placements.  The trajectory steps on
-    flat buffers in O(k) per round, and sampled rounds are turned into
-    snapshots :data:`_BLOCK_ROUNDS` at a time by
-    :func:`domain_snapshots`; the result equals stepping
-    :class:`RingRotorRouter` with a :class:`VisitTypeTracker` and
-    taking :func:`domain_snapshot` at every sample.
+    matters for stacked initial placements.  The trajectory runs on a
+    :class:`Trajectory` keeping visit kinds, whose jumps stop at every
+    sample round, and sampled rounds are turned into snapshots
+    :data:`_BLOCK_ROUNDS` at a time by :func:`domain_snapshots`; the
+    result equals stepping :class:`RingRotorRouter` with a
+    :class:`VisitTypeTracker` and taking :func:`domain_snapshot` at
+    every sample.
     """
     if total_rounds < 1 or sample_every < 1:
         raise ValueError("total_rounds and sample_every must be positive")
     agents = list(agents)
-    ring = _Ring(n, directions, agents)
+    (ring,) = ring_trajectories(
+        n, *lanes_from_configs(n, [(list(directions), agents)]), True
+    )
+    stop = 0 if stop_at_cover else -1
     trace = DomainTrace(n=n, k=len(agents))
     rounds: list[int] = []
     rows: list[tuple[np.ndarray, ...]] = []
@@ -213,11 +143,11 @@ def trace_domains(
                 sample_every - ring.round % sample_every,
                 total_rounds - ring.round,
             ),
-            stop_at_cover,
+            stop,
         )
-        if ring.round % sample_every == 0 and max(ring.counts.values()) <= 2:
+        if ring.round % sample_every == 0 and max(ring.occupied.values()) <= 2:
             rounds.append(ring.round)
-            rows.append(ring.rows())
+            rows.append(_rows(ring))
             if len(rows) == _BLOCK_ROUNDS:
                 snapshot_block()
         if stop_at_cover and not ring.unvisited:
@@ -238,10 +168,12 @@ def lemma12_adjacent_difference(
     Lemma 12 predicts this settles to at most ~10 once domains are
     established (the paper proves <= 10 for k >= 6 and domains >= 20k).
     """
-    ring = _Ring(n, directions, agents)
+    (ring,) = ring_trajectories(
+        n, *lanes_from_configs(n, [(list(directions), list(agents))]), True
+    )
     ring.run(rounds)
     (snapshot,) = domain_snapshots(
-        *(row[None] for row in ring.rows()), [ring.round]
+        *(row[None] for row in _rows(ring)), [ring.round]
     )
     if snapshot.unvisited:
         raise RuntimeError(
@@ -333,83 +265,6 @@ def border_type_census(
     ]
 
 
-def _path_right_ends(
-    n: int, k: int, rounds_budget: int, stop_unvisited: int
-) -> list[int]:
-    """Domain right ends of the Theorem 1 path run, frontier first.
-
-    k agents start at the left endpoint of the n-node path with every
-    pointer toward it.  The run steps until at most ``stop_unvisited``
-    nodes are unvisited (or the budget is spent), then for ``4 n`` more
-    rounds records the maximum of each rank's position, ranks sorted
-    from the frontier inward: agents oscillate inside their domains,
-    so these maxima are the domain right ends.  The buffers are laid
-    out as in :class:`_Ring`; an endpoint's two neighbour slots both
-    hold its one neighbour, so every agent there leaves through it and
-    its pointer never changes, as in :class:`PathRotorRouter`.  No
-    visit kinds are kept: the profile needs none, and keeping them
-    would cost this loop about 40%.  Raises ``RuntimeError`` when the
-    frontier has not passed node k when the window starts.
-    """
-    ptr = [v - 1 for v in range(n)]
-    other = [v + 1 for v in range(n)]
-    ptr[0] = 1
-    other[n - 1] = n - 2
-    counts = {0: k}
-    visited = bytearray(n)
-    visited[0] = 1
-    unvisited = n - 1
-    rounds_left = rounds_budget
-    window = 0
-    right_ends = [0] * k
-    while True:
-        if not window:
-            if rounds_left == 0 or unvisited <= stop_unvisited:
-                if max(counts) <= k:
-                    raise RuntimeError("agents did not spread within the budget")
-                window = 4 * n
-            rounds_left -= 1
-        arrivals: dict[int, int] = {}
-        for v, c in counts.items():
-            p = ptr[v]
-            if c == 1:
-                if p in arrivals:
-                    arrivals[p] += 1
-                else:
-                    arrivals[p] = 1
-                ptr[v] = other[v]
-                other[v] = p
-                continue
-            via_pointer = (c + 1) >> 1
-            if p in arrivals:
-                arrivals[p] += via_pointer
-            else:
-                arrivals[p] = via_pointer
-            q = other[v]
-            if q in arrivals:
-                arrivals[q] += c - via_pointer
-            else:
-                arrivals[q] = c - via_pointer
-            if c & 1:
-                ptr[v] = q
-                other[v] = p
-        for v in arrivals:
-            if not visited[v]:
-                visited[v] = 1
-                unvisited -= 1
-        counts = arrivals
-        if window:
-            rank = 0
-            for v in sorted(counts, reverse=True):
-                for _ in range(counts[v]):
-                    if v > right_ends[rank]:
-                        right_ends[rank] = v
-                    rank += 1
-            window -= 1
-            if not window:
-                return right_ends
-
-
 def final_profile_vs_lemma13(
     n: int,
     k: int,
@@ -426,10 +281,14 @@ def final_profile_vs_lemma13(
     is the position difference.  §2.3 postulates measured ~ predicted
     ~ 1/(i H_k).
 
-    The run stops once at most ``max(2, n // 50)`` nodes are unvisited,
-    with the frontier agent on node ``n - 1 - max(2, n // 50)``, which
-    must lie beyond node k; a path too short for that, or a budget
-    below one round, raises ``ValueError`` before any step.
+    The run stops once at most ``max(2, n // 50)`` nodes are unvisited
+    (or after ``rounds_budget`` rounds), with the frontier agent on node
+    ``n - 1 - max(2, n // 50)``, which must lie beyond node k; a path
+    too short for that, or a budget below one round, raises
+    ``ValueError`` before any step, and a frontier at or before node k
+    when the budget runs out raises ``RuntimeError``.  For ``4 n`` more
+    rounds it then records the maximum of each rank's position, ranks
+    sorted from the frontier inward.
     """
     from repro.theory.sequences import solve_profile
 
@@ -443,7 +302,15 @@ def final_profile_vs_lemma13(
             f"the run on {n} nodes stops with its frontier on node "
             f"{n - 1 - stop_unvisited}, which must lie beyond node k = {k}"
         )
-    boundaries = _path_right_ends(n, k, rounds_budget, stop_unvisited) + [0]
+    path = Trajectory(n, bytearray(n), {0: k}, path=True)
+    path.run(rounds_budget, stop_unvisited)
+    if max(path.occupied) <= k:
+        raise RuntimeError("agents did not spread within the budget")
+    # Agents oscillate inside their domains, so the maxima of each
+    # rank's position over 4n more rounds are the domain right ends.
+    right_ends = [0] * k
+    path.run(4 * n, maxima=right_ends)
+    boundaries = right_ends + [0]
     sizes = np.asarray(
         [boundaries[i] - boundaries[i + 1] for i in range(k)], dtype=float
     )

@@ -5,7 +5,10 @@ a *path* with half the agents at one endpoint (the configuration stays
 mirror-symmetric), and the Phase A/B1/B2 delayed deployment of the
 proof — reproduced in :mod:`repro.experiments.deployments` — runs on
 the path.  This engine is the O(k)-per-round path counterpart of
-:class:`repro.core.ring.RingRotorRouter`:
+:class:`repro.core.ring.RingRotorRouter` and, stepped under
+:mod:`repro.core.delayed` holds, the tests' oracle for the deployment
+and the Lemma 13 run, which production code steps on
+:class:`repro.sweep.batch_ring.Trajectory`:
 
 * interior nodes behave exactly like ring nodes (pointer = direction,
   flip on odd exits);

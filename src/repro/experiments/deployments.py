@@ -21,6 +21,14 @@ Because only B1 rounds are fully active, Lemma 3 sandwiches the real
 an executable proof skeleton.  :func:`run_theorem1_deployment` returns
 the full trace (S_j ladder, phase durations, violations of the
 desirable-configuration invariants) and the sandwich verdict.
+
+The path runs on :class:`repro.sweep.batch_ring.Trajectory`: B1 and the
+undelayed run are plain runs with a cover stop, and each agent released
+in Phases A and B2 walks to its next back-pointing node or its target
+in one jump per leg.  Stepping
+:class:`repro.core.path.PathRotorRouter` under
+:func:`repro.core.delayed.hold_all_except_one_at` gives the same trace;
+the tests hold it as the oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.delayed import hold_all_except_one_at
-from repro.core.path import PathRotorRouter
+from repro.sweep.batch_ring import Trajectory
 from repro.theory.sequences import ProfileSequence, solve_profile
 
 
@@ -66,42 +73,35 @@ class Theorem1Trace:
 
 
 def _walk_agent_to(
-    engine: PathRotorRouter,
+    path: Trajectory,
     start: int,
     target: int,
     budget: int,
 ) -> int:
-    """Release one agent at ``start``; walk it until it stands on
-    ``target`` having just moved rightward.  Returns rounds used.
+    """Walk one released agent from ``start`` until it stands on
+    ``target`` having just moved rightward (:meth:`Trajectory.walk`);
+    returns rounds used.
 
     A rightward arrival guarantees the pointers behind the agent point
     left, preserving the desirable-configuration invariant.  The agent
     bounces within its domain, so the stop condition is eventually
     reached whether the target lies ahead of or behind the start.
     """
-    if start == target:
-        return 0
-    position = start
-    previous = start
-    for used in range(1, budget + 1):
-        holds = hold_all_except_one_at(engine, position)
-        moves = engine.step(holds)
-        released = [m for m in moves if m[0] == position and m[2] >= 1]
-        if len(released) != 1:
-            raise DeploymentError(
-                f"expected one released agent at {position}, moves={moves}"
-            )
-        previous, position = position, released[0][1]
-        if position == target and position == previous + 1:
-            return used
-    raise DeploymentError(
-        f"agent failed to reach {target} from {start} within {budget} rounds"
-    )
+    used = path.walk(start, target, budget)
+    if used < 0:
+        raise DeploymentError(
+            f"agent failed to reach {target} from {start} within "
+            f"{budget} rounds"
+        )
+    return used
 
 
-def _agent_positions_desc(engine: PathRotorRouter) -> list[int]:
+def _agent_positions_desc(path: Trajectory) -> list[int]:
     """Agent positions, largest first (agent 1 = frontier agent)."""
-    return sorted(engine.positions(), reverse=True)
+    return [
+        v for v in sorted(path.occupied, reverse=True)
+        for _ in range(path.occupied[v])
+    ]
 
 
 def _targets(profile: ProfileSequence, length: int) -> list[int]:
@@ -122,21 +122,20 @@ def _targets(profile: ProfileSequence, length: int) -> list[int]:
 
 
 def _check_desirable(
-    engine: PathRotorRouter,
+    path: Trajectory,
     targets: list[int],
     trace: Theorem1Trace,
     label: str,
 ) -> None:
     """Record any deviation from the desirable-configuration invariants."""
-    positions = _agent_positions_desc(engine)
+    positions = _agent_positions_desc(path)
     if positions != targets:
         trace.invariant_violations.append(
             f"{label}: positions {positions} != targets {targets}"
         )
-    frontier = targets[0]
+    frontier, bits = targets[0], path.bits
     bad_pointers = [
-        v for v in range(1, frontier) if engine.ptr[v] != -1
-        and v not in engine.counts
+        v for v in range(1, frontier) if bits[v] and v not in path.occupied
     ]
     if bad_pointers:
         trace.invariant_violations.append(
@@ -180,55 +179,50 @@ def run_theorem1_deployment(
 
     # All agents at the left endpoint; every pointer toward it
     # ("negatively initialized": first visits reflect).
-    directions = [-1] * n
-    engine = PathRotorRouter(n, directions, [0] * k, track_counts=False)
+    path = Trajectory(n, bytearray(n), {0: k}, path=True)
     trace = Theorem1Trace(n=n, k=k, multiplier=multiplier)
 
     # ------------------------------------------------------------ Phase A
     s_value = initial_length
     targets = _targets(profile, s_value)
-    round_before = engine.round
     for i in range(k):
         budget = 4 * (targets[i] + 2) ** 2 + 64
-        _walk_agent_to(engine, 0, targets[i], budget)
-    trace.phase_a_rounds = engine.round - round_before
+        _walk_agent_to(path, 0, targets[i], budget)
+    trace.phase_a_rounds = path.round
     trace.s_ladder.append(s_value)
-    _check_desirable(engine, targets, trace, f"phase A (S={s_value})")
+    _check_desirable(path, targets, trace, f"phase A (S={s_value})")
 
     # ------------------------------------------------------------ Phase B
     a1, ak = profile.a[1], profile.a[k]
     increment = max(1, math.ceil(a1 * ak * multiplier)) + 12 * k
-    while engine.unvisited > 0:
-        if engine.round > max_total_rounds:
+    while path.unvisited > 0:
+        if path.round > max_total_rounds:
             raise DeploymentError(
                 f"deployment exceeded {max_total_rounds} rounds"
             )
         # B1: everyone runs for ceil(2 a_k S multiplier) rounds.
         b1_rounds = int(math.ceil(2.0 * ak * s_value * multiplier))
-        before = engine.round
-        for _ in range(b1_rounds):
-            engine.step()
-            if engine.unvisited == 0:
-                break
-        trace.phase_b1_rounds += engine.round - before
-        if engine.unvisited == 0:
+        before = path.round
+        path.run(b1_rounds, stop=0)
+        trace.phase_b1_rounds += path.round - before
+        if path.unvisited == 0:
             break
 
         # B2: re-park at the next desirable configuration.
         s_next = min(s_value + increment, n - 1)
         targets = _targets(profile, s_next)
-        before = engine.round
-        current = _agent_positions_desc(engine)
+        before = path.round
+        current = _agent_positions_desc(path)
         for i in range(k):
             budget = 16 * (s_next + 2) * (i + 2) * (increment + 26 * k) + 256
-            _walk_agent_to(engine, current[i], targets[i], budget)
-            current = _agent_positions_desc(engine)
-        trace.phase_b2_rounds += engine.round - before
-        _check_desirable(engine, targets, trace, f"phase B2 (S={s_next})")
+            _walk_agent_to(path, current[i], targets[i], budget)
+            current = _agent_positions_desc(path)
+        trace.phase_b2_rounds += path.round - before
+        _check_desirable(path, targets, trace, f"phase B2 (S={s_next})")
         s_value = s_next
         trace.s_ladder.append(s_value)
 
-    trace.cover_round = engine.cover_round
+    trace.cover_round = path.cover_round
     return trace
 
 
@@ -236,6 +230,16 @@ def undelayed_path_cover_time(n: int, k: int, max_rounds: int | None = None) -> 
     """Cover time of the *undelayed* system from the same initialization
     (all agents at node 0, pointers toward it) — the quantity that
     Theorem 1 bounds and Lemma 3 sandwiches against the deployment."""
-    engine = PathRotorRouter(n, [-1] * n, [0] * k, track_counts=False)
+    if n < 2 or k < 1:
+        raise ValueError(
+            f"need a path of n >= 2 nodes and k >= 1 agents, got {n}, {k}"
+        )
+    path = Trajectory(n, bytearray(n), {0: k}, path=True)
     budget = max_rounds if max_rounds is not None else 8 * n * n + 64
-    return engine.run_until_covered(budget)
+    path.run(budget, stop=0)
+    if path.unvisited:
+        raise RuntimeError(
+            f"not covered within {budget} rounds "
+            f"({path.unvisited} nodes unvisited)"
+        )
+    return path.round

@@ -22,9 +22,11 @@ _CHUNK = re.compile(r"chunk\[\d+\]")
 #: Kernel counter prefixes in display order, with the counter names
 #: backing the normalized ``rounds``/``lane_rounds`` columns (kernels
 #: count what is natural for them: the general kernel processes
-#: occupied pairs, the gap scan row-rounds).
+#: occupied pairs, the gap scan row-rounds; the single-agent closed
+#: form steps no round).
 _KERNELS = (
     ("ring", "rounds", "lane_rounds"),
+    ("single", "rounds", "lane_rounds"),
     ("sparse", "rounds", "lane_rounds"),
     ("limit", "rounds", "lane_rounds"),
     ("gaps", "rounds", "lane_rounds"),

@@ -63,10 +63,11 @@ sorted prefix:
 
 Single-agent covers need no block: :func:`single_agent_covers` reads
 them off the pointers in closed form, in n - 2 lockstep array steps
-whatever the cover round.  Sparse covers (fewer agents than nodes)
-need none either: :func:`sparse_ring_covers` steps each lane on its
-own in plain Python, crossing every stretch in which all agents walk
-straight in one jump.
+whatever the cover round.  Every other O(k) trajectory runs on one
+:class:`Trajectory` in plain Python, ring or path, crossing every
+stretch in which all agents walk straight in one jump: sparse covers
+(fewer agents than nodes, :func:`sparse_ring_covers`), the §2.3 traces
+and the Theorem 1 path deployments.
 
 Every driver runs one cadence: cover windows are
 ``BatchRingKernel._WINDOW`` (32) rounds wide, and the Brent search
@@ -79,6 +80,7 @@ Step-for-step equivalence with the reference engines is enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -494,6 +496,8 @@ def lanes_from_configs(
                 f"lane {b}: pointers have length {len(directions)}, "
                 f"ring has {n} nodes"
             )
+        if any(d not in (1, -1) for d in directions):
+            raise ValueError(f"lane {b}: pointers must be +1 or -1")
         pointers[b] = directions
         if not agents:
             raise ValueError(f"lane {b}: at least one agent is required")
@@ -552,20 +556,28 @@ def single_agent_covers(
         heading = heading == onward
         hi += heading
         lo += ~heading
+    covers = np.where(rounds <= max_rounds, rounds, -1)
     tel = _telemetry()
     if tel is not None:
-        tel.count("ring.single_lanes", block.rows)
-    return np.where(rounds <= max_rounds, rounds, -1)
+        covered = int(np.count_nonzero(covers >= 0))
+        tel.count_many({
+            "single.invocations": 1,
+            "single.lanes": block.rows,
+            "single.lanes_covered": covered,
+            "single.lanes_truncated": block.rows - covered,
+        })
+    return covers
 
 
-#: Shortest jump a sparse lane takes, in rounds: a shorter one saves
-#: less than its attempt and its slice writes cost, so the lane steps
-#: those rounds plainly.  Scheduling only: both give the same states.
+#: Shortest jump a trajectory takes, in rounds: a shorter one saves
+#: less than its attempt and its slice writes cost, so the trajectory
+#: steps those rounds plainly.  Scheduling only: both give the same
+#: states.
 _SHORTEST_JUMP = 8
 
-#: Longest wait, in plain rounds, between jump attempts of a sparse
-#: lane: each failed attempt doubles the wait up to this cap, and each
-#: jump resets it.
+#: Longest wait, in plain rounds, between jump attempts of a
+#: trajectory: each failed attempt doubles the wait up to this cap, and
+#: each jump resets it.
 _MAX_BACKOFF = 32
 
 
@@ -577,172 +589,352 @@ def sparse_ring_covers(
     Takes the ``(B, n)`` lane arrays :func:`lane_block` validates and
     returns each lane's cover round, or -1 past ``max_rounds`` (a cover
     equal to the budget counts), as :func:`single_agent_covers` does.
-
-    Each lane steps alone in plain Python: a round costs O(k), with the
-    pointers as bits in a ``bytearray`` (1 = clockwise) and the
-    occupied nodes in a dict.  A lone agent walks straight until a
-    pointer sends it back or it meets another agent (§2: each agent
-    sweeps its own arc between borders), so whenever every agent is
-    alone on its node the lane takes one jump of Δ rounds, Δ the least
-    of these bounds:
-
-    * per agent, its distance to the first node ahead whose pointer
-      points back (``find``/``rfind`` over the bits, at C speed);
-    * ``(g - 1) // 2`` for two cyclically adjacent agents approaching
-      each other at gap g;
-    * ``g`` for an agent following another in the same direction;
-    * the budget left.
-
-    Within the jump no agent reads a pointer another agent writes, and
-    no two agents share a node (see :func:`_jump_length`), so moving
-    every agent Δ nodes at once, reversing each node it departs and
-    marking each node it reaches, gives exactly the state Δ rounds
-    produce.  When the jump reaches the last unvisited nodes, the cover
-    round is the jump's start plus the largest offset at which an agent
-    reached one of them.  Jumps shorter than :data:`_SHORTEST_JUMP`
-    are stepped plainly, and failed attempts, frequent where agents
-    meet every few rounds, back off up to :data:`_MAX_BACKOFF` rounds.
+    Each lane runs on its own :class:`Trajectory` with a cover stop:
+    O(k) a round, and one jump across every stretch in which all agents
+    walk straight.
     """
-    block = lane_block(n, pointers, counts)
-    bits = block.ptr.astype(np.uint8)
-    covers = np.empty(block.rows, dtype=np.int64)
-    longest = lane_rounds = jumps = jump_rounds = 0
-    for lane in range(block.rows):
-        row = block.cnt[lane]
-        nodes = np.flatnonzero(row)
-        cover, rounds, lane_jumps, lane_jump_rounds = _sparse_lane(
-            n,
-            bytearray(bits[lane]),
-            dict(zip(nodes.tolist(), row[nodes].tolist())),
-            max_rounds,
-        )
-        covers[lane] = cover
-        longest = max(longest, rounds)
-        lane_rounds += rounds
-        jumps += lane_jumps
-        jump_rounds += lane_jump_rounds
+    covers, rounds, jumps, jump_rounds = [], [], 0, 0
+    for ring in ring_trajectories(n, pointers, counts):
+        if ring.unvisited:
+            ring.run(max_rounds, stop=0)
+        covers.append(-1 if ring.unvisited else ring.round)
+        rounds.append(ring.round)
+        jumps += ring.jumps
+        jump_rounds += ring.jump_rounds
     tel = _telemetry()
     if tel is not None:
-        covered = int(np.count_nonzero(covers >= 0))
+        covered = sum(cover >= 0 for cover in covers)
         tel.count_many({
             "sparse.invocations": 1,
-            "sparse.lanes": block.rows,
-            "sparse.rounds": longest,
-            "sparse.lane_rounds": lane_rounds,
+            "sparse.lanes": len(covers),
+            "sparse.rounds": max(rounds),
+            "sparse.lane_rounds": sum(rounds),
             "sparse.jumps": jumps,
             "sparse.jump_rounds": jump_rounds,
             "sparse.lanes_covered": covered,
-            "sparse.lanes_truncated": block.rows - covered,
+            "sparse.lanes_truncated": len(covers) - covered,
         })
-    return covers
+    return np.array(covers, dtype=np.int64)
 
 
-def _sparse_lane(
-    n: int, bits: bytearray, occupied: dict[int, int], budget: int
-) -> tuple[int, int, int, int]:
-    """Step one lane to its cover round or its budget.
+def ring_trajectories(
+    n: int, pointers: np.ndarray, counts: np.ndarray, propagation: bool = False
+) -> Iterator["Trajectory"]:
+    """Yield one ring :class:`Trajectory` per lane of the ``(B, n)``
+    arrays :func:`lane_block` validates, each built when it is asked
+    for."""
+    block = lane_block(n, pointers, counts)
+    for bits, row in zip(block.ptr.astype(np.uint8), block.cnt):
+        nodes = np.flatnonzero(row)
+        occupied = dict(zip(nodes.tolist(), row[nodes].tolist()))
+        yield Trajectory(n, bytearray(bits), occupied, False, propagation)
 
-    ``bits`` holds the pointers (1 = clockwise) and is stepped in
-    place; ``occupied`` maps each occupied node to its agent count.
-    Returns
-    ``(cover, rounds, jumps, jump_rounds)``: the cover round, or -1 if
-    ``budget`` rounds leave a node unvisited, the rounds stepped, and
-    how many of them ran as how many jumps.
+
+class Trajectory:
+    """One rotor-router trajectory on the n-ring or the n-node path.
+
+    The one O(k) stepper: sparse ring covers, the §2.3 ring traces, the
+    Lemma 12 runs, the Lemma 13 path profile and the Theorem 1
+    deployments all run on it.  ``bits`` holds the pointers
+    (1 = clockwise, toward ``v + 1``) and ``occupied`` each occupied
+    node's agent count.  A plain round costs O(k): ⌈c/2⌉ agents leave
+    along the pointer, ⌊c/2⌋ the other way, and the pointer flips iff c
+    is odd.  Whenever every agent is alone, :meth:`run` crosses the
+    rounds :func:`_jump_length` allows in one jump of slice writes
+    (DESIGN.md, "One ring and path stepper").
+
+    On a path, node 0 sends every agent right and node n - 1 every agent
+    left, and neither flips: their bits read 1 and 0 whenever a method
+    returns.  With ``propagation`` the trajectory flags each node whose
+    most recent visit was a PROPAGATION (the only visit kind a domain
+    snapshot reads).  :func:`ring_trajectories` builds ring
+    trajectories from validated lane arrays.
     """
-    k = sum(occupied.values())
-    visited = bytearray(n)
-    for v in occupied:
-        visited[v] = 1
-    unvisited = n - len(occupied)
-    if not unvisited:
-        return 0, 0, 0, 0
-    top = n - 1
-    zeros = bytes(n)
-    ones = b"\x01" * n
-    t = jumps = jump_rounds = backoff = retry = 0
-    while t < budget:
-        if t >= retry and len(occupied) == k:
-            agents = sorted(occupied)
-            delta = _jump_length(n, bits, agents, budget - t)
-            if delta >= _SHORTEST_JUMP:
-                # Runs touch disjoint nodes, so each agent moves on its
-                # own: reverse the nodes it departs, count the unvisited
-                # ones it reaches (marked below, once the cover is
-                # known not to fall inside the jump).
-                moved = []
-                explorers = []
-                fresh = 0
-                for x in agents:
-                    if bits[x]:
-                        start = x + 1
-                        _fill(bits, x, delta, zeros, n)
-                        moved.append((x + delta) % n)
-                    else:
-                        start = x - delta
-                        _fill(bits, start + 1, delta, ones, n)
-                        moved.append(start % n)
-                    reached = _unvisited(visited, start, delta, n)
-                    if reached:
-                        fresh += reached
-                        explorers.append((x, start))
-                if fresh == unvisited:
-                    last = max(
-                        _last_reached(visited, x, start, delta, n)
-                        for x, start in explorers
-                    )
-                    return t + last, t + last, jumps + 1, jump_rounds + last
-                unvisited -= fresh
-                for _, start in explorers:
-                    _fill(visited, start, delta, ones, n)
-                occupied = dict.fromkeys(moved, 1)
-                jumps += 1
-                jump_rounds += delta
-                t += delta
-                backoff = 0
-            else:
+
+    def __init__(
+        self,
+        n: int,
+        bits: bytearray,
+        occupied: dict[int, int],
+        path: bool = False,
+        propagation: bool = False,
+    ) -> None:
+        self.n, self.path, self.bits, self.occupied = n, path, bits, occupied
+        self.k = sum(occupied.values())
+        self.visited = bytearray(n)
+        for v in occupied:
+            self.visited[v] = 1
+        self.unvisited = n - len(occupied)
+        self.cover_round: int | None = None if self.unvisited else 0
+        self.propagation = bytearray(n) if propagation else None
+        self.round = self.jumps = self.jump_rounds = 0
+        self._backoff = self._retry = 0
+        # Each node's anticlockwise and clockwise neighbour (a path's
+        # endpoints hold their one neighbour in both slots).
+        self._neighbours = (list(range(-1, n - 1)), list(range(1, n + 1)))
+        self._neighbours[0][0] = 1 if path else n - 1
+        self._neighbours[1][n - 1] = n - 2 if path else 0
+        if path:
+            bits[0], bits[n - 1] = 1, 0
+        self._zeros, self._ones = bytes(n), b"\x01" * n
+
+    def run(
+        self, rounds: int, stop: int = -1, maxima: list[int] | None = None
+    ) -> None:
+        """Step ``rounds`` rounds, or until at most ``stop`` nodes are
+        unvisited, checked after each round (``stop=0``: the cover).
+
+        A jump ends where it reaches the stop, and a cover inside one
+        is recorded in ``cover_round``.  ``maxima``, on a path, holds
+        each rank's largest position, ranks from the largest position
+        down; every round raises it.
+        """
+        n, path, bits, visited = self.n, self.path, self.bits, self.visited
+        left, right = self._neighbours
+        zeros, ones, k = self._zeros, self._ones, self.k
+        observe = self.propagation is not None or maxima is not None
+        occupied, unvisited, t = self.occupied, self.unvisited, self.round
+        end = t + rounds if unvisited > stop else min(t + rounds, t + 1)
+        floor = max(stop, 0)
+        backoff, retry = self._backoff, self._retry
+        jumps, jump_rounds = self.jumps, self.jump_rounds
+        while t < end:
+            if len(occupied) == k and t >= retry:
+                if path:
+                    bits[0], bits[-1] = 1, 0
+                agents = sorted(occupied)
+                delta = _jump_length(n, bits, agents, end - t, path)
+                if delta >= _SHORTEST_JUMP:
+                    # The runs touch disjoint nodes: reverse the nodes
+                    # each departs, and count the unvisited ones it
+                    # reaches (marked below).
+                    last = False
+                    while True:
+                        fresh = 0
+                        moved = []
+                        explorers = []
+                        for x in agents:
+                            if bits[x]:
+                                lo = x + 1
+                                if lo + delta <= n:
+                                    bits[x:lo + delta - 1] = zeros[:delta]
+                                    reached = visited.count(0, lo, lo + delta)
+                                else:
+                                    _fill(bits, x, delta, zeros, n)
+                                    reached = _unvisited(visited, lo, delta, n)
+                                moved.append((x + delta) % n)
+                            else:
+                                lo = x - delta
+                                if lo >= 0:
+                                    bits[lo + 1:x + 1] = ones[:delta]
+                                    reached = visited.count(0, lo, x)
+                                else:
+                                    _fill(bits, lo + 1, delta, ones, n)
+                                    reached = _unvisited(visited, lo, delta, n)
+                                moved.append(lo % n)
+                            if reached:
+                                fresh += reached
+                                explorers.append(lo)
+                        if last or not fresh or fresh < unvisited - floor:
+                            break
+                        delta = self._last_rounds(
+                            agents, delta, t, unvisited, stop
+                        )
+                        last = True
+                    for lo in explorers:
+                        _fill(visited, lo, delta, ones, n)
+                    if observe:
+                        self._observe_jump(agents, moved, delta, maxima)
+                    occupied = dict.fromkeys(moved, 1)
+                    unvisited -= fresh
+                    t += delta
+                    jumps += 1
+                    jump_rounds += delta
+                    backoff = 0
+                    retry = t
+                    if unvisited <= stop:
+                        break
+                    continue
                 backoff = min(2 * backoff + 1, _MAX_BACKOFF)
-            retry = t + backoff
-            continue
-        t += 1
-        arrivals: dict[int, int] = {}
-        for v, c in occupied.items():
-            if c == 1:
-                # A lone agent leaves along the pointer, which flips.
-                if bits[v]:
-                    bits[v] = 0
-                    u = v + 1 if v < top else 0
-                else:
-                    bits[v] = 1
-                    u = v - 1 if v else top
-                if u in arrivals:
-                    arrivals[u] += 1
-                else:
-                    arrivals[u] = 1
+                retry = t + backoff
                 continue
-            # ceil(c/2) along the pointer, floor(c/2) the other way; the
-            # pointer flips iff c is odd.
-            half = c >> 1
-            if bits[v]:
-                clockwise, anticlockwise = c - half, half
-            else:
-                clockwise, anticlockwise = half, c - half
-            if c & 1:
-                bits[v] ^= 1
-            u = v + 1 if v < top else 0
-            arrivals[u] = arrivals.get(u, 0) + clockwise
-            u = v - 1 if v else top
-            arrivals[u] = arrivals.get(u, 0) + anticlockwise
-        occupied = arrivals
-        for u in arrivals:
-            if not visited[u]:
-                visited[u] = 1
-                unvisited -= 1
+            t += 1
+            arrivals: dict[int, int] = {}
+            for v, c in occupied.items():
+                if c == 1:
+                    # A lone agent leaves along the pointer, which flips.
+                    if bits[v]:
+                        bits[v] = 0
+                        u = right[v]
+                    else:
+                        bits[v] = 1
+                        u = left[v]
+                    if u in arrivals:
+                        arrivals[u] += 1
+                        continue
+                    arrivals[u] = 1
+                    if visited[u]:
+                        continue
+                    visited[u] = 1
+                    unvisited -= 1
+                else:
+                    half = c >> 1
+                    if bits[v]:
+                        u, back = right[v], left[v]
+                    else:
+                        u, back = left[v], right[v]
+                    if c & 1:
+                        bits[v] ^= 1
+                    arrivals[u] = arrivals.get(u, 0) + c - half
+                    arrivals[back] = arrivals.get(back, 0) + half
+                    first = not visited[back]
+                    if first:
+                        visited[back] = 1
+                        unvisited -= 1
+                    if not visited[u]:
+                        visited[u] = 1
+                        unvisited -= 1
+                    elif not first:
+                        continue
+                # A node was first reached this round.
+                if unvisited <= stop:
+                    end = t
                 if not unvisited:
-                    return t, t, jumps, jump_rounds
-    return -1, t, jumps, jump_rounds
+                    self.cover_round = t
+            if observe:
+                self._observe_round(occupied, arrivals, maxima)
+            occupied = arrivals
+        self.occupied, self.unvisited, self.round = occupied, unvisited, t
+        self._backoff, self._retry = backoff, retry
+        self.jumps, self.jump_rounds = jumps, jump_rounds
+        if path:
+            bits[0], bits[-1] = 1, 0
+
+    def walk(self, start: int, target: int, budget: int) -> int:
+        """Release one agent at ``start`` on a path, every other agent
+        holding, until it stands on ``target`` having just moved
+        rightward; returns the rounds used, or -1 past ``budget`` (the
+        trajectory is then left mid-walk).
+
+        The agent walks straight to its next back-pointing node, or to
+        ``target`` when it lies ahead rightward: one jump per leg.
+        """
+        if start == target:
+            return 0
+        bits, visited, ones = self.bits, self.visited, self._ones
+        x, used, arrives = start, 0, False
+        while not arrives and used < budget:
+            if bits[x]:
+                turn = bits.find(0, x + 1)
+                arrives = x < target <= turn
+                length = (target if arrives else turn) - x
+                lo = x + 1
+            else:
+                length = x - bits.rfind(1, 0, x)
+                lo = x - length
+            fresh = visited.count(0, lo, lo + length)
+            if fresh == self.unvisited > 0:
+                self.cover_round = self.round + used + max(
+                    abs(v - x)
+                    for v in range(lo, lo + length)
+                    if not visited[v]
+                )
+            self.unvisited -= fresh
+            visited[lo:lo + length] = ones[:length]
+            if lo > x:
+                bits[x:x + length] = self._zeros[:length]
+                x += length
+            else:
+                bits[lo + 1:x + 1] = ones[:length]
+                x = lo
+            bits[0], bits[-1] = 1, 0
+            used += length
+        if not arrives or used > budget:
+            return -1
+        self.occupied[start] -= 1
+        if not self.occupied[start]:
+            del self.occupied[start]
+        self.occupied[x] = self.occupied.get(x, 0) + 1
+        self.round += used
+        return used
+
+    def _last_rounds(
+        self, agents: list[int], delta: int, t: int, unvisited: int, stop: int
+    ) -> int:
+        """Take back a jump of ``delta`` rounds that reaches the stop or
+        the cover, and return the rounds to jump instead: the jump ends
+        at the offset that leaves ``stop`` nodes unvisited, and a cover
+        within it is recorded."""
+        n, bits, visited = self.n, self.bits, self.visited
+        for x in agents:  # x's departure flipped it: 1 = went anticlockwise
+            if bits[x]:
+                _fill(bits, x - delta + 1, delta, self._zeros, n)
+            else:
+                _fill(bits, x, delta, self._ones, n)
+        offsets = sorted(
+            abs(v - x)
+            for x in agents
+            for lo in (x + 1 if bits[x] else x - delta,)
+            for v in range(lo, lo + delta)
+            if not visited[v % n]
+        )
+        if unvisited > stop >= 0:
+            delta = offsets[unvisited - stop - 1]
+        if len(offsets) >= unvisited and offsets[unvisited - 1] <= delta:
+            self.cover_round = t + offsets[unvisited - 1]
+        return delta
+
+    def _observe_jump(
+        self,
+        agents: list[int],
+        moved: list[int],
+        delta: int,
+        maxima: list[int] | None,
+    ) -> None:
+        """Visit kinds and rank maxima across one jump.  Every node a run
+        passes is a PROPAGATION visit, and the node it ends on iff its
+        pointer, after the jump, leads on.  Agents keep their order, so
+        a rank's maximum is where its run ends, or its first step left."""
+        bits, prop = self.bits, self.propagation
+        if prop is not None:
+            for x, y in zip(agents, moved):
+                onward = 1 - bits[x]  # x's departure flipped it
+                _fill(prop, x + 1 if onward else y, delta, self._ones, self.n)
+                prop[y] = bits[y] == onward
+        if maxima is not None:
+            ranked = zip(reversed(agents), reversed(moved))
+            for rank, (x, y) in enumerate(ranked):
+                maxima[rank] = max(maxima[rank], y if y > x else x - 1)
+
+    def _observe_round(
+        self,
+        before: dict[int, int],
+        arrivals: dict[int, int],
+        maxima: list[int] | None,
+    ) -> None:
+        """Visit kinds and rank maxima after one plain round.  A lone
+        arrival propagates iff it came from the neighbour its node's
+        pointer now points away from: that neighbour sent agents both
+        ways, or one, whose departure turned its pointer away."""
+        neighbours, bits, prop = self._neighbours, self.bits, self.propagation
+        if prop is not None:
+            for u, c in arrivals.items():
+                back = neighbours[1 - bits[u]][u]
+                sent = before.get(back, 0) if c == 1 else 0
+                prop[u] = sent > 1 or (
+                    sent == 1 and neighbours[bits[back]][back] != u
+                )
+        if maxima is not None:
+            rank = 0
+            for v in sorted(arrivals, reverse=True):
+                for _ in range(arrivals[v]):
+                    maxima[rank] = max(maxima[rank], v)
+                    rank += 1
 
 
-def _jump_length(n: int, bits: bytearray, agents: list[int], limit: int) -> int:
+def _jump_length(
+    n: int, bits: bytearray, agents: list[int], limit: int, path: bool = False
+) -> int:
     """Rounds lone agents at ``agents`` (sorted nodes) can run straight.
 
     The least of ``limit`` and, per agent, the bounds that keep every
@@ -752,15 +944,19 @@ def _jump_length(n: int, bits: bytearray, agents: list[int], limit: int) -> int:
     meet), and the gap to a neighbour it follows (it may reach the node
     the leader left, but not read the pointer the leader flipped
     there).  Within such a jump each agent reads only pointers no other
-    agent writes, which is what makes the jump exact.  Stops early,
-    returning a value below :data:`_SHORTEST_JUMP`, once the jump
-    would be shorter.
+    agent writes, which is what makes the jump exact.  On a ``path``
+    the first and last agents are no neighbours, and the pinned
+    endpoints turn every run before the ends.  Stops early, returning a
+    value below :data:`_SHORTEST_JUMP`, once the jump would be shorter.
     """
     delta = limit
-    # ``before`` is the nearest agent anticlockwise of x, a ring back
-    # (a negative index) for the first; x itself when it is alone.
-    before = agents[-1] - n
-    for x in agents:
+    if path:
+        before, rest = agents[0], agents[1:]
+    else:
+        # ``before`` is the nearest agent anticlockwise of x, a ring
+        # back (a negative index) for the first; x itself when alone.
+        before, rest = agents[-1] - n, agents
+    for x in rest:
         gap = x - before
         if bits[before]:
             bound = gap if bits[x] else (gap - 1) >> 1
@@ -814,18 +1010,6 @@ def _unvisited(visited: bytearray, lo: int, length: int, n: int) -> int:
     if hi <= n:
         return visited.count(0, lo, hi)
     return visited.count(0, lo, n) + visited.count(0, 0, hi - n)
-
-
-def _last_reached(
-    visited: bytearray, x: int, start: int, delta: int, n: int
-) -> int:
-    """Largest offset at which the run from ``x`` over the ``delta``
-    nodes from ``start`` on reached an unvisited node."""
-    return max(
-        abs(node - x)
-        for node in range(start, start + delta)
-        if not visited[node % n]
-    )
 
 
 # ----------------------------------------------------------------------

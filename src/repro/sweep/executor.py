@@ -366,7 +366,7 @@ def _compute_rotor_chunk(configs: list) -> list[tuple[str, dict]]:
     out: list[dict] = [{} for _ in configs]
     if "cover" in metrics:
         if _closed_form_covers(configs):
-            with obs.span("kernel/ring"):
+            with obs.span("kernel/single"):
                 covers = single_agent_covers(
                     n, pointers, counts, max_rounds
                 )

@@ -151,6 +151,8 @@ class TestDomainTraces:
             (8, [0], [1] * 7 + [0]),   # a pointer other than +-1
             (8, [], [1] * 8),          # no agent
             (8, [8], [1] * 8),         # an agent off the ring
+            (8, [0], [300] + [1] * 7), # a pointer no int8 holds
+            (8, [0], ["1"] * 8),       # pointers that are not numbers
         ],
     )
     def test_malformed_rings_rejected(self, n, agents, directions):

@@ -11,7 +11,9 @@ from repro.experiments.deployments import (
 
 
 class TestConstructionRuns:
-    @pytest.mark.parametrize("n,k", [(160, 4), (200, 6), (240, 8)])
+    @pytest.mark.parametrize(
+        "n,k", [(160, 4), (200, 6), (240, 6), (240, 8), (320, 8)]
+    )
     def test_deployment_covers_and_sandwiches(self, n, k):
         trace = run_theorem1_deployment(n, k)
         assert trace.cover_round is not None
@@ -19,6 +21,18 @@ class TestConstructionRuns:
         assert 0 < tau <= total
         cover = undelayed_path_cover_time(n, k)
         assert tau <= cover <= total
+        # The proof's accounting: full activity dominates Phase A too.
+        assert trace.phase_b1_rounds >= trace.phase_a_rounds / 4
+
+    def test_tau_tracks_the_undelayed_cover(self):
+        # tau and C share the Θ(n²/log k) shape: their ratio is stable,
+        # and tau, a lower bound, never exceeds C.
+        ratios = []
+        for n in (160, 240, 320):
+            tau, _ = run_theorem1_deployment(n, 6).slow_down_bounds()
+            ratios.append(tau / undelayed_path_cover_time(n, 6))
+        assert all(r <= 1.0 for r in ratios)
+        assert max(ratios) / min(ratios) < 2.0
 
     def test_ladder_strictly_increasing(self):
         trace = run_theorem1_deployment(200, 5)

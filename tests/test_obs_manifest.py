@@ -215,7 +215,7 @@ class TestParallelMerge:
 def _kernel_rows(manifest: dict) -> dict[str, list[str]]:
     """``repro stats`` kernel-table rows by kernel name, split on spaces:
     kernel, invocations, lanes, rounds, lane_rounds, Mlr/s, ..."""
-    kernels = ("ring", "sparse", "limit", "gaps", "walk", "general")
+    kernels = ("ring", "single", "sparse", "limit", "gaps", "walk", "general")
     return {
         fields[0]: fields
         for fields in (
@@ -257,6 +257,32 @@ class TestKernelTable:
         rows = _kernel_rows(manifest)
         assert rows["ring"][4:6] == ["6000000", "3.00"]
         assert rows["sparse"][4:6] == ["1000000", "4.00"]
+
+    def test_closed_form_and_ring_rows_apart(self, tmp_path):
+        # The k = 1 cells resolve in closed form under kernel/single; the
+        # k = 12 cells (Σk = 24 >= n) step on the dense ring kernel,
+        # whose rate divides its lane-rounds by its own spans alone.
+        path = str(tmp_path / "single.jsonl")
+        with trace_session(path):
+            run_sweep(_cover_spec(ns=(16,), ks=(1, 12)), jobs=1)
+        manifest = load_manifest(path)
+        counters = manifest["counters"]
+        assert counters["single.invocations"] == 1
+        assert counters["single.lanes"] == 2
+        assert counters["single.lanes_covered"] == 2
+        assert counters["single.lanes_truncated"] == 0
+        assert not any(name.startswith("ring.single") for name in counters)
+        rows = _kernel_rows(manifest)
+        assert set(rows) == {"single", "ring"}
+        # kernel, invocations, lanes, rounds, lane_rounds, Mlr/s, ...
+        assert rows["single"][1:6] == ["1", "2", "-", "-", "-"]
+        assert rows["single"][6:] == ["2", "0"]
+        ring_wall = sum(
+            span["wall"] for span in manifest["spans"]
+            if span["name"].endswith("/kernel/ring")
+        )
+        rate = counters["ring.lane_rounds"] / ring_wall / 1e6
+        assert rows["ring"][5] == f"{rate:.2f}"
 
     def test_every_traced_kernel_has_its_own_span(self, tmp_path):
         path = str(tmp_path / "kernels.jsonl")
