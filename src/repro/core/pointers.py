@@ -155,12 +155,9 @@ def zero_ports(graph: PortLabeledGraph) -> list[int]:
 def random_ports(
     graph: PortLabeledGraph, seed: int | np.random.Generator | None = 0
 ) -> list[int]:
-    """Uniform random pointer per node."""
-    rng = make_rng(seed)
-    return [
-        int(rng.integers(0, graph.degree(v)))
-        for v in range(graph.num_nodes)
-    ]
+    """Uniform random pointer per node, in one draw: the ports, and the
+    generator's state after them, equal one draw per node in order."""
+    return make_rng(seed).integers(0, graph.to_csr().deg).tolist()
 
 
 def ports_toward_sources(

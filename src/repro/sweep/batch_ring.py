@@ -22,7 +22,9 @@ chosen per batch (int8 up to k=126, int16 up to k=32766, else int64)
 — the dominant cost is memory traffic and halving the element width
 roughly doubles the throughput.  All buffers are preallocated and the
 arrival computation writes straight into the double buffer, so a round
-is allocation-free.
+is allocation-free; it steps whole zero-padded rows, and the arrivals
+are one add over the rows read flat, with the two columns whose
+neighbours wrap written again.
 
 Every driver validates its input with :func:`lane_block` and steps the
 block it returns with that one round.  Drivers drop the rows they are
@@ -31,14 +33,14 @@ sorted prefix:
 
 * **cover** — :class:`BatchRingKernel`'s ``cover_rounds[b]`` records
   the round lane ``b`` first had every node visited (visits = agent
-  arrivals, initial occupancy counts at round 0).  One rule tracks it:
-  ``seen |= counts`` per round (one element-wise op), with per-lane
-  unvisited counts reconciled once per ``BatchRingKernel._WINDOW``
-  rounds — per-lane reductions are ~10x the cost of the element-wise
-  round itself, so they must stay off the per-round path.  Lanes that
-  covered inside a window are taken from the window-start snapshot and
-  replayed under the same rule one round wide, which is also what
-  ``step`` runs, to pin their exact cover round.
+  arrivals, initial occupancy counts at round 0).  One rule tracks it,
+  in ``step``, ``run`` and ``run_until_covered`` alike: each round
+  writes ``seen | counts`` (one element-wise op) into the next slot of
+  a window's history, and the rows are reconciled once per
+  ``BatchRingKernel._WINDOW`` rounds — per-lane reductions are ~10x
+  the cost of the element-wise round itself, so they must stay off the
+  per-round path.  A lane that covered inside a window reads its exact
+  cover round off the first history slot its row is full in.
   ``run_until_covered`` drops covered lanes at :data:`COMPACT_RATIO`;
 * **border census** — Figure 1's census
   (:func:`repro.analysis.domains_stats.border_type_census`) steps a
@@ -70,7 +72,7 @@ stretch in which all agents walk straight in one jump: sparse covers
 and the Theorem 1 path deployments.
 
 Every driver runs one cadence: cover windows are
-``BatchRingKernel._WINDOW`` (32) rounds wide, and the Brent search
+``BatchRingKernel._WINDOW`` (8) rounds wide, and the Brent search
 compares fingerprints every round.  Neither is a parameter.
 
 Step-for-step equivalence with the reference engines is enforced by
@@ -124,75 +126,93 @@ class LaneBlock:
     masks, gathers or full-batch temporaries.
 
     Rows live in zero-padded buffers whose byte length is a multiple
-    of 8, exposed twice: as ``(A, n)`` working views (``ptr``/``cnt``)
-    the stepping arithmetic writes through, and as uint64 *word* views
-    (``ptr_words``/``cnt_words``) that fingerprinting and byte-exact
-    row comparison read — comparing packed words touches 1/8 of the
-    bytes of an element-wise row comparison.  The padding is written
-    once (zeros) and never touched again, so word equality is exactly
-    configuration equality.  ``fwd`` holds the clockwise exits of the
-    round last stepped: an agent that arrived at ``v`` alone travelled
-    clockwise iff ``fwd(v - 1) == 1``.
+    of 8, and a round steps whole padded rows: the element-wise ops run
+    over contiguous memory, and the arrivals are one add over the
+    buffers read flat, row after row.  The buffers are exposed as
+    ``(A, n)`` views (``ptr``/``cnt``/``fwd``) and as uint64 *word*
+    views (``ptr_words``/``cnt_words``) that fingerprinting and
+    byte-exact row comparison read — comparing packed words touches
+    1/8 of the bytes of an element-wise row comparison.  Every round
+    leaves the padding zero, so word equality is exactly configuration
+    equality.  ``fwd`` holds the clockwise exits of the round last
+    stepped: an agent that arrived at ``v`` alone travelled clockwise
+    iff ``fwd(v - 1) == 1``.
     """
 
     __slots__ = (
-        "ptr", "cnt", "fwd", "ptr_words", "cnt_words",
-        "_ptr_buf", "_cnt_buf", "_nxt_buf", "_bwd", "_nxt", "_nxt_words",
+        "n", "ptr", "cnt", "fwd", "ptr_words", "cnt_words",
+        "_ptr_buf", "_cnt_buf", "_nxt_buf", "_fwd_buf", "_bwd_buf",
+        "_nxt", "_nxt_words", "_cnt_flat", "_nxt_flat", "_fwd_flat",
+        "_bwd_flat",
     )
 
     def __init__(self, ptr: np.ndarray, cnt: np.ndarray) -> None:
         rows, n = cnt.shape
-        padded = _padded_columns(n, cnt.dtype)
-        self._ptr_buf = np.zeros((rows, padded), dtype=cnt.dtype)
-        self._cnt_buf = np.zeros((rows, padded), dtype=cnt.dtype)
-        self._nxt_buf = np.zeros((rows, padded), dtype=cnt.dtype)
+        shape = (rows, _padded_columns(n, cnt.dtype))
+        self.n = n
+        self._ptr_buf = np.zeros(shape, dtype=cnt.dtype)
+        self._cnt_buf = np.zeros(shape, dtype=cnt.dtype)
+        self._nxt_buf = np.zeros(shape, dtype=cnt.dtype)
+        self._fwd_buf = np.empty(shape, dtype=cnt.dtype)
+        self._bwd_buf = np.empty(shape, dtype=cnt.dtype)
         self._ptr_buf[:, :n] = ptr
         self._cnt_buf[:, :n] = cnt
-        self.fwd = np.empty((rows, n), dtype=cnt.dtype)
-        self._bwd = np.empty((rows, n), dtype=cnt.dtype)
-        # The pointer buffer never changes roles, so its views are
-        # permanent; the count and next buffers swap roles every
-        # committed round, and their views swap with them.
+        # The pointer and exit buffers never change roles, so their
+        # views are permanent; the count and next buffers swap roles
+        # every committed round, and their views swap with them.  The
+        # flat views must share memory with their buffers: ``copy=False``
+        # raises rather than hand back a copy that would drop writes.
         self.ptr = self._ptr_buf[:, :n]
         self.ptr_words = self._ptr_buf.view(np.uint64)
+        self.fwd = self._fwd_buf[:, :n]
+        self._fwd_flat = np.reshape(self._fwd_buf, -1, copy=False)
+        self._bwd_flat = np.reshape(self._bwd_buf, -1, copy=False)
         self.cnt = self._cnt_buf[:, :n]
         self.cnt_words = self._cnt_buf.view(np.uint64)
+        self._cnt_flat = np.reshape(self._cnt_buf, -1, copy=False)
         self._nxt = self._nxt_buf[:, :n]
         self._nxt_words = self._nxt_buf.view(np.uint64)
+        self._nxt_flat = np.reshape(self._nxt_buf, -1, copy=False)
 
     @property
     def rows(self) -> int:
-        return self.cnt.shape[0]
+        return self._cnt_buf.shape[0]
 
-    @staticmethod
-    def _arith(
-        c: np.ndarray,
-        p: np.ndarray,
-        f: np.ndarray,
-        b: np.ndarray,
-        x: np.ndarray,
-    ) -> None:
-        """Rotor arithmetic on count rows ``c`` and pointer rows ``p``:
-        clockwise exits into ``f``, anticlockwise into ``b``, arrivals
-        into ``x``, pointers flipped in place."""
+    def _arith(self, a: int) -> None:
+        """Rotor arithmetic on rows ``[:a]``: clockwise exits into
+        ``fwd``, anticlockwise ones into the back exits, arrivals into
+        the next counts, pointers flipped in place."""
+        n = self.n
+        c, p = self._cnt_buf[:a], self._ptr_buf[:a]
+        f, b, x = self._fwd_buf[:a], self._bwd_buf[:a], self._nxt_buf[:a]
         np.add(c, p, out=f)
         np.right_shift(f, 1, out=f)
         np.subtract(c, f, out=b)
         np.bitwise_xor(p, c, out=p)
         np.bitwise_and(p, 1, out=p)
-        # arrivals(v) = fwd(v-1) + bwd(v+1), written into the back buffer
-        np.add(f[:, :-2], b[:, 2:], out=x[:, 1:-1])
-        np.add(f[:, -1], b[:, 1], out=x[:, 0])
-        np.add(f[:, -2], b[:, 0], out=x[:, -1])
+        # arrivals(v) = fwd(v-1) + bwd(v+1), over the rows read flat;
+        # that is exact for every v but the two whose neighbours wrap
+        # round the ring, and pollutes the padding, so those columns
+        # are written again.
+        end = a * f.shape[1]
+        np.add(
+            self._fwd_flat[:end - 2], self._bwd_flat[2:end],
+            out=self._nxt_flat[1:end - 1],
+        )
+        np.add(f[:, n - 1], b[:, 1], out=x[:, 0])
+        np.add(f[:, n - 2], b[:, 0], out=x[:, n - 1])
+        if x.shape[1] > n:
+            x[:, n:] = 0
 
     def _commit_swap(self) -> None:
         self._cnt_buf, self._nxt_buf = self._nxt_buf, self._cnt_buf
         self.cnt, self._nxt = self._nxt, self.cnt
         self.cnt_words, self._nxt_words = self._nxt_words, self.cnt_words
+        self._cnt_flat, self._nxt_flat = self._nxt_flat, self._cnt_flat
 
     def step_all(self) -> None:
         """One round on every row — commits by buffer swap (no copy)."""
-        self._arith(self.cnt, self.ptr, self.fwd, self._bwd, self._nxt)
+        self._arith(self.rows)
         self._commit_swap()
 
     def step_prefix(self, a: int) -> None:
@@ -202,15 +222,12 @@ class LaneBlock:
         counts back, large prefixes swap buffers and restore the
         untouched tail.
         """
-        self._arith(
-            self.cnt[:a], self.ptr[:a], self.fwd[:a], self._bwd[:a],
-            self._nxt[:a],
-        )
+        self._arith(a)
         if 2 * a >= self.rows:
             self._nxt_buf[a:] = self._cnt_buf[a:]
             self._commit_swap()
         else:
-            self.cnt[:a] = self._nxt[:a]
+            self._cnt_buf[:a] = self._nxt_buf[:a]
 
     def take(self, rows: np.ndarray | slice) -> "LaneBlock":
         """A new block holding only ``rows`` (fresh compact buffers)."""
@@ -283,10 +300,13 @@ class BatchRingKernel:
     ``cover_rounds`` stay).
     """
 
-    #: Rounds per reconciliation window of the bulk drivers: large
-    #: enough to amortize the per-lane reduction, small enough that a
-    #: replay is negligible.
-    _WINDOW = 32
+    #: Rounds per reconciliation window: the per-lane reduction runs
+    #: once per window, and every round of it keeps one history slot of
+    #: the visited rows, so the width trades reductions against the
+    #: history's memory (8 rounds are 1 MiB for an int8 chunk of the
+    #: executor's ``CHUNK_ELEMENTS`` lane-nodes).  Read when a kernel
+    #: is built.
+    _WINDOW = 8
 
     def __init__(
         self, n: int, pointers: np.ndarray, counts: np.ndarray
@@ -298,14 +318,19 @@ class BatchRingKernel:
         # The lane of each block row, ascending; rows drop out as
         # ``run_until_covered`` compacts covered lanes away.
         self._lanes = np.arange(self.num_lanes)
-        # Visited accumulator: ``seen |= counts`` each round keeps a
+        # Visited accumulator: ``seen | counts`` each round keeps a
         # cell nonzero iff its node was ever occupied — one
         # element-wise op per round, no comparison or temporary.
         self._seen = self._block.cnt.copy()
+        # That op writes each round of a window into the next slot, so
+        # a lane's cover round is the first slot its row is full in.
+        # The rows still held use the front of each slot.
+        self._history = np.empty(
+            (self._WINDOW,) + self._seen.shape, dtype=self._seen.dtype
+        )
         self.cover_rounds = np.full(self.num_lanes, -1, dtype=np.int64)
         self.cover_rounds[self._seen.all(axis=1)] = 0
         self._epochs = 0
-        self._replays = 0
         self._lane_rounds = 0
 
     # ------------------------------------------------------------------
@@ -322,81 +347,51 @@ class BatchRingKernel:
         return self._block.cnt != 0
 
     def _advance(self, width: int) -> np.ndarray:
-        """Advance the held lanes ``width`` rounds, ``cover_rounds``
-        exact; returns which held rows are still uncovered."""
-        self._epochs += 1
-        live = self._window(
-            self._block, self._seen, self._lanes, self.round, width
-        )
-        self.round += width
-        return live
+        """Advance the held lanes ``width`` rounds, at most one window,
+        ``cover_rounds`` exact; returns which held rows are still
+        uncovered.
 
-    def _window(
-        self,
-        block: LaneBlock,
-        seen: np.ndarray,
-        lanes: np.ndarray,
-        base_round: int,
-        width: int,
-    ) -> np.ndarray:
-        """Step ``block`` (lanes ``lanes``) ``width`` rounds under the
-        cover rule, stamping ``cover_rounds`` exactly; returns which
-        rows are still uncovered.
-
-        Per round only ``seen |= counts`` runs; the rows are reconciled
-        once, at the end.  Lanes that covered inside a wider window are
-        taken from the window-start snapshot and replayed under the
-        same rule one round wide, compacted like the window's own rows;
-        the replay is deterministic, touches only those lanes, and is
-        bounded by the window length.
+        Per round only ``seen | counts`` runs, into the next history
+        slot; the rows are reconciled once, at the end: the last slot
+        becomes ``seen``, and each lane that covered inside the window
+        reads its cover round off the first slot its row is full in.
         """
-        open_rows = self.cover_rounds[lanes] < 0
-        snapshot = None
-        if width > 1:
-            snapshot = (block.take(slice(None)), seen.copy())
-        for _ in range(width):
+        block, seen, lanes = self._block, self._seen, self._lanes
+        history = self._history[:width, :block.rows]
+        visited = seen
+        for slot in history:
             block.step_all()
-            np.bitwise_or(seen, block.cnt, out=seen)
-        self._lane_rounds += block.rows * width
+            np.bitwise_or(visited, block.cnt, out=slot)
+            visited = slot
+        np.copyto(seen, visited)
+        open_rows = self.cover_rounds[lanes] < 0
         full = seen.all(axis=1)
         just = np.flatnonzero(open_rows & full)
-        if snapshot is None:
-            self.cover_rounds[lanes[just]] = base_round + 1
-        elif just.size:
-            self._replays += int(just.size)
-            replay = (snapshot[0].take(just), snapshot[1][just], lanes[just])
-            for at in range(base_round, base_round + width):
-                live = self._window(*replay, at, 1)
-                if not live.any():
-                    break
-                replay = self._compact(*replay, live)
+        if just.size:
+            first = history[:, just].all(axis=2).argmax(axis=0)
+            self.cover_rounds[lanes[just]] = self.round + 1 + first
+        self._epochs += 1
+        self._lane_rounds += block.rows * width
+        self.round += width
         return open_rows & ~full
 
-    @staticmethod
-    def _compact(
-        block: LaneBlock,
-        seen: np.ndarray,
-        lanes: np.ndarray,
-        live: np.ndarray,
-    ) -> tuple[LaneBlock, np.ndarray, np.ndarray]:
+    def _compact(self, live: np.ndarray) -> None:
         """Drop the rows not ``live`` once the live share falls to
         :data:`COMPACT_RATIO`, as the Brent phases do."""
         alive = int(np.count_nonzero(live))
         if 0 < alive < live.size and alive <= COMPACT_RATIO * live.size:
             keep = np.flatnonzero(live)
-            return block.take(keep), seen[keep], lanes[keep]
-        return block, seen, lanes
+            self._block = self._block.take(keep)
+            self._seen = self._seen[keep]
+            self._lanes = self._lanes[keep]
 
     def run(self, rounds: int) -> None:
-        """Advance every held lane ``rounds`` rounds, ``cover_rounds`` exact.
-
-        Cover is reconciled once per ``_WINDOW`` rounds, with an exact
-        replay for the lanes that covered inside a window.
-        """
+        """Advance every held lane ``rounds`` rounds, ``cover_rounds``
+        exact."""
         if rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
         while rounds > 0:
-            width = min(self._WINDOW, rounds)
+            width = min(len(self._history), rounds)
             self._advance(width)
             rounds -= width
 
@@ -413,11 +408,9 @@ class BatchRingKernel:
         otherwise they report -1, letting sweeps record truncation
         instead of dying mid-grid.
         """
+        window = len(self._history)
         while (self.cover_rounds < 0).any() and self.round < max_rounds:
-            live = self._advance(min(self._WINDOW, max_rounds - self.round))
-            self._block, self._seen, self._lanes = self._compact(
-                self._block, self._seen, self._lanes, live
-            )
+            self._compact(self._advance(min(window, max_rounds - self.round)))
         covered = int(np.count_nonzero(self.cover_rounds >= 0))
         if strict and covered < self.num_lanes:
             raise RuntimeError(
@@ -430,10 +423,9 @@ class BatchRingKernel:
                 "ring.invocations": 1,
                 "ring.lanes": self.num_lanes,
                 "ring.rounds": self.round,
-                # Rows actually stepped, in windows and in replays.
+                # Rows actually stepped.
                 "ring.lane_rounds": self._lane_rounds,
                 "ring.epochs": self._epochs,
-                "ring.cover_replays": self._replays,
                 "ring.lanes_covered": covered,
                 "ring.lanes_truncated": self.num_lanes - covered,
             })

@@ -36,12 +36,11 @@ nor hashes again, since ``config_hash`` is cached on the instance).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable
 
-from repro.sweep.spec import METRICS
+from repro.sweep.spec import METRICS, IdentityText
 
 #: Bump when any explicit cell's identity layout or measurement
 #: semantics change, so stale cache entries are never served.
@@ -63,8 +62,7 @@ def general_cover_budget(graph: Any) -> int:
     return 16 * graph.diameter() * graph.num_edges + 64
 
 
-def _hash_identity(identity: dict) -> str:
-    text = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+def _hash_identity(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -88,7 +86,7 @@ def _check_agents(agents: tuple[int, ...], n: int, where: str) -> None:
 
 
 @dataclass(frozen=True)
-class RotorCell:
+class RotorCell(IdentityText):
     """One explicit rotor-router instance on the ring.
 
     ``metrics`` chooses the measurement: ``("cover",)`` for the cover
@@ -149,7 +147,7 @@ class RotorCell:
 
     @cached_property
     def config_hash(self) -> str:
-        return _hash_identity(self.identity())
+        return _hash_identity(self._dump_identity())
 
     def build(self) -> tuple[list[int], list[int]]:
         """``(agents, directions)`` — mirrors ``SweepConfig.build``."""
@@ -157,7 +155,7 @@ class RotorCell:
 
 
 @dataclass(frozen=True)
-class WalkCoverCell:
+class WalkCoverCell(IdentityText):
     """One stochastic cover measurement over explicit repetition seeds.
 
     Each seed is consumed exactly as a standalone
@@ -208,7 +206,7 @@ class WalkCoverCell:
 
     @cached_property
     def config_hash(self) -> str:
-        return _hash_identity(self.identity())
+        return _hash_identity(self._dump_identity())
 
     def build_agents(self) -> list[int]:
         return list(self.agents)
@@ -218,7 +216,7 @@ class WalkCoverCell:
 
 
 @dataclass(frozen=True)
-class WalkGapsCell:
+class WalkGapsCell(IdentityText):
     """Visit-gap statistics of k equally spaced walkers at one node.
 
     Wraps :func:`repro.randomwalk.visits.ring_walk_gap_statistics`:
@@ -268,11 +266,11 @@ class WalkGapsCell:
 
     @cached_property
     def config_hash(self) -> str:
-        return _hash_identity(self.identity())
+        return _hash_identity(self._dump_identity())
 
 
 @dataclass(frozen=True)
-class GeneralRotorCell:
+class GeneralRotorCell(IdentityText):
     """Rotor-router cover time on an arbitrary port-labeled graph.
 
     The identity names the graph by the content digest of its CSR
@@ -373,7 +371,7 @@ class GeneralRotorCell:
 
     @cached_property
     def config_hash(self) -> str:
-        return _hash_identity(self.identity())
+        return _hash_identity(self._dump_identity())
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,45 @@ class InitFamily:
         )
 
 
+class IdentityText:
+    """One canonical dump of a cell's :meth:`identity`, made once.
+
+    Every cell kind defines ``identity`` and a ``config_hash`` that
+    digests :meth:`_dump_identity`, which keeps the text; the result
+    store writes it as the row's config, so a cell's identity is dumped
+    once however often it is hashed and stored.  The text lives in a
+    slot: one more key in a cell's ``__dict__`` would turn its
+    shared-key table into a private one three times the size.  Workers
+    neither hash nor store cells, so a pickled cell leaves the text
+    behind.
+    """
+
+    __slots__ = ("_identity_text",)
+    _identity_text: str
+
+    def identity(self) -> dict:
+        raise NotImplementedError
+
+    def _dump_identity(self) -> str:
+        text = json.dumps(
+            self.identity(), sort_keys=True, separators=(",", ":")
+        )
+        object.__setattr__(self, "_identity_text", text)
+        return text
+
+    @property
+    def identity_text(self) -> str:
+        try:
+            return self._identity_text
+        except AttributeError:  # never hashed in this process
+            return self._dump_identity()
+
+    def __getstate__(self) -> dict:
+        return self.__dict__
+
+
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(IdentityText):
     """One concrete cell of a sweep grid.
 
     The identity — and hence the cache key — is everything that
@@ -186,7 +223,7 @@ class SweepConfig:
         # Cached: the executor, store probes and result assembly all
         # key on the hash, and the identity is frozen — recomputing
         # the dump + digest per access dominated batched cache probes.
-        text = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
+        text = self._dump_identity()
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def build_agents(self) -> list[int]:

@@ -350,16 +350,15 @@ class SqliteStore:
                     corrupt.append(row_hash)
 
     def put_many(self, items: Sequence[tuple[object, dict]]) -> None:
-        """Write ``(cell, metrics)`` pairs in one transaction."""
-        rows = []
-        for config, metrics in items:
-            entry = StoreEntry(config=config.identity(), metrics=metrics)
-            rows.append((
-                config.config_hash,
-                _canonical(entry.config),
-                _canonical(entry.metrics),
-            ))
-        self._put_rows(rows)
+        """Write ``(cell, metrics)`` pairs in one transaction.
+
+        A row's config is the cell's ``identity_text``, the text its
+        ``config_hash`` digests, so the row re-digests to its key.
+        """
+        self._put_rows([
+            (config.config_hash, config.identity_text, _canonical(metrics))
+            for config, metrics in items
+        ])
 
     def _put_rows(self, rows: Sequence[tuple[str, str, str]]) -> None:
         """One transaction inserting (hash, config, metrics) rows."""

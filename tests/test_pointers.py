@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core import pointers
 from repro.core.ring import RingRotorRouter
-from repro.graphs.families import grid_2d
+from repro.graphs.families import grid_2d, hypercube, lollipop, torus_2d
+from repro.graphs.random_graphs import gnp_random_graph
 from repro.graphs.ring import clockwise_distance, ring_distance, ring_graph
 
 
@@ -221,6 +222,31 @@ class TestGeneralGraphPointers:
         g = grid_2d(4, 4)
         ports = pointers.random_ports(g, 7)
         assert all(0 <= p < g.degree(v) for v, p in enumerate(ports))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            torus_2d(16, 16),
+            hypercube(8),
+            lollipop(24, 40),
+            gnp_random_graph(192, 0.04, seed=5),
+        ],
+        ids=["torus", "hypercube", "lollipop", "gnp"],
+    )
+    def test_random_ports_match_one_draw_per_node(self, graph):
+        # Callers draw ports from a shared generator, so the draw after
+        # them must be the one a per-node loop would leave too.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            oracle = np.random.default_rng(seed)
+            ports = pointers.random_ports(graph, rng)
+            expected = [
+                int(oracle.integers(0, graph.degree(v)))
+                for v in range(graph.num_nodes)
+            ]
+            assert ports == expected
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            assert rng.integers(0, 2**40) == oracle.integers(0, 2**40)
 
     def test_ports_toward_sources_shortest_paths(self):
         g = grid_2d(4, 4)

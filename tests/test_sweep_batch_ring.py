@@ -103,6 +103,57 @@ class TestLockstep:
             assert list(np.flatnonzero(visits[0])) == [t]
 
 
+class TestPaddedRows:
+    """A round steps whole padded rows and leaves the padding zero."""
+
+    @pytest.mark.parametrize("n", (37, 100, 130))
+    @pytest.mark.parametrize(
+        "max_k, dtype", ((16, np.int8), (200, np.int16))
+    )
+    def test_rows_match_the_reference_in_lockstep(self, n, max_k, dtype):
+        rng = np.random.default_rng(n + max_k)
+        ks = [1, 2, max_k] + rng.integers(1, max_k, size=6).tolist()
+        configurations = [
+            (
+                rng.choice([1, -1], size=n).tolist(),
+                rng.integers(0, n, size=k).tolist(),
+            )
+            for k in ks
+        ]
+        block = lane_block(n, *lanes_from_configs(n, configurations))
+        assert block.cnt.dtype == dtype
+        refs = [
+            RingRotorRouter(n, dirs, agents, track_counts=False)
+            for dirs, agents in configurations
+        ]
+        rows = len(refs)
+        words = block.cnt_words.shape[1]
+        fingerprint = batch_ring._Fingerprinter(words, words)
+        # Whole steps, and prefixes committed by copy and by swap.
+        for a in [rows, 2, rows, rows - 1, 1, 6, rows] * 5:
+            if a == rows:
+                block.step_all()
+            else:
+                block.step_prefix(a)
+            for ref in refs[:a]:
+                ref.step()
+            assert block.fwd.shape == (rows, n)
+            assert not block._ptr_buf[:, n:].any()
+            assert not block._cnt_buf[:, n:].any()
+            expected = batch_ring.LaneBlock(
+                np.array([ref.ptr for ref in refs]).clip(0).astype(dtype),
+                np.array([
+                    np.bincount(ref.positions(), minlength=n) for ref in refs
+                ]).astype(dtype),
+            )
+            np.testing.assert_array_equal(block.ptr, expected.ptr)
+            np.testing.assert_array_equal(block.cnt, expected.cnt)
+            assert block.rows_equal(expected, np.arange(rows)).all()
+            np.testing.assert_array_equal(
+                fingerprint.of(block), fingerprint.of(expected)
+            )
+
+
 class TestCoverEquivalence:
     def test_200_randomized_configurations(self):
         """Acceptance bar: >= 200 random configs, exact cover agreement.

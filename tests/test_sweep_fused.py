@@ -3,13 +3,16 @@
 Four pillars of the execution path are pinned here:
 
 * **The ring kernel's windowed cover driver is exact.**  Randomized
-  configurations run through ``run_until_covered`` (32-round
-  reconciliation windows with replay) must stop at the round and with
-  the cover rounds that per-round ``step()`` reaches, with
+  configurations run through ``run_until_covered`` (8-round
+  reconciliation windows that read each cover round off the window's
+  history) must stop at the round and with the cover rounds that
+  per-round ``step()`` reaches, with
   :data:`repro.sweep.batch_ring.COMPACT_RATIO` patched to 0, its
   default and 1; at 0, which keeps every lane, the final pointers and
   counts must match too.  Trials include lanes that cover *inside* a
-  window and lanes that truncate at ``max_rounds``.
+  window and lanes that truncate at ``max_rounds``, and the covers and
+  states are the same with ``BatchRingKernel._WINDOW`` patched to 1,
+  3, 8 and 32.
 * **Brent's limit-cycle search is exact at every compaction ratio.**
   Randomized lanes resolve to the reference preperiod and period with
   :data:`repro.sweep.batch_ring.COMPACT_RATIO` patched to 0 (never
@@ -138,9 +141,10 @@ class TestRingWindowedCover:
 
     def test_cover_inside_a_window_is_exact(self):
         # A single rotor walker fighting outward-pointing rotors covers
-        # the n=40 ring at round 780, inside the 25th 32-round window
-        # (rounds 769..800).  Replay must pin the exact round, not the
-        # window boundary the lane was first *detected* covered at.
+        # the n=40 ring at round 780, inside a window (at 8 rounds, the
+        # 98th: rounds 777..784).  The window's history must pin the
+        # exact round, not the window boundary the lane was first
+        # *detected* covered at.
         n = 40
         pointers = np.array(
             [[1 if i < n // 2 else -1 for i in range(n)]], dtype=np.int64
@@ -151,12 +155,51 @@ class TestRingWindowedCover:
         np.testing.assert_array_equal(
             kernel.run_until_covered(10_000), [780]
         )
-        assert kernel._epochs == 25
-        assert kernel.round == 800
+        windows = -(-780 // BatchRingKernel._WINDOW)
+        assert kernel._epochs == windows
+        assert kernel.round == windows * BatchRingKernel._WINDOW
         stepped = BatchRingKernel(n, pointers, counts)
         for _ in range(780):
             stepped.step()
         assert int(stepped.cover_rounds[0]) == 780
+
+    @pytest.mark.parametrize("n", (64, 45))
+    def test_covers_do_not_depend_on_the_window(self, n, monkeypatch):
+        # One merged block of mixed k, as the executor plans dense
+        # chunks.  The budget (409 at n = 64, 275 at n = 45) ends inside
+        # a window at every width but 1 and truncates the slowest lanes.
+        rng = np.random.default_rng(4000 + n)
+        lanes = 256
+        pointers = rng.choice(np.array([-1, 1]), size=(lanes, n))
+        counts = np.zeros((lanes, n), dtype=np.int64)
+        for lane, k in enumerate(rng.integers(1, 17, size=lanes)):
+            np.add.at(counts[lane], rng.integers(0, n, size=k), 1)
+        results = {}
+        for width in (1, 3, 8, 32):
+            monkeypatch.setattr(BatchRingKernel, "_WINDOW", width)
+            if width == 1:
+                full = BatchRingKernel(n, pointers, counts)
+                max_rounds = int(
+                    np.quantile(full.run_until_covered(16 * n * n), 0.9)
+                ) | 1
+            covers = BatchRingKernel(n, pointers, counts).run_until_covered(
+                max_rounds, strict=False
+            )
+            ran = BatchRingKernel(n, pointers, counts)
+            ran.run(max_rounds)
+            results[width] = covers, _ring_state(ran)
+        stepped_covers, stepped_state = results[1]
+        covered = stepped_covers[stepped_covers >= 0]
+        assert (stepped_covers < 0).any()
+        for width in (3, 8, 32):
+            # Lanes cover at every offset inside a window of this width.
+            assert set((covered - 1) % width) == set(range(width))
+            covers, state = results[width]
+            context = f"n={n} width={width}"
+            np.testing.assert_array_equal(
+                covers, stepped_covers, err_msg=context
+            )
+            _assert_states_equal(stepped_state, state, context)
 
 
 def _brent_rounds(preperiod, period):

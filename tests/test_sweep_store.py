@@ -1,20 +1,31 @@
 """The result store: round trips, integrity, legacy layouts, tooling."""
 
+import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import random
 import sqlite3
 
 import pytest
 
 from repro.cli import main
+from repro.graphs.families import torus_2d
+from repro.sweep.cells import (
+    GeneralRotorCell,
+    LabeledGeneralRotorCell,
+    RotorCell,
+    WalkCoverCell,
+    WalkGapsCell,
+)
 from repro.sweep.executor import run_sweep
 from repro.sweep.spec import InitFamily, ScenarioSpec, SweepConfig
 from repro.sweep.store import (
     STORE_FILE,
     STORE_SCHEMA_VERSION,
     SqliteStore,
+    _canonical,
     open_store,
     store_info,
     vacuum_store,
@@ -227,6 +238,48 @@ class TestRoundTrip:
         store = _open(spelling, tmp_path)
         store.close()
         store.close()
+
+
+class TestRowIdentity:
+    def test_rows_hold_the_canonical_identity_of_every_cell_kind(
+        self, tmp_path
+    ):
+        graph = torus_2d(3, 4)
+        cells = [
+            _config(3),
+            RotorCell(
+                n=6, agents=(0, 3), directions=(1, -1) * 3,
+                metrics=("cover",), max_rounds=99,
+            ),
+            WalkCoverCell(n=6, agents=(0,), seeds=(4, 5), max_rounds=99),
+            WalkGapsCell(
+                n=6, k=2, node=1, observation_rounds=50, burn_in=6, seed=7
+            ),
+            GeneralRotorCell.from_graph(graph, (0, 5), [0] * 12, 99),
+            LabeledGeneralRotorCell.from_graph(
+                graph, (1,), [1] * 12, 99, family="torus", seed=2
+            ),
+        ]
+        store = SqliteStore(str(tmp_path))
+        store.put_many([(cell, {"cover": 1}) for cell in cells])
+        rows = dict(
+            store._connection().execute("SELECT hash, config FROM cells")
+        )
+        store.close()
+        assert len(rows) == len(cells)
+        for cell in cells:
+            text = rows[cell.config_hash]
+            assert text == _canonical(cell.identity()), type(cell).__name__
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == cell.config_hash, type(cell).__name__
+
+    def test_pickled_cells_leave_the_text_behind(self):
+        cell = _config(3)
+        text = cell.identity_text
+        copy = pickle.loads(pickle.dumps(cell))
+        assert "identity_text" not in vars(copy)
+        assert copy.config_hash == cell.config_hash
+        assert copy.identity_text == text
 
 
 class TestCorruptEntries:
