@@ -64,14 +64,6 @@ class DomainTrace:
         """Covered-region size (n - unvisited) at each sample."""
         return [self.n - len(s.unvisited) for s in self.snapshots]
 
-    def lazy_size_matrix(self) -> list[list[int]]:
-        return [s.lazy_sizes() for s in self.snapshots]
-
-    def final(self) -> DomainSnapshot:
-        if not self.snapshots:
-            raise ValueError("trace holds no snapshots")
-        return self.snapshots[-1]
-
     def growth_exponent(self, skip_fraction: float = 0.3) -> float:
         """Log-log slope of covered-region size vs round (expect ~0.5
         while the ring is uncovered, per §2.3)."""
@@ -167,7 +159,10 @@ def lemma12_adjacent_difference(
 
     Lemma 12 predicts this settles to at most ~10 once domains are
     established (the paper proves <= 10 for k >= 6 and domains >= 20k).
+    A negative ``rounds`` raises ``ValueError`` before any step.
     """
+    if rounds < 0:
+        raise ValueError(f"rounds must be non-negative, got {rounds}")
     (ring,) = ring_trajectories(
         n, *lanes_from_configs(n, [(list(directions), list(agents))]), True
     )

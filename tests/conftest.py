@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.engine import MultiAgentRotorRouter
@@ -40,13 +39,3 @@ def chunk_lanes(monkeypatch):
 
     return set_lanes
 
-
-def random_ring_setup(
-    rng: np.random.Generator, max_n: int = 40, max_k: int = 6
-) -> tuple[int, list[int], list[int]]:
-    """Random (n, directions, agents) for equivalence/property tests."""
-    n = int(rng.integers(3, max_n + 1))
-    k = int(rng.integers(1, max_k + 1))
-    directions = [int(d) for d in rng.choice((1, -1), size=n)]
-    agents = [int(a) for a in rng.integers(0, n, size=k)]
-    return n, directions, agents

@@ -1,43 +1,24 @@
 """Tests for the analysis→sweep bridge (repro.analysis.backend).
 
-The centerpiece is the randomized backend-equivalence grid: >= 100
-configurations across n, k, placement and pointer families, asserting
-the batch backend reproduces the reference (serial) backend
-bit-identically for cover, return and stabilization cells, including
-seed-for-seed walk repetition lanes.
+The batch and reference backends both reproduce the oracle of the
+differential harness (``tests/differential.py``) bit for bit, on its
+seeded grid of cover, return/stabilization and seed-for-seed walk
+requests and on general graphs (the ``plan`` rows); the rest pins
+kernel routing, caching and the plan lifecycle.
 """
 
 import os
 
 import pytest
 
+from differential import check
 from repro.analysis.backend import MeasurementPlan
-from repro.analysis.cover_time import (
-    ring_rotor_cover_time,
-    rotor_cover_time_general,
-)
+from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.core import placement as placement_mod
-from repro.core.pointers import random_ports
-from repro.graphs import clique, grid_2d, ring_graph
+from repro.graphs import ring_graph
 from repro.sweep.cells import RotorCell
 from repro.sweep.executor import _compute_rotor_chunk, _prefer_sparse_covers
-from repro.sweep.spec import PLACEMENTS, POINTERS
-from repro.util.rng import derive_seed, make_rng
-
-PLACEMENT_NAMES = sorted(PLACEMENTS)
-POINTER_NAMES = sorted(POINTERS)
-
-
-def _random_rotor_instance(rng):
-    """One random (n, agents, directions) across the named families."""
-    n = int(rng.choice((8, 12, 16, 24, 32, 48)))
-    k = int(rng.integers(1, 7))
-    placement_name = PLACEMENT_NAMES[int(rng.integers(len(PLACEMENT_NAMES)))]
-    pointer_name = POINTER_NAMES[int(rng.integers(len(POINTER_NAMES)))]
-    seed = int(rng.integers(0, 2**31))
-    agents = PLACEMENTS[placement_name](n, k, seed)
-    directions = POINTERS[pointer_name](n, agents, seed)
-    return n, agents, directions
+from repro.sweep.spec import POINTERS
 
 
 def _cover_cell(n, agents, max_rounds):
@@ -54,71 +35,7 @@ class TestBackendEquivalenceGrid:
     """batch == reference over a randomized >=100-config grid."""
 
     def test_cover_return_stabilization_and_walk_lanes(self):
-        rng = make_rng(20260728)
-        batch = MeasurementPlan(backend="batch")
-        reference = MeasurementPlan(backend="reference")
-
-        cover_pairs = []
-        for _ in range(80):
-            n, agents, directions = _random_rotor_instance(rng)
-            cover_pairs.append(
-                (
-                    batch.rotor_cover(n, agents, directions),
-                    reference.rotor_cover(n, agents, directions),
-                )
-            )
-
-        return_pairs = []
-        for _ in range(30):
-            n, agents, directions = _random_rotor_instance(rng)
-            if n > 32:
-                n = 32
-                agents = [a % n for a in agents]
-                directions = directions[:n]
-            return_pairs.append(
-                (
-                    batch.rotor_return_exact(n, agents, directions),
-                    reference.rotor_return_exact(n, agents, directions),
-                )
-            )
-
-        walk_pairs = []
-        for index in range(16):
-            n = int(rng.choice((8, 16, 24)))
-            k = int(rng.integers(1, 5))
-            repetitions = int(rng.integers(1, 4))
-            base_seed = derive_seed(7, "equiv-walk", index)
-            agents = placement_mod.random_nodes(
-                n, k, seed=int(rng.integers(0, 2**31))
-            )
-            walk_pairs.append(
-                (
-                    batch.walk_cover(n, agents, repetitions, base_seed),
-                    reference.walk_cover(n, agents, repetitions, base_seed),
-                )
-            )
-
-        total = len(cover_pairs) + len(return_pairs) + len(walk_pairs)
-        assert total >= 100
-        batch.execute()
-        reference.execute()
-
-        for b, r in cover_pairs:
-            assert b.value == r.value  # exact ints
-        for b, r in return_pairs:
-            # Stabilization (preperiod/period) and return gaps,
-            # bit-identical.
-            assert b.value.preperiod == r.value.preperiod
-            assert b.value.period == r.value.period
-            assert b.value.worst_gap == r.value.worst_gap
-            assert b.value.best_gap == r.value.best_gap
-        for b, r in walk_pairs:
-            # Seed-for-seed: the raw repetition samples agree, hence
-            # every derived statistic does too.
-            assert b.value.samples == r.value.samples
-            assert b.value.mean == r.value.mean
-            assert b.value.ci_low == r.value.ci_low
-            assert b.value.ci_high == r.value.ci_high
+        check("plan", "rings")
 
     def test_cover_kernel_selection_is_identity_neutral(self):
         # The executor routes sparse cover chunks (Σk < n) to the
@@ -189,27 +106,7 @@ class TestWalkGaps:
 
 class TestGeneralGraphs:
     def test_batch_equals_reference_and_serial(self):
-        graphs = [ring_graph(24), grid_2d(5, 5), clique(12)]
-        batch = MeasurementPlan(backend="batch")
-        reference = MeasurementPlan(backend="reference")
-        triples = []
-        for index, graph in enumerate(graphs):
-            rng = make_rng(derive_seed(3, "general", index))
-            agents = [int(rng.integers(0, graph.num_nodes)) for _ in range(3)]
-            ports = random_ports(graph, rng)
-            triples.append(
-                (
-                    graph, agents, ports,
-                    batch.rotor_cover_general(graph, agents, ports),
-                    reference.rotor_cover_general(graph, agents, ports),
-                )
-            )
-        batch.execute()
-        reference.execute()
-        for graph, agents, ports, b, r in triples:
-            serial = rotor_cover_time_general(graph, agents, ports)
-            assert b.value == serial
-            assert r.value == serial
+        check("plan", "general")
 
 
 class TestCachingAndStats:

@@ -160,3 +160,11 @@ class TestDomainTraces:
             trace_domains(n, agents, directions, 10, 1)
         with pytest.raises(ValueError):
             lemma12_adjacent_difference(n, agents, directions, 10)
+
+    @pytest.mark.parametrize("n, agents", [(64, list(range(64))), (64, [0])])
+    def test_lemma12_rejects_negative_rounds(self, n, agents):
+        # Covered (an agent on every node) or not, a negative round count
+        # is refused before any step.
+        with pytest.raises(ValueError, match="rounds must be non-negative"):
+            lemma12_adjacent_difference(n, agents, [1] * n, -5)
+        assert lemma12_adjacent_difference(n, list(range(n)), [1] * n, 0) == 0

@@ -1,19 +1,12 @@
 """Tests for agent domains and lazy domains (paper §2.2)."""
 
-from collections import Counter
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.domains_stats import (
-    border_type_census,
-    final_profile_vs_lemma13,
-    lemma12_adjacent_difference,
-    trace_domains,
-)
+from differential import Start, census, check, oracle_rows, start
+from repro.analysis.domains_stats import border_type_census
 from repro.core import placement, pointers
 from repro.core.domains import (
     BorderType,
@@ -27,18 +20,15 @@ from repro.core.domains import (
     domain_snapshots,
     o_values,
 )
-from repro.core.path import PathRotorRouter
 from repro.core.ring import RingRotorRouter
-from repro.theory.sequences import solve_profile
 from repro.util.rng import make_rng
 
 
 def settled_system(n, k, rounds, seed=0):
-    """A ring system run well past domain formation, with its tracker."""
-    rng = make_rng(seed)
-    agents = sorted(int(a) for a in rng.choice(n, size=k, replace=False))
-    dirs = pointers.ring_negative(n, agents)
-    engine = RingRotorRouter(n, dirs, agents)
+    """A ring system run well past domain formation, with its tracker:
+    k distinct seeded nodes under negative pointers."""
+    agents = sorted(start(make_rng(seed), n, k, "spread").agents)
+    engine = RingRotorRouter(n, pointers.ring_negative(n, agents), agents)
     tracker = VisitTypeTracker(engine)
     for _ in range(rounds):
         tracker.advance()
@@ -301,177 +291,17 @@ class TestBorders:
         assert snap.max_adjacent_lazy_difference() <= 10
 
 
-def serial_census(n, agents, directions, burn_in, observation_rounds):
-    """The per-configuration census on the serial oracle."""
-    engine = RingRotorRouter(n, directions, agents, track_counts=False)
-    tracker = VisitTypeTracker(engine)
-    for _ in range(burn_in):
-        tracker.advance()
-    census = Counter()
-    for _ in range(observation_rounds):
-        tracker.advance()
-        census.update(classify_borders(domain_snapshot(engine, tracker)))
-    return census
-
-
-def random_lane(rng, n, stacked=False):
-    """Random agents (at most 2 per node, some co-located) and pointers;
-    with ``stacked``, 1-9 agents all start on one node."""
-    if stacked:
-        k = int(rng.integers(1, 10))
-        return [int(rng.integers(0, n))] * k, [
-            int(d) for d in rng.choice((-1, 1), size=n)
-        ]
-    k = int(rng.integers(1, min(9, 2 * n) + 1))
-    pairs = int(rng.integers(0, k // 2 + 1)) if rng.random() < 0.5 else 0
-    pairs = max(pairs, k - n)
-    nodes = [int(v) for v in rng.choice(n, size=k - pairs, replace=False)]
-    directions = [int(d) for d in rng.choice((-1, 1), size=n)]
-    return nodes + nodes[:pairs], directions
-
-
-def serial_trace(n, agents, directions, total_rounds, sample_every,
-                 stop_at_cover):
-    """``trace_domains`` on the serial oracle: (rounds, snapshots)."""
-    engine = RingRotorRouter(n, directions, agents, track_counts=False)
-    tracker = VisitTypeTracker(engine)
-    rounds, snapshots = [], []
-    for _ in range(total_rounds):
-        tracker.advance()
-        if engine.round % sample_every == 0:
-            if max(engine.counts.values()) <= 2:
-                rounds.append(engine.round)
-                snapshots.append(domain_snapshot(engine, tracker))
-        if stop_at_cover and engine.unvisited == 0:
-            break
-    return rounds, snapshots
-
-
-def serial_profile(n, k, rounds_budget):
-    """``final_profile_vs_lemma13`` on the serial path oracle."""
-    engine = PathRotorRouter(n, [-1] * n, [0] * k, track_counts=False)
-    for _ in range(rounds_budget):
-        if engine.unvisited <= max(2, n // 50):
-            break
-        engine.step()
-    if sorted(engine.positions(), reverse=True)[0] <= k:
-        raise RuntimeError("agents did not spread within the budget")
-    window = 4 * n
-    right_ends = [0] * k
-    for _ in range(window):
-        engine.step()
-        for i, position in enumerate(sorted(engine.positions(), reverse=True)):
-            if position > right_ends[i]:
-                right_ends[i] = position
-    boundaries = right_ends + [0]
-    sizes = np.asarray(
-        [boundaries[i] - boundaries[i + 1] for i in range(k)], dtype=float
-    )
-    sizes = np.maximum(sizes, 1e-9)
-    predicted = np.asarray(solve_profile(k).a[1:k + 1], dtype=float)
-    return sizes / sizes.sum(), predicted / predicted.sum()
-
-
-def oracle_rows(engine, tracker):
-    """One configuration as the ``(1, n)`` rows ``domain_snapshots`` takes."""
-    n = engine.n
-    counts = np.zeros((1, n), dtype=np.int64)
-    for v, c in engine.counts.items():
-        counts[0, v] = c
-    clockwise = np.asarray([engine.ptr]) == 1
-    visited = np.asarray([list(engine.visited)], dtype=bool)
-    propagation = np.asarray(
-        [[kind == VisitKind.PROPAGATION for kind in tracker.kinds]]
-    )
-    return counts, clockwise, visited, propagation
-
-
-def arbitrary_block(rng):
-    """Seeded rows of arbitrary states, outside any trajectory.
-
-    1-4 rows on an n-ring (n 3-39): counts 0-2 with at least one agent
-    per row, or one site holding one or two agents; random pointers;
-    visited nodes covering the occupied ones.  Agent, visited and
-    PROPAGATION densities are drawn per row, 0 and 1 included, so rows
-    with no run boundary sit beside rows with many.
-    """
-    n = int(rng.integers(3, 40))
-    rows = int(rng.integers(1, 5))
-    counts = np.zeros((rows, n), dtype=np.int64)
-    for r in range(rows):
-        if rng.random() < 0.2:
-            counts[r, rng.integers(n)] = rng.integers(1, 3)
-            continue
-        counts[r] = rng.integers(0, 3, n) * (rng.random(n) < rng.random())
-        if not counts[r].any():
-            counts[r, rng.integers(n)] = 1
-    clockwise = rng.integers(0, 2, (rows, n)).astype(np.int8)
-    densities = rng.choice(
-        [0.0, 1.0, rng.random(), rng.random()], (2, rows, 1)
-    )
-    visited = (rng.random((rows, n)) < densities[0]) | (counts > 0)
-    propagation = rng.random((rows, n)) < densities[1]
-    return counts, clockwise, visited, propagation
-
-
-def oracle_snapshot(counts, clockwise, visited, propagation, round_):
-    """``domain_snapshot`` of one row, through a duck-typed engine."""
-    engine = SimpleNamespace(
-        n=counts.size,
-        round=round_,
-        counts={v: int(c) for v, c in enumerate(counts) if c},
-        ptr=[1 if bit else -1 for bit in clockwise],
-        visited=visited.tolist(),
-    )
-    tracker = SimpleNamespace(kinds=[
-        VisitKind.PROPAGATION if p else VisitKind.NEVER for p in propagation
-    ])
-    return domain_snapshot(engine, tracker)
-
-
-def outcome(fn, *args):
-    """A call's result, or the type of the exception it raised."""
-    try:
-        return fn(*args)
-    except (DomainError, RuntimeError) as error:
-        return type(error)
-
-
 class TestBatchedCensus:
-    """The array-native paths against the serial oracle, on one seeded
-    generator: ``border_type_census`` lane by lane, ``trace_domains``,
-    ``lemma12_adjacent_difference`` and ``final_profile_vs_lemma13``,
-    and ``domain_snapshots`` row by row."""
+    """The array-native paths against the serial oracle: the
+    ``census``, ``trace``, ``snapshots``, ``border-counts``,
+    ``profile`` and ``lemma12`` rows of the differential harness
+    (``tests/differential.py``), and hand-built corners."""
 
     def test_matches_serial_oracle_on_random_lanes(self):
-        rng = make_rng(2013)
-        for _ in range(100):
-            n = int(rng.integers(3, 41))
-            lanes = [random_lane(rng, n) for _ in range(int(rng.integers(1, 5)))]
-            # Burn-in as short as 0 leaves some rings uncovered.
-            burn_in = int(rng.integers(0, 5 * n + 1))
-            rounds = int(rng.integers(1, 3 * n + 1))
-            expected = [
-                serial_census(n, agents, dirs, burn_in, rounds)
-                for agents, dirs in lanes
-            ]
-            assert border_type_census(n, lanes, burn_in, rounds) == expected
+        check("census", "random")
 
     def test_figure1_configurations(self):
-        n = 64
-        lanes = []
-        for k in (4, 8, 16):
-            for agents in (
-                placement.equally_spaced(n, k),
-                placement.random_nodes(n, k, seed=k, distinct=True),
-            ):
-                lanes.append((agents, pointers.ring_negative(n, agents)))
-        expected = [
-            serial_census(n, agents, dirs, 10 * n, 4 * n)
-            for agents, dirs in lanes
-        ]
-        assert border_type_census(n, lanes, 10 * n, 4 * n) == expected
-        assert all(sum(census.values()) > 0 for census in expected)
+        check("census", "figure1")
 
     @pytest.mark.parametrize("burn_in", range(6))
     def test_domain_error_parity(self, burn_in):
@@ -481,7 +311,7 @@ class TestBatchedCensus:
         spread = ([2, 5, 8], pointers.ring_negative(n, [2, 5, 8]))
         try:
             expected = [
-                serial_census(n, agents, dirs, burn_in, 3)
+                census(Start(n, tuple(dirs), tuple(agents)), burn_in, 3)
                 for agents, dirs in (stacked, spread)
             ]
         except DomainError:
@@ -498,33 +328,10 @@ class TestBatchedCensus:
             border_type_census(8, lanes, -1, 4)
 
     def test_trace_matches_serial_oracle(self):
-        rng = make_rng(2015)
-        for _ in range(150):
-            n = int(rng.integers(3, 49))
-            agents, dirs = random_lane(rng, n, stacked=rng.random() < 0.3)
-            args = (
-                n, agents, dirs, int(rng.integers(1, 6 * n + 1)),
-                int(rng.integers(1, 5)), bool(rng.integers(0, 2)),
-            )
-            trace = trace_domains(*args)
-            assert (trace.rounds, trace.snapshots) == serial_trace(*args)
-            assert trace.k == len(agents)
+        check("trace")
 
     def test_snapshots_match_serial_oracle_row_by_row(self):
-        rng = make_rng(2016)
-        for _ in range(150):
-            n = int(rng.integers(3, 41))
-            agents, dirs = random_lane(rng, n, stacked=rng.random() < 0.3)
-            engine = RingRotorRouter(n, dirs, agents, track_counts=False)
-            tracker = VisitTypeTracker(engine)
-            tracker.run(int(rng.integers(0, 4 * n + 1)))
-            expected = outcome(domain_snapshot, engine, tracker)
-            got = outcome(
-                domain_snapshots, *oracle_rows(engine, tracker), [engine.round]
-            )
-            assert got == (
-                expected if isinstance(expected, type) else [expected]
-            )
+        check("snapshots")
 
     def test_snapshots_keep_a_shared_anchors_empty_half(self):
         # Three agents on node 36: two reach node 35, whose pointer
@@ -550,37 +357,7 @@ class TestBatchedCensus:
         ) == [expected]
 
     def test_lone_shared_anchor_states_partition_the_ring(self):
-        # Seeded k = 2 trajectories, sampled whenever both agents share
-        # one node: the domains and the unvisited nodes partition the
-        # ring, and the serial and array paths agree on every state.
-        rng = make_rng(2024)
-        states = 0
-        for _ in range(60):
-            n = int(rng.integers(5, 40))
-            dirs = [int(d) for d in rng.choice((1, -1), size=n)]
-            agents = [int(a) for a in rng.integers(0, n, size=2)]
-            engine = RingRotorRouter(n, dirs, agents, track_counts=False)
-            tracker = VisitTypeTracker(engine)
-            sampled = 0
-            while engine.round < 2 * n * n and sampled < 4:
-                tracker.advance()
-                if len(engine.counts) != 1:
-                    continue
-                sampled += 1
-                snap = domain_snapshot(engine, tracker)
-                nodes = sorted(
-                    [v for d in snap.domains for v in d.nodes(n)]
-                    + list(snap.unvisited)
-                )
-                assert nodes == list(range(n))
-                rows = oracle_rows(engine, tracker)
-                assert domain_snapshots(*rows, [engine.round]) == [snap]
-                census = Counter(classify_borders(snap))
-                assert border_counts(*rows)[0].tolist() == [
-                    census[t] for t in BorderType
-                ]
-            states += sampled
-        assert states >= 100
+        check("snapshots/shared-anchor")
 
     def test_snapshots_domain_error_parity(self):
         engine = RingRotorRouter(10, [1] * 10, [4] * 3, track_counts=False)
@@ -591,58 +368,13 @@ class TestBatchedCensus:
             domain_snapshots(*oracle_rows(engine, tracker), [0])
 
     def test_arbitrary_states_match_serial_oracle(self):
-        # The array paths search flat run-boundary lists that run across
-        # row ends, so every block mixes rows of unlike densities.
-        rng = make_rng(2019)
-        for _ in range(400):
-            block = arbitrary_block(rng)
-            rows = len(block[0])
-            snapshots = domain_snapshots(*block, range(rows))
-            tallies = border_counts(*block)
-            for r in range(rows):
-                expected = oracle_snapshot(*(a[r] for a in block), r)
-                assert snapshots[r] == expected
-                census = Counter(classify_borders(expected))
-                assert tallies[r].tolist() == [census[t] for t in BorderType]
-            # A block's tallies are its rows' tallies, each row alone.
-            alone = [
-                border_counts(*(a[r:r + 1] for a in block))
-                for r in range(rows)
-            ]
-            assert np.array_equal(np.concatenate(alone), tallies)
+        check("border-counts")
 
     def test_profile_matches_serial_oracle(self):
-        rng = make_rng(2017)
-        for _ in range(25):
-            n = int(rng.integers(20, 201))
-            k = int(rng.integers(4, 10))
-            # Log-uniform budgets: the shortest stop before the agents
-            # pass node k, the longest reach the near-cover stop.
-            budget = int(2.0 ** rng.uniform(0, np.log2(n * n)))
-            expected = outcome(serial_profile, n, k, budget)
-            got = outcome(final_profile_vs_lemma13, n, k, budget)
-            if isinstance(expected, type):
-                assert got is expected
-            else:
-                assert all(map(np.array_equal, got, expected))
+        check("profile")
 
     def test_lemma12_matches_serial_oracle(self):
-        rng = make_rng(2018)
-        for _ in range(30):
-            n = int(rng.integers(3, 41))
-            agents, dirs = random_lane(rng, n, stacked=rng.random() < 0.3)
-            rounds = int(rng.integers(0, 6 * n + 1))
-            engine = RingRotorRouter(n, dirs, agents, track_counts=False)
-            tracker = VisitTypeTracker(engine)
-            tracker.run(rounds)
-            expected = outcome(domain_snapshot, engine, tracker)
-            got = outcome(lemma12_adjacent_difference, n, agents, dirs, rounds)
-            if isinstance(expected, type):
-                assert got is expected
-            elif expected.unvisited:
-                assert got is RuntimeError
-            else:
-                assert got == expected.max_adjacent_lazy_difference()
+        check("lemma12")
 
 
 def valid_block(rows=3, n=8):

@@ -1,137 +1,23 @@
-"""Property tests: the specialized engines equal the reference engine.
+"""The ring and path engines equal the general reference engine step
+for step: the ``engines`` row of ``tests/differential.py``."""
 
-The ring and path engines are performance specializations; these tests
-pin them to the general engine step for step on random initializations
-(same positions, same pointers, same move multisets, same counters) —
-the strongest correctness guarantee in the suite.
-"""
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.core.engine import MultiAgentRotorRouter
-from repro.core.path import PathRotorRouter
-from repro.core.pointers import ring_pointers_to_ports
-from repro.core.ring import RingRotorRouter
-from repro.graphs.families import path_graph
-from repro.graphs.ring import ring_graph
-from repro.util.rng import make_rng
-
-
-def _dirs_to_path_ports(directions):
-    """Path-engine directions -> general-engine port indices.
-
-    Interior nodes use the ring convention (port 0 = right); endpoints
-    have a single port 0.
-    """
-    n = len(directions)
-    ports = []
-    for v, d in enumerate(directions):
-        if v == 0 or v == n - 1:
-            ports.append(0)
-        else:
-            ports.append(0 if d == 1 else 1)
-    return ports
-
-
-@st.composite
-def ring_setup(draw):
-    n = draw(st.integers(3, 32))
-    k = draw(st.integers(1, 6))
-    dirs = draw(
-        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
-    )
-    agents = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
-    rounds = draw(st.integers(1, 120))
-    return n, dirs, agents, rounds
-
-
-@st.composite
-def path_setup(draw):
-    n = draw(st.integers(2, 32))
-    k = draw(st.integers(1, 6))
-    dirs = draw(
-        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
-    )
-    agents = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
-    rounds = draw(st.integers(1, 120))
-    return n, dirs, agents, rounds
+from differential import check
 
 
 class TestRingEquivalence:
-    @given(ring_setup())
-    @settings(max_examples=60, deadline=None)
-    def test_trajectories_match(self, setup):
-        n, dirs, agents, rounds = setup
-        ring = RingRotorRouter(n, list(dirs), agents)
-        general = MultiAgentRotorRouter(
-            ring_graph(n), ring_pointers_to_ports(dirs), agents
-        )
-        for _ in range(rounds):
-            ring_moves = sorted(ring.step())
-            general_moves = sorted(general.step())
-            assert ring_moves == general_moves
-            assert ring.positions() == general.positions()
-        # Counters agree too.
-        for v in range(n):
-            assert ring.visit_counts[v] == general.visit_counts[v]
-            assert ring.exit_counts[v] == general.exit_counts[v]
-        # Pointer states agree under the direction <-> port mapping.
-        for v in range(n):
-            expected_dir = 1 if general.pointers[v] == 0 else -1
-            assert ring.ptr[v] == expected_dir
+    def test_trajectories_match(self):
+        check("engines", "ring")
 
-    @given(ring_setup())
-    @settings(max_examples=25, deadline=None)
-    def test_cover_times_match(self, setup):
-        n, dirs, agents, _rounds = setup
-        ring = RingRotorRouter(n, list(dirs), agents, track_counts=False)
-        general = MultiAgentRotorRouter(
-            ring_graph(n), ring_pointers_to_ports(dirs), agents
-        )
-        budget = 8 * n * n + 64
-        assert ring.run_until_covered(budget) == \
-            general.run_until_covered(budget)
+    def test_cover_times_match(self):
+        check("engines", "ring-cover")
 
-    @given(ring_setup(), st.integers(0, 2 ** 20))
-    @settings(max_examples=25, deadline=None)
-    def test_equivalence_with_random_holds(self, setup, hold_seed):
-        n, dirs, agents, rounds = setup
-        rng = make_rng(hold_seed)
-        ring = RingRotorRouter(n, list(dirs), agents)
-        general = MultiAgentRotorRouter(
-            ring_graph(n), ring_pointers_to_ports(dirs), agents
-        )
-        for _ in range(min(rounds, 40)):
-            holds = {}
-            for v, c in list(ring.counts.items()):
-                if c > 0 and rng.random() < 0.4:
-                    holds[v] = int(rng.integers(1, c + 1))
-            assert sorted(ring.step(holds)) == sorted(general.step(holds))
-            assert ring.positions() == general.positions()
+    def test_equivalence_with_random_holds(self):
+        check("engines", "holds")
 
 
 class TestPathEquivalence:
-    @given(path_setup())
-    @settings(max_examples=60, deadline=None)
-    def test_trajectories_match(self, setup):
-        n, dirs, agents, rounds = setup
-        path = PathRotorRouter(n, list(dirs), agents)
-        general = MultiAgentRotorRouter(
-            path_graph(n), _dirs_to_path_ports(dirs), agents
-        )
-        for _ in range(rounds):
-            assert sorted(path.step()) == sorted(general.step())
-            assert path.positions() == general.positions()
+    def test_trajectories_match(self):
+        check("engines", "path")
 
-    @given(path_setup())
-    @settings(max_examples=20, deadline=None)
-    def test_cover_times_match(self, setup):
-        n, dirs, agents, _rounds = setup
-        path = PathRotorRouter(n, list(dirs), agents, track_counts=False)
-        general = MultiAgentRotorRouter(
-            path_graph(n), _dirs_to_path_ports(dirs), agents
-        )
-        budget = 8 * n * n + 64
-        assert path.run_until_covered(budget) == \
-            general.run_until_covered(budget)
+    def test_cover_times_match(self):
+        check("engines", "path-cover")

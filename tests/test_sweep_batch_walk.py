@@ -1,8 +1,8 @@
 """Batch walk kernel: seed-for-seed equivalence with RingRandomWalks."""
 
-import numpy as np
 import pytest
 
+from differential import Walk, check, walk_run
 from repro.randomwalk import ring_walk
 from repro.randomwalk.ring_walk import RingRandomWalks
 from repro.sweep.batch_walk import (
@@ -10,60 +10,31 @@ from repro.sweep.batch_walk import (
     WalkLane,
     walk_lanes_from_cells,
 )
-from repro.sweep.spec import PLACEMENTS
-
-
-def _randomized_configs(count, seed=7, max_n=64, max_k=8):
-    """Randomized (n, positions, seed) configurations, grouped by n."""
-    rng = np.random.default_rng(seed)
-    placements = list(PLACEMENTS)
-    groups = {}
-    for _ in range(count):
-        n = int(rng.integers(8, max_n + 1))
-        k = int(rng.integers(1, max_k + 1))
-        name = placements[int(rng.integers(0, len(placements)))]
-        positions = tuple(
-            int(p) for p in PLACEMENTS[name](n, k, int(rng.integers(0, 2**31)))
-        )
-        groups.setdefault(n, []).append(
-            (positions, int(rng.integers(0, 2**31)))
-        )
-    return groups
 
 
 class TestReferenceEquivalence:
     def test_cover_rounds_match_reference_on_randomized_configs(self):
-        # The acceptance pin: >= 100 randomized (n, k, placement)
-        # configurations must reproduce RingRandomWalks.run_until_covered
-        # exactly for the same seeds — not merely in distribution.
-        groups = _randomized_configs(120)
-        assert sum(len(lanes) for lanes in groups.values()) >= 100
-        for n, lanes in groups.items():
-            max_rounds = 64 * n * n
-            batch = BatchRingWalks(
-                n, [WalkLane(positions, seed) for positions, seed in lanes]
-            )
-            covers = batch.run_until_covered(max_rounds)
-            for (positions, seed), got in zip(lanes, covers):
-                reference = RingRandomWalks(n, positions, seed=seed)
-                assert reference.run_until_covered(max_rounds) == int(got)
+        # 120 seeded (n, k, placement) lanes reproduce RingRandomWalks
+        # exactly for the same seeds, not merely in distribution: the
+        # ``walk`` row of the differential harness.
+        check("walk")
 
     def test_first_visit_rounds_match_reference(self):
         n, positions, seed = 24, (3, 17), 123
         batch = BatchRingWalks(n, [WalkLane(positions, seed)])
         batch.run_until_covered(64 * n * n)
-        reference = RingRandomWalks(n, positions, seed=seed)
-        reference.run_until_covered(64 * n * n)
-        assert list(batch.first_visit[0]) == list(reference.first_visit)
+        first = walk_run(Walk(n, positions, seed), 64 * n * n)[1]
+        assert tuple(batch.first_visit[0].tolist()) == first
 
     def test_mixed_walker_counts_in_one_batch(self):
         # The walker axis is ragged: lanes with different k coexist.
         n = 20
         lanes = [WalkLane((0,), 1), WalkLane((0, 5, 10, 15), 2)]
         covers = BatchRingWalks(n, lanes).run_until_covered(64 * n * n)
-        for lane, got in zip(lanes, covers):
-            reference = RingRandomWalks(n, lane.positions, seed=lane.seed)
-            assert reference.run_until_covered(64 * n * n) == int(got)
+        assert covers.tolist() == [
+            walk_run(Walk(n, lane.positions, lane.seed), 64 * n * n)[0]
+            for lane in lanes
+        ]
 
     def test_partial_final_block_stays_aligned(self, monkeypatch):
         # A max_rounds that is not a multiple of block_size truncates
@@ -118,8 +89,7 @@ class TestCoverDetection:
         n = 12
         lanes = [WalkLane(tuple(range(n)), 3), WalkLane((0, 6), 4)]
         covers = BatchRingWalks(n, lanes).run_until_covered(64 * n * n)
-        reference = RingRandomWalks(n, (0, 6), seed=4)
-        assert int(covers[1]) == reference.run_until_covered(64 * n * n)
+        assert int(covers[1]) == walk_run(Walk(n, (0, 6), 4), 64 * n * n)[0]
 
     def test_strict_truncation_raises(self):
         batch = BatchRingWalks(16, [WalkLane((0,), 0)])

@@ -6,16 +6,19 @@ import json
 import os
 import sqlite3
 
-import numpy as np
 import pytest
 
-from repro.analysis.backend import MeasurementPlan
-from repro.analysis.cover_time import ring_rotor_cover_time
-from repro.analysis.return_time import ring_rotor_return_time_exact
+from differential import (
+    Walk,
+    check,
+    oracle_cover,
+    oracle_limit,
+    ring_cells,
+    rotor_metrics,
+    walk_run,
+)
 from repro.cli import main
-from repro.randomwalk.ring_walk import RingRandomWalks
 from repro.sweep import executor
-from repro.sweep.cells import RotorCell
 from repro.sweep.executor import (
     _plan_chunks,
     _prefer_sparse_covers,
@@ -65,7 +68,7 @@ class TestMetrics:
         for cell in result.results:
             config = cell.config
             agents, directions = config.build()
-            assert cell.metrics["cover"] == ring_rotor_cover_time(
+            assert cell.metrics["cover"] == oracle_cover(
                 config.n, agents, directions
             )
 
@@ -91,7 +94,7 @@ class TestMetrics:
         result = run_sweep(spec)
         for cell in result.results:
             agents, directions = cell.config.build()
-            assert cell.metrics["cover"] == ring_rotor_cover_time(
+            assert cell.metrics["cover"] == oracle_cover(
                 16, agents, directions
             )
 
@@ -103,11 +106,11 @@ class TestMetrics:
         for cell in result.results:
             config = cell.config
             agents, directions = config.build()
-            ref = ring_rotor_return_time_exact(config.n, agents, directions)
+            ref = oracle_limit(config.n, agents, directions)
             assert cell.metrics["preperiod"] == ref.preperiod
             assert cell.metrics["period"] == ref.period
-            assert cell.metrics["worst_gap"] == ref.worst_gap
-            assert cell.metrics["best_gap"] == ref.best_gap
+            assert cell.metrics["worst_gap"] == ref.worst
+            assert cell.metrics["best_gap"] == ref.best
 
     def test_truncated_stabilization_records_nulls(self):
         # An exhausted round budget must yield None metrics, not a crash.
@@ -140,12 +143,12 @@ class TestMetrics:
         )
         results = dict(compute_chunk({"cells": [slow, fast, slow]}))
         agents, directions = fast.build()
-        ref = ring_rotor_return_time_exact(n, agents, directions)
+        ref = oracle_limit(n, agents, directions)
         fast_metrics = results[fast.config_hash]
         assert fast_metrics["preperiod"] == ref.preperiod
         assert fast_metrics["period"] == ref.period
-        assert fast_metrics["worst_gap"] == ref.worst_gap
-        assert fast_metrics["best_gap"] == ref.best_gap
+        assert fast_metrics["worst_gap"] == ref.worst
+        assert fast_metrics["best_gap"] == ref.best
         slow_metrics = results[slow.config_hash]
         assert slow_metrics == {
             "preperiod": None, "period": None,
@@ -189,9 +192,7 @@ class TestWalkModel:
             config = cell.config
             agents = config.build_agents()
             samples = [
-                RingRandomWalks(config.n, agents, seed=seed).run_until_covered(
-                    config.max_rounds
-                )
+                walk_run(Walk(config.n, tuple(agents), seed), config.max_rounds)[0]
                 for seed in config.rep_seeds()
             ]
             assert cell.metrics["cover"] == pytest.approx(
@@ -213,7 +214,7 @@ class TestWalkModel:
         for cell in result.results:
             if cell.config.model == "rotor":
                 agents, directions = cell.config.build()
-                assert cell.metrics["cover"] == ring_rotor_cover_time(
+                assert cell.metrics["cover"] == oracle_cover(
                     cell.config.n, agents, directions
                 )
 
@@ -325,21 +326,6 @@ class TestChunkPlanning:
         ]
 
 
-def _ring_cells(n, ks, metrics=("cover",), seed=0):
-    """One random rotor cell on the n-ring per entry of ``ks``."""
-    rng = np.random.default_rng(seed)
-    return [
-        RotorCell(
-            n=n,
-            agents=tuple(int(a) for a in rng.integers(0, n, size=k)),
-            directions=tuple(int(d) for d in rng.choice((1, -1), size=n)),
-            metrics=metrics,
-            max_rounds=16 * n * n + 1024,
-        )
-        for k in ks
-    ]
-
-
 class TestDenseChunkMerging:
     """Single-agent covers share one closed-form chunk; the other blocks
     route one by one, and adjacent dense blocks share a chunk."""
@@ -351,8 +337,8 @@ class TestDenseChunkMerging:
         chunk_lanes(4)
         # Once the k = 1 cells leave, the rest slices into a sparse
         # block (k = 2, Σk = 8 < n) and a dense one (k = 8).
-        cover = _ring_cells(n, [1, 2, 2, 1, 2, 2, 1, 8, 8, 1, 8, 8, 1])
-        limit = _ring_cells(
+        cover = ring_cells(n, [1, 2, 2, 1, 2, 2, 1, 8, 8, 1, 8, 8, 1])
+        limit = ring_cells(
             n, [1, 3, 1], metrics=("stabilization", "return"), seed=1
         )
         cells = cover + limit
@@ -373,35 +359,15 @@ class TestDenseChunkMerging:
 
         got, _, report = run_cells(cells)
         assert report.clean
-        reference = MeasurementPlan(backend="reference")
-        covers = [
-            reference.rotor_cover(n, c.agents, c.directions, c.max_rounds)
-            for c in cover
-        ]
-        returns = [
-            reference.rotor_return_exact(
-                n, c.agents, c.directions, c.max_rounds
-            )
-            for c in limit
-        ]
-        reference.execute()
-        for cell, handle in zip(cover, covers):
-            assert got[cell.config_hash] == {"cover": handle.value}
-        for cell, handle in zip(limit, returns):
-            value = handle.value
-            assert got[cell.config_hash] == {
-                "preperiod": value.preperiod,
-                "period": value.period,
-                "worst_gap": value.worst_gap,
-                "best_gap": value.best_gap,
-            }
+        for cell in cells:
+            assert got[cell.config_hash] == rotor_metrics(cell)
 
     def test_dense_group_merges_whole_blocks_up_to_the_budget(
         self, monkeypatch
     ):
         n = 16
         lanes = executor.CHUNK_LANES
-        cells = _ring_cells(n, [2, 3, 5] * 100)  # every block is dense
+        cells = ring_cells(n, [2, 3, 5] * 100)  # every block is dense
         # 300 cells x 16 nodes fit the default budget: one chunk.
         assert [p["cells"] for p in _plan_chunks(cells)] == [cells]
         for budget, sizes in (
@@ -426,7 +392,7 @@ class TestDenseChunkMerging:
         # Runs of one block each: k = 2 blocks are sparse (Σk = 128 < n),
         # k = 4 blocks dense (Σk = 256).
         pattern = "ddsdssdd"
-        cells = _ring_cells(
+        cells = ring_cells(
             n, [2 if kind == "s" else 4 for kind in pattern for _ in
                 range(lanes)]
         )
@@ -453,7 +419,7 @@ class TestDenseChunkMerging:
     )
     def test_merging_never_changes_a_result(self, monkeypatch, metrics):
         n = 24
-        cells = _ring_cells(n, [2, 3, 4, 5, 8] * 30, metrics=metrics)
+        cells = ring_cells(n, [2, 3, 4, 5, 8] * 30, metrics=metrics)
         assert len(_plan_chunks(cells)) == 1
         merged, _, report = run_cells(cells)
         assert report.clean
@@ -526,24 +492,7 @@ class TestGeneralChunkPlanning:
         assert total == len(cells)
 
     def test_general_chunk_results_match_reference_engine(self):
-        from repro.core.engine import MultiAgentRotorRouter
-        from repro.graphs import lollipop, star, torus_2d
-
-        graphs = [torus_2d(5, 5), lollipop(5, 4), star(5)]
-        cells = _general_cells(graphs, ks=(1, 2, 9), seeds=(0, 1, 2))
-        (payload,) = _plan_chunks(cells)
-        results = dict(compute_chunk(payload))
-        assert len(results) == len(cells)
-        for cell in cells:
-            graph = next(
-                g for g in graphs
-                if g.to_csr().digest == cell.graph_digest
-            )
-            engine = MultiAgentRotorRouter(
-                graph, list(cell.ports), list(cell.agents)
-            )
-            expected = engine.run_until_covered(cell.max_rounds)
-            assert results[cell.config_hash] == {"cover": expected}
+        check("general/planned")
 
     def test_small_general_chunks_take_serial_path(self):
         from repro.analysis.cover_time import rotor_cover_time_general
@@ -742,64 +691,10 @@ class TestProgress:
 
 
 class TestRingSymmetries:
-    """Rotating or reflecting a ring cell changes none of its metrics.
-
-    A check that needs no reference engine: each seeded random cell
-    runs through ``run_cells`` beside its rotation by r and its
-    reflection ``v -> -v`` with every pointer flipped.  Cover-only
-    triples take the sparse stepper below ``Σ k = n`` and the dense
-    ring kernel above it; limit-cycle triples take Brent's pipeline.
-    """
+    """Rotating or reflecting a ring cell changes none of its metrics:
+    the ``run-cells/symmetry`` row of the differential harness, a check
+    that needs no reference engine, on the sparse, dense and limit-cycle
+    routes of ``run_cells``."""
 
     def test_rotation_and_reflection_preserve_metrics(self):
-        rng = np.random.default_rng(1613)
-        paths = set()
-        for _ in range(60):
-            n = int(rng.integers(3, 49))
-            k = int(rng.integers(1, 2 * n + 1))
-            agents = [int(a) for a in rng.integers(0, n, size=k)]
-            directions = [int(d) for d in rng.choice((1, -1), size=n)]
-            r = int(rng.integers(1, n))
-            metrics = (("cover",), ("stabilization", "return"))[
-                int(rng.integers(2))
-            ]
-            images = [
-                (agents, directions),
-                (
-                    [(a + r) % n for a in agents],
-                    [directions[(v - r) % n] for v in range(n)],
-                ),
-                (
-                    [-a % n for a in agents],
-                    [-directions[-v % n] for v in range(n)],
-                ),
-            ]
-            cells = [
-                RotorCell(
-                    n=n,
-                    agents=tuple(placed),
-                    directions=tuple(pointers),
-                    metrics=metrics,
-                    max_rounds=16 * n * n + 1024,
-                )
-                for placed, pointers in images
-            ]
-            results, _, report = run_cells(cells)
-            assert report.clean
-            original, rotated, reflected = (
-                results[cell.config_hash] for cell in cells
-            )
-            assert rotated == original, (n, agents, directions, r)
-            assert reflected == original, (n, agents, directions)
-            if metrics == ("cover",):
-                assert original["cover"] is not None
-                paths.add(
-                    "sparse" if _prefer_sparse_covers(n, cells) else "dense"
-                )
-            else:
-                assert original["period"] is not None
-                assert set(original) == {
-                    "preperiod", "period", "worst_gap", "best_gap",
-                }
-                paths.add("limit")
-        assert paths == {"sparse", "dense", "limit"}
+        check("run-cells/symmetry")

@@ -1,35 +1,13 @@
 """Scheduling never changes a result: cadences, fusion and ``jobs``.
 
-Four pillars of the execution path are pinned here:
-
-* **The ring kernel's windowed cover driver is exact.**  Randomized
-  configurations run through ``run_until_covered`` (8-round
-  reconciliation windows that read each cover round off the window's
-  history) must stop at the round and with the cover rounds that
-  per-round ``step()`` reaches, with
-  :data:`repro.sweep.batch_ring.COMPACT_RATIO` patched to 0, its
-  default and 1; at 0, which keeps every lane, the final pointers and
-  counts must match too.  Trials include lanes that cover *inside* a
-  window and lanes that truncate at ``max_rounds``, and the covers and
-  states are the same with ``BatchRingKernel._WINDOW`` patched to 1,
-  3, 8 and 32.
-* **Brent's limit-cycle search is exact at every compaction ratio.**
-  Randomized lanes resolve to the reference preperiod and period with
-  :data:`repro.sweep.batch_ring.COMPACT_RATIO` patched to 0 (never
-  compact), its default and 1 (compact on every resolution); starved
-  budgets truncate exactly the lanes whose search does not fit.
-* **Walk fusion is identity-neutral.**  The walk kernel runs with
-  :data:`repro.sweep.batch_walk.FUSE_ROUNDS` patched to 1 (the
-  unfused cadence), 7 (odd, misaligned with every power-of-two budget)
-  and 64 (wide epochs that overshoot most events), and the visit
-  tables, covers and final positions must be bit-identical.
-* **``jobs`` changes nothing.**  A ``jobs=2`` sweep — ring, walk and
-  general-graph cells alike, each chunk's cells pickled as-is — must
-  equal the serial run result-for-result and kernel-counter for
-  kernel-counter, and rerun from its cache with zero recomputation;
-  a payload computes the same results after a pickle round trip, and
-  at ``jobs=1`` computes on the planner's own cells without hashing
-  any of them again.
+The ``kernel-cover/*``, ``kernel-run/split``, ``limit/budgets`` and
+``walk/fusion`` rows of ``tests/differential.py`` hold the windowed
+cover driver, ``run``, Brent's search and walk fusion to the reference
+at every ``COMPACT_RATIO``, ``_WINDOW`` and ``FUSE_ROUNDS``.  A
+``jobs=2`` sweep equals the serial one result for result and kernel
+counter for kernel counter and reruns from its cache; a chunk payload
+computes the same after a pickle round trip, and at ``jobs=1`` without
+hashing its cells again.
 """
 
 import pickle
@@ -38,11 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from differential import brent_rounds, check
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.graphs.base import GraphCSR
-from repro.obs.manifest import load_manifest, trace_session
 from repro.randomwalk import ring_walk
-from repro.sweep import batch_ring, batch_walk
+from repro.sweep import batch_walk
 from repro.sweep import cells as cells_module
 from repro.sweep import spec as spec_module
 from repro.sweep.batch_ring import BatchRingKernel, batch_limit_cycles
@@ -55,89 +33,16 @@ from repro.sweep.spec import InitFamily, ScenarioSpec
 FUSE_GRID = (1, 7, 64)
 
 
-def _random_ring_config(rng, max_n=40, max_lanes=6):
-    """One random (n, pointers, counts) block with >= 1 agent per lane."""
-    n = int(rng.integers(5, max_n))
-    lanes = int(rng.integers(2, max_lanes))
-    pointers = rng.choice(np.array([-1, 1], dtype=np.int64), size=(lanes, n))
-    counts = rng.binomial(2, 0.2, size=(lanes, n)).astype(np.int64)
-    empty = counts.sum(axis=1) == 0
-    counts[empty, rng.integers(0, n, size=int(empty.sum()))] = 1
-    return n, pointers, counts
-
-
-def _ring_state(kernel):
-    """Every observable of a finished ring kernel, for equality checks."""
-    lanes = range(kernel.num_lanes)
-    return (
-        kernel.round,
-        kernel.cover_rounds.copy(),
-        np.array([kernel.directions_lane(lane) for lane in lanes]),
-        np.array([kernel.counts_lane(lane) for lane in lanes]),
-    )
-
-
-def _assert_states_equal(reference, candidate, context):
-    ref_round, ref_cover, ref_ptr, ref_counts = reference
-    got_round, got_cover, got_ptr, got_counts = candidate
-    assert got_round == ref_round, context
-    np.testing.assert_array_equal(got_cover, ref_cover, err_msg=context)
-    np.testing.assert_array_equal(got_ptr, ref_ptr, err_msg=context)
-    np.testing.assert_array_equal(got_counts, ref_counts, err_msg=context)
-
-
 class TestRingWindowedCover:
-    """Windowed ring cover runs match per-round stepping bit for bit."""
+    """Windowed ring cover runs match the reference bit for bit."""
 
     @pytest.mark.parametrize("trial", range(40))
-    def test_cover_and_final_state_match_stepping(self, trial, monkeypatch):
-        rng = np.random.default_rng(1000 + trial)
-        n, pointers, counts = _random_ring_config(rng)
-        # Mix horizons: generous (all lanes cover, most inside a
-        # window) and starved (truncation lanes report -1).
-        max_rounds = int(rng.choice([8, 64, 16 * n * n]))
-        windowed = {}
-        for ratio in (0.0, batch_ring.COMPACT_RATIO, 1.0):
-            monkeypatch.setattr(batch_ring, "COMPACT_RATIO", ratio)
-            windowed[ratio] = BatchRingKernel(n, pointers, counts)
-            windowed[ratio].run_until_covered(max_rounds, strict=False)
-        # Cover is only *checked* at window boundaries; the recorded
-        # cover rounds are exact regardless, so stepping round by round
-        # to the same stopping round must reach the identical state.
-        stepped = BatchRingKernel(n, pointers, counts)
-        for _ in range(windowed[0.0].round):
-            stepped.step()
-        context = f"trial={trial} n={n} max_rounds={max_rounds}"
-        # Ratio 0 never compacts, so it holds every lane to the end.
-        _assert_states_equal(
-            _ring_state(stepped), _ring_state(windowed[0.0]), context
-        )
-        for ratio, kernel in windowed.items():
-            assert kernel.round == stepped.round, f"{context} ratio={ratio}"
-            np.testing.assert_array_equal(
-                kernel.cover_rounds, stepped.cover_rounds,
-                err_msg=f"{context} ratio={ratio}",
-            )
+    def test_cover_and_final_state_match_stepping(self, trial):
+        check("kernel-cover/ratios", trial)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_run_matches_stepping(self, trial):
-        rng = np.random.default_rng(2000 + trial)
-        n, pointers, counts = _random_ring_config(rng)
-        rounds = int(rng.integers(1, 200))
-        # Split the horizon at an arbitrary round: where one ``run``
-        # call ends and the next begins must not move the windows'
-        # results either.
-        first = int(rng.integers(0, rounds + 1))
-        windowed = BatchRingKernel(n, pointers, counts)
-        windowed.run(first)
-        windowed.run(rounds - first)
-        stepped = BatchRingKernel(n, pointers, counts)
-        for _ in range(rounds):
-            stepped.step()
-        _assert_states_equal(
-            _ring_state(stepped), _ring_state(windowed),
-            f"trial={trial} n={n} rounds={rounds} first={first}",
-        )
+        check("kernel-run/split", trial)
 
     def test_cover_inside_a_window_is_exact(self):
         # A single rotor walker fighting outward-pointing rotors covers
@@ -164,90 +69,16 @@ class TestRingWindowedCover:
         assert int(stepped.cover_rounds[0]) == 780
 
     @pytest.mark.parametrize("n", (64, 45))
-    def test_covers_do_not_depend_on_the_window(self, n, monkeypatch):
-        # One merged block of mixed k, as the executor plans dense
-        # chunks.  The budget (409 at n = 64, 275 at n = 45) ends inside
-        # a window at every width but 1 and truncates the slowest lanes.
-        rng = np.random.default_rng(4000 + n)
-        lanes = 256
-        pointers = rng.choice(np.array([-1, 1]), size=(lanes, n))
-        counts = np.zeros((lanes, n), dtype=np.int64)
-        for lane, k in enumerate(rng.integers(1, 17, size=lanes)):
-            np.add.at(counts[lane], rng.integers(0, n, size=k), 1)
-        results = {}
-        for width in (1, 3, 8, 32):
-            monkeypatch.setattr(BatchRingKernel, "_WINDOW", width)
-            if width == 1:
-                full = BatchRingKernel(n, pointers, counts)
-                max_rounds = int(
-                    np.quantile(full.run_until_covered(16 * n * n), 0.9)
-                ) | 1
-            covers = BatchRingKernel(n, pointers, counts).run_until_covered(
-                max_rounds, strict=False
-            )
-            ran = BatchRingKernel(n, pointers, counts)
-            ran.run(max_rounds)
-            results[width] = covers, _ring_state(ran)
-        stepped_covers, stepped_state = results[1]
-        covered = stepped_covers[stepped_covers >= 0]
-        assert (stepped_covers < 0).any()
-        for width in (3, 8, 32):
-            # Lanes cover at every offset inside a window of this width.
-            assert set((covered - 1) % width) == set(range(width))
-            covers, state = results[width]
-            context = f"n={n} width={width}"
-            np.testing.assert_array_equal(
-                covers, stepped_covers, err_msg=context
-            )
-            _assert_states_equal(stepped_state, state, context)
-
-
-def _brent_rounds(preperiod, period):
-    """Rounds Brent's phase 1 steps before it confirms ``period``.
-
-    Snapshots sit at rounds ``2^j - 1``, each compared against the next
-    ``2^j`` rounds: the first snapshot inside the cycle whose window
-    spans a full period sees its configuration again ``period`` rounds
-    later.
-    """
-    window = 1
-    while window - 1 < preperiod or window < period:
-        window *= 2
-    return window - 1 + period
+    def test_covers_do_not_depend_on_the_window(self, n):
+        check("kernel-cover/windows", n)
 
 
 class TestLimitCompaction:
     """Brent's search resolves reference cycles at every compaction ratio."""
 
     @pytest.mark.parametrize("trial", range(30))
-    def test_periods_and_preperiods_match_reference(self, trial, monkeypatch):
-        rng = np.random.default_rng(3000 + trial)
-        n, pointers, counts = _random_ring_config(rng, max_n=24, max_lanes=5)
-        # Starve a third of the trials so truncation lanes (-1) are
-        # compared too: a lane resolves exactly when its search fits.
-        max_rounds = 40 if trial % 3 == 0 else 64 * n * n
-        expected_preperiods, expected_periods = [], []
-        for lane in range(pointers.shape[0]):
-            agents = np.repeat(np.arange(n), counts[lane]).tolist()
-            ref = ring_rotor_return_time_exact(
-                n, agents, pointers[lane].tolist()
-            )
-            fits = _brent_rounds(ref.preperiod, ref.period) <= max_rounds
-            expected_preperiods.append(ref.preperiod if fits else -1)
-            expected_periods.append(ref.period if fits else -1)
-        for ratio in (0.0, batch_ring.COMPACT_RATIO, 1.0):
-            monkeypatch.setattr(batch_ring, "COMPACT_RATIO", ratio)
-            cycles = batch_limit_cycles(
-                n, pointers, counts, max_rounds, strict=False
-            )
-            context = f"trial={trial} n={n} ratio={ratio}"
-            np.testing.assert_array_equal(
-                cycles.periods, expected_periods, err_msg=context
-            )
-            np.testing.assert_array_equal(
-                cycles.preperiods, expected_preperiods, err_msg=context
-            )
-
+    def test_periods_and_preperiods_match_reference(self, trial):
+        check("limit/budgets", trial)
 
     def test_budget_is_exact_at_the_search_length(self):
         # A lane resolves with a budget of exactly the rounds its
@@ -259,7 +90,7 @@ class TestLimitCompaction:
         ref = ring_rotor_return_time_exact(
             n, [0, 5, 6], pointers[0].tolist()
         )
-        rounds = _brent_rounds(ref.preperiod, ref.period)
+        rounds = brent_rounds(ref.preperiod, ref.period)
         exact = batch_limit_cycles(n, pointers, counts, rounds)
         assert int(exact.preperiods[0]) == ref.preperiod
         assert int(exact.periods[0]) == ref.period
@@ -273,44 +104,9 @@ class TestLimitCompaction:
 class TestWalkFusionEquivalence:
     """Fused walk epochs draw the same streams, visit for visit."""
 
-    @staticmethod
-    def _random_walk_lanes(rng, n):
-        lanes = []
-        for _ in range(int(rng.integers(2, 5))):
-            walkers = int(rng.integers(1, 4))
-            positions = tuple(
-                int(p) for p in rng.integers(0, n, size=walkers)
-            )
-            lanes.append(WalkLane(positions, seed=int(rng.integers(2**31))))
-        return lanes
-
     @pytest.mark.parametrize("trial", range(30))
-    def test_visit_tables_match_across_fusion(self, trial, monkeypatch):
-        rng = np.random.default_rng(4000 + trial)
-        n = int(rng.integers(5, 24))
-        lanes = self._random_walk_lanes(rng, n)
-        max_rounds = int(rng.choice([48, 20 * n * n]))
-        tables = []
-        for fuse in FUSE_GRID:
-            monkeypatch.setattr(batch_walk, "FUSE_ROUNDS", fuse)
-            walks = BatchRingWalks(n, lanes)
-            walks.run_until_covered(max_rounds, strict=False)
-            tables.append(
-                (
-                    walks.first_visit.copy(),
-                    walks.cover_rounds.copy(),
-                    [walks.positions_lane(b) for b in range(walks.num_lanes)],
-                )
-            )
-        for fuse, (visits, covers, positions) in zip(FUSE_GRID[1:], tables[1:]):
-            context = f"trial={trial} n={n} fuse={fuse}"
-            np.testing.assert_array_equal(
-                visits, tables[0][0], err_msg=context
-            )
-            np.testing.assert_array_equal(
-                covers, tables[0][1], err_msg=context
-            )
-            assert positions == tables[0][2], context
+    def test_visit_tables_match_across_fusion(self, trial):
+        check("walk/fusion", trial)
 
     def test_epochs_follow_the_module_constant(self, monkeypatch):
         # The kernel reads FUSE_ROUNDS at call time: a fused epoch is
@@ -346,36 +142,12 @@ def _mixed_spec(**overrides):
     return ScenarioSpec(**base)
 
 
-def _kernel_counters(manifest):
-    """The deterministic kernel counters: ring.* and walk.* families."""
-    return {
-        name: value
-        for name, value in manifest["counters"].items()
-        if name.startswith(("ring.", "walk."))
-    }
-
-
 class TestParallelEquivalence:
-    def test_jobs2_matches_serial(self, tmp_path, chunk_lanes):
-        spec = _mixed_spec()
-        chunk_lanes(3)
-        serial_path = str(tmp_path / "serial.jsonl")
-        with trace_session(serial_path):
-            serial = run_sweep(spec, jobs=1)
-        parallel_path = str(tmp_path / "parallel.jsonl")
-        with trace_session(parallel_path):
-            parallel = run_sweep(spec, jobs=2)
-
-        assert len(parallel.results) == len(serial.results)
-        for ours, theirs in zip(parallel.results, serial.results):
-            assert ours.config == theirs.config
-            assert ours.metrics == theirs.metrics
-        # Same kernel work, counter for counter: chunk scheduling and
-        # the worker handoff must not change what the kernels computed.
-        # (executor.* counters legitimately differ with the pool.)
-        serial_counters = _kernel_counters(load_manifest(serial_path))
-        parallel_counters = _kernel_counters(load_manifest(parallel_path))
-        assert serial_counters == parallel_counters
+    def test_jobs2_matches_serial(self):
+        # Ring, walk and general cells of every kind at jobs 1 and 2:
+        # equal results and equal ring.* and walk.* kernel counters (the
+        # executor.* counters legitimately differ with the pool).
+        check("run-cells")
 
     def test_jobs2_stabilization_matches_serial(self, chunk_lanes):
         # Stabilization chunks always take the dense ring kernel and

@@ -5,11 +5,11 @@ import json
 import multiprocessing
 import os
 import pickle
-import random
 import sqlite3
 
 import pytest
 
+from differential import check
 from repro.cli import main
 from repro.graphs.families import torus_2d
 from repro.sweep.cells import (
@@ -335,36 +335,12 @@ class TestCorruptEntries:
 
 
 class TestBackendEquivalence:
-    """Randomized put/probe trials against a dict of what was stored."""
+    """Randomized put/probe trials against a dict of what was stored:
+    the ``store`` row of the differential harness."""
 
     @pytest.mark.parametrize("trial", range(5))
-    def test_randomized_probe_equivalence(self, trial, tmp_path):
-        rng = random.Random(1000 + trial)
-        pool = [
-            _config(
-                seed=rng.randrange(10_000),
-                n=rng.choice((16, 24, 32)),
-                k=rng.choice((2, 3, 4)),
-            )
-            for _ in range(40)
-        ]
-        stored = [c for c in pool if rng.random() < 0.6]
-        payloads = {
-            c.config_hash: {"cover": rng.randrange(10_000), "n": c.n}
-            for c in stored
-        }
-        store = SqliteStore(str(tmp_path))
-        store.put_many([(c, payloads[c.config_hash]) for c in stored])
-        probe = list(pool)
-        rng.shuffle(probe)
-        found, statuses = store.lookup_many(probe)
-        assert found == payloads
-        assert statuses == {
-            c.config_hash: "hit" if c.config_hash in payloads else "miss"
-            for c in probe
-        }
-        assert store.count() == len(payloads)
-        store.close()
+    def test_randomized_probe_equivalence(self, trial):
+        check("store", trial)
 
 
 def _write_slice(args):
