@@ -3,7 +3,7 @@
 The batch and reference backends both reproduce the oracle of the
 differential harness (``tests/differential.py``) bit for bit, on its
 seeded grid of cover, return/stabilization and seed-for-seed walk
-requests and on general graphs (the ``plan`` rows); the rest pins
+requests and on general graphs (the ``plan*`` rows); the rest pins
 kernel routing, caching and the plan lifecycle.
 """
 
@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from differential import check
+from differential import case
 from repro.analysis.backend import MeasurementPlan
 from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.core import placement as placement_mod
@@ -34,8 +34,7 @@ def _cover_cell(n, agents, max_rounds):
 class TestBackendEquivalenceGrid:
     """batch == reference over a randomized >=100-config grid."""
 
-    def test_cover_return_stabilization_and_walk_lanes(self):
-        check("plan", "rings")
+    test_cover_return_stabilization_and_walk_lanes = case("plan")
 
     def test_cover_kernel_selection_is_identity_neutral(self):
         # The executor routes sparse cover chunks (Σk < n) to the
@@ -105,8 +104,7 @@ class TestWalkGaps:
 
 
 class TestGeneralGraphs:
-    def test_batch_equals_reference_and_serial(self):
-        check("plan", "general")
+    test_batch_equals_reference_and_serial = case("plan/general")
 
 
 class TestCachingAndStats:

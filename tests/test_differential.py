@@ -1,30 +1,16 @@
-"""The rows of the differential harness (``tests/differential.py``) with
-no older home: one case per shard, the path against the oracle.  Rows
-with :attr:`~differential.Row.homes` run under those tests instead, and
-the last test checks that each home calls its row.
-"""
+"""The differential harness (``tests/differential.py``) runs each row of
+its path table under exactly one test: the one a ``case`` call with the
+row's name binds, one test per shard of the row."""
 
-import importlib
-import inspect
+import re
+from collections import Counter
+from pathlib import Path
 
-import pytest
-
-from differential import PATHS, check
-
-CASES = [(name, shard) for name, spec in PATHS.items() if not spec.homes
-         for shard in spec.shards]
+from differential import PATHS
 
 
-@pytest.mark.parametrize("name, shard", CASES, ids=[f"{n}-{s}" for n, s in CASES])
-def test_path_matches_oracle(name, shard):
-    check(name, shard)
-
-
-def test_every_row_runs_at_its_home():
-    for name, spec in PATHS.items():
-        for home in spec.homes:
-            module, *path = home.split("::")
-            target = importlib.import_module(module.removesuffix(".py"))
-            for attr in path:
-                target = getattr(target, attr)
-            assert f'check("{name}"' in inspect.getsource(target), home
+def test_every_row_is_bound_once():
+    tests = Path(__file__).parent.glob("test_*.py")
+    source = "".join(path.read_text() for path in tests)
+    bound = Counter(re.findall(r'\bcase\(\s*"([^"]+)"\s*\)', source))
+    assert bound == dict.fromkeys(PATHS, 1)

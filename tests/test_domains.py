@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from differential import Start, census, check, oracle_rows, start
+from differential import Start, case, census, oracle_rows, start
 from repro.analysis.domains_stats import border_type_census
 from repro.core import placement, pointers
 from repro.core.domains import (
@@ -293,15 +293,12 @@ class TestBorders:
 
 class TestBatchedCensus:
     """The array-native paths against the serial oracle: the
-    ``census``, ``trace``, ``snapshots``, ``border-counts``,
+    ``census*``, ``trace``, ``snapshots*``, ``border-counts``,
     ``profile`` and ``lemma12`` rows of the differential harness
     (``tests/differential.py``), and hand-built corners."""
 
-    def test_matches_serial_oracle_on_random_lanes(self):
-        check("census", "random")
-
-    def test_figure1_configurations(self):
-        check("census", "figure1")
+    test_matches_serial_oracle_on_random_lanes = case("census")
+    test_figure1_configurations = case("census/figure1")
 
     @pytest.mark.parametrize("burn_in", range(6))
     def test_domain_error_parity(self, burn_in):
@@ -327,11 +324,8 @@ class TestBatchedCensus:
         with pytest.raises(ValueError):
             border_type_census(8, lanes, -1, 4)
 
-    def test_trace_matches_serial_oracle(self):
-        check("trace")
-
-    def test_snapshots_match_serial_oracle_row_by_row(self):
-        check("snapshots")
+    test_trace_matches_serial_oracle = case("trace")
+    test_snapshots_match_serial_oracle_row_by_row = case("snapshots")
 
     def test_snapshots_keep_a_shared_anchors_empty_half(self):
         # Three agents on node 36: two reach node 35, whose pointer
@@ -356,8 +350,9 @@ class TestBatchedCensus:
             *oracle_rows(engine, tracker), [engine.round]
         ) == [expected]
 
-    def test_lone_shared_anchor_states_partition_the_ring(self):
-        check("snapshots/shared-anchor")
+    test_lone_shared_anchor_states_partition_the_ring = case(
+        "snapshots/shared-anchor"
+    )
 
     def test_snapshots_domain_error_parity(self):
         engine = RingRotorRouter(10, [1] * 10, [4] * 3, track_counts=False)
@@ -367,14 +362,9 @@ class TestBatchedCensus:
         with pytest.raises(DomainError):
             domain_snapshots(*oracle_rows(engine, tracker), [0])
 
-    def test_arbitrary_states_match_serial_oracle(self):
-        check("border-counts")
-
-    def test_profile_matches_serial_oracle(self):
-        check("profile")
-
-    def test_lemma12_matches_serial_oracle(self):
-        check("lemma12")
+    test_arbitrary_states_match_serial_oracle = case("border-counts")
+    test_profile_matches_serial_oracle = case("profile")
+    test_lemma12_matches_serial_oracle = case("lemma12")
 
 
 def valid_block(rows=3, n=8):

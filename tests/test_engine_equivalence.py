@@ -1,23 +1,15 @@
 """The ring and path engines equal the general reference engine step
-for step: the ``engines`` row of ``tests/differential.py``."""
+for step: the ``engines/*`` rows of ``tests/differential.py``."""
 
-from differential import check
+from differential import case
 
 
 class TestRingEquivalence:
-    def test_trajectories_match(self):
-        check("engines", "ring")
-
-    def test_cover_times_match(self):
-        check("engines", "ring-cover")
-
-    def test_equivalence_with_random_holds(self):
-        check("engines", "holds")
+    test_trajectories_match = case("engines/ring")
+    test_cover_times_match = case("engines/ring-cover")
+    test_equivalence_with_random_holds = case("engines/holds")
 
 
 class TestPathEquivalence:
-    def test_trajectories_match(self):
-        check("engines", "path")
-
-    def test_cover_times_match(self):
-        check("engines", "path-cover")
+    test_trajectories_match = case("engines/path")
+    test_cover_times_match = case("engines/path-cover")

@@ -4,14 +4,15 @@ Exactness, not approximation: every lane's cover round and final
 ``(pointers, counts)`` equal a standalone
 :class:`repro.core.engine.MultiAgentRotorRouter` run across graph
 families, mixed degrees, shuffled ports, k from 1 to beyond n,
-truncating budgets and every scheduling mode: the ``general`` row of
+truncating budgets and every scheduling mode, and on ring graphs
+against the ring engine: the ``general*`` rows of
 ``tests/differential.py``.
 """
 
 import numpy as np
 import pytest
 
-from differential import check, general_run, general_starts
+from differential import case, general_run, general_starts
 from repro.graphs import clique, torus_2d
 from repro.sweep import batch_general
 from repro.sweep.batch_general import BatchGeneralKernel, batch_general_covers
@@ -28,11 +29,8 @@ class TestRandomizedEquivalence:
         assert any(len(lane.agents) > lane.csr.num_nodes for lane in lanes)
         assert any(len(lane.agents) == 1 for lane in lanes)
 
-    @pytest.mark.parametrize(
-        "tail", [0, 32, 10**9], ids=["vector-only", "crossover", "scalar-only"]
-    )
-    def test_covers_and_final_states_match_reference(self, tail):
-        check("general", tail)
+    test_covers_and_final_states_match_reference = case("general")
+    test_ring_graphs_match_the_ring_engine = case("general/ring")
 
     def test_tail_threshold_is_read_at_call_time(self, monkeypatch):
         # Patched after construction, the constant still decides: 0
@@ -74,10 +72,9 @@ class TestKernelSurface:
         )
         assert covers.tolist() == [0]
 
-    def test_heterogeneous_graphs_share_one_kernel(self):
-        # Lanes of every graph family share the general row's kernel, here
-        # at the default SCALAR_TAIL_PAIRS.
-        check("general", 64)
+    # Lanes of every graph family share one kernel, here at the default
+    # SCALAR_TAIL_PAIRS.
+    test_heterogeneous_graphs_share_one_kernel = case("general/default-tail")
 
     def test_validation(self):
         csr = torus_2d(3, 3).to_csr()

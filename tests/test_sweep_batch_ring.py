@@ -14,7 +14,7 @@ import pytest
 from differential import (
     Start,
     assert_limits,
-    check,
+    case,
     family_starts,
     fingerprint_words,
     lanes,
@@ -39,13 +39,8 @@ from repro.sweep.batch_ring import (
 
 
 class TestLockstep:
-    def test_matches_sparse_engine(self):
-        check("kernel-lockstep", "step")
-
-    def test_windowed_run_matches_stepping(self):
-        """run() at every window width ends in the reference state and
-        cover round."""
-        check("kernel-lockstep", "run")
+    test_matches_sparse_engine = case("kernel-lockstep")
+    test_windowed_run_matches_stepping = case("kernel-lockstep/run")
 
     def test_visits_mark_arrivals(self):
         # Uniform clockwise pointers, one agent: node t visited at round t.
@@ -60,17 +55,11 @@ class TestLockstep:
 class TestPaddedRows:
     """A round steps whole padded rows and leaves the padding zero."""
 
-    @pytest.mark.parametrize("n", (37, 100, 130))
-    @pytest.mark.parametrize("max_k, dtype", ((16, np.int8), (200, np.int16)))
-    def test_rows_match_the_reference_in_lockstep(self, n, max_k, dtype):
-        check("lane-block", (n, max_k))
+    test_rows_match_the_reference_in_lockstep = case("lane-block")
 
 
 class TestCoverEquivalence:
-    def test_200_randomized_configurations(self):
-        """280 dense starts, exact cover agreement at every compaction
-        ratio and window width."""
-        check("kernel-cover")
+    test_200_randomized_configurations = case("kernel-cover")
 
     def test_paper_corner_cases(self):
         n, k = 64, 4
@@ -125,11 +114,8 @@ class TestSparseStepper:
     def _budget(n):
         return 16 * n * n + 1024
 
-    def test_seeded_grid_at_three_budgets(self):
-        check("sparse", 8)
-
-    def test_seeded_grid_with_jumps_of_every_length(self):
-        check("sparse", 1)
+    test_seeded_grid_at_three_budgets = case("sparse")
+    test_seeded_grid_with_jumps_of_every_length = case("sparse/every-jump")
 
     @staticmethod
     def _approaching(n, a, gap):
@@ -213,11 +199,10 @@ class TestSparseStepper:
             n, *lanes_from_configs(n, [(directions, agents)]), 9
         ).tolist() == [-1]
 
-    def test_single_agents_and_covered_lanes(self):
-        # Chunks can mix k = 1 lanes in (a ring away is a follower gap
-        # of n): the closed form and the stepper on lone agents; a lane
-        # whose agents occupy every node covers at 0.
-        check("single-agent")
+    # Chunks can mix k = 1 lanes in (a ring away is a follower gap of n).
+    test_single_agents_and_covered_lanes = case("single-agent")
+
+    def test_lane_on_every_node_covers_at_round_zero(self):
         ptr, cnt = lanes_from_configs(5, [([1] * 5, [0, 1, 2, 3, 4, 4])])
         assert sparse_ring_covers(5, ptr, cnt, 0).tolist() == [0]
 
@@ -301,8 +286,8 @@ class TestLimitBehaviour:
 
 
 class TestRandomizedLimitEquivalence:
-    def test_100_plus_family_configurations(self):
-        check("limit")
+    test_100_plus_family_configurations = case("limit")
+    test_single_agents_lock_in = case("lock-in")
 
     def test_truncation_lanes_mix_exactly(self):
         """strict=False: lanes inside the budget (3n rounds, enough for the
@@ -321,10 +306,7 @@ class TestRandomizedLimitEquivalence:
         worst, best = batch_return_gaps(n, resolved)
         assert (worst.tolist(), best.tolist()) == ([ref.worst] * 2, [ref.best] * 2)
 
-    def test_wide_count_dtypes_match_reference(self):
-        """k > 126 escalates counts to int16: the packed fingerprint
-        and the step arithmetic must stay exact across dtypes."""
-        check("limit/int16")
+    test_wide_count_dtypes_match_reference = case("limit/int16")
 
     def test_truncated_lanes_resolve_exactly_with_budget(self):
         """The same lanes that truncate resolve exactly once the
@@ -343,11 +325,10 @@ class TestFingerprintCollisions:
     """Degenerate fingerprint weights force collisions; the byte-level
     confirmation must still deliver the true minimal period/preperiod."""
 
-    def test_all_zero_weights_collide_every_round(self):
-        check("limit/weights", "zero")
-
-    def test_count_blind_weights_collide_on_count_changes(self):
-        check("limit/weights", "count-blind")
+    test_all_zero_weights_collide_every_round = case("limit/zero-weights")
+    test_count_blind_weights_collide_on_count_changes = case(
+        "limit/count-blind-weights"
+    )
 
     def test_weight_shape_validation(self):
         n = 24
@@ -363,8 +344,7 @@ class TestFingerprintCollisions:
 
 
 class TestCompaction:
-    def test_results_invariant_across_ratios(self):
-        check("kernel-cover/mixed")
+    test_results_invariant_across_ratios = case("compaction")
 
     def test_ratio_is_read_at_call_time(self, monkeypatch, tmp_path):
         # Patching the module constant reaches both Brent phases and

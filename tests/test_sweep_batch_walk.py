@@ -2,7 +2,7 @@
 
 import pytest
 
-from differential import Walk, check, walk_run
+from differential import Walk, case, walk_run
 from repro.randomwalk import ring_walk
 from repro.randomwalk.ring_walk import RingRandomWalks
 from repro.sweep.batch_walk import (
@@ -13,11 +13,9 @@ from repro.sweep.batch_walk import (
 
 
 class TestReferenceEquivalence:
-    def test_cover_rounds_match_reference_on_randomized_configs(self):
-        # 120 seeded (n, k, placement) lanes reproduce RingRandomWalks
-        # exactly for the same seeds, not merely in distribution: the
-        # ``walk`` row of the differential harness.
-        check("walk")
+    # 120 seeded (n, k, placement) lanes reproduce RingRandomWalks
+    # exactly for the same seeds, not merely in distribution.
+    test_cover_rounds_match_reference_on_randomized_configs = case("walk")
 
     def test_first_visit_rounds_match_reference(self):
         n, positions, seed = 24, (3, 17), 123

@@ -10,7 +10,7 @@ import pytest
 
 from differential import (
     Walk,
-    check,
+    case,
     oracle_cover,
     oracle_limit,
     ring_cells,
@@ -491,8 +491,9 @@ class TestGeneralChunkPlanning:
         total = sum(len(p["cells"]) for p in payloads)
         assert total == len(cells)
 
-    def test_general_chunk_results_match_reference_engine(self):
-        check("general/planned")
+    test_general_chunk_results_match_reference_engine = case(
+        "general/planned"
+    )
 
     def test_small_general_chunks_take_serial_path(self):
         from repro.analysis.cover_time import rotor_cover_time_general
@@ -696,5 +697,6 @@ class TestRingSymmetries:
     that needs no reference engine, on the sparse, dense and limit-cycle
     routes of ``run_cells``."""
 
-    def test_rotation_and_reflection_preserve_metrics(self):
-        check("run-cells/symmetry")
+    test_rotation_and_reflection_preserve_metrics = case(
+        "run-cells/symmetry"
+    )

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from differential import brent_rounds, check
+from differential import brent_rounds, case
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.graphs.base import GraphCSR
 from repro.randomwalk import ring_walk
@@ -36,13 +36,8 @@ FUSE_GRID = (1, 7, 64)
 class TestRingWindowedCover:
     """Windowed ring cover runs match the reference bit for bit."""
 
-    @pytest.mark.parametrize("trial", range(40))
-    def test_cover_and_final_state_match_stepping(self, trial):
-        check("kernel-cover/ratios", trial)
-
-    @pytest.mark.parametrize("trial", range(10))
-    def test_run_matches_stepping(self, trial):
-        check("kernel-run/split", trial)
+    test_cover_and_final_state_match_stepping = case("kernel-cover/ratios")
+    test_run_matches_stepping = case("kernel-run/split")
 
     def test_cover_inside_a_window_is_exact(self):
         # A single rotor walker fighting outward-pointing rotors covers
@@ -68,17 +63,13 @@ class TestRingWindowedCover:
             stepped.step()
         assert int(stepped.cover_rounds[0]) == 780
 
-    @pytest.mark.parametrize("n", (64, 45))
-    def test_covers_do_not_depend_on_the_window(self, n):
-        check("kernel-cover/windows", n)
+    test_covers_do_not_depend_on_the_window = case("kernel-cover/windows")
 
 
 class TestLimitCompaction:
     """Brent's search resolves reference cycles at every compaction ratio."""
 
-    @pytest.mark.parametrize("trial", range(30))
-    def test_periods_and_preperiods_match_reference(self, trial):
-        check("limit/budgets", trial)
+    test_periods_and_preperiods_match_reference = case("limit/budgets")
 
     def test_budget_is_exact_at_the_search_length(self):
         # A lane resolves with a budget of exactly the rounds its
@@ -104,9 +95,7 @@ class TestLimitCompaction:
 class TestWalkFusionEquivalence:
     """Fused walk epochs draw the same streams, visit for visit."""
 
-    @pytest.mark.parametrize("trial", range(30))
-    def test_visit_tables_match_across_fusion(self, trial):
-        check("walk/fusion", trial)
+    test_visit_tables_match_across_fusion = case("walk/fusion")
 
     def test_epochs_follow_the_module_constant(self, monkeypatch):
         # The kernel reads FUSE_ROUNDS at call time: a fused epoch is
@@ -143,11 +132,9 @@ def _mixed_spec(**overrides):
 
 
 class TestParallelEquivalence:
-    def test_jobs2_matches_serial(self):
-        # Ring, walk and general cells of every kind at jobs 1 and 2:
-        # equal results and equal ring.* and walk.* kernel counters (the
-        # executor.* counters legitimately differ with the pool).
-        check("run-cells")
+    # Ring, walk and general cells of every kind at jobs 1 and 2: equal
+    # results and equal ring.* and walk.* kernel counters.
+    test_jobs2_matches_serial = case("run-cells")
 
     def test_jobs2_stabilization_matches_serial(self, chunk_lanes):
         # Stabilization chunks always take the dense ring kernel and

@@ -9,7 +9,7 @@ import sqlite3
 
 import pytest
 
-from differential import check
+from differential import case
 from repro.cli import main
 from repro.graphs.families import torus_2d
 from repro.sweep.cells import (
@@ -338,9 +338,7 @@ class TestBackendEquivalence:
     """Randomized put/probe trials against a dict of what was stored:
     the ``store`` row of the differential harness."""
 
-    @pytest.mark.parametrize("trial", range(5))
-    def test_randomized_probe_equivalence(self, trial):
-        check("store", trial)
+    test_randomized_probe_equivalence = case("store")
 
 
 def _write_slice(args):

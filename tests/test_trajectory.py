@@ -6,51 +6,28 @@ stops, visit kinds and rank maxima, lone walks, the Theorem 1
 deployment, and Lemmas 4 and 5 as properties.
 """
 
-import pytest
-
-from differential import DEPLOYMENTS, check
-
-SHORTEST = pytest.mark.parametrize("shortest", [8, 1], ids=["shortest8", "shortest1"])
+from differential import case
 
 
 class TestRingRuns:
-    @SHORTEST
-    def test_runs_match_the_engine_and_its_visit_kinds(self, shortest):
-        check("trajectory/ring", shortest)
-
-    @SHORTEST
-    def test_cover_stop_matches_the_engine(self, shortest):
-        check("trajectory/cover", shortest)
+    test_runs_match_the_engine_and_its_visit_kinds = case("trajectory/ring")
+    test_cover_stop_matches_the_engine = case("trajectory/cover")
 
 
 class TestPathRuns:
-    @SHORTEST
-    def test_runs_with_stops_and_rank_maxima(self, shortest):
-        check("trajectory/path", shortest)
+    test_runs_with_stops_and_rank_maxima = case("trajectory/path")
 
 
 class TestLoneWalks:
-    def test_walks_match_hold_all_except_one(self):
-        check("trajectory/walks")
+    test_walks_match_hold_all_except_one = case("trajectory/walks")
 
 
 class TestDeployment:
-    @pytest.mark.parametrize(
-        "shortest, case",
-        [(s, case) for s in (8, 1) for case in DEPLOYMENTS],
-        ids=[f"shortest{s}-case{i}" for s in (8, 1) for i in range(len(DEPLOYMENTS))],
-    )
-    def test_trace_matches_the_hold_construction(self, shortest, case):
-        check("trajectory/deployment", (shortest, case))
+    test_trace_matches_the_hold_construction = case("trajectory/deployment")
 
 
 class TestDomainLemmas:
     """§2.2's Lemmas 4 and 5 on seeded ring trajectories."""
 
-    @SHORTEST
-    def test_at_most_two_agents_per_node_stays_so(self, shortest):
-        check("trajectory/lemma5", shortest)
-
-    @SHORTEST
-    def test_every_snapshot_is_partitioned(self, shortest):
-        check("trajectory/lemma4", shortest)
+    test_at_most_two_agents_per_node_stays_so = case("trajectory/lemma5")
+    test_every_snapshot_is_partitioned = case("trajectory/lemma4")
