@@ -11,8 +11,8 @@ the round-robin rule of the general engine.
 The engine keeps the occupied nodes in a dict, so a round costs O(k)
 rather than O(n); ``run_until_covered`` additionally inlines the hot
 loop.  Equivalence with :class:`repro.core.engine.MultiAgentRotorRouter`
-on :func:`ring_graph` is enforced by property-based tests
-(``tests/test_engine_equivalence.py``).
+on :func:`ring_graph` is checked on seeded starts by the ``engines/*``
+rows of the differential harness (``tests/differential.py``).
 """
 
 from __future__ import annotations

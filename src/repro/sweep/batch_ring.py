@@ -47,16 +47,20 @@ sorted prefix:
   block and reads its counts, pointer bits and clockwise exits after
   every round;
 * **stabilization** — :func:`batch_limit_cycles` runs Brent's
-  cycle-finding entirely in array ops: per-lane configurations are
-  summarized by random-weight uint64 fingerprints (one matmul per
-  round), "hare == snapshot" is a single ``(A,)`` comparison, and the
-  rare fingerprint hits are confirmed byte-exactly before a lane is
-  resolved, so the result is still the true minimal period; resolved
-  lanes are compacted out of the working arrays (once the live
-  fraction drops to :data:`COMPACT_RATIO`), making stepping *and*
-  bookkeeping scale with unresolved lanes.  Phase 2 starts each lane
-  from a snapshot phase 1 proved to lie before its cycle, and hands
-  on each lane's configuration at round mu, its cycle start;
+  cycle-finding entirely in array ops, in slabs of
+  ``BatchRingKernel._WINDOW`` rounds: each round's configurations are
+  packed into uint64 words, one matmul gives a slab its random-weight
+  fingerprints, one broadcast compares them with every snapshot due,
+  and the rare fingerprint hits are confirmed byte-exactly before a
+  lane is resolved, so the result is still the true minimal period.
+  Besides Brent's doubling snapshots, phase 1 splits every doubling
+  window with evenly spaced ones, which catch a lane soon after its
+  cycle starts.  Resolved lanes are compacted out of the working
+  arrays (once the live fraction drops to :data:`COMPACT_RATIO`),
+  making stepping *and* bookkeeping scale with unresolved lanes.
+  Phase 2 starts each lane from a snapshot phase 1 proved to lie
+  before its cycle, and hands on each lane's configuration at round
+  mu, its cycle start;
 * **return times** — :func:`batch_return_gaps` sorts lanes by period
   so the active set is always a contiguous array prefix, scans one
   limit-cycle period per lane from its cycle start on that shrinking
@@ -71,12 +75,16 @@ stretch in which all agents walk straight in one jump: sparse covers
 (fewer agents than nodes, :func:`sparse_ring_covers`), the §2.3 traces
 and the Theorem 1 path deployments.
 
-Every driver runs one cadence: cover windows are
-``BatchRingKernel._WINDOW`` (8) rounds wide, and the Brent search
-compares fingerprints every round.  Neither is a parameter.
+The dense block runs one cadence: cover windows and Brent's slabs are
+``BatchRingKernel._WINDOW`` (8) rounds wide, and phase 1 keeps that
+many snapshots in each doubling window.  None of it is a parameter.
 
-Step-for-step equivalence with the reference engines is enforced by
-``tests/test_sweep_batch_ring.py``.
+Step-for-step equivalence with the reference engines is checked by the
+rows of the differential harness, ``tests/differential.py``: the
+``lane-block``, ``kernel-*`` and ``compaction`` rows for the block and
+the cover kernel, the ``limit*`` and ``lock-in`` rows for Brent's
+search and the gap scan, and the ``single-agent``, ``sparse*`` and
+``trajectory/*`` rows for the O(k) steppers.
 """
 
 from __future__ import annotations
@@ -100,6 +108,8 @@ _DTYPE_LIMITS = ((np.int8, 126), (np.int16, 32766), (np.int64, 2**62))
 #: ratio; ``run_until_covered`` and both Brent phases read it at call
 #: time, so tests can patch it.
 COMPACT_RATIO = 0.5
+
+_ONE = np.uint64(1)
 
 
 def _counts_dtype(max_agents: int) -> type:
@@ -130,20 +140,24 @@ class LaneBlock:
     over contiguous memory, and the arrivals are one add over the
     buffers read flat, row after row.  The buffers are exposed as
     ``(A, n)`` views (``ptr``/``cnt``/``fwd``) and as uint64 *word*
-    views (``ptr_words``/``cnt_words``) that fingerprinting and
-    byte-exact row comparison read — comparing packed words touches
-    1/8 of the bytes of an element-wise row comparison.  Every round
-    leaves the padding zero, so word equality is exactly configuration
+    views (``ptr_words``/``cnt_words``), which :meth:`pack` folds into
+    the words of ``z = 2·counts + ptr`` for Brent's search to
+    fingerprint and compare — comparing packed words touches 1/8 of
+    the bytes of an element-wise row comparison.  Every round leaves
+    the padding zero, so word equality is exactly configuration
     equality.  ``fwd`` holds the clockwise exits of the round last
     stepped: an agent that arrived at ``v`` alone travelled clockwise
     iff ``fwd(v - 1) == 1``.
+
+    :meth:`step_all` runs on views of the whole buffers made once per
+    block; only :meth:`step_prefix` slices a prefix each round.
     """
 
     __slots__ = (
         "n", "ptr", "cnt", "fwd", "ptr_words", "cnt_words",
         "_ptr_buf", "_cnt_buf", "_nxt_buf", "_fwd_buf", "_bwd_buf",
         "_nxt", "_nxt_words", "_cnt_flat", "_nxt_flat", "_fwd_flat",
-        "_bwd_flat",
+        "_bwd_flat", "_exits", "_arrivals", "_cnt_arrivals",
     )
 
     def __init__(self, ptr: np.ndarray, cnt: np.ndarray) -> None:
@@ -173,23 +187,44 @@ class LaneBlock:
         self._nxt = self._nxt_buf[:, :n]
         self._nxt_words = self._nxt_buf.view(np.uint64)
         self._nxt_flat = np.reshape(self._nxt_buf, -1, copy=False)
+        # Whole-block views of the arrival sums (see ``_arith``): the
+        # exits read, and the cells of each count buffer written.
+        f, b = self._fwd_buf, self._bwd_buf
+        self._exits = (
+            self._fwd_flat[:-2], self._bwd_flat[2:],
+            f[:, n - 1], b[:, 1], f[:, n - 2], b[:, 0],
+        )
+        self._arrivals = self._arrival_views(self._nxt_buf, self._nxt_flat)
+        self._cnt_arrivals = self._arrival_views(
+            self._cnt_buf, self._cnt_flat
+        )
+
+    def _arrival_views(self, buf: np.ndarray, flat: np.ndarray) -> tuple:
+        n = self.n
+        pad = buf[:, n:] if buf.shape[1] > n else None
+        return flat[1:-1], buf[:, 0], buf[:, n - 1], pad
 
     @property
     def rows(self) -> int:
         return self._cnt_buf.shape[0]
 
-    def _arith(self, a: int) -> None:
-        """Rotor arithmetic on rows ``[:a]``: clockwise exits into
-        ``fwd``, anticlockwise ones into the back exits, arrivals into
-        the next counts, pointers flipped in place."""
-        n = self.n
-        c, p = self._cnt_buf[:a], self._ptr_buf[:a]
-        f, b, x = self._fwd_buf[:a], self._bwd_buf[:a], self._nxt_buf[:a]
+    @staticmethod
+    def _rotor(c, p, f, b) -> None:
+        """Clockwise exits into ``f``, anticlockwise ones into ``b``,
+        pointers flipped in place."""
         np.add(c, p, out=f)
         np.right_shift(f, 1, out=f)
         np.subtract(c, f, out=b)
         np.bitwise_xor(p, c, out=p)
         np.bitwise_and(p, 1, out=p)
+
+    def _arith(self, a: int) -> None:
+        """Rotor arithmetic on rows ``[:a]``: exits, pointer flips, and
+        arrivals into the next counts."""
+        n = self.n
+        c, p = self._cnt_buf[:a], self._ptr_buf[:a]
+        f, b, x = self._fwd_buf[:a], self._bwd_buf[:a], self._nxt_buf[:a]
+        self._rotor(c, p, f, b)
         # arrivals(v) = fwd(v-1) + bwd(v+1), over the rows read flat;
         # that is exact for every v but the two whose neighbours wrap
         # round the ring, and pollutes the padding, so those columns
@@ -209,10 +244,25 @@ class LaneBlock:
         self.cnt, self._nxt = self._nxt, self.cnt
         self.cnt_words, self._nxt_words = self._nxt_words, self.cnt_words
         self._cnt_flat, self._nxt_flat = self._nxt_flat, self._cnt_flat
+        self._arrivals, self._cnt_arrivals = (
+            self._cnt_arrivals, self._arrivals,
+        )
 
     def step_all(self) -> None:
-        """One round on every row — commits by buffer swap (no copy)."""
-        self._arith(self.rows)
+        """One round on every row, as ``_arith`` on the whole block's
+        views — commits by buffer swap (no copy)."""
+        self._rotor(
+            self._cnt_buf, self._ptr_buf, self._fwd_buf, self._bwd_buf
+        )
+        fwd_head, bwd_tail, fwd_last, bwd_second, fwd_penult, bwd_first = (
+            self._exits
+        )
+        inner, first, last, pad = self._arrivals
+        np.add(fwd_head, bwd_tail, out=inner)
+        np.add(fwd_last, bwd_second, out=first)
+        np.add(fwd_penult, bwd_first, out=last)
+        if pad is not None:
+            pad.fill(0)
         self._commit_swap()
 
     def step_prefix(self, a: int) -> None:
@@ -229,23 +279,20 @@ class LaneBlock:
         else:
             self._cnt_buf[:a] = self._nxt_buf[:a]
 
+    def pack(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows as ``z = 2·counts + ptr`` words, ``(A, words)`` uint64.
+
+        Counts stay below their dtype's sign bit, so the wordwise shift
+        never carries across packed elements and OR-ing the pointer bit
+        is exact addition: equal words are equal configurations.
+        """
+        out = np.left_shift(self.cnt_words, _ONE, out=out)
+        out |= self.ptr_words
+        return out
+
     def take(self, rows: np.ndarray | slice) -> "LaneBlock":
         """A new block holding only ``rows`` (fresh compact buffers)."""
         return LaneBlock(self.ptr[rows], self.cnt[rows])
-
-    def rows_equal(self, other: "LaneBlock", rows: np.ndarray) -> np.ndarray:
-        """Byte-exact configuration equality per row index, via words."""
-        return (self.ptr_words[rows] == other.ptr_words[rows]).all(axis=1) & (
-            self.cnt_words[rows] == other.cnt_words[rows]
-        ).all(axis=1)
-
-    def halves_equal(self, pairs: int, rows: np.ndarray) -> np.ndarray:
-        """Row ``r`` vs row ``r + pairs`` equality for each ``r`` in rows."""
-        return (
-            self.ptr_words[rows] == self.ptr_words[rows + pairs]
-        ).all(axis=1) & (
-            self.cnt_words[rows] == self.cnt_words[rows + pairs]
-        ).all(axis=1)
 
 
 def lane_block(n: int, pointers: np.ndarray, counts: np.ndarray) -> LaneBlock:
@@ -1035,81 +1082,73 @@ class BatchLimitCycles:
 
 
 class _Fingerprinter:
-    """Random-weight uint64 fingerprints of ``(pointer, counts)`` rows.
+    """Random-weight uint64 fingerprints of packed configuration rows.
 
-    Configurations live in padded row buffers (:class:`LaneBlock`)
-    whose rows reinterpret as uint64 *words* — 8 packed count bytes or
-    pointer bits per word.  The fingerprint is the random-weight dot
+    Both Brent phases keep configurations as the words of
+    ``z = 2·counts + ptr`` (:meth:`LaneBlock.pack`), 8 packed count
+    bytes per word at int8.  The fingerprint is the random-weight dot
     product over those words, modulo 2^64::
 
-        fingerprint[b] = sum_j w_ptr[j]*ptr_words[b,j]
-                       + sum_j w_cnt[j]*cnt_words[b,j]    (mod 2^64)
+        fingerprint[b] = sum_j w[j]*z_words[b,j]    (mod 2^64)
 
-    so Brent's "hare == snapshot" test is one ``(A,)`` equality
-    instead of per-lane byte keys, and the update is one broadcasted
-    multiply-sum (a matmul in wrapping uint64 arithmetic) per round
-    touching 1/8 of the configuration bytes.  Equal configurations
-    always share a fingerprint; unequal ones collide only when the
-    weighted word difference sums to 0 mod 2^64 (~2^-56 for random
-    differences under the seeded odd weights; structured worst cases
-    are rarer than 2^-8), and every hit is confirmed byte-exactly by
-    the callers before a lane resolves — collisions cost time, never
-    correctness.  The default weights derive from
-    :func:`repro.util.rng.derive_seed` (stable across processes);
-    tests inject degenerate ``weights`` to force collisions.
+    so one wrapping matmul fingerprints a whole slab of rounds, and
+    "round == snapshot" is one broadcast equality.  Equal
+    configurations always share a fingerprint; unequal ones collide
+    only when the weighted word difference sums to 0 mod 2^64 (~2^-56
+    for random differences under the seeded odd weights; structured
+    worst cases are rarer than 2^-8), and every hit is confirmed
+    byte-exactly on the stored words before a lane resolves —
+    collisions cost time, never correctness.  The default weights
+    derive from :func:`repro.util.rng.derive_seed` (stable across
+    processes); tests inject degenerate ``(w_ptr, w_cnt)`` weights to
+    force collisions, which hash the pointer and count words unpacked
+    from ``z`` (``dtype`` is the counts' dtype).
     """
 
     def __init__(
         self,
-        ptr_words: int,
-        cnt_words: int,
+        words: int,
+        dtype: np.dtype,
         weights: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         if weights is None:
             rng = np.random.default_rng(
-                derive_seed(0, "limit-cycle-fingerprint", ptr_words, cnt_words)
+                derive_seed(0, "limit-cycle-fingerprint", words, words)
             )
             # Odd weights are units mod 2^64: a single differing word
             # never collides, whatever its (power-of-two) byte offset.
             self._w_packed = rng.integers(
-                0, 2**64, size=cnt_words, dtype=np.uint64
-            ) | np.uint64(1)
-            # Equivalent split form, kept for introspection: hashing
-            # z = 2·counts + ptr with w is hashing counts with 2w and
-            # pointer bits with w.
-            self.w_ptr = self._w_packed
-            self.w_cnt = self._w_packed * np.uint64(2)
-        else:
-            self._w_packed = None
-            self.w_ptr = np.ascontiguousarray(weights[0], dtype=np.uint64)
-            self.w_cnt = np.ascontiguousarray(weights[1], dtype=np.uint64)
-            if self.w_ptr.shape != (ptr_words,) or self.w_cnt.shape != (
-                cnt_words,
-            ):
-                raise ValueError(
-                    f"fingerprint weights must have shapes ({ptr_words},) "
-                    f"and ({cnt_words},), got {self.w_ptr.shape} and "
-                    f"{self.w_cnt.shape}"
-                )
+                0, 2**64, size=words, dtype=np.uint64
+            ) | _ONE
+            return
+        self._w_packed = None
+        self.w_ptr = np.ascontiguousarray(weights[0], dtype=np.uint64)
+        self.w_cnt = np.ascontiguousarray(weights[1], dtype=np.uint64)
+        if self.w_ptr.shape != (words,) or self.w_cnt.shape != (words,):
+            raise ValueError(
+                f"fingerprint weights must have shapes ({words},) and "
+                f"({words},), got {self.w_ptr.shape} and {self.w_cnt.shape}"
+            )
+        # The low bit of every packed element, and the bits of its
+        # count: each element's bits but the top one, shifted down.
+        bits = 8 * np.dtype(dtype).itemsize
+        lows = (2**64 - 1) // (2**bits - 1)
+        self._ptr_mask = np.uint64(lows)
+        self._cnt_mask = np.uint64(lows * (2 ** (bits - 1) - 1))
 
-    def of(self, block: "LaneBlock") -> np.ndarray:
-        """``(A,)`` uint64 fingerprints of the block's configuration rows.
-
-        Default weights take the packed fast path: the per-node state
-        ``z = 2·counts + ptr`` is formed wordwise in two bitwise ops —
-        counts stay below their dtype's sign bit, so the shift never
-        carries across packed elements and OR-ing the pointer bit is
-        exact addition — then hashed with a single wrapping matmul.
-        Injected weights keep the two-matmul form over pointer and
-        count words separately.
-        """
+    def of(self, z: np.ndarray) -> np.ndarray:
+        """uint64 fingerprints of packed rows ``z`` (``(..., words)``)."""
         if self._w_packed is not None:
-            z = block.cnt_words << np.uint64(1)
-            z |= block.ptr_words
             return z @ self._w_packed
-        fp = block.ptr_words @ self.w_ptr
-        fp += block.cnt_words @ self.w_cnt
+        fp = (z & self._ptr_mask) @ self.w_ptr
+        fp += ((z >> _ONE) & self._cnt_mask) @ self.w_cnt
         return fp
+
+
+def _unpack(words: np.ndarray, n: int, dtype: type) -> tuple:
+    """The ``(ptr, cnt)`` rows whose :meth:`LaneBlock.pack` is ``words``."""
+    elements = words.view(f"u{np.dtype(dtype).itemsize}")[:, :n]
+    return (elements & 1).astype(dtype), (elements >> 1).astype(dtype)
 
 
 def _advance_by_schedule(block: LaneBlock, schedule: np.ndarray) -> None:
@@ -1128,195 +1167,246 @@ def _advance_by_schedule(block: LaneBlock, schedule: np.ndarray) -> None:
         block.step_prefix(active)
 
 
+def _snapshot_schedule(
+    max_rounds: int, per_window: int
+) -> tuple[list[int], list[int]]:
+    """Phase 1's snapshot rounds below ``max_rounds``, and for each the
+    last round it is compared with.
+
+    Brent's doubling snapshots sit at rounds ``2^j - 1``, each compared
+    with the ``2^j`` rounds after it, its window.  ``per_window - 1``
+    more split every window evenly (a narrower window has one at every
+    round) and are compared up to the window's end.
+    """
+    rounds, ends = [], []
+    first, window = 0, 1
+    while first < max_rounds:
+        count = min(per_window, window)
+        for i in range(count):
+            snap = first + i * (window // count)
+            if snap < max_rounds:
+                rounds.append(snap)
+                ends.append(first + window)
+        first += window
+        window *= 2
+    return rounds, ends
+
+
+def _brent_rounds(preperiods: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Rounds doubling Brent's phase 1 steps to confirm each period:
+    the first snapshot ``2^j - 1`` at or past the preperiod whose window
+    ``2^j`` spans the period sees its configuration again ``period``
+    rounds later."""
+    reach = np.maximum(preperiods + 1, periods) - 1
+    window = np.left_shift(1, np.frexp(reach)[1].astype(np.int64))
+    return window - 1 + periods
+
+
 def _brent_periods(
-    ptr0: np.ndarray,
-    cnt0: np.ndarray,
+    block: LaneBlock,
     max_rounds: int,
-    strict: bool,
     fingerprint: _Fingerprinter,
     stats: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phase 1 of Brent's search: per-lane minimal periods (or -1).
 
-    While a lane is unresolved its ``(power, lam)`` schedule is
-    data-independent and shared by every lane: snapshots refresh at
-    steps 2^j - 1, and steps (2^j - 1, 2^{j+1} - 1] compare against
-    the snapshot at 2^j - 1.  The per-round work is therefore exactly
-    one vectorized step, one fingerprint call and one ``(A,)``
-    hare-vs-snapshot equality; fingerprint hits are byte-confirmed on
-    the spot (both configurations are present), so a collision just
-    keeps the lane searching — exactly what exact keys would have
-    done.  Resolved lanes are compacted out once the live fraction
-    drops to :data:`COMPACT_RATIO`.
+    The block steps in slabs of ``BatchRingKernel._WINDOW`` rounds, each
+    round's packed words written into the slab's history.  One matmul
+    fingerprints the slab and one broadcast compares every row with
+    every snapshot it is due against (:func:`_snapshot_schedule`: the
+    doubling snapshots and the ones splitting their windows, shared by
+    every lane); hits are confirmed byte-exactly on the stored words.
+    A lane's first confirmed round ``t`` against a snapshot at ``s``
+    gives its period ``t - s``: ``s`` lies on the cycle, and an earlier
+    round of it would have matched first.  Every doubling snapshot is
+    compared as in doubling Brent, so no lane is confirmed later than
+    :func:`_brent_rounds` says.  Resolved lanes are compacted out once
+    the live fraction drops to :data:`COMPACT_RATIO`.
 
-    It also returns where phase 2 starts each lane: a round at most
-    the lane's preperiod mu, and the pointer bits and counts there.  A
-    lane that resolves with period lam against the snapshot at s,
-    after the snapshot at s' = s - w went a window of w rounds without
-    a hit, has mu <= s; if w >= lam, s' lies below mu too (on the cycle
-    it would have hit within lam rounds), so phase 2 starts there, from
-    the previous snapshot phase 1 keeps for this.  Otherwise it starts
-    at round 0, and mu <= s < 2 lam.
+    It also returns where phase 2 starts each lane, a round below its
+    preperiod mu, with the packed rows there: the latest earlier
+    snapshot whose comparisons spanned a whole period, which on the
+    cycle would have matched first; or round 0 if there is none.
+    Snapshots live in ``2 · _WINDOW`` slots, the current window's and
+    the one before, where a lane caught by its window's first snapshot
+    may start.
     """
-    num_lanes = ptr0.shape[0]
+    width = BatchRingKernel._WINDOW
+    snap_rounds, snap_ends = _snapshot_schedule(max_rounds, width)
+    num_lanes, words = block.cnt_words.shape
     periods = np.full(num_lanes, -1, dtype=np.int64)
     starts = np.zeros(num_lanes, dtype=np.int64)
-    start_ptr, start_cnt = ptr0.copy(), cnt0.copy()
-    block = LaneBlock(ptr0, cnt0)
-    snapshot = LaneBlock(ptr0, cnt0)
-    previous = LaneBlock(ptr0, cnt0)  # the snapshot before ``snapshot``
-    snap_fp = fingerprint.of(snapshot)
+    start_words = block.pack()
+    slots = 2 * width
+    snap = np.zeros((slots, num_lanes, words), dtype=np.uint64)
+    snap_fp = np.zeros((slots, num_lanes), dtype=np.uint64)
+    slot_round = np.full(slots, -1, dtype=np.int64)
+    slot_end = np.full(slots, -1, dtype=np.int64)
+    snap[0] = start_words
+    snap_fp[0] = fingerprint.of(start_words)
+    slot_round[0], slot_end[0] = 0, snap_ends[0]
+    taken = 1
+    history = np.empty((width, num_lanes, words), dtype=np.uint64)
     orig = np.arange(num_lanes)
     alive = np.ones(num_lanes, dtype=bool)
     num_alive = num_lanes
     steps = 0
-    snap_step = 0  # snapshots refresh when steps reaches snap_step+window
-    window = 1
     while num_alive and steps < max_rounds:
-        resolved_now = False
-        block.step_all()
-        steps += 1
+        slab = history[:min(width, max_rounds - steps)]
+        for row in slab:
+            block.step_all()
+            block.pack(row)
+        fps = fingerprint.of(slab)
+        rounds = np.arange(steps + 1, steps + len(slab) + 1)[:, np.newaxis]
+        steps += len(slab)
         if stats is not None:
             stats["epochs"] += 1
-            stats["lane_rounds"] += block.rows
-        cur_fp = fingerprint.of(block)
-        hit = cur_fp == snap_fp
+            stats["lane_rounds"] += block.rows * len(slab)
+        # The slab's own snapshots join first: its later rows are due.
+        while taken < len(snap_rounds) and snap_rounds[taken] <= steps:
+            slot, row = taken % slots, snap_rounds[taken] - rounds[0, 0]
+            snap[slot], snap_fp[slot] = slab[row], fps[row]
+            slot_round[slot] = snap_rounds[taken]
+            slot_end[slot] = snap_ends[taken]
+            taken += 1
+        due = (slot_round < rounds) & (rounds <= slot_end)
+        hit = fps[:, np.newaxis, :] == snap_fp
+        hit &= due[:, :, np.newaxis]
         hit &= alive
-        if hit.any():
-            rows = np.flatnonzero(hit)
-            confirmed = rows[block.rows_equal(snapshot, rows)]
-            if stats is not None:
-                stats["fp_hits"] += int(rows.size)
-                stats["fp_confirmed"] += int(confirmed.size)
-            if confirmed.size:
-                lanes = orig[confirmed]
-                periods[lanes] = steps - snap_step
-                # The previous window, window / 2 rounds, held a whole
-                # period without a hit: its snapshot precedes the cycle.
-                if 2 * (steps - snap_step) <= window:
-                    starts[lanes] = snap_step - window // 2
-                    start_ptr[lanes] = previous.ptr[confirmed]
-                    start_cnt[lanes] = previous.cnt[confirmed]
-                alive[confirmed] = False
-                num_alive -= confirmed.size
-                resolved_now = True
-        if steps == snap_step + window and num_alive:
-            # Window complete: every live lane refreshes its snapshot
-            # to the current configuration (dead rows refresh too —
-            # harmless, their results are already extracted).
-            previous, snapshot = snapshot, previous
-            np.copyto(snapshot._ptr_buf, block._ptr_buf)
-            np.copyto(snapshot._cnt_buf, block._cnt_buf)
-            snap_fp = cur_fp
-            snap_step = steps
-            window *= 2
-        if (
-            resolved_now
-            and 0 < num_alive
-            and num_alive <= COMPACT_RATIO * alive.size
-        ):
+        if not hit.any():
+            continue
+        row, slot, lane = np.nonzero(hit)
+        same = (slab[row, lane] == snap[slot, lane]).all(axis=1)
+        if stats is not None:
+            stats["fp_hits"] += int(row.size)
+            stats["fp_confirmed"] += int(np.count_nonzero(same))
+        if not same.any():
+            continue
+        # Hits come row-major: a lane's first is its earliest round.
+        lane, first = np.unique(lane[same], return_index=True)
+        row, slot = row[same][first], slot[same][first]
+        matched = slot_round[slot]
+        period = rounds[row, 0] - matched
+        before = (slot_round < matched[:, np.newaxis]) & (
+            slot_end - slot_round >= period[:, np.newaxis]
+        )
+        prior = np.where(before, slot_round, -1).argmax(axis=1)
+        found = before.any(axis=1)
+        lanes = orig[lane]
+        periods[lanes] = period
+        starts[lanes[found]] = slot_round[prior[found]]
+        start_words[lanes[found]] = snap[prior[found], lane[found]]
+        alive[lane] = False
+        num_alive -= lane.size
+        if 0 < num_alive <= COMPACT_RATIO * alive.size:
             keep = np.flatnonzero(alive)
             block = block.take(keep)
-            snapshot = snapshot.take(keep)
-            previous = previous.take(keep)
-            snap_fp = snap_fp[keep]
+            snap, snap_fp = snap[:, keep], snap_fp[:, keep]
+            history = np.empty((width, keep.size, words), dtype=np.uint64)
             orig = orig[keep]
             alive = np.ones(num_alive, dtype=bool)
             if stats is not None:
                 stats["compactions"] += 1
     if stats is not None:
         stats["rounds"] += steps
-    if num_alive and strict:
-        raise RuntimeError(
-            f"{num_alive} lanes have no limit cycle confirmed "
-            f"within {max_rounds} rounds"
-        )
-    return periods, starts, start_ptr, start_cnt
+    return periods, starts, start_words
 
 
 def _brent_preperiods(
-    start_ptr: np.ndarray,
-    start_cnt: np.ndarray,
+    start_words: np.ndarray,
     starts: np.ndarray,
     periods: np.ndarray,
+    n: int,
+    dtype: type,
     max_rounds: int,
     fingerprint: _Fingerprinter,
     stats: dict | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Phase 2: preperiods via synchronized tortoise/hare walkers.
 
     Each lane's tortoise starts where phase 1 placed it: round
-    ``starts``, configuration rows ``start_ptr``/``start_cnt``.  The
-    hare starts one full period ahead per lane (a sorted-prefix
-    advance costing ``Σ period`` row-rounds); then tortoise and hare
-    rows are stacked into ONE block — rows ``[:A]`` tortoise, ``[A:]``
-    hare — so each round is a single vectorized step, a single
-    fingerprint call and one ``(A,)`` equality between the halves.
-    Fingerprint matches are byte-confirmed on the spot, and a lane's
-    preperiod is its start plus the rounds stepped.  A confirmed
-    lane's tortoise row, its cycle start, is copied into
-    ``start_ptr``/``start_cnt`` before compaction can drop it; matched
-    lanes stay matched under further steps (determinism), so they are
-    stepped harmlessly until compaction drops them.
+    ``starts``, packed rows ``start_words``.  Hares and tortoises are
+    the two halves of ONE block — rows ``[:A]`` hares, ``[A:]``
+    tortoises — and the hares first run one full period ahead per lane
+    (a sorted-prefix advance costing ``Σ period`` row-rounds).  Then
+    the block steps in slabs of ``BatchRingKernel._WINDOW`` rounds:
+    each round's packed words go into the slab's history, one matmul
+    fingerprints it, and one equality compares the halves.  Hits are
+    byte-confirmed on the stored words, and a lane's preperiod is its
+    start plus its first confirmed round.  Returns the preperiods (-1
+    for unresolved lanes) and each lane's packed rows at its preperiod,
+    its cycle start (``start_words`` for unresolved lanes); resolved
+    lanes step on harmlessly until compaction drops them.
     """
-    num_lanes = start_ptr.shape[0]
-    preperiods = np.full(num_lanes, -1, dtype=np.int64)
+    preperiods = np.full(start_words.shape[0], -1, dtype=np.int64)
+    cycle_words = start_words.copy()
     resolved = np.flatnonzero(periods > 0)
     if resolved.size == 0:
-        return preperiods
+        return preperiods, cycle_words
     order = resolved[np.argsort(-periods[resolved], kind="stable")]
-    hare = LaneBlock(start_ptr[order], start_cnt[order])
-    _advance_by_schedule(hare, periods[order])
-    if stats is not None:
-        stats["lane_rounds"] += int(periods[resolved].sum())
-    block = LaneBlock(
-        np.concatenate([start_ptr[order], hare.ptr]),
-        np.concatenate([start_cnt[order], hare.cnt]),
-    )
-
-    orig = order.copy()
     pairs = order.size
+    block = LaneBlock(
+        *_unpack(np.concatenate([start_words[order]] * 2), n, dtype)
+    )
+    _advance_by_schedule(
+        block, np.concatenate([periods[order], np.zeros(pairs, np.int64)])
+    )
+    width = BatchRingKernel._WINDOW
+    words = start_words.shape[1]
+    history = np.empty((width, 2 * pairs, words), dtype=np.uint64)
+    orig = order
     alive = np.ones(pairs, dtype=bool)
     num_alive = pairs
-    rounds = 0
+    base = 0  # the round of the slab's first row
+    if stats is not None:
+        stats["lane_rounds"] += int(periods[resolved].sum())
     while True:
-        fps = fingerprint.of(block)
-        cand = fps[:pairs] == fps[pairs:]
-        cand &= alive
-        if cand.any():
-            rows = np.flatnonzero(cand)
-            confirmed = rows[block.halves_equal(pairs, rows)]
+        for i, row in enumerate(history):
+            if base + i:
+                block.step_all()
+            block.pack(row)
+        if stats is not None:
+            stats["epochs"] += 1
+            stats["lane_rounds"] += block.rows * (width - (base == 0))
+        fps = fingerprint.of(history)
+        hit = fps[:, :pairs] == fps[:, pairs:]
+        hit &= alive
+        if hit.any():
+            row, lane = np.nonzero(hit)
+            hare, tortoise = history[row, lane], history[row, lane + pairs]
+            same = (hare == tortoise).all(axis=1)
             if stats is not None:
-                stats["fp_hits"] += int(rows.size)
-                stats["fp_confirmed"] += int(confirmed.size)
-            if confirmed.size:
-                lanes = orig[confirmed]
-                preperiods[lanes] = starts[lanes] + rounds
-                start_ptr[lanes] = block.ptr[confirmed]
-                start_cnt[lanes] = block.cnt[confirmed]
-                alive[confirmed] = False
-                num_alive -= confirmed.size
-                if num_alive and num_alive <= COMPACT_RATIO * alive.size:
+                stats["fp_hits"] += int(row.size)
+                stats["fp_confirmed"] += int(np.count_nonzero(same))
+            if same.any():
+                lane, first = np.unique(lane[same], return_index=True)
+                row = row[same][first]
+                lanes = orig[lane]
+                preperiods[lanes] = starts[lanes] + base + row
+                cycle_words[lanes] = history[row, lane + pairs]
+                alive[lane] = False
+                num_alive -= lane.size
+                if 0 < num_alive <= COMPACT_RATIO * alive.size:
                     keep = np.flatnonzero(alive)
                     block = block.take(np.concatenate([keep, keep + pairs]))
                     orig = orig[keep]
                     pairs = keep.size
                     alive = np.ones(pairs, dtype=bool)
+                    history = np.empty(
+                        (width, 2 * pairs, words), dtype=np.uint64
+                    )
                     if stats is not None:
                         stats["compactions"] += 1
         if not num_alive:
-            if stats is not None:
-                stats["rounds"] += rounds
             break
-        if rounds >= max_rounds:
+        base += width
+        if base > max_rounds:
             raise RuntimeError(
                 f"preperiod exceeds {max_rounds} rounds (inconsistent state)"
             )
-        block.step_all()
-        rounds += 1
-        if stats is not None:
-            stats["lane_rounds"] += 2 * pairs
-    return preperiods
+    if stats is not None:
+        stats["rounds"] += base + width - 1
+    return preperiods, cycle_words
 
 
 def batch_limit_cycles(
@@ -1330,27 +1420,33 @@ def batch_limit_cycles(
 ) -> BatchLimitCycles:
     """Brent's cycle search over every lane, array-native end to end.
 
-    Stepping, the ``(power, lam)`` schedule, snapshot refreshes and
-    the hare-vs-snapshot comparison are all vectorized over the
-    unresolved lanes; configurations are compared through uint64
-    fingerprints with byte-exact confirmation of every hit, so results
-    match :func:`repro.core.limit.find_limit_cycle` exactly (both
-    compute the true minimal period and preperiod).
+    Stepping, the snapshot schedule and the round-vs-snapshot
+    comparisons are all vectorized over the unresolved lanes, one slab
+    of ``BatchRingKernel._WINDOW`` rounds at a time; configurations are
+    compared through uint64 fingerprints with byte-exact confirmation
+    of every hit, so results match
+    :func:`repro.core.limit.find_limit_cycle` exactly (both compute the
+    true minimal period and preperiod).
 
-    Both phases step once per round and compact resolved lanes out of
-    their working arrays at :data:`COMPACT_RATIO`.
-    ``_fingerprint_weights`` lets tests inject degenerate weights to
-    force fingerprint collisions.
+    Both phases compact resolved lanes out of their working arrays at
+    :data:`COMPACT_RATIO`.  ``_fingerprint_weights`` lets tests inject
+    degenerate weights to force fingerprint collisions.
 
-    With ``strict``, exhausting ``max_rounds`` raises ``RuntimeError``
-    (mirroring the reference); otherwise unresolved lanes report -1,
-    letting sweeps record truncation instead of dying mid-grid.
+    A lane resolves exactly when doubling Brent's phase 1 would confirm
+    its period within ``max_rounds`` (:func:`_brent_rounds`), though the
+    extra snapshots may catch it sooner.  With ``strict``, any other
+    lane raises ``RuntimeError`` (mirroring the reference); otherwise
+    unresolved lanes report -1, letting sweeps record truncation
+    instead of dying mid-grid.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-    initial = lane_block(n, pointers, counts)
-    words = initial.cnt_words.shape[1]
-    fingerprint = _Fingerprinter(words, words, weights=_fingerprint_weights)
+    block = lane_block(n, pointers, counts)
+    dtype = block.cnt.dtype
+    initial = block.pack()
+    fingerprint = _Fingerprinter(
+        initial.shape[1], dtype, weights=_fingerprint_weights
+    )
     tel = _telemetry()
     stats = (
         None
@@ -1360,17 +1456,29 @@ def batch_limit_cycles(
             "fp_confirmed": 0, "compactions": 0,
         }
     )
-    periods, starts, rows_ptr, rows_cnt = _brent_periods(
-        initial.ptr, initial.cnt, max_rounds, strict, fingerprint, stats,
+    periods, starts, start_words = _brent_periods(
+        block, max_rounds, fingerprint, stats
     )
-    preperiods = _brent_preperiods(
-        rows_ptr, rows_cnt, starts, periods, max_rounds, fingerprint, stats,
+    preperiods, cycle_words = _brent_preperiods(
+        start_words, starts, periods, n, dtype, max_rounds, fingerprint,
+        stats,
     )
+    truncated = (periods < 0) | (
+        _brent_rounds(preperiods, periods) > max_rounds
+    )
+    if strict and truncated.any():
+        raise RuntimeError(
+            f"{np.count_nonzero(truncated)} lanes have no limit cycle "
+            f"confirmed within {max_rounds} rounds"
+        )
+    preperiods[truncated] = -1
+    periods[truncated] = -1
+    cycle_words[truncated] = initial[truncated]
     if tel is not None:
-        resolved = int((periods > 0).sum())
+        resolved = int(np.count_nonzero(~truncated))
         tel.count_many({
             "limit.invocations": 1,
-            "limit.lanes": initial.rows,
+            "limit.lanes": len(periods),
             "limit.rounds": stats["rounds"],
             "limit.lane_rounds": stats["lane_rounds"],
             "limit.epochs": stats["epochs"],
@@ -1379,8 +1487,9 @@ def batch_limit_cycles(
             "limit.fp_collisions": stats["fp_hits"] - stats["fp_confirmed"],
             "limit.compactions": stats["compactions"],
             "limit.lanes_resolved": resolved,
-            "limit.lanes_truncated": initial.rows - resolved,
+            "limit.lanes_truncated": len(periods) - resolved,
         })
+    rows_ptr, rows_cnt = _unpack(cycle_words, n, dtype)
     return BatchLimitCycles(
         preperiods=preperiods,
         periods=periods,

@@ -26,7 +26,7 @@ generator identically to ``RingRandomWalks(n, positions, seed=s)``
 driven with the same ``block_size`` (the kernel reads the reference's
 default, :data:`repro.randomwalk.ring_walk.BLOCK_SIZE`, at
 construction).  Two stream facts make the fused draws exact, both
-pinned by ``tests/test_sweep_fused.py``:
+pinned by the ``walk/fusion`` row of ``tests/differential.py``:
 ``Generator.choice`` over a 2-element population consumes exactly one
 64-bit word per element in C order, so (1) it equals
 ``2·integers(0, 2, dtype=int64) − 1`` element for element, and (2) any
@@ -49,8 +49,9 @@ active set every ``block_size`` rounds, so a lane that covers inside
 an epoch must report the positions it had at the end of the
 ``block_size``-aligned sub-block in which it covered — dropping its
 columns between sub-blocks yields exactly that.  Fused-vs-unfused
-bit-identity is pinned by ``tests/test_sweep_fused.py``, which patches
-:data:`FUSE_ROUNDS` to 1, 7 and 64.
+bit-identity is pinned by the ``walk/fusion`` row of
+``tests/differential.py``, which patches :data:`FUSE_ROUNDS` to 1, 7
+and 64.
 """
 
 from __future__ import annotations

@@ -105,6 +105,7 @@ from repro.sweep.executor import (
     compute_chunk,
     run_cells,
 )
+from repro.sweep.registry import scenario
 from repro.sweep.spec import (
     PLACEMENTS,
     POINTERS,
@@ -1011,7 +1012,7 @@ def _lane_block(shard: tuple[int, int]) -> None:
     assert block.cnt.dtype == dtype
     rows = len(starts)
     words = block.cnt_words.shape[1]
-    fingerprint = batch_ring._Fingerprinter(words, words)
+    fingerprint = batch_ring._Fingerprinter(words, dtype)
     rounds = [0] * rows
     # Whole steps, and prefixes committed by copy and by swap.
     for a in [rows, 2, rows, rows - 1, 1, 6, rows] * 5:
@@ -1030,9 +1031,9 @@ def _lane_block(shard: tuple[int, int]) -> None:
         )
         np.testing.assert_array_equal(block.ptr, expected.ptr)
         np.testing.assert_array_equal(block.cnt, expected.cnt)
-        assert block.rows_equal(expected, np.arange(rows)).all()
+        np.testing.assert_array_equal(block.pack(), expected.pack())
         np.testing.assert_array_equal(
-            fingerprint.of(block), fingerprint.of(expected)
+            fingerprint.of(block.pack()), fingerprint.of(expected.pack())
         )
 
 
@@ -1335,24 +1336,94 @@ def _limit_weights(kind: str) -> None:
 
 @row("limit/budgets", range(30))
 def _limit_budgets(trial: int) -> None:
-    """Blocks at every ratio, a third starved at 40 rounds: -1 where the
-    cycle does not fit."""
+    """Blocks at every ratio, under 40 rounds (a third of them) or 64n²,
+    under 1, 7, 9 and 41 (off the 8-round grid), and under each lane's
+    search length and one less: -1, with the input rows, exactly where
+    the doubling search does not fit, so each lane resolves at its own
+    search length and not one round short of it."""
     rng = np.random.default_rng(3000 + trial)
     n, starts = ring_block(rng, max_n=24, max_lanes=5)
-    budget = 40 if trial % 3 == 0 else 64 * n * n
-    expected = []
-    for ref in map(ring_limit, starts):
-        fits = brent_rounds(ref.preperiod, ref.period) <= budget
-        expected.append((ref.preperiod, ref.period) if fits else (-1, -1))
+    refs = [ring_limit(s) for s in starts]
+    searches = [brent_rounds(ref.preperiod, ref.period) for ref in refs]
+    budgets = {40 if trial % 3 == 0 else 64 * n * n, 1, 7, 9, 41}
+    budgets.update(b for rounds in searches for b in (rounds, rounds - 1))
     batch, sources = with_images(starts, 1)
-    for ratio in RATIOS:
-        with patched(batch_ring, "COMPACT_RATIO", ratio):
-            cycles = batch_limit_cycles(
-                n, *lanes(batch), budget, strict=False
-            )
-        got = list(zip(cycles.preperiods.tolist(), cycles.periods.tolist()))
-        assert got[:len(starts)] == expected, (trial, ratio)
-        assert_symmetric(got, len(starts), sources)
+    ptr, cnt = lanes(batch)
+    for budget in sorted(budgets - {0}):
+        fits = [rounds <= budget for rounds in searches]
+        expected = [
+            (ref.preperiod, ref.period) if fit else (-1, -1)
+            for ref, fit in zip(refs, fits)
+        ]
+        for ratio in RATIOS:
+            with patched(batch_ring, "COMPACT_RATIO", ratio):
+                cycles = batch_limit_cycles(
+                    n, ptr, cnt, budget, strict=False
+                )
+            got = list(zip(
+                cycles.preperiods.tolist(), cycles.periods.tolist()
+            ))
+            assert got[:len(starts)] == expected, (trial, budget, ratio)
+            assert_symmetric(got, len(starts), sources)
+            cut = np.flatnonzero(cycles.periods < 0)
+            assert (cycles.pointers[cut] == ptr[cut]).all()
+            assert (cycles.counts[cut] == cnt[cut]).all()
+
+
+def _packed_after(n: int, starts, rounds: np.ndarray) -> np.ndarray:
+    """The packed rows of each start stepped its own number of rounds."""
+    order = np.argsort(-rounds, kind="stable")
+    block = lane_block(n, *lanes([starts[i] for i in order]))
+    for t in range(int(rounds.max(initial=0))):
+        block.step_prefix(int(np.count_nonzero(rounds[order] > t)))
+    packed = np.empty_like(block.pack())
+    packed[order] = block.pack()
+    return packed
+
+
+def assert_cycles_hold(n: int, starts, cycles) -> None:
+    """No reference run: each lane's cycle-start rows are the input
+    stepped ``preperiod`` rounds and first recur after ``period`` rounds
+    (so after no proper divisor of it), and the input stepped
+    ``preperiod - 1`` rounds does not recur ``period`` rounds later (so
+    the cycle starts no sooner)."""
+    mu, lam = cycles.preperiods, cycles.periods
+    block = lane_block(n, cycles.pointers, cycles.counts)
+    cycle = block.pack()
+    np.testing.assert_array_equal(cycle, _packed_after(n, starts, mu))
+    before = _packed_after(n, starts, np.maximum(mu - 1, 0))
+    # The state at round mu - 1 + lam, taken while the rows step once
+    # round their cycle.
+    late = cycle.copy()
+    first = np.zeros_like(lam)
+    for t in range(1, int(lam.max()) + 1):
+        block.step_all()
+        now = block.pack()
+        late[lam - 1 == t] = now[lam - 1 == t]
+        back = (now == cycle).all(axis=1) & (first == 0)
+        first[back] = t
+    assert first.tolist() == lam.tolist()
+    recur = (late == before).all(axis=1)
+    assert not recur[mu > 0].any(), np.flatnonzero(recur & (mu > 0))
+
+
+@row("limit/self-check")
+def _limit_self_check(_) -> None:
+    """At n = 64 and 128, where the reference is too slow for this
+    suite: the stabilization scenario's families at k = 4 and seeded
+    random starts of 1 to n/2 agents hold :func:`assert_cycles_hold`."""
+    rng = np.random.default_rng(31)
+    families = [
+        (family.placement, family.pointer)
+        for family in scenario("stabilization").families
+    ]
+    for n in (64, 128):
+        starts = [start(rng, n, 4, *family) for family in families]
+        starts += [
+            start(rng, n, int(k)) for k in rng.integers(1, n // 2, size=6)
+        ]
+        cycles = batch_limit_cycles(n, *lanes(starts), 16 * n * n + 1024)
+        assert_cycles_hold(n, starts, cycles)
 
 
 @row("lock-in")

@@ -28,6 +28,7 @@ from repro.obs.telemetry import Telemetry, set_active
 from repro.sweep import batch_ring
 from repro.sweep.batch_ring import (
     BatchRingKernel,
+    LaneBlock,
     _jump_length,
     batch_limit_cycles,
     batch_return_gaps,
@@ -288,6 +289,7 @@ class TestLimitBehaviour:
 class TestRandomizedLimitEquivalence:
     test_100_plus_family_configurations = case("limit")
     test_single_agents_lock_in = case("lock-in")
+    test_cycles_hold_past_the_reference_sizes = case("limit/self-check")
 
     def test_truncation_lanes_mix_exactly(self):
         """strict=False: lanes inside the budget (3n rounds, enough for the
@@ -368,6 +370,57 @@ class TestCompaction:
             lane_rounds[ratio] = counters["ring.lane_rounds"]
         assert compactions[0.0] == 0 < compactions[1.0]
         assert lane_rounds[1.0] < lane_rounds[0.0]
+
+
+class TestLimitCounters:
+    @pytest.mark.parametrize("weights", ["default", "count-blind"])
+    def test_counters_add_up_to_the_rows_stepped(
+        self, monkeypatch, tmp_path, weights
+    ):
+        # ``limit.lane_rounds`` is every row the search stepped: phase 1,
+        # the hare advance and phase 2, counted here by wrapping the two
+        # block steppers; hits split into confirmations and collisions
+        # (count-blind weights force some), and lanes into resolved and
+        # truncated ones (a budget of 8n cuts some off).
+        n = 24
+        ptr, cnt = lanes(family_starts(n)[::3])
+        stepped = []
+        step_all, step_prefix = LaneBlock.step_all, LaneBlock.step_prefix
+
+        def counted_all(block):
+            stepped.append(block.rows)
+            step_all(block)
+
+        def counted_prefix(block, a):
+            stepped.append(a)
+            step_prefix(block, a)
+
+        monkeypatch.setattr(LaneBlock, "step_all", counted_all)
+        monkeypatch.setattr(LaneBlock, "step_prefix", counted_prefix)
+        words = fingerprint_words(n)
+        blind = np.random.default_rng(5).integers(
+            0, 2**64, size=words, dtype=np.uint64
+        )
+        path = str(tmp_path / "limit.jsonl")
+        with trace_session(path):
+            cycles = batch_limit_cycles(
+                n, ptr, cnt, 8 * n, strict=False,
+                _fingerprint_weights=(
+                    None if weights == "default"
+                    else (blind, np.zeros(words, np.uint64))
+                ),
+            )
+        counters = load_manifest(path)["counters"]
+        assert counters["limit.lane_rounds"] == sum(stepped)
+        collisions = counters["limit.fp_collisions"]
+        hits = counters["limit.fp_hits"]
+        assert collisions == hits - counters["limit.fp_confirmed"]
+        assert (collisions > 0) == (weights == "count-blind")
+        resolved = counters["limit.lanes_resolved"]
+        truncated = counters["limit.lanes_truncated"]
+        assert resolved + truncated == counters["limit.lanes"] == len(ptr)
+        assert truncated == np.count_nonzero(cycles.periods < 0) > 0
+        assert resolved > 0
 
 
 class TestPositions:
